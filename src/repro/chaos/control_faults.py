@@ -419,8 +419,8 @@ class FencedController:
     Slot tracking: by default an internal cursor advances once per
     :meth:`decide` call (every single-fleet path consults the policy
     exactly once per slot — the ``ResilientPolicy`` convention).  A
-    driver that calls :meth:`decide` several times per slot (the
-    federated fluid coordinator, once per edge) announces the slot via
+    driver that may call :meth:`decide` several times per slot (the
+    shared fluid slot loop, once per edge shard) announces the slot via
     :meth:`begin_slot` instead.
 
     Attributes:

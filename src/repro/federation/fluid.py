@@ -1,41 +1,35 @@
 """The federated fluid paths: per-edge shards under a thin coordinator.
 
 :class:`FederatedSlotSimulator` steps E edge shards through the paper's
-queue/cost model per slot.  The coordination layer is deliberately thin —
-it owns the *global* things (one RNG, the global Lyapunov state, the
-admission gate, the slot records) and delegates everything per-edge to
-the existing machinery:
+queue/cost model per slot.  It writes no slot loop of its own: it hands
+:func:`~repro.sim.simulator.run_fluid` — the same loop
+:class:`~repro.sim.simulator.SlotSimulator` runs with one whole-fleet
+shard — a provider of per-edge shards.  The loop owns the *global*
+things (one RNG drawn in global device order, the Lyapunov queues, one
+admission gate, the slot records) and keeps one degradation ladder and
+one warm pool per shard.  This module supplies what is federation-only:
 
-* **RNG**: one ``default_rng(seed)`` drives the environment and the
-  arrival draws over the whole fleet in global device order — exactly
-  :class:`~repro.sim.simulator.SlotSimulator`'s sequence, so an E=1
-  federation consumes the identical stream.
-* **State**: the Lyapunov queues ``Θ = [Q, H]`` are global per-device
-  vectors.  Migration conserves backlog by construction: a re-assigned
-  device's queues ride along to its new shard (tasks are queued *at the
-  device* in the fluid model; only the serving edge changes).
 * **Shards**: each populated edge builds an
   :class:`~repro.core.offloading.EdgeSystem` over its members with
   per-edge KKT shares, cached per assignment epoch.  The vectorized path
   gathers each shard's sub-state with
   :meth:`~repro.core.vectorized.FleetState.shard`, steps it through the
   shard's own :class:`~repro.core.vectorized.VectorizedSlotEngine`, and
-  scatters it back with :meth:`~repro.core.vectorized.FleetState.absorb`
-  — the sharding refactor that keeps per-slot work proportional to
-  shard width and unlocks very large fleets.
-* **Overload**: one global :class:`~repro.resilience.overload.
-  AdmissionGate` (token buckets are device-scoped and must survive
-  migration) plus one degradation ladder *per edge* observing its
-  members' mean backlog — per-edge accounting of modes and shed.
+  scatters it back with :meth:`~repro.core.vectorized.FleetState.absorb`.
+  Migration conserves backlog by construction: a re-assigned device's
+  queues ride along to its new shard (tasks are queued *at the device*
+  in the fluid model; only the serving edge changes).
 * **Partial outages**: a :class:`~repro.federation.faults.
   FederationFaultPlan` collapses a down edge's fluid capacity by
   ``edge_down_factor`` (the same overlay
   :class:`~repro.resilience.environment.FaultyEnvironment` applies
-  globally) while its peers run untouched.
+  globally) and flushes its warm pool, while its peers run untouched.
+* **QoS**: classes are assigned globally, and each edge gets its own
+  warm pool over an equal split of the fleet-wide memory budget.
 
-With one edge and a static plan, every step above degenerates to the
-single-edge simulator's code path, which the conformance suite pins
-byte-identically for both the scalar and vectorized branches.
+With one edge and a static plan the single shard is the whole fleet, so
+the E=1 federation and the single-edge simulator are the same
+computation on both the scalar and vectorized branches.
 """
 
 from __future__ import annotations
@@ -45,16 +39,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.offloading import (
-    EdgeSystem,
-    LyapunovState,
-    OffloadingPolicy,
-    slot_cost,
-)
-from ..core.vectorized import FleetState, VectorizedSlotEngine
+from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
+from ..core.vectorized import VectorizedSlotEngine
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from ..sim.metrics import SimulationResult, SlotRecord
+from ..sim.simulator import FluidShard, run_fluid
 from ..sim.streaming import FluidStreamStats
 from .assignment import AssignmentPlan
 from .faults import FederationFaultPlan
@@ -109,6 +99,11 @@ class FederatedFluidResult:
 @dataclass
 class FederatedSlotSimulator:
     """Run an offloading policy over a federation of edge clusters.
+
+    The coordinator is the single-edge fluid loop
+    (:func:`~repro.sim.simulator.run_fluid`) stepped over one shard per
+    edge; :class:`~repro.sim.simulator.SlotSimulator` is its one-shard
+    case, so with E=1 the two are byte-identical by construction.
 
     Attributes:
         topology: The federation (sites, devices, partition, cloud).
@@ -204,524 +199,98 @@ class FederatedSlotSimulator:
         FluidStreamStats` aggregates — the simulation itself is
         byte-identical; only what is *retained* per slot changes.
         """
-        if num_slots <= 0:
-            raise ValueError("need a positive number of slots")
-        if metrics not in ("records", "streaming"):
-            raise ValueError(
-                f'metrics must be "records" or "streaming", got {metrics!r}'
-            )
-        from ..chaos.checkpoint import (
-            should_emit,
-            snapshot,
-            validate_hooks,
-            validate_resume,
+        result, edge_records, edge_streams = run_fluid(
+            self,
+            _EdgeShards(self),
+            policy,
+            num_slots,
+            state,
+            metrics,
+            checkpoint_every,
+            checkpoint_sink,
+            resume_from,
+            path="federated-fluid",
+            fingerprint=self._fingerprint(num_slots, metrics),
+            per_shard=True,
         )
-
-        validate_hooks(checkpoint_every, checkpoint_sink)
-        fingerprint = self._fingerprint(num_slots, metrics)
-        half_slot = num_slots // 2
-        topology, plan = self.topology, self.plan
-        n, num_edges = topology.num_devices, topology.num_edges
-        environment = self.environment
-        arrivals: Sequence[ArrivalProcess] = self.arrivals
-        if self.qos is not None:
-            from ..resilience.qos import (
-                QoSFlow,
-                QoSState,
-                apply_backpressure_by_mode,
-                assign_classes,
-                clamp_queues_by_class,
-                drain_stranded_edge_by_mode,
-                partition_footprint,
-                plan_device_modes,
-            )
-        qstates = None
-        qflow = None
-        if resume_from is not None:
-            validate_resume(resume_from, "federated-fluid", "state", fingerprint)
-            payload = resume_from.payload()
-            rng = payload["rng"]
-            state = payload["state"]
-            fleet = payload["fleet"]
-            gate = payload["gate"]
-            ladders = payload["ladders"]
-            global_records = payload["global_records"]
-            edge_records = payload["edge_records"]
-            global_stream = payload.get("global_stream")
-            edge_streams = payload.get("edge_streams")
-            policy = payload["policy"]
-            environment = payload["environment"]
-            arrivals = payload["arrivals"]
-            qstates = payload.get("qos")
-            qflow = payload.get("flow")
-            start_slot = resume_from.slot
-        else:
-            rng = np.random.default_rng(self.seed)
-            if state is None:
-                state = LyapunovState.zeros(n)
-            fleet = FleetState.from_lyapunov(state) if self.vectorized else None
-            gate = None
-            ladders: list = []
-            if self.overload is not None:
-                from ..resilience.overload import AdmissionGate, OverloadGovernor
-
-                gate = AdmissionGate(self.overload, n)
-                ladders = [
-                    OverloadGovernor(self.overload, n) for _ in range(num_edges)
-                ]
-            global_records: list[SlotRecord] = []
-            edge_records: list[list[SlotRecord]] = [
-                [] for _ in range(num_edges)
-            ]
-            if metrics == "streaming":
-                global_stream = FluidStreamStats()
-                edge_streams = [FluidStreamStats() for _ in range(num_edges)]
-            else:
-                global_stream = None
-                edge_streams = None
-            if self.qos is not None:
-                # One warm pool + shed budget per edge over the *global*
-                # device numbering (residency survives migration and
-                # return); the edge budget is an equal split of the
-                # fleet-wide one, so E=1 collapses to the single-edge
-                # default.  Classes come from the base seed; per-edge
-                # load jitter follows the shard seed (edge 0 == base).
-                global_classes = assign_classes(self.qos, n, self.seed)
-                shared_cfg = replace(
-                    self.qos, class_map=tuple(global_classes)
-                )
-                footprints = [
-                    partition_footprint(
-                        topology.device_partitions[i]
-                        if topology.device_partitions
-                        else topology.partition
-                    )
-                    for i in range(n)
-                ]
-                fleet_budget = self.qos.memory_fraction * sum(footprints)
-                qstates = [
-                    QoSState(
-                        shared_cfg,
-                        None,
-                        topology.shard_seed(self.seed, e),
-                        num_devices=n,
-                        footprints=footprints,
-                        budget=fleet_budget / num_edges,
-                    )
-                    for e in range(num_edges)
-                ]
-                qflow = QoSFlow(len(self.qos.classes))
-            start_slot = 0
-        # Shard systems (and vectorized engines) are cached per member
-        # set — they only change at assignment-epoch boundaries, and are
-        # derived (immutable) data: rebuilt, not checkpointed.
-        shard_cache: dict[
-            tuple[int, tuple[int, ...]],
-            tuple[EdgeSystem, VectorizedSlotEngine | None],
-        ] = {}
-        class_of = qstates[0].class_of if qstates is not None else None
-        tau = topology.slot_length
-        # A FencedController needs the true slot index: the coordinator
-        # consults the policy once per edge, not once per slot.
-        begin_slot = getattr(policy, "begin_slot", None)
-        for slot in range(start_slot, num_slots):
-            if should_emit(checkpoint_every, slot):
-                checkpoint_sink(
-                    snapshot(
-                        "federated-fluid",
-                        "state",
-                        slot,
-                        fingerprint,
-                        dict(
-                            rng=rng,
-                            state=state,
-                            fleet=fleet,
-                            gate=gate,
-                            ladders=ladders,
-                            global_records=global_records,
-                            edge_records=edge_records,
-                            global_stream=global_stream,
-                            edge_streams=edge_streams,
-                            policy=policy,
-                            environment=environment,
-                            arrivals=list(arrivals),
-                            qos=qstates,
-                            flow=qflow,
-                        ),
-                    )
-                )
-            if begin_slot is not None:
-                begin_slot(slot)
-            row = plan.row(slot)
-            member_lists = [
-                [int(i) for i in np.flatnonzero(row == e)]
-                for e in range(num_edges)
-            ]
-            modes = [0] * num_edges
-            backlogs: list[float] = []
-            # Expected arrivals are deterministic (no RNG draw), so the
-            # per-edge QoS plans can read them before sampling without
-            # perturbing the arrival/environment stream.
-            expected = [proc.mean(slot) for proc in arrivals]
-            if gate is not None:
-                backlogs = [
-                    state.queue_local[i] + state.queue_edge[i]
-                    for i in range(n)
-                ]
-                for e in range(num_edges):
-                    members = member_lists[e]
-                    if not members:
-                        modes[e] = ladders[e].mode
-                        continue
-                    # The ladder's mean-backlog denominator tracks the
-                    # edge's current membership (fleet-wide at E=1).
-                    ladders[e].num_devices = len(members)
-                    modes[e] = ladders[e].observe(
-                        slot, [backlogs[i] for i in members]
-                    )
-            device_mode_of = None
-            scales_global = None
-            if qstates is not None:
-                device_mode_of = [0] * n
-                scales_global = [1.0] * n
-                w0 = slot * tau
-                for e in range(num_edges):
-                    members = member_lists[e]
-                    # Non-members carry zero expected demand in this
-                    # edge's plan — they neither request the warm pool
-                    # nor charge the shed budget here.
-                    masked = [
-                        expected[i] if row[i] == e else 0.0 for i in range(n)
-                    ]
-                    plan_e = plan_device_modes(
-                        qstates[e], n, modes[e], masked
-                    )
-                    if self.faults is not None and self.faults.edge_down_at(
-                        slot, e
-                    ):
-                        # The outage drops every resident partition: the
-                        # next request per device serves cold.
-                        qstates[e].flush()
-                        holds = [w0] * n
-                    else:
-                        requested = qstates[e].requested_mask(masked, plan_e)
-                        holds = qstates[e].on_slot(slot, w0, requested)
-                    sc = qstates[e].share_scales(holds, w0, tau)
-                    for i in members:
-                        device_mode_of[i] = plan_e[i]
-                        scales_global[i] = sc[i]
-            live_devices = environment.devices_at(
-                slot, topology.devices, rng
-            )
-            realised = [proc.sample(slot, rng) for proc in arrivals]
-            if qflow is not None:
-                for i in range(n):
-                    qflow.generated[class_of[i]] += realised[i]
-            edge_shed = [0.0] * num_edges
-            if gate is not None:
-                admitted = []
-                for i in range(n):
-                    a = gate.admit(
-                        i,
-                        realised[i],
-                        backlogs[i],
-                        modes[row[i]]
-                        if device_mode_of is None
-                        else device_mode_of[i],
-                    )
-                    edge_shed[row[i]] += realised[i] - a
-                    if qflow is not None:
-                        qflow.shed[class_of[i]] += realised[i] - a
-                    admitted.append(a)
-                realised = admitted
-            if qflow is not None:
-                for i in range(n):
-                    qflow.admitted[class_of[i]] += realised[i]
-
-            ratios_global = [0.0] * n
-            edge_time = [0.0] * num_edges
-            edge_arrivals = [0.0] * num_edges
-            for e in range(num_edges):
-                members = member_lists[e]
-                if not members:
-                    continue
-                member_modes = (
-                    [device_mode_of[i] for i in members]
-                    if device_mode_of is not None
-                    else None
-                )
-                live_shard = self._live_shard(
-                    shard_cache, e, members, slot, modes[e], member_modes
-                )
-                engine = None
-                if self.vectorized:
-                    engine = shard_cache[(e, tuple(members))][1]
-                sub_state = LyapunovState(
-                    queue_local=[state.queue_local[i] for i in members],
-                    queue_edge=[state.queue_edge[i] for i in members],
-                )
-                ratios = policy.decide(
-                    live_shard,
-                    sub_state,
-                    [expected[i] for i in members],
-                    [live_devices[i] for i in members],
-                )
-                if gate is not None:
-                    if member_modes is not None:
-                        ratios = apply_backpressure_by_mode(
-                            ratios,
-                            sub_state.queue_edge,
-                            self.overload,
-                            member_modes,
-                        )
-                    else:
-                        from ..resilience.overload import apply_backpressure
-
-                        ratios = apply_backpressure(
-                            ratios,
-                            sub_state.queue_edge,
-                            self.overload,
-                            modes[e],
-                        )
-                if engine is not None:
-                    shard_state = fleet.shard(members)
-                    cost = engine.slot_costs(
-                        [live_devices[i] for i in members],
-                        ratios,
-                        [realised[i] for i in members],
-                        shard_state,
-                        include_tail=self.include_tail,
-                        system=live_shard,
-                        share_scale=(
-                            [scales_global[i] for i in members]
-                            if scales_global is not None
-                            else None
-                        ),
-                    )
-                    # Left-to-right accumulation mirrors the scalar loop
-                    # (see SlotSimulator) — byte-identical paths.
-                    edge_time[e] = float(sum(cost.total_time.tolist(), 0.0))
-                    edge_arrivals[e] = float(sum(cost.arrivals.tolist(), 0.0))
-                    if qflow is not None:
-                        times = cost.total_time.tolist()
-                        for j, i in enumerate(members):
-                            qflow.time[class_of[i]] += times[j]
-                    shard_state.update(cost)
-                    fleet.absorb(members, shard_state)
-                    fleet.sync_to(state)
-                else:
-                    for j, i in enumerate(members):
-                        share = live_shard.shares[j]
-                        if scales_global is not None:
-                            share = share * scales_global[i]
-                        cost = slot_cost(
-                            live_devices[i],
-                            live_shard,
-                            ratios[j],
-                            realised[i],
-                            state.queue_local[i],
-                            state.queue_edge[i],
-                            share,
-                            include_tail=self.include_tail,
-                            partition=live_shard.partition_for(j),
-                        )
-                        edge_time[e] += cost.total_time
-                        edge_arrivals[e] += realised[i]
-                        if qflow is not None:
-                            qflow.time[class_of[i]] += cost.total_time
-                        state.update(i, cost)
-                for j, i in enumerate(members):
-                    ratios_global[i] = float(ratios[j])
-
-            if gate is not None:
-                from ..resilience.overload import (
-                    clamp_queues,
-                    drain_stranded_edge,
-                )
-
-                for e in range(num_edges):
-                    members = member_lists[e]
-                    if not members:
-                        continue
-                    member_modes = (
-                        [device_mode_of[i] for i in members]
-                        if device_mode_of is not None
-                        else None
-                    )
-                    live_shard = self._live_shard(
-                        shard_cache, e, members, slot, modes[e], member_modes
-                    )
-                    eff_shares = [
-                        live_shard.shares[j]
-                        if scales_global is None
-                        else live_shard.shares[j] * scales_global[i]
-                        for j, i in enumerate(members)
-                    ]
-                    idle_service = [
-                        live_shard.slot_length
-                        / (
-                            live_shard.partition_for(j).mu1
-                            / (eff_shares[j] * live_shard.edge_flops)
-                            + live_shard.edge_overhead
-                        )
-                        if eff_shares[j] > 0
-                        else 0.0
-                        for j in range(len(members))
-                    ]
-                    member_edge = [state.queue_edge[i] for i in members]
-                    if member_modes is not None:
-                        drain_stranded_edge_by_mode(
-                            member_edge,
-                            [ratios_global[i] for i in members],
-                            idle_service,
-                            self.overload.queue_high,
-                            member_modes,
-                        )
-                    else:
-                        drain_stranded_edge(
-                            member_edge,
-                            [ratios_global[i] for i in members],
-                            idle_service,
-                            self.overload.queue_high,
-                            modes[e],
-                        )
-                    for j, i in enumerate(members):
-                        state.queue_edge[i] = member_edge[j]
-                    if self.overload.queue_capacity is not None:
-                        member_local = [state.queue_local[i] for i in members]
-                        member_edge = [state.queue_edge[i] for i in members]
-                        if qflow is not None:
-                            edge_shed[e] += clamp_queues_by_class(
-                                member_local,
-                                member_edge,
-                                self.overload.queue_capacity,
-                                [class_of[i] for i in members],
-                                qflow,
-                            )
-                        else:
-                            edge_shed[e] += clamp_queues(
-                                member_local,
-                                member_edge,
-                                self.overload.queue_capacity,
-                            )
-                        for j, i in enumerate(members):
-                            state.queue_local[i] = member_local[j]
-                            state.queue_edge[i] = member_edge[j]
-                if fleet is not None:
-                    fleet.queue_local[:] = state.queue_local
-                    fleet.queue_edge[:] = state.queue_edge
-
-            # 0.0 + x is exactly x, so single-edge totals are the shard
-            # totals unchanged — the byte-identity argument needs this.
-            total_time = sum(edge_time, 0.0)
-            total_arrivals = sum(edge_arrivals, 0.0)
-            global_shed = sum(edge_shed, 0.0)
-            global_mode = max(
-                (modes[e] for e in range(num_edges) if member_lists[e]),
-                default=0,
-            )
-            if global_stream is not None:
-                global_stream.observe_slot(
-                    slot,
-                    total_arrivals,
-                    total_time,
-                    global_shed,
-                    float(sum(state.queue_local) + sum(state.queue_edge)),
-                    global_mode,
-                    half_slot,
-                )
-                for e in range(num_edges):
-                    members = member_lists[e]
-                    edge_streams[e].observe_slot(
-                        slot,
-                        edge_arrivals[e],
-                        edge_time[e],
-                        edge_shed[e],
-                        float(
-                            sum(state.queue_local[i] for i in members)
-                            + sum(state.queue_edge[i] for i in members)
-                        ),
-                        modes[e],
-                        half_slot,
-                    )
-            else:
-                global_records.append(
-                    SlotRecord(
-                        slot=slot,
-                        arrivals=total_arrivals,
-                        total_time=total_time,
-                        ratios=tuple(ratios_global),
-                        queue_local=tuple(state.queue_local),
-                        queue_edge=tuple(state.queue_edge),
-                        shed=global_shed,
-                        mode=global_mode,
-                    )
-                )
-                for e in range(num_edges):
-                    members = member_lists[e]
-                    edge_records[e].append(
-                        SlotRecord(
-                            slot=slot,
-                            arrivals=edge_arrivals[e],
-                            total_time=edge_time[e],
-                            ratios=tuple(ratios_global[i] for i in members),
-                            queue_local=tuple(
-                                state.queue_local[i] for i in members
-                            ),
-                            queue_edge=tuple(
-                                state.queue_edge[i] for i in members
-                            ),
-                            shed=edge_shed[e],
-                            mode=modes[e],
-                        )
-                    )
         return FederatedFluidResult(
-            global_result=SimulationResult(
-                records=tuple(global_records),
-                stream=global_stream,
-                class_names=(
-                    qstates[0].class_names if qstates is not None else ()
-                ),
-                class_flow=qflow,
-            ),
+            global_result=result,
             edge_records=tuple(tuple(r) for r in edge_records),
-            plan=plan,
-            edge_streams=(
-                tuple(edge_streams) if edge_streams is not None else None
-            ),
+            plan=self.plan,
+            edge_streams=None if edge_streams is None else tuple(edge_streams),
         )
 
-    def _live_shard(
-        self,
-        cache: dict,
-        edge: int,
-        members: list[int],
-        slot: int,
-        mode: int,
-        member_modes: "list[int] | None" = None,
-    ) -> EdgeSystem:
-        """The shard system in effect this slot: the cached base shard,
-        capacity-collapsed during an outage, then degraded to the
-        ladder rung — the same order the single-edge simulator applies
-        its trace override and governor rung.  With QoS planning active
-        ``member_modes`` (the per-member rung vector) supersedes the
-        uniform ladder rung, exactly as in the single-edge simulator."""
-        key = (edge, tuple(members))
-        if key not in cache:
-            system = self.topology.build_shard(edge, members)
-            engine = VectorizedSlotEngine(system) if self.vectorized else None
-            cache[key] = (system, engine)
-        live = cache[key][0]
-        if self.faults is not None and self.faults.edge_down_at(slot, edge):
-            live = replace(
-                live, edge_flops=live.edge_flops * self.edge_down_factor
+
+class _EdgeShards:
+    """The federation's shard provider: one shard per edge over the
+    plan's members for the slot.
+
+    Shard systems (and vectorized engines) are cached per member set —
+    they only change at assignment-epoch boundaries, and are derived
+    (immutable) data: rebuilt, not checkpointed.  A down edge's capacity
+    collapses to ``edge_down_factor`` × nominal while its peers run
+    untouched.
+    """
+
+    def __init__(self, sim: FederatedSlotSimulator):
+        self.sim = sim
+        topology = sim.topology
+        self.num_devices = topology.num_devices
+        self.num_shards = topology.num_edges
+        self.devices = topology.devices
+        self.slot_length = topology.slot_length
+        self._cache: dict[tuple, tuple[EdgeSystem, VectorizedSlotEngine | None]] = {}
+
+    def qos_states(self, config: "QoSConfig", seed: int) -> list:
+        """One warm pool + shed budget per edge over the *global* device
+        numbering (residency survives migration and return); the edge
+        budget is an equal split of the fleet-wide one, so E=1 collapses
+        to the single-edge default.  Classes come from the base seed;
+        per-edge load jitter follows the shard seed (edge 0 == base)."""
+        from ..resilience.qos import QoSState, assign_classes, partition_footprint
+
+        topology, n = self.sim.topology, self.num_devices
+        shared = replace(config, class_map=assign_classes(config, n, seed))
+        footprints = [
+            partition_footprint(
+                topology.device_partitions[i]
+                if topology.device_partitions
+                else topology.partition
             )
-        if member_modes is not None:
-            from ..resilience.qos import degrade_system_by_modes
+            for i in range(n)
+        ]
+        budget = config.memory_fraction * sum(footprints) / self.num_shards
+        return [
+            QoSState(
+                shared,
+                None,
+                topology.shard_seed(seed, e),
+                num_devices=n,
+                footprints=footprints,
+                budget=budget,
+            )
+            for e in range(self.num_shards)
+        ]
 
-            live = degrade_system_by_modes(live, member_modes)
-        elif mode != 0:
-            from ..resilience.overload import degrade_system
-
-            live = degrade_system(live, mode)
-        return live
+    def at(self, slot: int, environment) -> tuple[list[int], list[FluidShard]]:
+        sim = self.sim
+        row = sim.plan.row(slot)
+        shards = []
+        for e in range(self.num_shards):
+            members = np.flatnonzero(row == e).tolist()
+            down = sim.faults is not None and sim.faults.edge_down_at(slot, e)
+            if not members:
+                shards.append(FluidShard(members, None, None, down))
+                continue
+            key = (e, tuple(members))
+            if key not in self._cache:
+                system = sim.topology.build_shard(e, members)
+                engine = VectorizedSlotEngine(system) if sim.vectorized else None
+                self._cache[key] = (system, engine)
+            system, engine = self._cache[key]
+            if down:
+                system = replace(
+                    system, edge_flops=system.edge_flops * sim.edge_down_factor
+                )
+            shards.append(FluidShard(members, system, engine, down))
+        return row.tolist(), shards

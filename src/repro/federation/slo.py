@@ -16,7 +16,6 @@ honest zeros.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from ..resilience.slo import slo_summary
@@ -56,50 +55,27 @@ def federated_fluid_summary(result: "FederatedFluidResult") -> dict:
     fluid analogues: arrivals served, shed demand, arrival-weighted mean
     TCT, and final backlog, per edge and globally.  A shard that served
     zero arrivals reports ``mean_tct = NaN`` (the empty-shard
-    convention), deliberately overriding
-    :attr:`~repro.sim.metrics.SimulationResult.mean_tct`'s legacy 0.0.
+    convention of :attr:`~repro.sim.metrics.SimulationResult.mean_tct`).
     """
-    def _time_and_mode(res) -> tuple[float, int]:
-        """Summed slot time and max ladder rung, in either metric mode."""
-        if res.stream is not None:
-            return res.stream.total_time, res.stream.max_mode
-        return (
-            sum(r.total_time for r in res.records),
-            max(r.mode for r in res.records),
-        )
+    def _block(res) -> dict:
+        return {
+            "arrivals": res.total_arrivals,
+            "shed": res.total_shed,
+            "mean_tct": res.mean_tct,
+            "final_backlog": res.final_backlog,
+            "max_mode": (
+                res.stream.max_mode
+                if res.stream is not None
+                else max(r.mode for r in res.records)
+            ),
+        }
 
-    edges = []
-    for edge_result in result.edge_results:
-        arrivals = edge_result.total_arrivals
-        total_time, max_mode = _time_and_mode(edge_result)
-        edges.append(
-            {
-                "arrivals": arrivals,
-                "shed": edge_result.total_shed,
-                "mean_tct": (
-                    total_time / arrivals if arrivals > 0 else math.nan
-                ),
-                "final_backlog": edge_result.final_backlog,
-                "max_mode": max_mode,
-            }
-        )
+    edges = [_block(edge_result) for edge_result in result.edge_results]
     global_result = result.global_result
-    global_arrivals = global_result.total_arrivals
-    global_time, global_max_mode = _time_and_mode(global_result)
     return {
         "num_edges": result.num_edges,
         "edges": edges,
-        "global": {
-            "arrivals": global_arrivals,
-            "shed": global_result.total_shed,
-            "mean_tct": (
-                global_time / global_arrivals
-                if global_arrivals > 0
-                else math.nan
-            ),
-            "final_backlog": global_result.final_backlog,
-            "max_mode": global_max_mode,
-        },
+        "global": _block(global_result),
         # The fluid identity: per-edge served+shed demand sums to the
         # global generated demand (floats — compare with a tolerance).
         "identity_gap": abs(

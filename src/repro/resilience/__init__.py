@@ -59,7 +59,6 @@ from .overload import (
     degrade_partition,
     degrade_system,
     degraded_exit_params,
-    drain_stranded_edge,
 )
 from .qos import (
     DEFAULT_CLASSES,
@@ -116,7 +115,6 @@ __all__ = [
     "degrade_system",
     "degrade_system_by_modes",
     "degraded_exit_params",
-    "drain_stranded_edge",
     "drain_stranded_edge_by_mode",
     "extract_faults",
     "generate_fault_plan",

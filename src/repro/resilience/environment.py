@@ -111,11 +111,16 @@ class FaultyEnvironment:
                 )
         return tuple(adjusted)
 
+    def edge_down_at(self, slot: int) -> bool:
+        """Whether the edge is out during ``slot`` (the fluid simulator
+        flushes its QoS warm pool on such slots)."""
+        return self.plan.edge_down_at(slot)
+
     def system_at(self, slot: int, base: EdgeSystem) -> EdgeSystem:
         """The system in effect during ``slot`` (outage-degraded edge)."""
         base_at = getattr(self.base, "system_at", None)
         live = base if base_at is None else base_at(slot, base)
-        if not self.plan.edge_down_at(slot):
+        if not self.edge_down_at(slot):
             return live
         if live is not self._last_base or self._last_system is None:
             self._last_system = replace(

@@ -355,40 +355,6 @@ def apply_backpressure(
     ]
 
 
-def drain_stranded_edge(
-    queue_edge: list[float],
-    ratios: Sequence[float],
-    service: Sequence[float],
-    queue_high: float,
-    mode: int,
-) -> None:
-    """Drain fluid edge backlog stranded by a zero offloading ratio.
-
-    Eq. 11's edge service term ``c_i(t)`` is offload-driven — Eq. 9 gives
-    a first-block slice ``F_{i,1}^e = 0`` when ``x_i = 0`` — so once
-    :func:`apply_backpressure` forces a ratio to zero, the backlog ``H_i``
-    that *caused* the clamp can never drain: the clamp stays shut, the
-    mean backlog never falls below ``queue_low``, and the governor
-    deadlocks at its deepest rung.  The event engines and the live
-    runtime need no equivalent — their edge FIFOs are work-conserving and
-    keep serving queued first blocks whether or not new tasks offload.
-    This step restores work conservation to the fluid twin: every device
-    whose ratio governance forced to zero (the whole fleet at
-    :data:`MODE_FIRST_EXIT` and deeper; per-device clamps above
-    ``queue_high`` otherwise) drains at ``service[i]``, the idle slice's
-    full first-block rate ``τ / (μ₁ / (p_i·F^e) + o^e)``.
-
-    Mutates ``queue_edge`` in place.  Runs on plain Python floats in the
-    shared (non-vectorized) section of the slot loop, so the scalar and
-    vectorized fluid paths stay byte-identical.
-    """
-    for i, x in enumerate(ratios):
-        if queue_edge[i] <= 0.0 or x != 0.0:
-            continue
-        if mode >= MODE_FIRST_EXIT or queue_edge[i] > queue_high:
-            queue_edge[i] = max(queue_edge[i] - service[i], 0.0)
-
-
 def clamp_queues(
     queue_local: list[float], queue_edge: list[float], capacity: float
 ) -> float:

@@ -467,9 +467,18 @@ def drain_stranded_edge_by_mode(
     queue_high: float,
     modes: Sequence[int],
 ) -> None:
-    """Per-device-rung twin of
-    :func:`~repro.resilience.overload.drain_stranded_edge` (work
-    conservation for fluid backlog stranded by a zero ratio)."""
+    """Drain fluid edge backlog stranded by a zero offloading ratio.
+
+    Eq. 11's edge service ``c_i(t)`` is offload-driven (Eq. 9 gives
+    ``F_{i,1}^e = 0`` at ``x_i = 0``), so backlog that made backpressure
+    clamp a ratio to zero could never drain and the governor would
+    deadlock at its deepest rung; the event engines' work-conserving
+    FIFOs need no equivalent.  Every zero-ratio device at first-exit-only
+    or deeper, or above ``queue_high``, drains at ``service[i]`` — the
+    idle slice's full first-block rate ``τ / (μ₁ / (p_i·F^e) + o^e)``.
+    Mutates ``queue_edge`` in place, on plain Python floats, so both
+    fluid paths stay byte-identical.
+    """
     for i, x in enumerate(ratios):
         if queue_edge[i] <= 0.0 or x != 0.0:
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -122,12 +123,13 @@ class SimulationResult:
 
     @property
     def mean_tct(self) -> float:
-        """Arrival-weighted mean TCT across the whole run."""
+        """Arrival-weighted mean TCT across the whole run (NaN when
+        nothing arrived — an empty run did not complete tasks in 0 s)."""
         if self.stream is not None:
             return self.stream.mean_tct
         arrivals = self.total_arrivals
         if arrivals <= 0:
-            return 0.0
+            return math.nan
         return sum(r.total_time for r in self.records) / arrivals
 
     @property
@@ -166,12 +168,13 @@ class SimulationResult:
 
     def tct_percentile(self, q: float) -> float:
         """Percentile of per-slot mean TCT over slots with arrivals —
-        exact in record mode, sketch-accurate in streaming mode."""
+        exact in record mode, sketch-accurate in streaming mode, NaN when
+        no slot had arrivals."""
         if self.stream is not None:
             return self.stream.percentile(q)
         values = [r.mean_tct for r in self.records if r.arrivals > 0]
         if not values:
-            return 0.0
+            return math.nan
         return float(np.percentile(values, q))
 
     def _require_qos(self, what: str) -> "QoSFlow":

@@ -13,12 +13,18 @@ Per slot ``t``:
 This mirrors exactly how the paper's own simulation experiments evaluate
 schemes: every scheme sees the same arrivals and the same environment
 trajectory (common random numbers via the seed).
+
+The per-slot pipeline is written once, in :func:`run_fluid`, over a list
+of *shards* (the devices one edge serves).  :class:`SlotSimulator` runs
+it with one whole-fleet shard; the federated coordinator
+(:class:`~repro.federation.fluid.FederatedSlotSimulator`) runs it with
+one shard per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from ..core.vectorized import FleetState, VectorizedSlotEngine
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .metrics import SimulationResult, SlotRecord
+from .streaming import FluidStreamStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.checkpoint import Checkpoint
@@ -39,9 +46,460 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.qos import QoSConfig
 
 
+class FluidShard(NamedTuple):
+    """One shard of a fluid slot: the devices one edge serves.
+
+    Attributes:
+        members: Ascending global device indices, or ``None`` for the
+            whole fleet in device order (no gather/scatter needed).
+        system: The shard's live system before ladder degradation;
+            ``None`` when the shard has no members this slot.
+        engine: The shard's vectorized engine (vectorized path only).
+        edge_down: Whether the shard's edge is out this slot: its warm
+            pool is flushed and every slice serves cold.
+    """
+
+    members: list[int] | None
+    system: EdgeSystem | None
+    engine: VectorizedSlotEngine | None = None
+    edge_down: bool = False
+
+    @property
+    def populated(self) -> bool:
+        return self.members is None or bool(self.members)
+
+
+def _take(values, members):
+    """``values`` restricted to ``members`` (all of it for ``None``)."""
+    return values if members is None else [values[i] for i in members]
+
+
+class _WholeFleet:
+    """:class:`SlotSimulator`'s shard provider: one shard over the whole
+    fleet.  Its live system comes from the environment's optional
+    ``system_at(slot, base)`` extension and its outages from the optional
+    ``edge_down_at(slot)`` extension.  The engine is derived from the
+    (immutable) system — rebuilt per run, not checkpointed."""
+
+    num_shards = 1
+
+    def __init__(self, system: EdgeSystem, vectorized: bool):
+        self.system = system
+        self.num_devices = system.num_devices
+        self.devices = system.devices
+        self.slot_length = system.slot_length
+        self.owner = [0] * system.num_devices
+        self.engine = VectorizedSlotEngine(system) if vectorized else None
+
+    def qos_states(self, config: "QoSConfig", seed: int) -> list:
+        from ..resilience.qos import QoSState
+
+        return [QoSState(config, self.system, seed)]
+
+    def at(self, slot: int, environment) -> tuple[list[int], tuple[FluidShard]]:
+        system_at = getattr(environment, "system_at", None)
+        edge_down_at = getattr(environment, "edge_down_at", None)
+        live = self.system if system_at is None else system_at(slot, self.system)
+        down = edge_down_at is not None and edge_down_at(slot)
+        return self.owner, (FluidShard(None, live, self.engine, down),)
+
+
+def run_fluid(
+    sim,
+    shards,
+    policy: OffloadingPolicy,
+    num_slots: int,
+    state: LyapunovState | None,
+    metrics: str,
+    checkpoint_every: int | None,
+    checkpoint_sink,
+    resume_from: "Checkpoint | None",
+    *,
+    path: str,
+    fingerprint: str,
+    per_shard: bool = False,
+) -> tuple[
+    SimulationResult, list[list[SlotRecord]] | None, list[FluidStreamStats] | None
+]:
+    """The fluid per-slot pipeline, stepped over a list of shards.
+
+    ``sim`` supplies the run configuration (``arrivals``,
+    ``environment``, ``seed``, ``include_tail``, ``vectorized``,
+    ``overload``, ``qos``).  ``shards`` is the shard provider:
+    ``num_devices``, ``num_shards``, the base ``devices`` and
+    ``slot_length``, ``qos_states(config, seed)`` (one
+    :class:`~repro.resilience.qos.QoSState` per shard over the global
+    device numbering), and ``at(slot, environment)`` returning each
+    device's shard index and one :class:`FluidShard` per shard.
+
+    The loop owns the global things: one RNG drawn in global device
+    order, the Lyapunov queues (a migrating device's backlog rides along
+    to its new shard), one admission gate (token buckets are
+    device-scoped), the per-class flow, and the fleet-wide record or
+    stream.  Per shard it keeps one degradation ladder over its members'
+    mean backlog and one warm pool.  Every device always carries a rung
+    (uniform within a shard unless QoS biases it), so the gate,
+    degradation, backpressure and drain each take one per-device call.
+
+    With one shard every per-shard sum is ``0.0 + x == x``, so the
+    whole-fleet run and an E=1 federation are the same computation.
+    All control-plane arithmetic runs on plain Python floats outside the
+    scalar/vectorized branch, so both paths stay byte-identical.
+
+    Returns the fleet-wide result, then — with ``per_shard`` — one list
+    of slot records per shard (empty in streaming mode) and, in
+    streaming mode, one stream per shard.
+    """
+    if num_slots <= 0:
+        raise ValueError("need a positive number of slots")
+    if metrics not in ("records", "streaming"):
+        raise ValueError(
+            f'metrics must be "records" or "streaming", got {metrics!r}'
+        )
+    from ..chaos.checkpoint import (
+        should_emit,
+        snapshot,
+        validate_hooks,
+        validate_resume,
+    )
+    from ..resilience.overload import AdmissionGate, OverloadGovernor, clamp_queues
+    from ..resilience.qos import (
+        QoSFlow,
+        apply_backpressure_by_mode,
+        clamp_queues_by_class,
+        degrade_system_by_modes,
+        drain_stranded_edge_by_mode,
+        plan_device_modes,
+    )
+
+    validate_hooks(checkpoint_every, checkpoint_sink)
+    overload = sim.overload
+    n, num_shards = shards.num_devices, shards.num_shards
+    if resume_from is not None:
+        validate_resume(resume_from, path, "state", fingerprint)
+        carried = resume_from.payload()
+        start_slot = resume_from.slot
+    else:
+        if state is None:
+            state = LyapunovState.zeros(n)
+        streaming = metrics == "streaming"
+        carried = dict(
+            rng=np.random.default_rng(sim.seed),
+            state=state,
+            fleet=FleetState.from_lyapunov(state) if sim.vectorized else None,
+            gate=None if overload is None else AdmissionGate(overload, n),
+            ladders=(
+                None
+                if overload is None
+                else [OverloadGovernor(overload, n) for _ in range(num_shards)]
+            ),
+            qos=None if sim.qos is None else shards.qos_states(sim.qos, sim.seed),
+            flow=None if sim.qos is None else QoSFlow(len(sim.qos.classes)),
+            records=[],
+            shard_records=[[] for _ in range(num_shards)] if per_shard else None,
+            stream=FluidStreamStats() if streaming else None,
+            shard_streams=(
+                [FluidStreamStats() for _ in range(num_shards)]
+                if per_shard and streaming
+                else None
+            ),
+            policy=policy,
+            environment=sim.environment,
+            arrivals=list(sim.arrivals),
+        )
+        start_slot = 0
+    # Everything the run mutates lives in ``carried`` (one object each,
+    # updated in place), so a checkpoint is a snapshot of that dict and a
+    # resume restores it bit-for-bit.
+    rng, state, fleet = carried["rng"], carried["state"], carried["fleet"]
+    gate, ladders = carried["gate"], carried["ladders"]
+    qstates, qflow = carried["qos"], carried["flow"]
+    records, shard_records = carried["records"], carried["shard_records"]
+    stream, shard_streams = carried["stream"], carried["shard_streams"]
+    policy, environment = carried["policy"], carried["environment"]
+    arrivals: Sequence[ArrivalProcess] = carried["arrivals"]
+    class_of = qstates[0].class_of if qstates is not None else None
+    half_slot = num_slots // 2
+    tau = shards.slot_length
+    # A FencedController needs the true slot index: a federation consults
+    # the policy once per shard, not once per slot.
+    begin_slot = getattr(policy, "begin_slot", None)
+    for slot in range(start_slot, num_slots):
+        if should_emit(checkpoint_every, slot):
+            checkpoint_sink(snapshot(path, "state", slot, fingerprint, carried))
+        if begin_slot is not None:
+            begin_slot(slot)
+        owner, slot_shards = shards.at(slot, environment)
+        # Expected arrivals are deterministic (no RNG draw), so the QoS
+        # plans can read them before sampling without perturbing the
+        # arrival/environment stream.
+        expected = [proc.mean(slot) for proc in arrivals]
+        modes = [0] * num_shards
+        if gate is not None:
+            backlogs = [
+                state.queue_local[i] + state.queue_edge[i] for i in range(n)
+            ]
+            for e, shard in enumerate(slot_shards):
+                if shard.populated:
+                    member_backlogs = _take(backlogs, shard.members)
+                    # The ladder's mean-backlog denominator tracks the
+                    # shard's current membership.
+                    ladders[e].num_devices = len(member_backlogs)
+                    ladders[e].observe(slot, member_backlogs)
+                modes[e] = ladders[e].mode
+        device_modes = [modes[e] for e in owner]
+        scales = None
+        if qstates is not None:
+            # Warm pool: slices needed this slot are loaded (evicting
+            # colder, lower-weight residents under the memory budget); a
+            # cold load discounts the slice's share for the overlapping
+            # fraction of the slot — the fluid twin of the event engines'
+            # service-start hold.
+            scales = [1.0] * n
+            w0 = slot * tau
+            for e, shard in enumerate(slot_shards):
+                members = shard.members
+                # Non-members carry zero expected demand in this shard's
+                # plan — they neither request its warm pool nor charge
+                # its shed budget.
+                masked = expected
+                if members is not None:
+                    masked = [expected[i] if owner[i] == e else 0.0 for i in range(n)]
+                qstate = qstates[e]
+                plan = plan_device_modes(qstate, n, modes[e], masked)
+                if shard.edge_down:
+                    # The outage drops every resident partition: the next
+                    # request per device serves cold.
+                    qstate.flush()
+                    holds = [w0] * n
+                else:
+                    requested = qstate.requested_mask(masked, plan)
+                    holds = qstate.on_slot(slot, w0, requested)
+                shard_scales = qstate.share_scales(holds, w0, tau)
+                if members is None:
+                    device_modes, scales = plan, shard_scales
+                else:
+                    for i in members:
+                        device_modes[i] = plan[i]
+                        scales[i] = shard_scales[i]
+        live_devices = environment.devices_at(slot, shards.devices, rng)
+        generated = [proc.sample(slot, rng) for proc in arrivals]
+        realised = generated
+        shard_shed = [0.0] * num_shards
+        if gate is not None:
+            realised = [
+                gate.admit(i, generated[i], backlogs[i], device_modes[i])
+                for i in range(n)
+            ]
+            for i in range(n):
+                shard_shed[owner[i]] += generated[i] - realised[i]
+        if qflow is not None:
+            for i in range(n):
+                qflow.generated[class_of[i]] += generated[i]
+                qflow.shed[class_of[i]] += generated[i] - realised[i]
+                qflow.admitted[class_of[i]] += realised[i]
+
+        shard_time = [0.0] * num_shards
+        shard_arrivals = [0.0] * num_shards
+        steps = []
+        for e, shard in enumerate(slot_shards):
+            if not shard.populated:
+                continue
+            members = shard.members
+            member_modes = _take(device_modes, members)
+            member_scales = None if scales is None else _take(scales, members)
+            # Degraded rungs replace the live partitions, so the fluid
+            # cost model serves at the degraded exit depth.
+            live = degrade_system_by_modes(shard.system, member_modes)
+            sub_state = LyapunovState(
+                _take(state.queue_local, members), _take(state.queue_edge, members)
+            )
+            ratios = policy.decide(
+                live,
+                sub_state,
+                _take(expected, members),
+                _take(live_devices, members),
+            )
+            if gate is not None:
+                ratios = apply_backpressure_by_mode(
+                    ratios, sub_state.queue_edge, overload, member_modes
+                )
+            devices = range(n) if members is None else members
+            if fleet is not None:
+                shard_state = fleet if members is None else fleet.shard(members)
+                cost = shard.engine.slot_costs(
+                    _take(live_devices, members),
+                    ratios,
+                    _take(realised, members),
+                    shard_state,
+                    include_tail=sim.include_tail,
+                    system=live,
+                    share_scale=member_scales,
+                )
+                # Left-to-right accumulation mirrors the scalar loop
+                # (np.sum is pairwise), keeping the two paths
+                # byte-identical.
+                shard_time[e] = float(sum(cost.total_time.tolist(), 0.0))
+                shard_arrivals[e] = float(sum(cost.arrivals.tolist(), 0.0))
+                if qflow is not None:
+                    for i, t in zip(devices, cost.total_time.tolist()):
+                        qflow.time[class_of[i]] += t
+                shard_state.update(cost)
+                if members is not None:
+                    fleet.absorb(members, shard_state)
+            else:
+                for j, i in enumerate(devices):
+                    share = live.shares[j]
+                    if member_scales is not None:
+                        share = share * member_scales[j]
+                    cost = slot_cost(
+                        live_devices[i],
+                        live,
+                        ratios[j],
+                        realised[i],
+                        state.queue_local[i],
+                        state.queue_edge[i],
+                        share,
+                        include_tail=sim.include_tail,
+                        partition=live.partition_for(j),
+                    )
+                    shard_time[e] += cost.total_time
+                    shard_arrivals[e] += realised[i]
+                    if qflow is not None:
+                        qflow.time[class_of[i]] += cost.total_time
+                    state.update(i, cost)
+            steps.append((e, members, live, member_modes, member_scales, ratios))
+        if fleet is not None:
+            fleet.sync_to(state)
+
+        if gate is not None:
+            for e, members, live, member_modes, member_scales, ratios in steps:
+                # Backlog stranded by a forced x_i = 0 drains at the idle
+                # slice's full first-block rate (Eq. 9 gives no edge
+                # service at x = 0; see drain_stranded_edge_by_mode).
+                shares = live.shares
+                if member_scales is not None:
+                    shares = [p * k for p, k in zip(shares, member_scales)]
+                idle_service = [
+                    live.slot_length
+                    / (
+                        live.partition_for(j).mu1 / (p * live.edge_flops)
+                        + live.edge_overhead
+                    )
+                    if p > 0
+                    else 0.0
+                    for j, p in enumerate(shares)
+                ]
+                queue_local = _take(state.queue_local, members)
+                queue_edge = _take(state.queue_edge, members)
+                drain_stranded_edge_by_mode(
+                    queue_edge,
+                    ratios,
+                    idle_service,
+                    overload.queue_high,
+                    member_modes,
+                )
+                if overload.queue_capacity is not None:
+                    # Bounded queues: overflow past the capacity is shed,
+                    # and the clamp runs on the scalar state lists in
+                    # both paths (the vectorized arrays are rewritten
+                    # from them) so the shed float is identical.
+                    if qflow is not None:
+                        shard_shed[e] += clamp_queues_by_class(
+                            queue_local,
+                            queue_edge,
+                            overload.queue_capacity,
+                            _take(class_of, members),
+                            qflow,
+                        )
+                    else:
+                        shard_shed[e] += clamp_queues(
+                            queue_local, queue_edge, overload.queue_capacity
+                        )
+                if members is not None:
+                    for j, i in enumerate(members):
+                        state.queue_local[i] = queue_local[j]
+                        state.queue_edge[i] = queue_edge[j]
+            if fleet is not None:
+                fleet.queue_local[:] = state.queue_local
+                fleet.queue_edge[:] = state.queue_edge
+
+        if steps and steps[0][1] is None:
+            ratios_global = steps[0][-1]
+        else:
+            ratios_global = [0.0] * n
+            for _, members, *_, ratios in steps:
+                for j, i in enumerate(members):
+                    ratios_global[i] = float(ratios[j])
+        # The fleet-wide row first, then one row per shard.  0.0 + x is
+        # exactly x, so one shard's totals pass through unchanged — the
+        # E=1 identity needs this.
+        rows = [
+            (
+                stream,
+                records,
+                None,
+                sum(shard_arrivals, 0.0),
+                sum(shard_time, 0.0),
+                sum(shard_shed, 0.0),
+                max((modes[e] for e, *_ in steps), default=0),
+            )
+        ]
+        if per_shard:
+            rows += [
+                (
+                    None if shard_streams is None else shard_streams[e],
+                    shard_records[e],
+                    shard.members,
+                    shard_arrivals[e],
+                    shard_time[e],
+                    shard_shed[e],
+                    modes[e],
+                )
+                for e, shard in enumerate(slot_shards)
+            ]
+        for row_stream, row_records, members, *totals, mode in rows:
+            arrived, spent, shed = totals
+            queue_local = _take(state.queue_local, members)
+            queue_edge = _take(state.queue_edge, members)
+            if row_stream is not None:
+                # Same numbers a SlotRecord would carry, folded into the
+                # constant-size aggregate instead of retained per slot.
+                backlog = float(sum(queue_local) + sum(queue_edge))
+                row_stream.observe_slot(
+                    slot, arrived, spent, shed, backlog, mode, half_slot
+                )
+            else:
+                row_records.append(
+                    SlotRecord(
+                        slot=slot,
+                        arrivals=arrived,
+                        total_time=spent,
+                        ratios=tuple(_take(ratios_global, members)),
+                        queue_local=tuple(queue_local),
+                        queue_edge=tuple(queue_edge),
+                        shed=shed,
+                        mode=mode,
+                    )
+                )
+    result = SimulationResult(
+        records=tuple(records),
+        stream=stream,
+        class_names=qstates[0].class_names if qstates is not None else (),
+        class_flow=qflow,
+    )
+    return result, shard_records, shard_streams
+
+
 @dataclass
 class SlotSimulator:
     """Runs an offloading policy against a system for a horizon of slots.
+
+    The single-edge simulator is the one-shard case of the federated
+    coordinator: :meth:`run` steps :func:`run_fluid` over one shard that
+    covers the whole fleet, so an E=1
+    :class:`~repro.federation.fluid.FederatedSlotSimulator` reproduces it
+    byte-for-byte by construction.
 
     Attributes:
         system: The device/edge/cloud system (partition, shares, τ).
@@ -65,7 +523,7 @@ class SlotSimulator:
             :class:`~repro.sim.metrics.SlotRecord`), backpressure ratio
             clamps, bounded queues, and the degradation ladder (degraded
             rungs replace the live system's partitions via
-            :func:`~repro.resilience.overload.degrade_system`).  The
+            :func:`~repro.resilience.qos.degrade_system_by_modes`).  The
             gate, clamp, and ladder all run on plain Python floats
             *outside* the scalar/vectorized branch, so governed runs
             stay byte-identical across both fluid paths.
@@ -87,7 +545,9 @@ class SlotSimulator:
     a trace vary *testbed* parameters (shared edge capacity) and not just
     device links.  Both the scalar loop and the vectorized engine read
     the same live system, so trace replay stays byte-identical across
-    paths.
+    paths.  An ``edge_down_at(slot)`` method (the
+    :class:`~repro.resilience.environment.FaultyEnvironment` extension)
+    marks outage slots, which flush the QoS warm pool.
     """
 
     system: EdgeSystem
@@ -161,317 +621,20 @@ class SlotSimulator:
                 ``state`` arguments are ignored (the checkpoint carries
                 them).
         """
-        if num_slots <= 0:
-            raise ValueError("need a positive number of slots")
-        if metrics not in ("records", "streaming"):
-            raise ValueError(f"unknown metrics mode {metrics!r}")
-        from ..chaos.checkpoint import (
-            should_emit,
-            snapshot,
-            validate_hooks,
-            validate_resume,
-        )
-        from .streaming import FluidStreamStats
-
-        validate_hooks(checkpoint_every, checkpoint_sink)
-        path_name = "fluid-vectorized" if self.vectorized else "fluid-scalar"
-        fingerprint = self._fingerprint(path_name, num_slots, metrics)
-        environment = self.environment
-        arrivals: Sequence[ArrivalProcess] = self.arrivals
-        n = self.system.num_devices
-        if self.overload is not None:
-            from ..resilience.overload import (
-                MODE_FULL,
-                OverloadGovernor,
-                apply_backpressure,
-                clamp_queues,
-                degrade_system,
-                drain_stranded_edge,
-            )
-        if self.qos is not None:
-            from ..resilience.qos import (
-                QoSFlow,
-                QoSState,
-                apply_backpressure_by_mode,
-                clamp_queues_by_class,
-                degrade_system_by_modes,
-                drain_stranded_edge_by_mode,
-                plan_device_modes,
-            )
-
-        governor = None
-        qstate = None
-        qflow = None
-        if resume_from is not None:
-            validate_resume(resume_from, path_name, "state", fingerprint)
-            payload = resume_from.payload()
-            rng = payload["rng"]
-            state = payload["state"]
-            fleet = payload["fleet"]
-            governor = payload["governor"]
-            records = payload["records"]
-            policy = payload["policy"]
-            environment = payload["environment"]
-            arrivals = payload["arrivals"]
-            stream = payload.get("stream")
-            qstate = payload.get("qos")
-            qflow = payload.get("flow")
-            start_slot = resume_from.slot
-        else:
-            rng = np.random.default_rng(self.seed)
-            if state is None:
-                state = LyapunovState.zeros(self.system.num_devices)
-            fleet = FleetState.from_lyapunov(state) if self.vectorized else None
-            if self.overload is not None:
-                governor = OverloadGovernor(self.overload, n)
-            if self.qos is not None:
-                qstate = QoSState(self.qos, self.system, self.seed)
-                qflow = QoSFlow(len(self.qos.classes))
-            records: list[SlotRecord] = []
-            stream = FluidStreamStats() if metrics == "streaming" else None
-            start_slot = 0
-        class_of = qstate.class_of if qstate is not None else None
-        half_slot = num_slots // 2
-        # The engine is derived from the (immutable) system — rebuilt, not
-        # checkpointed.
-        engine = VectorizedSlotEngine(self.system) if self.vectorized else None
-        system_at = getattr(environment, "system_at", None)
-        for slot in range(start_slot, num_slots):
-            if should_emit(checkpoint_every, slot):
-                checkpoint_sink(
-                    snapshot(
-                        path_name,
-                        "state",
-                        slot,
-                        fingerprint,
-                        dict(
-                            rng=rng,
-                            state=state,
-                            fleet=fleet,
-                            governor=governor,
-                            records=records,
-                            policy=policy,
-                            environment=environment,
-                            arrivals=list(arrivals),
-                            stream=stream,
-                            qos=qstate,
-                            flow=qflow,
-                        ),
-                    )
-                )
-            # The live system: a trace environment may vary testbed
-            # parameters (edge capacity) per slot; otherwise this is the
-            # deployed system unchanged.
-            live_system = (
-                self.system if system_at is None else system_at(slot, self.system)
-            )
-            mode = 0
-            shed = 0.0
-            device_modes = None
-            # Expected arrivals are deterministic (no RNG draw), so the
-            # QoS plan can read them before sampling without perturbing
-            # the arrival/environment stream.
-            expected = [proc.mean(slot) for proc in arrivals]
-            if governor is not None:
-                backlogs = [
-                    state.queue_local[i] + state.queue_edge[i]
-                    for i in range(n)
-                ]
-                mode = governor.observe(slot, backlogs)
-                if qstate is not None:
-                    device_modes = plan_device_modes(qstate, n, mode, expected)
-                    live_system = degrade_system_by_modes(
-                        live_system, device_modes
-                    )
-                elif mode != MODE_FULL:
-                    # The rung's partitions replace the live ones, so the
-                    # fluid cost model serves at the degraded exit depth.
-                    live_system = degrade_system(live_system, mode)
-            if qstate is not None and device_modes is None:
-                device_modes = [0] * n
-            scales = None
-            if qstate is not None:
-                # Warm pool: slices needed this slot are loaded (evicting
-                # colder, lower-weight residents under the memory budget);
-                # a cold load discounts the slice's share for the
-                # overlapping fraction of the slot — the fluid twin of the
-                # event engines' service-start hold.
-                w0 = slot * live_system.slot_length
-                requested = qstate.requested_mask(expected, device_modes)
-                holds = qstate.on_slot(slot, w0, requested)
-                scales = qstate.share_scales(
-                    holds, w0, live_system.slot_length
-                )
-            live_devices = environment.devices_at(
-                slot, live_system.devices, rng
-            )
-            realised = [proc.sample(slot, rng) for proc in arrivals]
-            if qflow is not None:
-                for i in range(n):
-                    qflow.generated[class_of[i]] += realised[i]
-            if governor is not None:
-                admitted = []
-                for i in range(n):
-                    a = governor.gate.admit(
-                        i,
-                        realised[i],
-                        backlogs[i],
-                        mode if device_modes is None else device_modes[i],
-                    )
-                    shed += realised[i] - a
-                    if qflow is not None:
-                        qflow.shed[class_of[i]] += realised[i] - a
-                    admitted.append(a)
-                realised = admitted
-            if qflow is not None:
-                for i in range(n):
-                    qflow.admitted[class_of[i]] += realised[i]
-            ratios = policy.decide(live_system, state, expected, live_devices)
-            if governor is not None:
-                if device_modes is not None:
-                    ratios = apply_backpressure_by_mode(
-                        ratios, state.queue_edge, self.overload, device_modes
-                    )
-                else:
-                    ratios = apply_backpressure(
-                        ratios, state.queue_edge, self.overload, mode
-                    )
-            if engine is not None:
-                cost = engine.slot_costs(
-                    live_devices,
-                    ratios,
-                    realised,
-                    fleet,
-                    include_tail=self.include_tail,
-                    system=live_system,
-                    share_scale=scales,
-                )
-                # Left-to-right accumulation mirrors the scalar loop (np.sum
-                # is pairwise), keeping the two paths byte-identical.
-                total_time = float(sum(cost.total_time.tolist(), 0.0))
-                total_arrivals = float(sum(cost.arrivals.tolist(), 0.0))
-                if qflow is not None:
-                    per_device_time = cost.total_time.tolist()
-                    for i in range(n):
-                        qflow.time[class_of[i]] += per_device_time[i]
-                fleet.update(cost)
-                fleet.sync_to(state)
-            else:
-                total_time = 0.0
-                total_arrivals = 0.0
-                for i, device in enumerate(live_devices):
-                    share = live_system.shares[i]
-                    if scales is not None:
-                        share = share * scales[i]
-                    cost = slot_cost(
-                        device,
-                        live_system,
-                        ratios[i],
-                        realised[i],
-                        state.queue_local[i],
-                        state.queue_edge[i],
-                        share,
-                        include_tail=self.include_tail,
-                        partition=live_system.partition_for(i),
-                    )
-                    total_time += cost.total_time
-                    total_arrivals += realised[i]
-                    if qflow is not None:
-                        qflow.time[class_of[i]] += cost.total_time
-                    state.update(i, cost)
-            if governor is not None:
-                # Backpressure forced x_i = 0 for saturated devices, but
-                # the fluid edge service c_i(t) is offload-driven (Eq. 9
-                # gives F_{i,1}^e = 0 at x = 0), so the stranded backlog
-                # would otherwise never drain and the ladder could never
-                # cool down.  Drain it at the idle slice's full
-                # first-block rate — the fluid twin of the event engines'
-                # work-conserving FIFOs.
-                eff_shares = (
-                    live_system.shares
-                    if scales is None
-                    else [
-                        live_system.shares[i] * scales[i] for i in range(n)
-                    ]
-                )
-                idle_service = [
-                    live_system.slot_length
-                    / (
-                        live_system.partition_for(i).mu1
-                        / (eff_shares[i] * live_system.edge_flops)
-                        + live_system.edge_overhead
-                    )
-                    if eff_shares[i] > 0
-                    else 0.0
-                    for i in range(n)
-                ]
-                if device_modes is not None:
-                    drain_stranded_edge_by_mode(
-                        state.queue_edge,
-                        ratios,
-                        idle_service,
-                        self.overload.queue_high,
-                        device_modes,
-                    )
-                else:
-                    drain_stranded_edge(
-                        state.queue_edge,
-                        ratios,
-                        idle_service,
-                        self.overload.queue_high,
-                        mode,
-                    )
-                if self.overload.queue_capacity is not None:
-                    # Bounded queues: overflow past the capacity is shed,
-                    # and the clamp runs on the scalar state lists in both
-                    # paths (the vectorized arrays are rewritten from
-                    # them) so the shed float is identical.
-                    if qflow is not None:
-                        shed += clamp_queues_by_class(
-                            state.queue_local,
-                            state.queue_edge,
-                            self.overload.queue_capacity,
-                            class_of,
-                            qflow,
-                        )
-                    else:
-                        shed += clamp_queues(
-                            state.queue_local,
-                            state.queue_edge,
-                            self.overload.queue_capacity,
-                        )
-                if fleet is not None:
-                    fleet.queue_local[:] = state.queue_local
-                    fleet.queue_edge[:] = state.queue_edge
-            if stream is not None:
-                # Same numbers a SlotRecord would carry, folded into the
-                # constant-size aggregate instead of retained per slot.
-                backlog = float(
-                    sum(state.queue_local) + sum(state.queue_edge)
-                )
-                stream.observe_slot(
-                    slot, total_arrivals, total_time, shed, backlog,
-                    mode, half_slot,
-                )
-            else:
-                records.append(
-                    SlotRecord(
-                        slot=slot,
-                        arrivals=total_arrivals,
-                        total_time=total_time,
-                        ratios=tuple(ratios),
-                        queue_local=tuple(state.queue_local),
-                        queue_edge=tuple(state.queue_edge),
-                        shed=shed,
-                        mode=mode,
-                    )
-                )
-        return SimulationResult(
-            records=tuple(records),
-            stream=stream,
-            class_names=qstate.class_names if qstate is not None else (),
-            class_flow=qflow,
-        )
+        path = "fluid-vectorized" if self.vectorized else "fluid-scalar"
+        return run_fluid(
+            self,
+            _WholeFleet(self.system, self.vectorized),
+            policy,
+            num_slots,
+            state,
+            metrics,
+            checkpoint_every,
+            checkpoint_sink,
+            resume_from,
+            path=path,
+            fingerprint=self._fingerprint(path, num_slots, metrics),
+        )[0]
 
     def compare(
         self, policies: Sequence[tuple[str, OffloadingPolicy]], num_slots: int

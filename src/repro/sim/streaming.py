@@ -393,8 +393,9 @@ class FluidStreamStats:
 
     @property
     def mean_tct(self) -> float:
+        """Arrival-weighted mean TCT; NaN when nothing arrived."""
         if self.total_arrivals <= 0:
-            return 0.0
+            return math.nan
         return self.total_time / self.total_arrivals
 
     @property
@@ -402,5 +403,6 @@ class FluidStreamStats:
         return self.total_arrivals + self.total_shed
 
     def percentile(self, q: float) -> float:
-        value = self.sketch.percentile(q)
-        return 0.0 if math.isnan(value) else value
+        """Sketch percentile of per-slot mean TCTs; NaN when no slot had
+        arrivals."""
+        return self.sketch.percentile(q)

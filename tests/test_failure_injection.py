@@ -7,6 +7,8 @@ decisions, loud errors — rather than crash or silently mis-report.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.exit_setting import (
@@ -127,7 +129,9 @@ def test_simulator_with_zero_arrivals_everywhere():
     result = SlotSimulator(
         system=system, arrivals=[ConstantArrivals(0.0)], seed=0
     ).run(FixedRatioPolicy(0.5), 20)
-    assert result.mean_tct == 0.0
+    # Nothing arrived: the empty statistics are NaN, never a fake 0.
+    assert math.isnan(result.mean_tct)
+    assert math.isnan(result.tct_percentile(95))
     assert result.final_backlog == 0.0
     assert result.is_stable()
 

@@ -13,6 +13,7 @@ mixes, overload governors, and lifted fault plans).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.offloading import (
@@ -28,8 +29,10 @@ from repro.federation import (
     lift_fault_plan,
     single_edge_topology,
 )
-from repro.resilience.faults import canonical_outage_plan
+from repro.resilience.environment import FaultyEnvironment
+from repro.resilience.faults import FaultPlan, canonical_outage_plan
 from repro.resilience.overload import OverloadControl
+from repro.resilience.qos import QoSConfig
 from repro.resilience.recovery import RecoveryPolicy
 from repro.runtime.system import LeimeRuntime
 from repro.sim.arrivals import PoissonArrivals
@@ -40,6 +43,9 @@ from .helpers import random_fleet
 
 #: ≥ 25 seeded fleets, as the acceptance criteria demand.
 SEEDS = tuple(range(26))
+#: Fluid-only extra fleets with QoS on and an outage-only fault plan: the
+#: warm pool must flush on the outage slots on both sides.
+QOS_OUTAGE_SEEDS = tuple(range(6))
 
 NUM_DEVICES = 3
 NUM_SLOTS = 8
@@ -94,17 +100,59 @@ def _assert_tasks_equal(single, federated, tag: str) -> None:
             assert ta.completed == pytest.approx(tb.completed, abs=1e-9), ctx
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+def _qos_outage_fixture(seed: int):
+    """An E=1 configuration with QoS on and an outage-only fault plan
+    (slots 8-11 down, no per-device channels), as ``(system, topology,
+    plan, arrivals, overload, num_slots, single_kw, federated_kw)``."""
+    n, num_slots = 6, 24
+    system = random_fleet(seed, n)
+    topology = single_edge_topology(system)
+    plan = build_assignment_plan(topology, num_slots)
+    down = np.zeros(num_slots, dtype=np.int8)
+    down[8:12] = 1
+    faults = FaultPlan(
+        uplink_drop=np.zeros((num_slots, n), dtype=np.int8),
+        uplink_corrupt=np.zeros((num_slots, n), dtype=np.int8),
+        edge_down=down,
+        straggler=np.ones((num_slots, n)),
+        telemetry_stale=np.zeros(num_slots, dtype=np.int8),
+    )
+    qos = QoSConfig(memory_fraction=0.5, cold_start_seconds=0.25)
+    arrivals = [PoissonArrivals(0.6) for _ in range(n)]
+    overload = OverloadControl(queue_high=6.0, queue_low=2.0) if seed % 2 else None
+    return (
+        system,
+        topology,
+        plan,
+        arrivals,
+        overload,
+        num_slots,
+        dict(environment=FaultyEnvironment(faults), qos=qos),
+        dict(faults=lift_fault_plan(faults, 1), qos=qos),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,qos_outage",
+    [pytest.param(s, False, id=str(s)) for s in SEEDS]
+    + [pytest.param(s, True, id=f"qos-outage-{s}") for s in QOS_OUTAGE_SEEDS],
+)
 @pytest.mark.parametrize("vectorized", (False, True), ids=("scalar", "vectorized"))
-def test_fluid_path_conformance(seed: int, vectorized: bool) -> None:
-    system, topology, plan, arrivals, overload = _fixture(seed)
+def test_fluid_path_conformance(seed: int, qos_outage: bool, vectorized: bool) -> None:
+    if qos_outage:
+        (system, topology, plan, arrivals, overload, num_slots, single_kw,
+         federated_kw) = _qos_outage_fixture(seed)
+    else:
+        system, topology, plan, arrivals, overload = _fixture(seed)
+        num_slots, single_kw, federated_kw = NUM_SLOTS, {}, {}
     single = SlotSimulator(
         system=system,
         arrivals=arrivals,
         seed=seed,
         vectorized=vectorized,
         overload=overload,
-    ).run(_policy(seed), NUM_SLOTS)
+        **single_kw,
+    ).run(_policy(seed), num_slots)
     federated = FederatedSlotSimulator(
         topology=topology,
         arrivals=arrivals,
@@ -112,8 +160,9 @@ def test_fluid_path_conformance(seed: int, vectorized: bool) -> None:
         seed=seed,
         vectorized=vectorized,
         overload=overload,
-    ).run(_policy(seed), NUM_SLOTS)
-    tag = f"fluid/{'vec' if vectorized else 'scalar'}/seed={seed}"
+        **federated_kw,
+    ).run(_policy(seed), num_slots)
+    tag = f"fluid/{'vec' if vectorized else 'scalar'}/seed={seed}/qos-outage={qos_outage}"
     _assert_fluid_equal(single, federated.global_result, tag)
     # The single shard's per-edge records are the global records verbatim.
     _assert_fluid_equal(single, federated.edge_result(0), tag + "/edge0")

@@ -34,6 +34,8 @@ from repro.federation import (
     federated_fluid_summary,
     federated_slo_summary,
 )
+from repro.resilience.overload import OverloadControl
+from repro.resilience.qos import QoSConfig
 from repro.runtime.system import RuntimeReport
 from repro.sim.arrivals import ConstantArrivals, PoissonArrivals
 from repro.sim.events import EventSimResult
@@ -204,9 +206,27 @@ def test_failover_is_path_identical_across_event_engines(seed: int) -> None:
                 assert ta.completed == pytest.approx(tb.completed, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_failover_is_path_identical_across_fluid_paths(seed: int) -> None:
+@pytest.mark.parametrize(
+    "seed,controlled",
+    [pytest.param(s, False, id=str(s)) for s in range(4)]
+    + [pytest.param(s, True, id=f"overload-qos-{s}") for s in range(4)],
+)
+def test_failover_is_path_identical_across_fluid_paths(
+    seed: int, controlled: bool
+) -> None:
+    """Scalar == vectorized under failover; the controlled cases add a
+    tight overload ladder, a QoS warm pool and a heavier load, so the
+    per-edge ladders, sheds and cold starts all engage."""
     topology, plan, faults, arrivals = _federation(seed)
+    control = {}
+    if controlled:
+        arrivals = [PoissonArrivals(1.5) for _ in arrivals]
+        control = dict(
+            overload=OverloadControl(
+                queue_high=3.0, queue_low=1.0, patience=1, cooldown=2
+            ),
+            qos=QoSConfig(memory_fraction=0.5),
+        )
 
     def run(vectorized: bool):
         return FederatedSlotSimulator(
@@ -216,6 +236,7 @@ def test_failover_is_path_identical_across_fluid_paths(seed: int) -> None:
             seed=seed,
             vectorized=vectorized,
             faults=faults,
+            **control,
         ).run(DriftPlusPenaltyPolicy(v=20.0), NUM_SLOTS)
 
     scalar, vectorized = run(False), run(True)

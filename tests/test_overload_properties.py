@@ -40,8 +40,8 @@ from repro.resilience.overload import (
     clamp_queues,
     degrade_partition,
     degraded_exit_params,
-    drain_stranded_edge,
 )
+from repro.resilience.qos import drain_stranded_edge_by_mode
 from repro.sim.arrivals import TraceArrivals
 from repro.sim.events import EventSimulator
 from repro.sim.fast_events import run_fast
@@ -204,14 +204,18 @@ def test_drain_stranded_edge_only_stranded_devices():
     # the watermark with x = 0 — untouched (the paper's own recursion
     # applies).  Device 2: offloading — untouched.
     edge = [control.queue_high + 3.0, 2.0, 8.0]
-    drain_stranded_edge(
-        edge, [0.0, 0.0, 0.5], [4.0, 4.0, 4.0], control.queue_high, MODE_FULL
+    drain_stranded_edge_by_mode(
+        edge, [0.0, 0.0, 0.5], [4.0, 4.0, 4.0], control.queue_high, [MODE_FULL] * 3
     )
     assert edge == [control.queue_high - 1.0, 2.0, 8.0]
     # Deep rungs drain every zero-ratio device, and never below zero.
     edge = [1.5, 2.0, 8.0]
-    drain_stranded_edge(
-        edge, [0.0, 0.0, 0.5], [4.0, 4.0, 4.0], control.queue_high, MODE_FIRST_EXIT
+    drain_stranded_edge_by_mode(
+        edge,
+        [0.0, 0.0, 0.5],
+        [4.0, 4.0, 4.0],
+        control.queue_high,
+        [MODE_FIRST_EXIT] * 3,
     )
     assert edge == [0.0, 0.0, 8.0]
 

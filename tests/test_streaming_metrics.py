@@ -316,9 +316,10 @@ def test_runtime_streaming_identity_and_counts() -> None:
 # -- fluid stream odds and ends ---------------------------------------------
 
 
-def test_fluid_stream_percentile_empty_is_zero() -> None:
+def test_fluid_stream_percentile_empty_is_nan() -> None:
     stream = FluidStreamStats()
-    assert stream.percentile(95.0) == 0.0
+    assert math.isnan(stream.percentile(95.0))
+    assert math.isnan(stream.mean_tct)
     stream.observe_slot(0, 2.0, 3.0, 0.0, 1.0, 0, half_slot=1)
     assert stream.total_generated == 2.0
     assert stream.mean_tct == pytest.approx(1.5)
