@@ -191,8 +191,9 @@ class FederatedSlotSimulator:
         """Simulate ``num_slots`` slots across all shards.
 
         Checkpoints are ``"state"``-kind (the coordinator's state is the
-        RNG, queues, gate/ladders, and accumulated records; shard systems
-        are immutable and rebuilt from the topology on resume).
+        RNG, queues, gate, slot controllers, and accumulated records;
+        shard systems are immutable and rebuilt from the topology on
+        resume).
 
         ``metrics="streaming"`` swaps the global and per-edge record
         lists for constant-size :class:`~repro.sim.streaming.

@@ -23,8 +23,11 @@ This package makes those failures first-class and replayable:
 * :mod:`~repro.resilience.qos` — QoS classes (:class:`QoSConfig`),
   the model-memory warm pool with seeded cold starts
   (:class:`QoSState`), and class-/cost-aware degradation planning
-  (:func:`plan_device_modes`), so gold traffic keeps its deadline while
-  batch absorbs the shedding.
+  (:meth:`QoSState.plan_modes`), so gold traffic keeps its deadline while
+  batch absorbs the shedding;
+* :mod:`~repro.resilience.control` — :class:`SlotController`, which
+  makes each slot's ladder, QoS, backpressure and admission decisions
+  once for every execution path.
 
 The same plan drives the event simulator (``EventSimulator(faults=...)``)
 and the live runtime (``LeimeRuntime.run(faults=...)``), so a chaos
@@ -57,7 +60,6 @@ from .overload import (
     apply_backpressure,
     clamp_queues,
     degrade_partition,
-    degrade_system,
     degraded_exit_params,
 )
 from .qos import (
@@ -68,16 +70,15 @@ from .qos import (
     QoSState,
     apply_backpressure_by_mode,
     assign_classes,
-    clamp_queues_by_class,
     class_counts,
     class_identity_gaps,
     class_summary,
     degrade_system_by_modes,
     drain_stranded_edge_by_mode,
     partition_footprint,
-    plan_device_modes,
 )
-from .recovery import RecoveryPolicy, ResilientPolicy
+from .control import SlotController
+from .recovery import RecoveryPolicy, ResilientPolicy, resolve_recovery
 from .slo import slo_summary, time_to_recovery
 
 __all__ = [
@@ -101,18 +102,17 @@ __all__ = [
     "QoSState",
     "RecoveryPolicy",
     "ResilientPolicy",
+    "SlotController",
     "apply_backpressure",
     "apply_backpressure_by_mode",
     "assign_classes",
     "attach_faults",
     "canonical_outage_plan",
     "clamp_queues",
-    "clamp_queues_by_class",
     "class_counts",
     "class_identity_gaps",
     "class_summary",
     "degrade_partition",
-    "degrade_system",
     "degrade_system_by_modes",
     "degraded_exit_params",
     "drain_stranded_edge_by_mode",
@@ -120,8 +120,8 @@ __all__ = [
     "generate_fault_plan",
     "load_fault_plan",
     "partition_footprint",
-    "plan_device_modes",
     "plans_equal",
+    "resolve_recovery",
     "save_fault_plan",
     "slo_summary",
     "time_to_recovery",

@@ -5,9 +5,9 @@ to queue stability* (Theorem 3) — it has no answer when a flash crowd
 pushes arrivals past the joint device+edge+cloud capacity, because then
 no offloading ratio ``x_i(t)`` stabilises Eqs. 10-11 and every execution
 path in this repo diverges.  This module keeps the system inside its
-stability region with three cooperating mechanisms, all shared verbatim
-by the fluid slot paths (scalar + vectorized), both event engines, and
-the live runtime so a governed run stays byte-identical across paths:
+stability region with three cooperating mechanisms, shared by the fluid
+slot paths (scalar + vectorized), both event engines, and the live
+runtime so a governed run stays byte-identical across paths:
 
 1. **Admission control / load shedding** (:class:`AdmissionGate`) — a
    per-device token bucket combined with a queue-watermark hysteresis:
@@ -30,21 +30,20 @@ the live runtime so a governed run stays byte-identical across paths:
    engines' exit coins, live runtime — observes the same σ override.
    The governor steps *up* after ``patience`` consecutive hot slots and
    back *down* only after ``cooldown`` consecutive cool slots
-   (hysteresis), and on returning to :data:`MODE_FULL` re-plans through
-   an attached :class:`~repro.core.adaptation.AdaptiveExitController`
-   the same way :class:`~repro.traces.drift.BandwidthDriftMonitor` does.
+   (hysteresis).
+
+:class:`~repro.resilience.control.SlotController` runs the three in one
+per-slot order for every path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.adaptation import AdaptiveExitController
-    from ..core.offloading import EdgeSystem
     from ..models.multi_exit import PartitionedModel
+    from .qos import QoSFlow
 
 #: Ladder rungs, shallow to deep.  Deeper rungs shed more work: each one
 #: raises the effective per-task service rate by cutting exit depth, and
@@ -170,54 +169,38 @@ class OverloadGovernor:
 
     Observes the per-device backlogs once per slot and steps
     :attr:`mode` through the rungs with hysteresis: ``patience``
-    consecutive slots with fleet-mean backlog above ``queue_high`` step
-    one rung deeper; ``cooldown`` consecutive slots below ``queue_low``
-    step one rung back.  In between, both counters reset — the ladder
-    holds its rung.
-
-    Attached to a live :class:`~repro.runtime.system.LeimeRuntime`
-    (``runtime``), every rung change hot-swaps the deployed partition:
-    degraded rungs apply :func:`degrade_partition` to the base plan, and
-    the return to :data:`MODE_FULL` re-plans through the attached
-    :class:`~repro.core.adaptation.AdaptiveExitController` (when one is
-    given) exactly as :class:`~repro.traces.drift.BandwidthDriftMonitor`
-    does — the crowd may have left the world in a different state than
-    the pre-crowd plan assumed.  Simulators drive :meth:`observe`
-    directly and realise the rung themselves.
+    consecutive slots with mean backlog above ``queue_high`` step one
+    rung deeper; ``cooldown`` consecutive slots below ``queue_low`` step
+    one rung back.  In between, both counters reset — the ladder holds
+    its rung.  The ladder only decides; every path realises its rung
+    through :class:`~repro.resilience.control.SlotController`.
 
     Attributes:
         control: The shared watermark/hysteresis configuration.
-        num_devices: Fleet size (sets the mean-backlog denominator).
-        controller: Optional exit-setting controller to re-plan through
-            on recovery to :data:`MODE_FULL`.
-        runtime: Optional live runtime whose partition each rung change
-            hot-swaps.
+        num_devices: Fleet size the ladder was built for.
         mode: The current rung.
         transitions: ``(slot, mode)`` per rung change, in order.
-        gate: The run's admission gate (shares ``control``).
     """
 
     control: OverloadControl
     num_devices: int
-    controller: "AdaptiveExitController | None" = None
-    runtime: object | None = None
     mode: int = field(default=MODE_FULL, init=False)
     transitions: list[tuple[int, int]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.num_devices <= 0:
             raise ValueError("need at least one device")
-        self.gate = AdmissionGate(self.control, self.num_devices)
         self._hot = 0
         self._cool = 0
-        self._base_partition: "PartitionedModel | None" = None
 
     def observe(self, slot: int, backlogs: Sequence[float]) -> int:
         """Fold one slot's per-device backlogs in; returns the rung in
-        effect for the slot.  Monotone under pressure: while the mean
-        backlog is above ``queue_high`` the ladder never steps back (the
-        property harness pins this)."""
-        mean = sum(backlogs) / self.num_devices
+        effect for the slot.  The mean is over the backlogs given, so a
+        federation shard's ladder follows its current membership.
+        Monotone under pressure: while the mean backlog is above
+        ``queue_high`` the ladder never steps back (the property harness
+        pins this)."""
+        mean = sum(backlogs) / len(backlogs)
         control = self.control
         if mean > control.queue_high:
             self._hot += 1
@@ -239,51 +222,6 @@ class OverloadGovernor:
     def _step(self, slot: int, mode: int) -> None:
         self.mode = mode
         self.transitions.append((slot, mode))
-        self._apply(mode)
-
-    def _apply(self, mode: int) -> None:
-        """Realise a rung on the attached live runtime (no-op without
-        one; the simulators degrade their own cost/exit parameters)."""
-        runtime = self.runtime
-        if runtime is None:
-            return
-        if self._base_partition is None:
-            self._base_partition = (
-                self.controller.plan.partition
-                if self.controller is not None
-                else runtime.system.partition
-            )
-        if mode == MODE_FULL and self.controller is not None:
-            plan = self.controller.replan_for_environment(
-                self.controller.environment
-            )
-            self._base_partition = plan.partition
-            runtime.apply_partition(plan.partition)
-            return
-        runtime.apply_partition(degrade_partition(self._base_partition, mode))
-
-    def on_slot(self, slot: int) -> int:
-        """Slot-hook form for a live runtime: read the live backlogs off
-        the attached runtime's worker queues and step the ladder."""
-        runtime = self.runtime
-        if runtime is None:
-            raise ValueError("on_slot needs an attached runtime")
-        backlogs = [
-            runtime.devices[i].backlog + runtime.edge_slices[i].backlog
-            for i in range(self.num_devices)
-        ]
-        return self.observe(slot, backlogs)
-
-    def time_to_recovery(self, crowd_stop: int) -> float:
-        """Slots from ``crowd_stop`` until the ladder returned to
-        :data:`MODE_FULL` — 0.0 if it never left (or was already back),
-        ``inf`` if it never recovered within the observed horizon."""
-        for slot, mode in self.transitions:
-            if slot >= crowd_stop and mode == MODE_FULL:
-                return float(slot - crowd_stop)
-        if not self.transitions or self.transitions[-1][1] == MODE_FULL:
-            return 0.0
-        return math.inf
 
 
 def degrade_partition(
@@ -305,20 +243,6 @@ def degrade_partition(
     else:
         sigma = (1.0, 1.0, 1.0)
     return replace(partition, sigma=sigma)
-
-
-def degrade_system(system: "EdgeSystem", mode: int) -> "EdgeSystem":
-    """The system a ladder rung deploys: every partition (fleet-wide and
-    per-device) degraded to the rung's exit depth."""
-    if mode <= MODE_FULL:
-        return system
-    return replace(
-        system,
-        partition=degrade_partition(system.partition, mode),
-        device_partitions=tuple(
-            degrade_partition(p, mode) for p in system.device_partitions
-        ),
-    )
 
 
 def degraded_exit_params(
@@ -356,22 +280,36 @@ def apply_backpressure(
 
 
 def clamp_queues(
-    queue_local: list[float], queue_edge: list[float], capacity: float
+    queue_local: list[float],
+    queue_edge: list[float],
+    capacity: float,
+    class_of: Sequence[int] | None = None,
+    flow: "QoSFlow | None" = None,
 ) -> float:
     """Bound the fluid queues in place; returns the total overflow shed.
 
     The fluid twin of a bounded ``queue.Queue``: whatever Eqs. 10-11
     pushed past ``capacity`` is rejected (shed), never silently stored.
     Devices are clamped left to right, local before edge, so the scalar
-    and vectorized paths accumulate the identical float."""
+    and vectorized paths accumulate the identical float.  With a QoS
+    ``flow``, device ``i``'s overflow is also charged to its class
+    ``class_of[i]`` as generated *and* shed (the global ``generated =
+    arrivals + shed`` convention), keeping the per-class rows summing to
+    the global identity."""
     shed = 0.0
     for i in range(len(queue_local)):
         over = queue_local[i] - capacity
         if over > 0.0:
             queue_local[i] = capacity
             shed += over
+            if flow is not None:
+                flow.generated[class_of[i]] += over
+                flow.shed[class_of[i]] += over
         over = queue_edge[i] - capacity
         if over > 0.0:
             queue_edge[i] = capacity
             shed += over
+            if flow is not None:
+                flow.generated[class_of[i]] += over
+                flow.shed[class_of[i]] += over
     return shed

@@ -44,7 +44,6 @@ from .overload import (
     MODE_FULL,
     MODE_SHED,
     degrade_partition,
-    degrade_system,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -290,8 +289,7 @@ class QoSState:
         self.resident: dict[int, int] = {}
         self.ready_at: dict[int, float] = {}
         # Loads that *began* on the most recent on_slot call, as
-        # (device, duration) pairs — the live runtime turns these into
-        # warm-up jobs.
+        # (device, duration) pairs.
         self.loads_this_slot: list[tuple[int, float]] = []
         self.shed_spent = 0.0
         self.cold_hits = 0
@@ -426,20 +424,6 @@ class QoSState:
         return scales
 
 
-def plan_device_modes(
-    qos: "QoSState | None",
-    num_devices: int,
-    global_mode: int,
-    expected: Sequence[float],
-) -> list[int]:
-    """The per-device rung vector every path feeds its gate,
-    backpressure, and exit degradation: the QoS plan when the layer is
-    active, the uniform global rung otherwise."""
-    if qos is None:
-        return [global_mode] * num_devices
-    return qos.plan_modes(global_mode, expected)
-
-
 def apply_backpressure_by_mode(
     ratios: Sequence[float],
     queue_edge: Sequence[float],
@@ -489,17 +473,26 @@ def drain_stranded_edge_by_mode(
 def degrade_system_by_modes(
     system: "EdgeSystem", modes: Sequence[int]
 ) -> "EdgeSystem":
-    """The fluid system a per-device rung vector deploys: a uniform
-    vector goes through :func:`~repro.resilience.overload.
-    degrade_system` (byte-identical to the PR 5 path); a mixed one pins
-    per-device partitions to each device's rung."""
-    if all(m == modes[0] for m in modes):
-        return degrade_system(system, modes[0])
-    parts = tuple(
-        degrade_partition(system.partition_for(i), m)
-        for i, m in enumerate(modes)
+    """The system a per-device rung vector deploys.  A uniform vector
+    degrades every partition, fleet-wide and per-device, to its rung
+    (:data:`~repro.resilience.overload.MODE_FULL` returns ``system``
+    itself); a mixed one pins per-device partitions to each rung."""
+    mode = modes[0]
+    if any(m != mode for m in modes):
+        parts = tuple(
+            degrade_partition(system.partition_for(i), m)
+            for i, m in enumerate(modes)
+        )
+        return replace(system, device_partitions=parts)
+    if mode <= MODE_FULL:
+        return system
+    return replace(
+        system,
+        partition=degrade_partition(system.partition, mode),
+        device_partitions=tuple(
+            degrade_partition(p, mode) for p in system.device_partitions
+        ),
     )
-    return replace(system, device_partitions=parts)
 
 
 class QoSFlow:
@@ -575,37 +568,6 @@ class QoSFlow:
                 )
             out[name] = row
         return out
-
-
-def clamp_queues_by_class(
-    queue_local: list[float],
-    queue_edge: list[float],
-    capacity: float,
-    class_of: Sequence[int],
-    flow: QoSFlow,
-) -> float:
-    """Per-class twin of
-    :func:`~repro.resilience.overload.clamp_queues`: identical clamp
-    order and float accumulation (devices left to right, local before
-    edge), with each device's overflow additionally charged to its
-    class.  Overflow counts as generated *and* shed (the global
-    ``generated = arrivals + shed`` convention), keeping the per-class
-    rows summing to the global identity."""
-    shed = 0.0
-    for i in range(len(queue_local)):
-        over = queue_local[i] - capacity
-        if over > 0.0:
-            queue_local[i] = capacity
-            shed += over
-            flow.generated[class_of[i]] += over
-            flow.shed[class_of[i]] += over
-        over = queue_edge[i] - capacity
-        if over > 0.0:
-            queue_edge[i] = capacity
-            shed += over
-            flow.generated[class_of[i]] += over
-            flow.shed[class_of[i]] += over
-    return shed
 
 
 # -- per-class accounting ----------------------------------------------------

@@ -171,3 +171,33 @@ class ResilientPolicy:
         if not self.plan.stale_at(slot):
             self._last_good = list(ratios)
         return ratios
+
+
+def resolve_recovery(
+    policy: OffloadingPolicy | None,
+    faults: FaultPlan | None,
+    recovery: RecoveryPolicy | None,
+    num_devices: int,
+) -> tuple[OffloadingPolicy | None, RecoveryPolicy | None]:
+    """The effective ``(policy, recovery)`` pair of a task-level run.
+
+    Checks the fault plan against the fleet and the budget against the
+    plan, defaults the budget to :meth:`RecoveryPolicy.none` when faults
+    are present, and wraps ``policy`` in a :class:`ResilientPolicy` when
+    the budget asks for control-plane recovery.  Both event engines and
+    the live runtime resolve through here, so they replay identical
+    control decisions."""
+    if faults is None:
+        if recovery is not None:
+            raise ValueError("recovery requires a fault plan to recover from")
+        return policy, None
+    if faults.num_devices != num_devices:
+        raise ValueError(
+            f"fault plan covers {faults.num_devices} devices but "
+            f"the system has {num_devices}"
+        )
+    if recovery is None:
+        recovery = RecoveryPolicy.none()
+    if recovery.exclude_dead_edge or recovery.watchdog:
+        policy = ResilientPolicy(policy, faults, recovery)
+    return policy, recovery

@@ -60,7 +60,6 @@ class RuntimeNode:
         self._clock = clock
         self._queue: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._stop = threading.Event()
         self.jobs_done = 0
         self.jobs_rejected = 0
         self._holds_pending = 0
@@ -102,11 +101,10 @@ class RuntimeNode:
         return demand / self.flops + self.overhead
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                demand, on_done = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
+        # ``None`` is the stop item :meth:`shutdown` queues behind the
+        # pending jobs.
+        while (job := self._queue.get()) is not None:
+            demand, on_done = job
             if on_done is None:
                 # Cold-start hold sentinel: sleep the load, serve nothing.
                 self._holds_pending = max(self._holds_pending - 1, 0)
@@ -117,19 +115,21 @@ class RuntimeNode:
             on_done(self._clock.now())
 
     def shutdown(self, join_timeout: float = 5.0) -> bool:
-        """Stop the worker once its queue drains (jobs already queued are
-        finished first).
+        """Stop the worker once its queue drains: a stop item is queued
+        behind the pending jobs, which are finished first.
 
-        Returns ``True`` on a clean stop.  A worker still alive after
-        ``join_timeout`` wall seconds is wedged (a callback deadlocked or
-        a service sleep never returned): the leak is reported loudly — a
-        ``RuntimeWarning`` plus a log record naming the node — and
-        ``False`` is returned, instead of silently abandoning the thread.
+        Returns ``True`` on a clean stop.  A worker that finishes no job
+        for ``join_timeout`` wall seconds is wedged (a callback
+        deadlocked or a service sleep never returned): the leak is
+        reported loudly — a ``RuntimeWarning`` plus a log record naming
+        the node — and ``False`` is returned, instead of silently
+        abandoning the thread.
         """
-        while not self._queue.empty():
-            self._clock.sleep(0.05)
-        self._stop.set()
-        self._thread.join(timeout=join_timeout)
+        self._queue.put(None)
+        done = -1
+        while self._thread.is_alive() and self.jobs_done != done:
+            done = self.jobs_done
+            self._thread.join(timeout=join_timeout)
         if self._thread.is_alive():
             message = (
                 f"worker thread {self.name!r} is still alive "

@@ -24,6 +24,7 @@ import numpy as np
 from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
 from ..core.vectorized import vectorized_equivalent
 from ..models.multi_exit import PartitionedModel
+from ..resilience.recovery import resolve_recovery
 from ..sim.arrivals import ArrivalProcess
 from ..sim.streaming import StreamingTaskStats
 from ..sim.tasks import TaskRecord
@@ -32,7 +33,7 @@ from .node import RuntimeLink, RuntimeNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultPlan
-    from ..resilience.overload import OverloadControl, OverloadGovernor
+    from ..resilience.overload import OverloadControl
     from ..resilience.qos import QoSConfig
     from ..resilience.recovery import RecoveryPolicy
 
@@ -277,6 +278,9 @@ class LeimeRuntime:
         vectorized: bool = False,
     ):
         self.system = system
+        # The deployment the ladder's rungs degrade: ``system`` is what
+        # the current slot serves, re-derived from this every slot.
+        self._deployed = system
         if vectorized:
             policy = vectorized_equivalent(policy) or policy
         self.policy = policy
@@ -579,9 +583,11 @@ class LeimeRuntime:
         and exits per the new plan) — the cheap approximation of a rolling
         model rollout.  Per-device partitions are cleared: a re-plan
         deploys one fleet-wide setting, as the paper's planner does.
+        During a governed run the slot's rungs degrade the new
+        deployment from the next slot boundary on.
         """
-        self.system = replace(
-            self.system, partition=partition, device_partitions=()
+        self.system = self._deployed = replace(
+            self._deployed, partition=partition, device_partitions=()
         )
 
     # -- the controller loop ---------------------------------------------------
@@ -601,9 +607,7 @@ class LeimeRuntime:
             slots=num_slots,
             faults=None if faults is None else repr(faults.describe()),
             recovery=repr(recovery),
-            # A pre-built governor's repr drags in live objects; the
-            # frozen control config is the stable part.
-            overload=repr(getattr(overload, "control", overload)),
+            overload=repr(overload),
             qos=repr(qos),
             kernels=kernel_tier(),
             metrics=metrics,
@@ -617,7 +621,7 @@ class LeimeRuntime:
         slot_hook: Callable[[int], object] | None = None,
         faults: "FaultPlan | None" = None,
         recovery: "RecoveryPolicy | None" = None,
-        overload: "OverloadControl | OverloadGovernor | None" = None,
+        overload: "OverloadControl | None" = None,
         qos: "QoSConfig | None" = None,
         metrics: str = "records",
         checkpoint_every: int | None = None,
@@ -640,8 +644,8 @@ class LeimeRuntime:
                 generation ends before giving up (unfinished tasks then
                 show as incomplete in the report).
             slot_hook: Called with the slot index at the top of every
-                slot, before the policy decision — the attachment point
-                for trace-driven adaptation
+                slot, before the slot's control plan — the attachment
+                point for trace-driven adaptation
                 (:class:`~repro.traces.drift.BandwidthDriftMonitor`
                 re-plans exit settings through it).
             faults: A :class:`~repro.resilience.faults.FaultPlan` to
@@ -657,23 +661,16 @@ class LeimeRuntime:
                 :class:`~repro.resilience.recovery.ResilientPolicy` for
                 the run.
             overload: An
-                :class:`~repro.resilience.overload.OverloadControl` (a
-                fresh governor is built and attached to this runtime) or
-                a pre-built
-                :class:`~repro.resilience.overload.OverloadGovernor`
-                (pass one to attach an
-                :class:`~repro.core.adaptation.AdaptiveExitController`
-                for re-planning on recovery).  Enables the live overload
-                layer: worker queues are bounded to ``queue_capacity``,
-                the admission gate sheds demand past the watermarks,
-                backpressure clamps the offloading ratios, and ladder
-                rung changes hot-swap the deployed partition via
-                :meth:`apply_partition`.
+                :class:`~repro.resilience.overload.OverloadControl`
+                enabling the live overload layer: worker queues are
+                bounded to ``queue_capacity``, the admission gate sheds
+                demand past the watermarks, backpressure clamps the
+                offloading ratios, and each slot serves every device its
+                own deployed partition degraded to its ladder rung.
             qos: A :class:`~repro.resilience.qos.QoSConfig` enabling
                 class-aware serving: per-device classes (seeded
                 assignment — tasks carry their class name), per-class
-                ladder rungs deployed as per-device partitions each
-                slot, budgeted utility-per-cost shedding, and the
+                ladder rungs, budgeted utility-per-cost shedding, and the
                 warm-pool/cold-start model — a cold model load enqueues
                 a hold sentinel on the device's edge slice
                 (:meth:`~repro.runtime.node.RuntimeNode.hold`), so work
@@ -692,10 +689,10 @@ class LeimeRuntime:
                 must be fresh (no tasks generated) and configured
                 identically; the run then proceeds normally.
         """
-        if len(arrivals) != self.system.num_devices:
+        n = self.system.num_devices
+        if len(arrivals) != n:
             raise ValueError("need one arrival process per device")
-        if recovery is not None and faults is None:
-            raise ValueError("recovery requires a fault plan to recover from")
+        policy, recovery = resolve_recovery(self.policy, faults, recovery, n)
         if metrics not in ("records", "streaming"):
             raise ValueError(f"unknown metrics mode {metrics!r}")
         from ..chaos.checkpoint import (
@@ -705,6 +702,8 @@ class LeimeRuntime:
             validate_hooks,
             validate_resume,
         )
+        from ..resilience.control import SlotController
+        from ..resilience.qos import degrade_system_by_modes
 
         validate_hooks(checkpoint_every, checkpoint_sink)
         fingerprint = self._run_fingerprint(
@@ -720,17 +719,12 @@ class LeimeRuntime:
                     )
         if metrics == "streaming":
             self._stats = StreamingTaskStats()
-        qstate = None
+        controller = SlotController.for_system(
+            self._deployed, self.seed, overload, qos
+        )
+        qstate = controller.qos
         class_name_of: list[str] | None = None
-        if qos is not None:
-            from ..resilience.qos import (
-                QoSState,
-                apply_backpressure_by_mode,
-                degrade_system_by_modes,
-                plan_device_modes,
-            )
-
-            qstate = QoSState(qos, self.system, self.seed)
+        if qstate is not None:
             self._class_of = list(qstate.class_of)
             class_name_of = [
                 qstate.class_names[c] for c in qstate.class_of
@@ -739,52 +733,20 @@ class LeimeRuntime:
                 self._cstats = [
                     StreamingTaskStats() for _ in qstate.class_names
                 ]
-        policy = self.policy
-        if faults is not None:
-            if faults.num_devices != self.system.num_devices:
-                raise ValueError(
-                    f"fault plan covers {faults.num_devices} devices but "
-                    f"the system has {self.system.num_devices}"
-                )
-            from ..resilience.recovery import RecoveryPolicy, ResilientPolicy
-
-            if recovery is None:
-                recovery = RecoveryPolicy.none()
-            if recovery.exclude_dead_edge or recovery.watchdog:
-                policy = ResilientPolicy(policy, faults, recovery)
         self._faults = faults
         self._recovery = recovery
-        n = self.system.num_devices
-        governor = None
-        if overload is not None:
-            from ..resilience.overload import (
-                OverloadControl,
-                OverloadGovernor,
-                apply_backpressure,
-            )
-
-            governor = (
-                OverloadGovernor(overload, n)
-                if isinstance(overload, OverloadControl)
-                else overload
-            )
-            if governor.runtime is None:
-                governor.runtime = self
-            capacity = governor.control.queue_capacity
-            if capacity is not None:
-                for node in (
-                    *self.devices,
-                    *self.uplinks,
-                    *self.edge_slices,
-                    self.cloud_link,
-                    self.cloud,
-                ):
-                    node.capacity = int(capacity)
+        if overload is not None and overload.queue_capacity is not None:
+            for node in (
+                *self.devices,
+                *self.uplinks,
+                *self.edge_slices,
+                self.cloud_link,
+                self.cloud,
+            ):
+                node.capacity = int(overload.queue_capacity)
         state = LyapunovState.zeros(n)
         tau = self.system.slot_length
         fractional = [0.0] * n
-        pristine_system = self.system
-        device_modes: list[int] | None = None
         for slot in range(num_slots):
             self._live_slot = slot
             if should_emit(checkpoint_every, slot):
@@ -800,66 +762,32 @@ class LeimeRuntime:
             backlogs = [
                 state.queue_local[i] + state.queue_edge[i] for i in range(n)
             ]
-            if governor is not None:
-                # A rung change hot-swaps the deployed partition before
-                # the policy reads it.
-                governor.observe(slot, backlogs)
             expected = [proc.mean(slot) for proc in arrivals]
-            if qstate is not None:
-                device_modes = plan_device_modes(
-                    qstate,
-                    n,
-                    governor.mode if governor is not None else 0,
-                    expected,
-                )
-                # Per-class rungs deploy as per-device partitions each
-                # slot, re-derived from the run-start deployment — this
-                # supersedes the governor's global hot-swap (and restores
-                # full service per device the moment its rung clears).
-                self.system = degrade_system_by_modes(
-                    pristine_system, device_modes
-                )
-                if faults is not None and faults.edge_down_at(slot):
-                    # An edge outage drops every resident partition: the
-                    # next request per slice serves cold.
-                    qstate.flush()
-                else:
-                    w0 = self.clock.now()
-                    requested = qstate.requested_mask(expected, device_modes)
-                    holds = qstate.on_slot(slot, w0, requested)
-                    for i in range(n):
-                        if holds[i] > w0:
-                            self.edge_slices[i].hold(holds[i] - w0)
-            ratios = policy.decide(self.system, state, expected)
-            if governor is not None:
-                if device_modes is not None:
-                    ratios = apply_backpressure_by_mode(
-                        ratios, state.queue_edge, governor.control,
-                        device_modes,
-                    )
-                else:
-                    ratios = apply_backpressure(
-                        ratios, state.queue_edge, governor.control,
-                        governor.mode,
-                    )
+            w0 = self.clock.now()
+            rungs, holds = controller.plan(
+                slot,
+                w0,
+                backlogs,
+                expected,
+                faults is not None and faults.edge_down_at(slot),
+            )
+            # Every device serves its own deployed partition at its rung;
+            # in-flight tasks pick the rung up at their next stage.
+            self.system = degrade_system_by_modes(self._deployed, rungs)
+            if holds is not None:
+                for i in range(n):
+                    if holds[i] > w0:
+                        self.edge_slices[i].hold(holds[i] - w0)
+            ratios = controller.backpressure(
+                policy.decide(self.system, state, expected), state.queue_edge
+            )
             for i, proc in enumerate(arrivals):
                 with self._control_lock:
                     drawn = float(proc.sample(slot, self._control_rng))
                 fractional[i] += drawn
                 count = int(fractional[i])
                 fractional[i] -= count
-                admitted = (
-                    count
-                    if governor is None
-                    else governor.gate.admit_count(
-                        i,
-                        count,
-                        backlogs[i],
-                        governor.mode
-                        if device_modes is None
-                        else device_modes[i],
-                    )
-                )
+                admitted = controller.admit(i, count)
                 for k in range(count):
                     task = TaskRecord(
                         task_id=self._task_counter,

@@ -56,6 +56,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
+from ..resilience.control import SlotController
+from ..resilience.overload import degraded_exit_params
+from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .network import Link
@@ -491,37 +494,10 @@ class EventSimulator:
     def __post_init__(self) -> None:
         if len(self.arrivals) != self.system.num_devices:
             raise ValueError("need one arrival process per device")
-        if self.recovery is not None and self.faults is None:
-            raise ValueError("recovery requires a fault plan to recover from")
-        if (
-            self.faults is not None
-            and self.faults.num_devices != self.system.num_devices
-        ):
-            raise ValueError(
-                f"fault plan covers {self.faults.num_devices} devices but "
-                f"the system has {self.system.num_devices}"
-            )
-
-    def _resolve_policy(
-        self, policy: OffloadingPolicy
-    ) -> tuple[OffloadingPolicy, "RecoveryPolicy | None"]:
-        """The effective (policy, recovery) pair for a run: default the
-        recovery budget when faults are present and wrap the policy in a
-        :class:`~repro.resilience.recovery.ResilientPolicy` when the
-        budget asks for control-plane recovery.  Shared by the scalar and
-        fast engines so both replay identical control decisions."""
-        recovery = self.recovery
-        if self.faults is not None and recovery is None:
-            from ..resilience.recovery import RecoveryPolicy
-
-            recovery = RecoveryPolicy.none()
-        if recovery is not None and (
-            recovery.exclude_dead_edge or recovery.watchdog
-        ):
-            from ..resilience.recovery import ResilientPolicy
-
-            policy = ResilientPolicy(policy, self.faults, recovery)
-        return policy, recovery
+        # Reject a mismatched fault plan or budget at construction.
+        resolve_recovery(
+            None, self.faults, self.recovery, self.system.num_devices
+        )
 
     def _fingerprint(
         self, path_name: str, num_slots: int, metrics: str = "records"
@@ -678,46 +654,23 @@ class EventSimulator:
         )
 
         faults = self.faults
-        policy, recovery = self._resolve_policy(policy)
+        policy, recovery = resolve_recovery(policy, faults, self.recovery, n)
 
-        # Effective exit parameters per device.  The degradation ladder
-        # overrides them at slot boundaries; every exit decision reads
-        # them at completion time, mirroring how the fast engine's
-        # per-window arrays pick up the rung set at the window start.
-        sigma1_eff = [system.partition_for(i).sigma1 for i in range(n)]
+        # Effective exit parameters per device: the slot's rungs set them
+        # at each boundary; every exit decision reads them at completion
+        # time, mirroring how the fast engine's per-window arrays pick up
+        # the rung set at the window start.
+        sigma1_eff = [0.0] * n
         exit2_eff = [0.0] * n
-        for i in range(n):
-            part = system.partition_for(i)
-            exit2_eff[i] = (
-                (part.sigma2 - part.sigma1) / (1.0 - part.sigma1)
-                if part.sigma1 < 1.0
-                else 1.0
-            )
-        governor = None
-        modes: list[int] = []
-        if self.overload is not None:
-            from ..resilience.overload import (
-                OverloadGovernor,
-                apply_backpressure,
-                degraded_exit_params,
-            )
-
-            governor = OverloadGovernor(self.overload, n)
-
-        qstate = None
+        controller = SlotController.for_system(
+            system, self.seed, self.overload, self.qos
+        )
+        qstate = controller.qos
         class_name_of: list[str] = []
-        if self.qos is not None:
-            from ..resilience.qos import (
-                QoSState,
-                apply_backpressure_by_mode,
-                plan_device_modes,
-            )
-
-            qstate = QoSState(self.qos, system, self.seed)
+        if qstate is not None:
             class_name_of = [
                 qstate.class_names[c] for c in qstate.class_of
             ]
-        device_modes = [0] * n
 
         streaming = metrics == "streaming"
         stats = StreamingTaskStats() if streaming else None
@@ -977,52 +930,28 @@ class EventSimulator:
                     state.queue_local[i] = device_cpu[i].occupancy
                     state.queue_edge[i] = edge_slice[i].occupancy
                 expected = [proc.mean(slot) for proc in self.arrivals]
-                if governor is not None:
-                    backlogs = [
-                        state.queue_local[i] + state.queue_edge[i]
-                        for i in range(n)
-                    ]
-                    mode = governor.observe(slot, backlogs)
-                    # Per-device rungs: the global rung biased by each
-                    # device's class (uniform without a QoS config, so
-                    # the PR 5 path is reproduced exactly).
-                    if qstate is not None:
-                        device_modes[:] = plan_device_modes(
-                            qstate, n, mode, expected
-                        )
-                    else:
-                        device_modes[:] = [mode] * n
-                    for i in range(n):
-                        sigma1_eff[i], exit2_eff[i] = degraded_exit_params(
-                            system.partition_for(i), device_modes[i]
-                        )
-                    modes.append(mode)
-                # Warm-pool step: flush on an edge outage (the restart
-                # lands cold), otherwise load/evict under the memory
-                # budget and hold cold slices until their warm time.
-                if qstate is not None:
-                    if faults is not None and faults.edge_down_at(slot):
-                        qstate.flush()
-                        holds = [time] * n
-                    else:
-                        requested = qstate.requested_mask(
-                            expected, device_modes
-                        )
-                        holds = qstate.on_slot(slot, time, requested)
+                backlogs = [
+                    state.queue_local[i] + state.queue_edge[i]
+                    for i in range(n)
+                ]
+                rungs, holds = controller.plan(
+                    slot,
+                    time,
+                    backlogs,
+                    expected,
+                    faults is not None and faults.edge_down_at(slot),
+                )
+                for i in range(n):
+                    sigma1_eff[i], exit2_eff[i] = degraded_exit_params(
+                        system.partition_for(i), rungs[i]
+                    )
+                if holds is not None:
                     for i in range(n):
                         edge_slice[i].hold_until(engine, time, holds[i])
-                ratios[:] = policy.decide(system, state, expected, live)
-                if governor is not None:
-                    if qstate is not None:
-                        ratios[:] = apply_backpressure_by_mode(
-                            ratios, state.queue_edge, self.overload,
-                            device_modes,
-                        )
-                    else:
-                        ratios[:] = apply_backpressure(
-                            ratios, state.queue_edge, self.overload,
-                            governor.mode,
-                        )
+                ratios[:] = controller.backpressure(
+                    policy.decide(system, state, expected, live),
+                    state.queue_edge,
+                )
                 for i, proc in enumerate(self.arrivals):
                     # Tasks are integral here; fractional draws (the fluid
                     # model's constant rates) accumulate until they yield a
@@ -1035,13 +964,7 @@ class EventSimulator:
                     # allowance are still created — all their RNG draws are
                     # consumed so a governed run replays its ungoverned
                     # twin's streams — but never launched.
-                    admitted = (
-                        count
-                        if governor is None
-                        else governor.gate.admit_count(
-                            i, count, backlogs[i], device_modes[i]
-                        )
-                    )
+                    admitted = controller.admit(i, count)
                     for k in range(count):
                         offset = (
                             float(rng.uniform(0.0, tau))
@@ -1110,7 +1033,7 @@ class EventSimulator:
             return EventSimResult(
                 tasks=(),
                 horizon=engine.now,
-                modes=tuple(modes),
+                modes=tuple(controller.log),
                 stats=stats,
                 class_names=names,
                 class_stats=tuple(cstats) if cstats is not None else None,
@@ -1118,6 +1041,6 @@ class EventSimulator:
         return EventSimResult(
             tasks=tuple(tasks),
             horizon=engine.now,
-            modes=tuple(modes),
+            modes=tuple(controller.log),
             class_names=names,
         )

@@ -60,6 +60,13 @@ import numpy as np
 from ..core import kernels
 from ..core.offloading import LyapunovState, OffloadingPolicy
 from ..core.vectorized import fifo_schedule_batch, service_times_batch
+from ..resilience.control import SlotController
+from ..resilience.overload import (
+    MODE_FULL,
+    MODE_SECOND_EXIT,
+    degraded_exit_params,
+)
+from ..resilience.recovery import resolve_recovery
 from .tasks import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -480,7 +487,9 @@ class _FastEngine:
         self.tau = system.slot_length
         self.n = n = system.num_devices
         self.faults = sim.faults
-        self.policy, recovery = sim._resolve_policy(policy)
+        self.policy, recovery = resolve_recovery(
+            policy, sim.faults, sim.recovery, system.num_devices
+        )
         if recovery is not None:
             self.max_retries = recovery.max_retries
             self.backoff_tab = recovery.backoff_table()
@@ -496,42 +505,25 @@ class _FastEngine:
         # homogeneous fleet shares one partition object, so broadcast it
         # instead of walking 10k+ identical rows in Python.
         parts = [system.partition_for(i) for i in range(n)]
-        p0 = parts[0] if n else None
-        if n and all(p is p0 for p in parts):
-            self.mu1 = np.full(n, p0.mu1)
-            self.mu2 = np.full(n, p0.mu2)
-            self.mu3 = np.full(n, p0.mu3)
-            self.d0 = np.full(n, p0.d0)
-            self.d1 = np.full(n, p0.d1)
-            self.d2 = np.full(n, p0.d2)
-            self.sigma1 = np.full(n, p0.sigma1)
-            self.exit2cond = np.full(
-                n,
-                (p0.sigma2 - p0.sigma1) / (1.0 - p0.sigma1)
-                if p0.sigma1 < 1.0
-                else 1.0,
-            )
-        else:
-            self.mu1 = np.array([p.mu1 for p in parts], dtype=_F8)
-            self.mu2 = np.array([p.mu2 for p in parts], dtype=_F8)
-            self.mu3 = np.array([p.mu3 for p in parts], dtype=_F8)
-            self.d0 = np.array([p.d0 for p in parts], dtype=_F8)
-            self.d1 = np.array([p.d1 for p in parts], dtype=_F8)
-            self.d2 = np.array([p.d2 for p in parts], dtype=_F8)
-            self.sigma1 = np.array([p.sigma1 for p in parts], dtype=_F8)
-            sigma2 = np.array([p.sigma2 for p in parts], dtype=_F8)
-            self.exit2cond = np.ones(n, dtype=_F8)
-            cond = self.sigma1 < 1.0
-            np.divide(
-                sigma2 - self.sigma1,
-                1.0 - self.sigma1,
-                out=self.exit2cond,
-                where=cond,
-            )
-        # The degradation ladder overrides the exit-coin thresholds per
-        # window; keep the deployed values so recovery restores them.
-        self.base_sigma1 = self.sigma1.copy()
-        self.base_exit2cond = self.exit2cond.copy()
+        if parts and all(p is parts[0] for p in parts):
+            parts = parts[:1]
+
+        def column(values) -> np.ndarray:
+            return np.resize(np.asarray(values, dtype=_F8), n)
+
+        self.mu1 = column([p.mu1 for p in parts])
+        self.mu2 = column([p.mu2 for p in parts])
+        self.mu3 = column([p.mu3 for p in parts])
+        self.d0 = column([p.d0 for p in parts])
+        self.d1 = column([p.d1 for p in parts])
+        self.d2 = column([p.d2 for p in parts])
+        # The deployed exit-coin thresholds; the slot's rungs override
+        # the working copies per window (see set_device_modes).
+        exits = [degraded_exit_params(p, MODE_FULL) for p in parts]
+        self.base_sigma1 = column([s for s, _ in exits])
+        self.base_exit2cond = column([e for _, e in exits])
+        self.sigma1 = self.base_sigma1.copy()
+        self.exit2cond = self.base_exit2cond.copy()
 
         # Server id layout: [0,n) device CPUs, [n,2n) uplinks (shared mode
         # collapses every device onto sid n), [2n,3n) edge slices, 3n the
@@ -611,32 +603,13 @@ class _FastEngine:
                 rate[n + i] = link.bandwidth
                 extra[n + i] = link.latency
 
-    def set_mode(self, mode: int) -> None:
-        """Realise a degradation-ladder rung: override the exit-coin
-        thresholds for the coming window, byte-identically to the scalar
-        engine's :func:`~repro.resilience.overload.degraded_exit_params`
-        refresh (``(1-σ₁)/(1-σ₁)`` is exactly ``1.0`` in IEEE, so forcing
-        the conditional to ``1.0`` matches the scalar division)."""
-        from ..resilience.overload import MODE_FULL, MODE_SECOND_EXIT
-
-        if mode <= MODE_FULL:
-            self.sigma1[:] = self.base_sigma1
-            self.exit2cond[:] = self.base_exit2cond
-        elif mode == MODE_SECOND_EXIT:
-            self.sigma1[:] = self.base_sigma1
-            self.exit2cond[:] = 1.0
-        else:
-            self.sigma1[:] = 1.0
-            self.exit2cond[:] = 1.0
-
     def set_device_modes(self, modes) -> None:
-        """Per-device rung vector (QoS class biases; see
-        :func:`repro.resilience.qos.plan_device_modes`): the vectorised
-        twin of calling the scalar
-        :func:`~repro.resilience.overload.degraded_exit_params` per
-        device — a uniform vector reproduces :meth:`set_mode` exactly."""
-        from ..resilience.overload import MODE_FULL, MODE_SECOND_EXIT
-
+        """Realise the slot's per-device rungs: override the exit-coin
+        thresholds for the coming window — the vectorised twin of the
+        scalar engine's per-device
+        :func:`~repro.resilience.overload.degraded_exit_params` refresh
+        (``(1-σ₁)/(1-σ₁)`` is exactly ``1.0`` in IEEE, so forcing the
+        conditional to ``1.0`` matches the scalar division)."""
         m = np.asarray(modes, dtype=_I8)
         self.sigma1[:] = np.where(m > MODE_SECOND_EXIT, 1.0, self.base_sigma1)
         self.exit2cond[:] = np.where(
@@ -1361,7 +1334,6 @@ def run_fast(
         validate_hooks,
         validate_resume,
     )
-    from ..resilience.overload import OverloadGovernor, apply_backpressure
 
     validate_hooks(checkpoint_every, checkpoint_sink)
     fingerprint = sim._fingerprint("event-fast", num_slots, metrics)
@@ -1375,10 +1347,8 @@ def run_fast(
         state = payload["state"]
         ratios = payload["ratios"]
         fractional = payload["fractional"]
-        governor = payload["governor"]
-        modes = payload["modes"]
+        controller = payload["controller"]
         stats = payload.get("stats")
-        qstate = payload.get("qos")
         cstats = payload.get("cstats")
         start_slot = resume_from.slot
         system = sim.system
@@ -1395,34 +1365,24 @@ def run_fast(
         state = LyapunovState.zeros(n)
         ratios = [0.0] * n
         fractional = [0.0] * n
-        governor = None
-        modes: list[int] = []
         stats = StreamingTaskStats() if metrics == "streaming" else None
-        qstate = None
-        if sim.qos is not None:
-            from ..resilience.qos import QoSState
-
-            qstate = QoSState(sim.qos, system, sim.seed)
+        controller = SlotController.for_system(
+            system, sim.seed, sim.overload, sim.qos
+        )
         cstats = (
-            [StreamingTaskStats() for _ in qstate.class_names]
-            if metrics == "streaming" and qstate is not None
+            [StreamingTaskStats() for _ in controller.qos.class_names]
+            if metrics == "streaming" and controller.qos is not None
             else None
         )
-        if sim.overload is not None:
-            governor = OverloadGovernor(sim.overload, n)
         start_slot = 0
+    qstate = controller.qos
+    governed = controller.gate is not None
     if qstate is not None:
-        from ..resilience.qos import (
-            apply_backpressure_by_mode,
-            plan_device_modes,
-        )
-
         class_of_arr = np.asarray(qstate.class_of, dtype=_I8)
         class_name_of = [qstate.class_names[c] for c in qstate.class_of]
     else:
         class_of_arr = None
         class_name_of = None
-    device_modes = [0] * n
 
     for slot in range(start_slot, num_slots):
         if should_emit(checkpoint_every, slot):
@@ -1439,10 +1399,8 @@ def run_fast(
                         state=state,
                         ratios=ratios,
                         fractional=fractional,
-                        governor=governor,
-                        modes=modes,
+                        controller=controller,
                         stats=stats,
-                        qos=qstate,
                         cstats=cstats,
                     ),
                 )
@@ -1455,43 +1413,23 @@ def run_fast(
         state.queue_local[:] = occ[:n].tolist()
         state.queue_edge[:] = occ[2 * n : 3 * n].tolist()
         expected = [proc.mean(slot) for proc in sim.arrivals]
-        if governor is not None:
-            backlogs = [
-                state.queue_local[i] + state.queue_edge[i] for i in range(n)
-            ]
-            mode = governor.observe(slot, backlogs)
-            # Per-device rungs: the global rung biased by each device's
-            # class (uniform without a QoS config, reproducing the PR 5
-            # path byte-identically).
-            if qstate is not None:
-                device_modes = plan_device_modes(qstate, n, mode, expected)
-                eng.set_device_modes(device_modes)
-            else:
-                device_modes = [mode] * n
-                eng.set_mode(mode)
-            modes.append(governor.mode)
-        # Warm-pool step: flush on an edge outage (the restart lands
-        # cold), otherwise load/evict under the memory budget and hold
-        # cold slices until their warm time — the scalar boundary's
-        # ``hold_until`` calls, as one frontier assignment.
-        if qstate is not None:
-            if eng.faults is not None and eng.faults.edge_down_at(slot):
-                qstate.flush()
-                holds = [w0] * n
-            else:
-                requested = qstate.requested_mask(expected, device_modes)
-                holds = qstate.on_slot(slot, w0, requested)
+        backlogs = (occ[:n] + occ[2 * n : 3 * n]).tolist()
+        rungs, holds = controller.plan(
+            slot,
+            w0,
+            backlogs,
+            expected,
+            eng.faults is not None and eng.faults.edge_down_at(slot),
+        )
+        eng.set_device_modes(rungs)
+        if holds is not None:
+            # The scalar boundary's ``hold_until`` calls, as one
+            # frontier assignment.
             eng.hold_until[2 * n : 3 * n] = holds
-        ratios[:] = eng.policy.decide(system, state, expected, live)
-        if governor is not None:
-            if qstate is not None:
-                ratios[:] = apply_backpressure_by_mode(
-                    ratios, state.queue_edge, sim.overload, device_modes
-                )
-            else:
-                ratios[:] = apply_backpressure(
-                    ratios, state.queue_edge, sim.overload, governor.mode
-                )
+        ratios[:] = controller.backpressure(
+            eng.policy.decide(system, state, expected, live),
+            state.queue_edge,
+        )
         l_draws: list[np.ndarray] = []
         l_dev: list[int] = []
         l_count: list[int] = []
@@ -1502,16 +1440,12 @@ def run_fast(
             fractional[i] += float(proc.sample(slot, rng))
             count = int(fractional[i])
             fractional[i] -= count
-            if governor is not None:
-                # The gate's per-device refill runs once per slot whether
-                # or not tasks arrived, mirroring the scalar boundary
-                # handler.
-                admitted = governor.gate.admit_count(
-                    i, count, backlogs[i], device_modes[i]
-                )
+            # The gate's per-device refill runs once per slot whether or
+            # not tasks arrived, mirroring the scalar boundary handler.
+            admitted = controller.admit(i, count)
             if not count:
                 continue
-            if governor is not None:
+            if governed:
                 l_shed.append(np.arange(count) >= admitted)
             # Batched draws consume the same PCG64 doubles, in the same
             # order, as the scalar engine's per-task
@@ -1550,7 +1484,7 @@ def run_fast(
                     for k, g in enumerate(gen_by_class.tolist()):
                         if g:
                             cstats[k].observe_generated(g)
-            if governor is not None:
+            if governed:
                 # Shed tasks keep their rows (all RNG draws consumed, so
                 # governed and ungoverned runs replay identical streams)
                 # but never become launch intents — per device the first
@@ -1631,7 +1565,7 @@ def run_fast(
         return EventSimResult(
             tasks=(),
             horizon=result_horizon,
-            modes=tuple(modes),
+            modes=tuple(controller.log),
             stats=stats,
             class_names=names,
             class_stats=tuple(cstats) if cstats is not None else None,
@@ -1639,6 +1573,6 @@ def run_fast(
     return EventSimResult(
         tasks=tuple(eng.store.materialize(class_name_of)),
         horizon=result_horizon,
-        modes=tuple(modes),
+        modes=tuple(controller.log),
         class_names=names,
     )

@@ -136,9 +136,10 @@ def run_fluid(
     order, the Lyapunov queues (a migrating device's backlog rides along
     to its new shard), one admission gate (token buckets are
     device-scoped), the per-class flow, and the fleet-wide record or
-    stream.  Per shard it keeps one degradation ladder over its members'
-    mean backlog and one warm pool.  Every device always carries a rung
-    (uniform within a shard unless QoS biases it), so the gate,
+    stream.  Per shard it keeps one
+    :class:`~repro.resilience.control.SlotController` (a ladder over its
+    members' mean backlog and a warm pool).  Every device always carries
+    a rung (uniform within a shard unless QoS biases it), so the gate,
     degradation, backpressure and drain each take one per-device call.
 
     With one shard every per-shard sum is ``0.0 + x == x``, so the
@@ -162,14 +163,12 @@ def run_fluid(
         validate_hooks,
         validate_resume,
     )
-    from ..resilience.overload import AdmissionGate, OverloadGovernor, clamp_queues
+    from ..resilience.control import SlotController
+    from ..resilience.overload import MODE_FULL, AdmissionGate, clamp_queues
     from ..resilience.qos import (
         QoSFlow,
-        apply_backpressure_by_mode,
-        clamp_queues_by_class,
         degrade_system_by_modes,
         drain_stranded_edge_by_mode,
-        plan_device_modes,
     )
 
     validate_hooks(checkpoint_every, checkpoint_sink)
@@ -188,12 +187,14 @@ def run_fluid(
             state=state,
             fleet=FleetState.from_lyapunov(state) if sim.vectorized else None,
             gate=None if overload is None else AdmissionGate(overload, n),
-            ladders=(
-                None
-                if overload is None
-                else [OverloadGovernor(overload, n) for _ in range(num_shards)]
-            ),
-            qos=None if sim.qos is None else shards.qos_states(sim.qos, sim.seed),
+            controllers=[
+                SlotController(n, overload, qstate, gate=False)
+                for qstate in (
+                    [None] * num_shards
+                    if sim.qos is None
+                    else shards.qos_states(sim.qos, sim.seed)
+                )
+            ],
             flow=None if sim.qos is None else QoSFlow(len(sim.qos.classes)),
             records=[],
             shard_records=[[] for _ in range(num_shards)] if per_shard else None,
@@ -212,13 +213,14 @@ def run_fluid(
     # updated in place), so a checkpoint is a snapshot of that dict and a
     # resume restores it bit-for-bit.
     rng, state, fleet = carried["rng"], carried["state"], carried["fleet"]
-    gate, ladders = carried["gate"], carried["ladders"]
-    qstates, qflow = carried["qos"], carried["flow"]
+    gate, controllers = carried["gate"], carried["controllers"]
+    qflow = carried["flow"]
     records, shard_records = carried["records"], carried["shard_records"]
     stream, shard_streams = carried["stream"], carried["shard_streams"]
     policy, environment = carried["policy"], carried["environment"]
     arrivals: Sequence[ArrivalProcess] = carried["arrivals"]
-    class_of = qstates[0].class_of if qstates is not None else None
+    qstate0 = controllers[0].qos
+    class_of = None if qstate0 is None else qstate0.class_of
     half_slot = num_slots // 2
     tau = shards.slot_length
     # A FencedController needs the true slot index: a federation consults
@@ -234,53 +236,47 @@ def run_fluid(
         # plans can read them before sampling without perturbing the
         # arrival/environment stream.
         expected = [proc.mean(slot) for proc in arrivals]
-        modes = [0] * num_shards
+        backlogs = None
         if gate is not None:
             backlogs = [
                 state.queue_local[i] + state.queue_edge[i] for i in range(n)
             ]
-            for e, shard in enumerate(slot_shards):
-                if shard.populated:
-                    member_backlogs = _take(backlogs, shard.members)
-                    # The ladder's mean-backlog denominator tracks the
-                    # shard's current membership.
-                    ladders[e].num_devices = len(member_backlogs)
-                    ladders[e].observe(slot, member_backlogs)
-                modes[e] = ladders[e].mode
-        device_modes = [modes[e] for e in owner]
-        scales = None
-        if qstates is not None:
-            # Warm pool: slices needed this slot are loaded (evicting
-            # colder, lower-weight residents under the memory budget); a
-            # cold load discounts the slice's share for the overlapping
-            # fraction of the slot — the fluid twin of the event engines'
-            # service-start hold.
-            scales = [1.0] * n
-            w0 = slot * tau
-            for e, shard in enumerate(slot_shards):
-                members = shard.members
+        # Each shard's controller plans its members' rungs (an
+        # unpopulated shard's ladder holds its rung) and warm pool.  A
+        # cold load discounts the slice's share for the overlapping
+        # fraction of the slot — the fluid twin of the event engines'
+        # service-start hold.
+        w0 = slot * tau
+        device_modes = [MODE_FULL] * n
+        scales = None if qstate0 is None else [1.0] * n
+        for e, shard in enumerate(slot_shards):
+            members = shard.members
+            controller = controllers[e]
+            shard_expected = expected
+            if members is not None and controller.qos is not None:
                 # Non-members carry zero expected demand in this shard's
                 # plan — they neither request its warm pool nor charge
                 # its shed budget.
-                masked = expected
-                if members is not None:
-                    masked = [expected[i] if owner[i] == e else 0.0 for i in range(n)]
-                qstate = qstates[e]
-                plan = plan_device_modes(qstate, n, modes[e], masked)
-                if shard.edge_down:
-                    # The outage drops every resident partition: the next
-                    # request per device serves cold.
-                    qstate.flush()
-                    holds = [w0] * n
-                else:
-                    requested = qstate.requested_mask(masked, plan)
-                    holds = qstate.on_slot(slot, w0, requested)
-                shard_scales = qstate.share_scales(holds, w0, tau)
-                if members is None:
-                    device_modes, scales = plan, shard_scales
-                else:
+                shard_expected = [
+                    expected[i] if owner[i] == e else 0.0 for i in range(n)
+                ]
+            rungs, holds = controller.plan(
+                slot,
+                w0,
+                None if backlogs is None else _take(backlogs, members),
+                shard_expected,
+                shard.edge_down,
+            )
+            shard_scales = (
+                None if holds is None else controller.qos.share_scales(holds, w0, tau)
+            )
+            if members is None:
+                device_modes, scales = rungs, shard_scales
+            else:
+                for i in members:
+                    device_modes[i] = rungs[i]
+                if scales is not None:
                     for i in members:
-                        device_modes[i] = plan[i]
                         scales[i] = shard_scales[i]
         live_devices = environment.devices_at(slot, shards.devices, rng)
         generated = [proc.sample(slot, rng) for proc in arrivals]
@@ -320,10 +316,9 @@ def run_fluid(
                 _take(expected, members),
                 _take(live_devices, members),
             )
-            if gate is not None:
-                ratios = apply_backpressure_by_mode(
-                    ratios, sub_state.queue_edge, overload, member_modes
-                )
+            ratios = controllers[e].backpressure(
+                ratios, sub_state.queue_edge, members
+            )
             devices = range(n) if members is None else members
             if fleet is not None:
                 shard_state = fleet if members is None else fleet.shard(members)
@@ -404,18 +399,13 @@ def run_fluid(
                     # and the clamp runs on the scalar state lists in
                     # both paths (the vectorized arrays are rewritten
                     # from them) so the shed float is identical.
-                    if qflow is not None:
-                        shard_shed[e] += clamp_queues_by_class(
-                            queue_local,
-                            queue_edge,
-                            overload.queue_capacity,
-                            _take(class_of, members),
-                            qflow,
-                        )
-                    else:
-                        shard_shed[e] += clamp_queues(
-                            queue_local, queue_edge, overload.queue_capacity
-                        )
+                    shard_shed[e] += clamp_queues(
+                        queue_local,
+                        queue_edge,
+                        overload.queue_capacity,
+                        None if class_of is None else _take(class_of, members),
+                        qflow,
+                    )
                 if members is not None:
                     for j, i in enumerate(members):
                         state.queue_local[i] = queue_local[j]
@@ -442,7 +432,7 @@ def run_fluid(
                 sum(shard_arrivals, 0.0),
                 sum(shard_time, 0.0),
                 sum(shard_shed, 0.0),
-                max((modes[e] for e, *_ in steps), default=0),
+                max((controllers[e].mode for e, *_ in steps), default=0),
             )
         ]
         if per_shard:
@@ -454,7 +444,7 @@ def run_fluid(
                     shard_arrivals[e],
                     shard_time[e],
                     shard_shed[e],
-                    modes[e],
+                    controllers[e].mode,
                 )
                 for e, shard in enumerate(slot_shards)
             ]
@@ -485,7 +475,7 @@ def run_fluid(
     result = SimulationResult(
         records=tuple(records),
         stream=stream,
-        class_names=qstates[0].class_names if qstates is not None else (),
+        class_names=() if qstate0 is None else qstate0.class_names,
         class_flow=qflow,
     )
     return result, shard_records, shard_streams

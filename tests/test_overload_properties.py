@@ -41,7 +41,10 @@ from repro.resilience.overload import (
     degrade_partition,
     degraded_exit_params,
 )
-from repro.resilience.qos import drain_stranded_edge_by_mode
+from repro.resilience.qos import (
+    apply_backpressure_by_mode,
+    drain_stranded_edge_by_mode,
+)
 from repro.sim.arrivals import TraceArrivals
 from repro.sim.events import EventSimulator
 from repro.sim.fast_events import run_fast
@@ -196,6 +199,12 @@ def test_apply_backpressure_modes():
     assert clamped == [0.4, 0.0, 0.1]
     for mode in (MODE_FIRST_EXIT, MODE_SHED):
         assert apply_backpressure(ratios, edge, control, mode) == [0.0] * 3
+    # A uniform rung vector is the uniform clamp, so every path can clamp
+    # through the per-device form alone.
+    for mode in range(MODE_FULL, MODE_SHED + 1):
+        assert apply_backpressure_by_mode(
+            ratios, edge, control, [mode] * 3
+        ) == apply_backpressure(ratios, edge, control, mode)
 
 
 def test_drain_stranded_edge_only_stranded_devices():
@@ -396,6 +405,49 @@ def test_runtime_governed_identity_and_clean_shutdown(small_system):
     )
     assert report.shed_count > 0
     assert len(report.completed) > 0
+
+
+def test_runtime_ladder_keeps_per_device_partitions():
+    """A governed crowd on a heterogeneous fleet: every slot serves each
+    device its own cut points, degraded only in its exit rates — the
+    ladder never collapses the fleet onto one shared partition."""
+    from repro.runtime import LeimeRuntime
+
+    system = random_fleet(0, 3, heterogeneous=True)
+    control = OverloadControl(
+        queue_high=1.0,
+        queue_low=0.5,
+        token_rate=0.5,
+        bucket_depth=1.0,
+        queue_capacity=8.0,
+        patience=1,
+        cooldown=2,
+    )
+    runtime = LeimeRuntime(
+        system, FixedRatioPolicy(0.5), speedup=500.0, seed=0
+    )
+    served = []  # the system each slot served, read at the next slot
+    try:
+        runtime.run(
+            _crowd_arrivals(3, 12, 10.0),
+            num_slots=12,
+            drain_timeout=30.0,
+            slot_hook=lambda slot: served.append(runtime.system),
+            overload=control,
+        )
+    finally:
+        assert runtime.shutdown()
+    served = served[1:] + [runtime.system]
+    assert any(live is not system for live in served), "ladder never engaged"
+    for live in served:
+        for i in range(3):
+            own = system.partition_for(i)
+            part = live.partition_for(i)
+            assert part.selection == own.selection
+            assert part in [
+                degrade_partition(own, mode)
+                for mode in range(MODE_FULL, MODE_SHED + 1)
+            ]
 
 
 def test_governed_fluid_survives_crowd_ungoverned_diverges():
