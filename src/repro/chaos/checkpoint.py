@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 CHECKPOINT_SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_KINDS = ("state", "replay")
@@ -100,14 +102,31 @@ def snapshot(
     )
 
 
+def _canonical(value: Any) -> Any:
+    """JSON stand-in for a non-primitive fingerprint value: a NumPy
+    array by dtype, shape and a digest of its contents (its repr elides
+    large arrays), anything else by ``str``."""
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        return [
+            str(data.dtype),
+            list(data.shape),
+            hashlib.sha256(data.tobytes()).hexdigest(),
+        ]
+    return str(value)
+
+
 def run_fingerprint(**fields: Any) -> str:
     """A short stable digest of a run configuration.
 
-    Keys/values must be JSON-representable primitives (non-primitives are
-    stringified); the digest is over the canonical sorted encoding, so
-    two simulators built from the same configuration agree.
+    Keys/values must be JSON-representable primitives or NumPy arrays
+    (other values are stringified); the digest is over the canonical
+    sorted encoding, so two simulators built from the same configuration
+    agree.
     """
-    canon = json.dumps(fields, sort_keys=True, separators=(",", ":"), default=str)
+    canon = json.dumps(
+        fields, sort_keys=True, separators=(",", ":"), default=_canonical
+    )
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 

@@ -1,240 +1,6 @@
-"""Optional compiled kernel tier for the event fast lane.
-
-The array-backed event engine spends its inner-loop time in two places:
-the per-server Lindley recursion of :func:`repro.core.vectorized.
-fifo_schedule_batch`, and the retry/backoff arithmetic of the per-window
-fault/recovery fixpoint (:meth:`repro.sim.fast_events._FastEngine.
-resolve`).  Both are plain elementwise float arithmetic with a
-sequential dependency per server — exactly the shape a JIT compiler
-turns into tight machine loops.
-
-This module gates a Numba tier behind a feature flag with a graceful
-import fallback:
-
-* ``REPRO_KERNELS=numpy`` (the default when unset) — pure NumPy, no
-  optional dependency consulted.
-* ``REPRO_KERNELS=numba`` — require the Numba tier; if ``numba`` is not
-  importable, warn once and fall back to NumPy instead of crashing.
-* ``REPRO_KERNELS=auto`` — use Numba when importable, NumPy otherwise.
-
-Tests and the CLI can override the environment with
-:func:`set_kernel_tier`.  The active tier is part of every checkpoint
-fingerprint (see :meth:`repro.sim.events.EventSimulator._fingerprint`),
-so a checkpoint taken under one tier refuses a silent resume under
-another.
-
-Exactness contract: the compiled kernels replay the NumPy tier's IEEE
-operations in the same order — ``start = max(submit, prev)``,
-``finish = start + service`` per queue position, ``when = time +
-backoff[min(attempt, budget-1)]`` per failure — so per-task results are
-*bitwise* identical across tiers.  The differential suite
-(``tests/test_kernel_tier.py``) pins this whenever Numba is installed
-and skips gracefully when it is not.
-"""
-
-from __future__ import annotations
-
-import os
-import warnings
-
-import numpy as np
-
-_VALID_TIERS = ("numpy", "numba", "auto")
-
-#: Resolved active tier ("numpy" or "numba"); None until first use.
-_active: str | None = None
-#: Compiled kernel functions, built lazily on first Numba-tier use.
-_compiled: dict | None = None
-
-
-def numba_available() -> bool:
-    """True when the optional ``numba`` dependency is importable."""
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _resolve(requested: str) -> str:
-    if requested not in _VALID_TIERS:
-        raise ValueError(
-            f"unknown kernel tier {requested!r}; expected one of "
-            f"{_VALID_TIERS}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if numba_available():
-        return "numba"
-    if requested == "numba":
-        warnings.warn(
-            "REPRO_KERNELS=numba requested but numba is not importable; "
-            "falling back to the NumPy kernel tier",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return "numpy"
+"""The array engines' kernel tier: NumPy is the only one."""
 
 
 def kernel_tier() -> str:
-    """The active kernel tier (``"numpy"`` or ``"numba"``), resolving the
-    ``REPRO_KERNELS`` environment flag on first call."""
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get("REPRO_KERNELS", "numpy"))
-    return _active
-
-
-def set_kernel_tier(tier: str | None) -> str:
-    """Override the active tier (``None`` re-resolves from the
-    environment).  Returns the tier actually activated — ``"numba"``
-    requests degrade to ``"numpy"`` with a warning when the import
-    fails."""
-    global _active, _compiled
-    if tier is None:
-        _active = None
-        return kernel_tier()
-    _active = _resolve(tier)
-    if _active != "numba":
-        _compiled = None
-    return _active
-
-
-def use_numba() -> bool:
-    """True when the Numba tier is active *and* its kernels compiled."""
-    if kernel_tier() != "numba":
-        return False
-    return _kernels() is not None
-
-
-def _kernels() -> dict | None:
-    """Compile the Numba kernels once; on any compilation failure, warn
-    and permanently fall back to the NumPy tier."""
-    global _compiled, _active
-    if _compiled is not None:
-        return _compiled
-    try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit
-
-        @njit(cache=False)
-        def lindley_segments(seg_start, seg_len, submit, service, free_at,
-                             start, finish):
-            for s in range(seg_start.shape[0]):
-                i0 = seg_start[s]
-                prev = free_at[i0]
-                for j in range(seg_len[s]):
-                    i = i0 + j
-                    sub = submit[i]
-                    started = sub if sub > prev else prev
-                    prev = started + service[i]
-                    start[i] = started
-                    finish[i] = prev
-
-        @njit(cache=False)
-        def retry_schedule(attempts, times, created, backoff, max_retries,
-                           deadline, when, breach):
-            budget = max_retries - 1
-            if budget < 0:
-                budget = 0
-            for i in range(attempts.shape[0]):
-                idx = attempts[i]
-                if idx > budget:
-                    idx = budget
-                delay = backoff[idx] if backoff.shape[0] else 0.0
-                w = times[i] + delay
-                when[i] = w
-                if deadline == deadline:  # not NaN: a deadline is set
-                    breach[i] = (w - created[i]) > deadline
-                else:
-                    breach[i] = False
-
-        # Warm both kernels on tiny inputs so the first real window does
-        # not pay the compile inside a timed region.
-        z1 = np.zeros(1, dtype=np.int64)
-        zf = np.zeros(1, dtype=np.float64)
-        lindley_segments(z1, np.ones(1, dtype=np.int64), zf, zf,
-                         np.full(1, -np.inf), zf.copy(), zf.copy())
-        retry_schedule(z1, zf, zf, zf, 1, np.nan, zf.copy(),
-                       np.zeros(1, dtype=np.bool_))
-        _compiled = {
-            "lindley_segments": lindley_segments,
-            "retry_schedule": retry_schedule,
-        }
-    except Exception as exc:  # pragma: no cover - defensive
-        warnings.warn(
-            f"Numba kernel compilation failed ({exc!r}); falling back to "
-            "the NumPy kernel tier",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        _active = "numpy"
-        _compiled = None
-    return _compiled
-
-
-# -- kernel entry points ----------------------------------------------------
-
-
-def lindley_segments(
-    seg_start: np.ndarray,
-    seg_len: np.ndarray,
-    submit: np.ndarray,
-    service: np.ndarray,
-    free_at: np.ndarray,
-    start: np.ndarray,
-    finish: np.ndarray,
-) -> bool:
-    """Run the per-segment Lindley recursion through the compiled kernel.
-
-    Fills ``start``/``finish`` in place for every row covered by the
-    segments and returns True; returns False (computing nothing) when
-    the Numba tier is inactive — the caller then takes its NumPy path.
-    """
-    if not use_numba():
-        return False
-    fns = _kernels()
-    if fns is None:  # pragma: no cover - compilation failed
-        return False
-    fns["lindley_segments"](
-        np.ascontiguousarray(seg_start, dtype=np.int64),
-        np.ascontiguousarray(seg_len, dtype=np.int64),
-        np.ascontiguousarray(submit, dtype=np.float64),
-        np.ascontiguousarray(service, dtype=np.float64),
-        np.ascontiguousarray(free_at, dtype=np.float64),
-        start,
-        finish,
-    )
-    return True
-
-
-def retry_schedule(
-    attempts: np.ndarray,
-    times: np.ndarray,
-    created: np.ndarray,
-    backoff: np.ndarray,
-    max_retries: int,
-    deadline: float | None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Retry wake-up times and deadline breaches through the compiled
-    kernel: ``when = time + backoff[min(attempt, budget-1)]``, ``breach
-    = when - created > deadline``.  Returns None when the Numba tier is
-    inactive."""
-    if not use_numba():
-        return None
-    fns = _kernels()
-    if fns is None:  # pragma: no cover - compilation failed
-        return None
-    count = attempts.shape[0]
-    when = np.empty(count, dtype=np.float64)
-    breach = np.empty(count, dtype=np.bool_)
-    fns["retry_schedule"](
-        np.ascontiguousarray(attempts, dtype=np.int64),
-        np.ascontiguousarray(times, dtype=np.float64),
-        np.ascontiguousarray(created, dtype=np.float64),
-        np.ascontiguousarray(backoff, dtype=np.float64),
-        int(max_retries),
-        np.nan if deadline is None else float(deadline),
-        when,
-        breach,
-    )
-    return when, breach
+    """The active kernel tier, recorded in benchmark environments."""
+    return "numpy"

@@ -43,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .offloading import (
     _EPS,
     DeviceConfig,
@@ -842,14 +841,6 @@ def fifo_schedule_batch(
     seg_len = np.diff(bounds)
     start = np.empty(count, dtype=np.float64)
     finish = np.empty(count, dtype=np.float64)
-    # Compiled kernel tier (REPRO_KERNELS=numba/auto): one fused loop
-    # over all segments, replaying the identical IEEE operations — no-op
-    # returning False on the default NumPy tier.
-    if kernels.lindley_segments(
-        seg_start, seg_len, submit, service, free_at, start, finish
-    ):
-        served = (start <= cutoff) if inclusive else (start < cutoff)
-        return start, finish, served
     # Width class: 0 for len <= 8, then one class per power of two.
     classes = np.zeros(seg_len.shape[0], dtype=np.int64)
     big = seg_len > 8

@@ -44,7 +44,7 @@ from .faults import (
     lift_fault_plan,
 )
 from .fluid import FederatedFluidResult, FederatedSlotSimulator
-from .runtime import FederatedRuntime, FederatedRuntimeReport
+from .runtime import FederatedRuntime
 from .slo import federated_fluid_summary, federated_slo_summary
 from .topology import (
     SHARD_SEED_STRIDE,
@@ -62,7 +62,6 @@ __all__ = [
     "FederatedEventSimulator",
     "FederatedFluidResult",
     "FederatedRuntime",
-    "FederatedRuntimeReport",
     "FederatedSlotSimulator",
     "FederationFaultPlan",
     "FederationTopology",

@@ -2,8 +2,10 @@
 
 Each edge runs a full :class:`~repro.sim.events.EventSimulator` over its
 member devices (scalar or the array-backed fast lane — the ``engine``
-argument passes straight through).  Federation enters through three
-seams, all pre-realised data:
+argument passes straight through).  :func:`task_shards` builds those
+shards, and the live federation (:mod:`repro.federation.runtime`) deploys
+the same ones.  Federation enters through three seams, all pre-realised
+data:
 
 * **Membership masks** — each member's arrival process is wrapped in
   :class:`MaskedArrivals`: a slot where the assignment plan points the
@@ -32,21 +34,22 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..core.offloading import OffloadingPolicy
+from ..core.offloading import EdgeSystem, OffloadingPolicy
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from ..sim.events import EventSimResult, EventSimulator
-from ..sim.streaming import StreamingTaskStats
+from ..sim.streaming import StreamingTaskStats, TaskLedger
 from ..sim.tasks import TaskRecord
 from .assignment import AssignmentPlan
 from .faults import FederationFaultPlan
 from .topology import FederationTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience.faults import FaultPlan
     from ..resilience.overload import OverloadControl
     from ..resilience.qos import QoSConfig
     from ..resilience.recovery import RecoveryPolicy
@@ -81,9 +84,112 @@ class MaskedArrivals:
         return value if self.active(slot) else 0.0
 
 
+def check_federation(
+    topology: FederationTopology,
+    plan: AssignmentPlan,
+    arrivals: Sequence[ArrivalProcess] | None = None,
+    faults: FederationFaultPlan | None = None,
+) -> None:
+    """Reject arrivals, an assignment plan or a fault plan whose width
+    does not match the federation."""
+    if arrivals is not None and len(arrivals) != topology.num_devices:
+        raise ValueError(
+            f"need one arrival process per device: "
+            f"{len(arrivals)} != {topology.num_devices}"
+        )
+    if plan.num_devices != topology.num_devices:
+        raise ValueError("plan and topology disagree on device count")
+    if plan.num_edges != topology.num_edges:
+        raise ValueError("plan and topology disagree on edge count")
+    if faults is not None and faults.num_edges != topology.num_edges:
+        raise ValueError("fault plan and topology disagree on edge count")
+
+
+@dataclass(frozen=True)
+class TaskShard:
+    """One edge's part of a federated task-level run (event engines and
+    live runtime alike), in the shard's local device numbering.
+
+    ``system`` is None for an edge that serves no device; such a shard
+    carries nothing else.
+    """
+
+    edge: int
+    members: tuple[int, ...]
+    system: EdgeSystem | None
+    arrivals: tuple[MaskedArrivals, ...] = ()
+    faults: "FaultPlan | None" = None
+    recovery: "RecoveryPolicy | None" = None
+    qos: "QoSConfig | None" = None
+    seed: int = 0
+
+
+def task_shards(
+    topology: FederationTopology,
+    plan: AssignmentPlan,
+    arrivals: Sequence[ArrivalProcess],
+    num_slots: int,
+    seed: int,
+    faults: FederationFaultPlan | None = None,
+    recovery: "RecoveryPolicy | None" = None,
+    qos: "QoSConfig | None" = None,
+    start: int = 0,
+) -> Iterator[TaskShard]:
+    """The per-edge shards of a task-level federation, from edge
+    ``start`` on.  The widths are checked at the call.
+
+    Each shard serves every device the plan ever assigns to its edge.
+    Non-home members pay the site's backhaul latency on every
+    device↔edge transfer (see ``EdgeSite.backhaul_latency``).  Arrivals
+    are masked to the slots the plan assigns the device here.  The fault
+    plan is sliced to the shard, and ``recovery`` applies only where the
+    shard has faults.  QoS classes are assigned over *global* devices
+    from ``seed``, so a device keeps its class wherever it is served,
+    and each shard gets its members' slice as an explicit ``class_map``.
+    """
+    check_federation(topology, plan, arrivals, faults)
+    if num_slots > plan.num_slots:
+        raise ValueError(
+            f"plan covers {plan.num_slots} slots, cannot generate "
+            f"{num_slots}"
+        )
+    homes = topology.home_assignment()
+    classes = None
+    if qos is not None:
+        from ..resilience.qos import assign_classes
+
+        classes = assign_classes(qos, topology.num_devices, seed)
+
+    def shard(edge: int) -> TaskShard:
+        members = plan.member_union(edge)
+        if not members:
+            return TaskShard(edge, members, None)
+        shard_faults = (
+            None if faults is None else faults.shard_plan(edge, members)
+        )
+        return TaskShard(
+            edge,
+            members,
+            topology.build_shard(edge, members, homes),
+            tuple(
+                MaskedArrivals(inner=arrivals[i], mask=plan.slot_mask(edge, i))
+                for i in members
+            ),
+            shard_faults,
+            recovery if shard_faults is not None else None,
+            None
+            if classes is None
+            else replace(qos, class_map=tuple(classes[i] for i in members)),
+            topology.shard_seed(seed, edge),
+        )
+
+    return map(shard, range(start, topology.num_edges))
+
+
 @dataclass(frozen=True)
 class FederatedEventResult:
-    """Per-edge event-simulation outcomes plus the merged global view.
+    """Per-edge task-level outcomes plus the merged global view — what
+    both the federated event simulator and the live federation return.
 
     Shard results are ordinary :class:`EventSimResult`\\ s in *local*
     device numbering; :meth:`merged` re-keys tasks to global device
@@ -202,24 +308,14 @@ class FederatedEventSimulator:
     qos: "QoSConfig | None" = None
 
     def __post_init__(self) -> None:
-        if len(self.arrivals) != self.topology.num_devices:
-            raise ValueError("need one arrival process per device")
-        if self.plan.num_devices != self.topology.num_devices:
-            raise ValueError("plan and topology disagree on device count")
-        if self.plan.num_edges != self.topology.num_edges:
-            raise ValueError("plan and topology disagree on edge count")
+        check_federation(self.topology, self.plan, self.arrivals, self.faults)
         if self.recovery is not None and self.faults is None:
             raise ValueError("recovery requires a fault plan to recover from")
-        if self.faults is not None and (
-            self.faults.num_edges != self.topology.num_edges
-        ):
-            raise ValueError("fault plan and topology disagree on edge count")
 
     def _fingerprint(
         self, num_slots: int, engine: str, metrics: str = "records"
     ) -> str:
         from ..chaos.checkpoint import run_fingerprint
-        from ..core.kernels import kernel_tier
 
         return run_fingerprint(
             path="federated-event",
@@ -230,11 +326,11 @@ class FederatedEventSimulator:
             engine=engine,
             spread_arrivals=self.spread_arrivals,
             shared_uplink=self.shared_uplink,
-            faults=self.faults is not None,
+            faults=None if self.faults is None else self.faults.edge_down,
+            plan=self.plan.matrix,
             recovery=repr(self.recovery),
             overload=repr(self.overload),
             qos=repr(self.qos),
-            kernels=kernel_tier(),
             metrics=metrics,
         )
 
@@ -267,11 +363,6 @@ class FederatedEventSimulator:
         deterministic from its shard seed, so the combined result is
         byte-identical to an uninterrupted run.
         """
-        if num_slots > self.plan.num_slots:
-            raise ValueError(
-                f"plan covers {self.plan.num_slots} slots, cannot generate "
-                f"{num_slots}"
-            )
         from ..chaos.checkpoint import (
             snapshot,
             validate_hooks,
@@ -292,90 +383,50 @@ class FederatedEventSimulator:
             results: list[EventSimResult] = []
             members_per_edge: list[tuple[int, ...]] = []
             start_edge = 0
-        # Non-home members pay their host site's backhaul latency on
-        # every device↔edge transfer (see EdgeSite.backhaul_latency).
-        homes = self.topology.home_assignment()
-        global_classes = None
-        if self.qos is not None:
-            from ..resilience.qos import assign_classes
-
-            global_classes = assign_classes(
-                self.qos, self.topology.num_devices, self.seed
-            )
-        for edge in range(start_edge, self.topology.num_edges):
-            members = self.plan.member_union(edge)
-            members_per_edge.append(members)
-            if not members:
+        shards = task_shards(
+            self.topology,
+            self.plan,
+            self.arrivals,
+            num_slots,
+            self.seed,
+            self.faults,
+            self.recovery,
+            self.qos,
+            start=start_edge,
+        )
+        for shard in shards:
+            members_per_edge.append(shard.members)
+            if shard.system is None:
+                results.append(TaskLedger(metrics == "streaming").result(0.0))
+            else:
+                sim = EventSimulator(
+                    system=shard.system,
+                    arrivals=shard.arrivals,
+                    environment=copy.deepcopy(self.environment),
+                    seed=shard.seed,
+                    spread_arrivals=self.spread_arrivals,
+                    shared_uplink=self.shared_uplink,
+                    faults=shard.faults,
+                    recovery=shard.recovery,
+                    overload=self.overload,
+                    qos=shard.qos,
+                )
                 results.append(
-                    EventSimResult(
-                        tasks=(),
-                        horizon=0.0,
-                        stats=(
-                            StreamingTaskStats()
-                            if metrics == "streaming"
-                            else None
-                        ),
+                    sim.run(
+                        copy.deepcopy(policy),
+                        num_slots,
+                        drain=drain,
+                        drain_limit_factor=drain_limit_factor,
+                        engine=engine,
+                        metrics=metrics,
                     )
                 )
-                self._emit_shard_checkpoint(
-                    checkpoint_every,
-                    checkpoint_sink,
-                    snapshot,
-                    fingerprint,
-                    edge,
-                    results,
-                    members_per_edge,
-                )
-                continue
-            shard_system = self.topology.build_shard(edge, members, homes)
-            shard_arrivals = [
-                MaskedArrivals(
-                    inner=self.arrivals[i],
-                    mask=self.plan.slot_mask(edge, i),
-                )
-                for i in members
-            ]
-            shard_faults = (
-                self.faults.shard_plan(edge, members)
-                if self.faults is not None
-                else None
-            )
-            shard_qos = (
-                replace(
-                    self.qos,
-                    class_map=tuple(global_classes[i] for i in members),
-                )
-                if self.qos is not None
-                else None
-            )
-            sim = EventSimulator(
-                system=shard_system,
-                arrivals=shard_arrivals,
-                environment=copy.deepcopy(self.environment),
-                seed=self.topology.shard_seed(self.seed, edge),
-                spread_arrivals=self.spread_arrivals,
-                shared_uplink=self.shared_uplink,
-                faults=shard_faults,
-                recovery=self.recovery if shard_faults is not None else None,
-                overload=self.overload,
-                qos=shard_qos,
-            )
-            results.append(
-                sim.run(
-                    copy.deepcopy(policy),
-                    num_slots,
-                    drain=drain,
-                    drain_limit_factor=drain_limit_factor,
-                    engine=engine,
-                    metrics=metrics,
-                )
-            )
             self._emit_shard_checkpoint(
                 checkpoint_every,
                 checkpoint_sink,
                 snapshot,
                 fingerprint,
-                edge,
+                shard.edge,
                 results,
                 members_per_edge,
             )

@@ -47,6 +47,7 @@ from ..sim.metrics import SimulationResult, SlotRecord
 from ..sim.simulator import FluidShard, run_fluid
 from ..sim.streaming import FluidStreamStats
 from .assignment import AssignmentPlan
+from .events import check_federation
 from .faults import FederationFaultPlan
 from .topology import FederationTopology
 
@@ -143,25 +144,12 @@ class FederatedSlotSimulator:
     qos: "QoSConfig | None" = None
 
     def __post_init__(self) -> None:
-        if len(self.arrivals) != self.topology.num_devices:
-            raise ValueError(
-                f"need one arrival process per device: "
-                f"{len(self.arrivals)} != {self.topology.num_devices}"
-            )
-        if self.plan.num_devices != self.topology.num_devices:
-            raise ValueError("plan and topology disagree on device count")
-        if self.plan.num_edges != self.topology.num_edges:
-            raise ValueError("plan and topology disagree on edge count")
-        if self.faults is not None and (
-            self.faults.num_edges != self.topology.num_edges
-        ):
-            raise ValueError("fault plan and topology disagree on edge count")
+        check_federation(self.topology, self.plan, self.arrivals, self.faults)
         if not 0.0 < self.edge_down_factor <= 1.0:
             raise ValueError("edge_down_factor must be in (0, 1]")
 
     def _fingerprint(self, num_slots: int, metrics: str = "records") -> str:
         from ..chaos.checkpoint import run_fingerprint
-        from ..core.kernels import kernel_tier
 
         return run_fingerprint(
             path="federated-fluid",
@@ -171,10 +159,11 @@ class FederatedSlotSimulator:
             slots=num_slots,
             vectorized=self.vectorized,
             include_tail=self.include_tail,
+            faults=None if self.faults is None else self.faults.edge_down,
+            plan=self.plan.matrix,
             overload=repr(self.overload),
             qos=repr(self.qos),
             edge_down_factor=self.edge_down_factor,
-            kernels=kernel_tier(),
             metrics=metrics,
         )
 

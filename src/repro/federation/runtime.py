@@ -1,9 +1,11 @@
 """The federated live path: one :class:`LeimeRuntime` per edge cluster.
 
-Each edge's shard deploys on its own live threaded runtime (virtual
-clock, worker threads, two-stream RNG) with the shard seed, the member
-devices, and :class:`~repro.federation.events.MaskedArrivals` gating the
-global arrival processes to the shard's assignment slots.  Shards run
+Each edge's shard (:func:`~repro.federation.events.task_shards`, the
+builder the federated event simulator uses) deploys on its own live
+threaded runtime (virtual clock, worker threads, two-stream RNG) with
+the shard seed, the member devices and their backhaul, and
+:class:`~repro.federation.events.MaskedArrivals` gating the global
+arrival processes to the shard's assignment slots.  Shards run
 sequentially — each owns its own virtual clock, so wall-clock ordering
 between shards carries no meaning; only the per-shard control planes
 (task id, device, offload decision) are reproducible, exactly as for the
@@ -20,10 +22,12 @@ import copy
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.offloading import OffloadingPolicy
-from ..runtime.system import LeimeRuntime, RuntimeReport
+from ..runtime.system import LeimeRuntime
 from ..sim.arrivals import ArrivalProcess
+from ..sim.events import EventSimResult
+from ..sim.streaming import TaskLedger
 from .assignment import AssignmentPlan
-from .events import MaskedArrivals
+from .events import FederatedEventResult, check_federation, task_shards
 from .faults import FederationFaultPlan
 from .topology import FederationTopology
 
@@ -31,85 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.overload import OverloadControl
     from ..resilience.qos import QoSConfig
     from ..resilience.recovery import RecoveryPolicy
-
-
-class FederatedRuntimeReport:
-    """Per-edge :class:`RuntimeReport`\\ s plus global control-plane and
-    SLO views."""
-
-    def __init__(
-        self,
-        edge_reports: tuple[RuntimeReport, ...],
-        edge_members: tuple[tuple[int, ...], ...],
-    ):
-        self.edge_reports = edge_reports
-        self.edge_members = edge_members
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_reports)
-
-    def control_plane(self) -> tuple[tuple[int, int, int, bool], ...]:
-        """Every shard's reproducible decisions with global device ids:
-        ``(edge, task_id, device, offloaded)`` in per-shard task order.
-        Timestamps are wall-clock and deliberately excluded."""
-        rows = []
-        for edge, (report, members) in enumerate(
-            zip(self.edge_reports, self.edge_members)
-        ):
-            for task in report.tasks:
-                rows.append(
-                    (edge, task.task_id, members[task.device], task.offloaded)
-                )
-        return tuple(rows)
-
-    @property
-    def generated(self) -> int:
-        return sum(len(r.tasks) for r in self.edge_reports)
-
-    @property
-    def completed_count(self) -> int:
-        return sum(len(r.completed) for r in self.edge_reports)
-
-    def identity_holds(self) -> bool:
-        """Per-edge ``generated = completed + dropped + shed + in-flight``
-        and the global sum."""
-        for report in self.edge_reports:
-            parts = (
-                len(report.completed)
-                + report.dropped_count
-                + report.shed_count
-                + report.in_flight_count
-            )
-            if len(report.tasks) != parts:
-                return False
-        return True
-
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        """The QoS class names, when the run carried a QoS config."""
-        return next(
-            (r.class_names for r in self.edge_reports if r.class_names), ()
-        )
-
-    def class_counts(self) -> dict[str, dict[str, int]]:
-        """Global per-class task counts: the per-edge breakdowns summed.
-        Classes are assigned over global device ids, so every edge
-        reports against the same class vocabulary."""
-        names = self.class_names
-        if not names:
-            raise ValueError(
-                "per-class accounting needs qos=QoSConfig(...) on run()"
-            )
-        totals: dict[str, dict[str, int]] = {}
-        for report in self.edge_reports:
-            if not report.class_names:
-                continue
-            for name, row in report.class_counts().items():
-                bucket = totals.setdefault(name, {})
-                for key, value in row.items():
-                    bucket[key] = bucket.get(key, 0) + value
-        return totals
 
 
 class FederatedRuntime:
@@ -136,10 +61,7 @@ class FederatedRuntime:
         seed: int = 0,
         vectorized: bool = False,
     ):
-        if plan.num_devices != topology.num_devices:
-            raise ValueError("plan and topology disagree on device count")
-        if plan.num_edges != topology.num_edges:
-            raise ValueError("plan and topology disagree on edge count")
+        check_federation(topology, plan)
         self.topology = topology
         self.policy = policy
         self.plan = plan
@@ -157,8 +79,9 @@ class FederatedRuntime:
         recovery: "RecoveryPolicy | None" = None,
         overload: "OverloadControl | None" = None,
         qos: "QoSConfig | None" = None,
-    ) -> FederatedRuntimeReport:
-        """Run every shard live, sequentially, and collect the reports.
+    ) -> FederatedEventResult:
+        """Run every shard live, sequentially, and collect the per-edge
+        results.
 
         ``qos`` assigns classes over *global* device ids with the base
         seed (shard membership does not reshuffle anyone's class), then
@@ -166,75 +89,49 @@ class FederatedRuntime:
         ``class_map`` — the same convention as the federated event and
         fluid wrappers.
         """
-        if len(arrivals) != self.topology.num_devices:
-            raise ValueError("need one arrival process per device")
-        if num_slots > self.plan.num_slots:
-            raise ValueError(
-                f"plan covers {self.plan.num_slots} slots, cannot generate "
-                f"{num_slots}"
-            )
-        if faults is not None and faults.num_edges != self.topology.num_edges:
-            raise ValueError("fault plan and topology disagree on edge count")
-        global_classes: list[int] | None = None
-        if qos is not None:
-            from dataclasses import replace
-
-            from ..resilience.qos import assign_classes
-
-            global_classes = assign_classes(
-                qos, self.topology.num_devices, self.seed
-            )
-        reports: list[RuntimeReport] = []
+        results: list[EventSimResult] = []
         members_per_edge: list[tuple[int, ...]] = []
-        for edge in range(self.topology.num_edges):
-            members = self.plan.member_union(edge)
-            members_per_edge.append(members)
-            if not members:
-                reports.append(
-                    RuntimeReport(tasks=(), virtual_duration=0.0)
-                )
+        shards = task_shards(
+            self.topology,
+            self.plan,
+            arrivals,
+            num_slots,
+            self.seed,
+            faults,
+            recovery,
+            qos,
+        )
+        for shard in shards:
+            members_per_edge.append(shard.members)
+            if shard.system is None:
+                results.append(TaskLedger(streaming=False).result(0.0))
                 continue
-            shard_system = self.topology.build_shard(edge, members)
-            shard_arrivals = [
-                MaskedArrivals(
-                    inner=arrivals[i], mask=self.plan.slot_mask(edge, i)
-                )
-                for i in members
-            ]
-            shard_faults = (
-                faults.shard_plan(edge, members) if faults is not None else None
-            )
-            shard_qos = None
-            if qos is not None and global_classes is not None:
-                shard_qos = replace(
-                    qos,
-                    class_map=tuple(global_classes[i] for i in members),
-                )
             runtime = LeimeRuntime(
-                shard_system,
+                shard.system,
                 copy.deepcopy(self.policy),
                 speedup=self.speedup,
-                seed=self.topology.shard_seed(self.seed, edge),
+                seed=shard.seed,
                 vectorized=self.vectorized,
             )
             self._runtimes.append(runtime)
             try:
-                reports.append(
+                results.append(
                     runtime.run(
-                        list(shard_arrivals),
+                        list(shard.arrivals),
                         num_slots=num_slots,
                         drain_timeout=drain_timeout,
-                        faults=shard_faults,
-                        recovery=recovery if shard_faults is not None else None,
+                        faults=shard.faults,
+                        recovery=shard.recovery,
                         overload=overload,
-                        qos=shard_qos,
+                        qos=shard.qos,
                     )
                 )
             finally:
                 runtime.shutdown()
-        return FederatedRuntimeReport(
-            edge_reports=tuple(reports),
+        return FederatedEventResult(
+            edge_results=tuple(results),
             edge_members=tuple(members_per_edge),
+            plan=self.plan,
         )
 
     def shutdown(self) -> bool:

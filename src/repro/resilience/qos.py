@@ -635,7 +635,8 @@ def class_summary(
     nan = float("nan")
     counts = class_counts(class_names, tasks, class_stats)
     summary: dict[str, dict] = {}
-    for idx, name in enumerate(class_names):
+    rows = class_stats if class_stats is not None else [None] * len(class_names)
+    for name, stats in zip(class_names, rows):
         row = dict(counts[name])
         total = row["generated"]
         done = row["completed"]
@@ -648,8 +649,7 @@ def class_summary(
             row["drop_rate"] = nan
             row["shed_rate"] = nan
         deadline = (deadlines or {}).get(name)
-        if class_stats is not None:
-            stats = class_stats[idx]
+        if stats is not None:
             row["mean_tct"] = stats.mean_tct if done else nan
             row["p99_tct"] = stats.percentile(99.0) if done else nan
             if deadline is not None:

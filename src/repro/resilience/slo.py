@@ -1,9 +1,9 @@
 """SLO accounting helpers shared by experiments, benchmarks, and the CLI.
 
-The per-result metrics live on the result objects themselves
-(:class:`~repro.sim.events.EventSimResult` and
-:class:`~repro.runtime.system.RuntimeReport` expose dropped/retry/
-deadline-miss counters); this module adds the cross-cutting pieces:
+The per-result metrics live on the result object itself
+(:class:`~repro.sim.events.EventSimResult`, which both event engines and
+the live runtime return, exposes dropped/retry/deadline-miss counters);
+this module adds the cross-cutting pieces:
 time-to-recovery measured against a slot simulation's backlog timeline,
 and a JSON-friendly SLO summary the chaos benchmark and ``fig_faults``
 share.

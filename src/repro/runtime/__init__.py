@@ -10,16 +10,18 @@ It exists for two reasons: it demonstrates LEIME as a *system* rather than
 a formula (the examples drive it live), and it cross-checks the simulators
 — the same deployment produces compatible latency distributions whether
 computed analytically, simulated event-by-event, or executed by threads.
+A live run returns the event simulator's own
+:class:`~repro.sim.events.EventSimResult`, so every accessor and SLO
+helper reads both alike.
 """
 
 from .clock import VirtualClock
 from .node import RuntimeLink, RuntimeNode
-from .system import LeimeRuntime, RuntimeReport
+from .system import LeimeRuntime
 
 __all__ = [
     "VirtualClock",
     "RuntimeNode",
     "RuntimeLink",
     "LeimeRuntime",
-    "RuntimeReport",
 ]

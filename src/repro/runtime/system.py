@@ -10,13 +10,15 @@ Mirrors the event simulator's topology (Fig. 1/4) with actual threads:
   §III-D, but against real queues instead of modelled ones.
 
 Tasks carry the same :class:`~repro.sim.tasks.TaskRecord` lifecycle as the
-event simulator, so results are directly comparable.
+event simulator and are booked in the same
+:class:`~repro.sim.streaming.TaskLedger`, so a run returns the event
+simulator's :class:`~repro.sim.events.EventSimResult`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -26,7 +28,7 @@ from ..core.vectorized import vectorized_equivalent
 from ..models.multi_exit import PartitionedModel
 from ..resilience.recovery import resolve_recovery
 from ..sim.arrivals import ArrivalProcess
-from ..sim.streaming import StreamingTaskStats
+from ..sim.streaming import TaskLedger
 from ..sim.tasks import TaskRecord
 from .clock import VirtualClock
 from .node import RuntimeLink, RuntimeNode
@@ -36,215 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.overload import OverloadControl
     from ..resilience.qos import QoSConfig
     from ..resilience.recovery import RecoveryPolicy
-
-
-@dataclass(frozen=True)
-class RuntimeReport:
-    """Outcome of a live run.
-
-    Empty-fleet convention (shared with
-    :class:`~repro.sim.events.EventSimResult`): statistics over zero
-    tasks are ``NaN``, never an optimistic ``1.0``/``0.0``, so a run
-    whose every task failed cannot masquerade as a perfect one.  Check
-    ``math.isnan`` before asserting on these fields.
-
-    Streaming mode: a run with ``metrics="streaming"`` carries no task
-    records — ``tasks`` is empty and ``stats`` holds the constant-size
-    aggregate every terminal event folded into.  Aggregate properties
-    keep working; ``completed`` (the per-task view) raises.
-    """
-
-    tasks: tuple[TaskRecord, ...]
-    virtual_duration: float
-    #: Constant-memory aggregate when the run used
-    #: ``metrics="streaming"``; None in record mode.
-    stats: StreamingTaskStats | None = None
-    #: QoS class names, in config order, when the run carried a
-    #: :class:`~repro.resilience.qos.QoSConfig`; empty otherwise.
-    class_names: tuple[str, ...] = ()
-    #: Per-class streaming aggregates (streaming mode with QoS);
-    #: record-mode reports derive class views from task ``qos`` tags.
-    class_stats: tuple[StreamingTaskStats, ...] = ()
-
-    def _require_qos(self, what: str) -> None:
-        if not self.class_names:
-            raise ValueError(
-                f"{what} requires a QoS-configured run — pass qos="
-                "QoSConfig(...) to run()"
-            )
-
-    def class_counts(self) -> dict[str, dict[str, int]]:
-        """Exact per-class SLO counters; see
-        :func:`repro.resilience.qos.class_counts`."""
-        from ..resilience.qos import class_counts
-
-        self._require_qos("class_counts")
-        return class_counts(
-            self.class_names, self.tasks, self.class_stats or None
-        )
-
-    def class_summary(
-        self, deadlines: dict[str, float] | None = None
-    ) -> dict[str, dict]:
-        """Per-class SLO summary (NaN sentinels for empty classes); see
-        :func:`repro.resilience.qos.class_summary`."""
-        from ..resilience.qos import class_summary
-
-        self._require_qos("class_summary")
-        return class_summary(
-            self.class_names, self.tasks, self.class_stats or None, deadlines
-        )
-
-    def class_identity_gaps(self) -> dict[str, int]:
-        """Per-class conservation gaps — all zero when the per-class
-        identity holds; see
-        :func:`repro.resilience.qos.class_identity_gaps`."""
-        from ..resilience.qos import class_identity_gaps
-
-        self._require_qos("class_identity_gaps")
-        return class_identity_gaps(
-            self.class_names, self.tasks, self.class_stats or None
-        )
-
-    def _require_records(self, what: str) -> None:
-        if self.stats is not None:
-            raise ValueError(
-                f"{what} requires per-task records, but this report was "
-                'produced with metrics="streaming" (constant-memory '
-                'aggregates only) — re-run with metrics="records"'
-            )
-
-    @property
-    def generated_count(self) -> int:
-        """Tasks generated, exact in both metric modes."""
-        if self.stats is not None:
-            return self.stats.generated
-        return len(self.tasks)
-
-    @property
-    def completed_count(self) -> int:
-        """Tasks completed, exact in both metric modes."""
-        if self.stats is not None:
-            return self.stats.completed
-        return len(self.completed)
-
-    @property
-    def completed(self) -> tuple[TaskRecord, ...]:
-        self._require_records("completed")
-        return tuple(t for t in self.tasks if t.done)
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of generated tasks completed (NaN if none generated)."""
-        total = self.generated_count
-        if not total:
-            return float("nan")
-        return self.completed_count / total
-
-    @property
-    def mean_tct(self) -> float:
-        """Mean completion time over completed tasks (NaN if none)."""
-        if self.stats is not None:
-            return self.stats.mean_tct
-        done = self.completed
-        if not done:
-            return float("nan")
-        return sum(t.tct for t in done) / len(done)
-
-    def tct_percentile(self, q: float) -> float:
-        """Completed-task TCT percentile — exact in record mode, within
-        the sketch's ``alpha`` bound in streaming mode."""
-        if self.stats is not None:
-            return self.stats.percentile(q)
-        done = self.completed
-        if not done:
-            return float("nan")
-        return float(np.percentile([t.tct for t in done], q))
-
-    @property
-    def dropped_count(self) -> int:
-        if self.stats is not None:
-            return self.stats.dropped
-        return sum(1 for t in self.tasks if t.dropped)
-
-    @property
-    def in_flight_count(self) -> int:
-        """Tasks neither completed, dropped, nor shed when the report was
-        cut (``generated == completed + dropped + shed + in-flight``
-        always holds)."""
-        if self.stats is not None:
-            return self.stats.in_flight
-        return sum(1 for t in self.tasks if t.in_flight)
-
-    @property
-    def shed_count(self) -> int:
-        """Tasks rejected at admission by overload control."""
-        if self.stats is not None:
-            return self.stats.shed
-        return sum(1 for t in self.tasks if t.shed)
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of generated tasks shed (NaN if none generated)."""
-        total = self.generated_count
-        if not total:
-            return float("nan")
-        return self.shed_count / total
-
-    @property
-    def total_retries(self) -> int:
-        """Fault-recovery attempts consumed across all tasks."""
-        if self.stats is not None:
-            return self.stats.retries
-        return sum(t.retries for t in self.tasks)
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of generated tasks dropped (NaN if none generated)."""
-        total = self.generated_count
-        if not total:
-            return float("nan")
-        return self.dropped_count / total
-
-    def deadline_hit_rate(self, deadline: float) -> float:
-        """Fraction of all generated tasks completed within ``deadline``
-        virtual seconds (dropped/in-flight count as misses; NaN if no
-        tasks were generated).  Sketch-resolution accuracy in streaming
-        mode."""
-        if deadline <= 0:
-            raise ValueError("deadline must be positive")
-        total = self.generated_count
-        if not total:
-            return float("nan")
-        if self.stats is not None:
-            done = self.stats.completed
-            if not done:
-                return 0.0
-            return self.stats.deadline_hit_fraction(deadline) * done / total
-        hits = sum(1 for t in self.tasks if t.done and t.tct <= deadline)
-        return hits / total
-
-    def exit_fractions(self) -> tuple[float, float, float]:
-        """Fraction of completed tasks exiting at tiers 1, 2, 3 (NaN
-        triple when nothing completed — the empty-fleet convention)."""
-        if self.stats is not None:
-            total = self.stats.completed
-            if not total:
-                nan = float("nan")
-                return (nan, nan, nan)
-            return tuple(
-                self.stats.exit_counts.get(tier, 0) / total
-                for tier in (1, 2, 3)
-            )
-        done = self.completed
-        if not done:
-            nan = float("nan")
-            return (nan, nan, nan)
-        counts = [0, 0, 0]
-        for task in done:
-            counts[task.exit_tier - 1] += 1
-        total = len(done)
-        return (counts[0] / total, counts[1] / total, counts[2] / total)
+    from ..sim.events import EventSimResult
 
 
 class LeimeRuntime:
@@ -318,12 +112,10 @@ class LeimeRuntime:
         self.cloud = RuntimeNode(
             "cloud", system.cloud_flops, self.clock, overhead=system.cloud_overhead
         )
-        self._tasks: list[TaskRecord] = []
-        # Streaming-mode state: the aggregate terminal events fold into,
-        # and the id→record map of tasks still in flight (the only thing
-        # keeping a record alive once the task list is not retained).
-        self._stats: StreamingTaskStats | None = None
-        self._live: dict[int, TaskRecord] = {}
+        # The current run's books; every access holds the task lock, and
+        # the cut at the end of a run detaches them, so workers finishing
+        # late cannot change a returned result.
+        self._ledger: TaskLedger | None = None
         self._task_counter = 0
         self._tasks_lock = threading.Lock()
         self._done = threading.Event()
@@ -331,10 +123,6 @@ class LeimeRuntime:
         self._faults: "FaultPlan | None" = None
         self._recovery: "RecoveryPolicy | None" = None
         self._live_slot = 0
-        # Streaming-mode per-class aggregates and the device→class map
-        # (set for the duration of a QoS-configured run).
-        self._cstats: list[StreamingTaskStats] | None = None
-        self._class_of: list[int] | None = None
 
     # -- randomness (two streams: controller vs worker threads) -------------
 
@@ -352,23 +140,10 @@ class LeimeRuntime:
     # -- task pipeline --------------------------------------------------------
 
     def _task_finished(self, task: TaskRecord, time: float, tier: int) -> None:
-        task.completed = time
-        task.exit_tier = tier
         with self._tasks_lock:
-            if self._stats is not None:
-                self._stats.observe_completed(
-                    time - task.created, tier, task.offloaded, task.retries
-                )
-                if self._cstats is not None:
-                    self._cstats[
-                        self._class_of[task.device]
-                    ].observe_completed(
-                        time - task.created, tier, task.offloaded, task.retries
-                    )
-                self._live.pop(task.task_id, None)
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._done.set()
+            if self._ledger is not None:
+                self._ledger.finish(task, time, tier)
+            self._task_left()
 
     def _task_dropped(self, task: TaskRecord) -> None:
         """Terminal failure: the task leaves the system uncompleted (it
@@ -376,18 +151,16 @@ class LeimeRuntime:
         Bounded-queue rejections mid-pipeline land here too — every
         submission path checks its ``submit``/``transmit`` result, so a
         full queue can never strand the drain counter."""
-        task.dropped = True
         with self._tasks_lock:
-            if self._stats is not None:
-                self._stats.observe_dropped(task.retries)
-                if self._cstats is not None:
-                    self._cstats[
-                        self._class_of[task.device]
-                    ].observe_dropped(task.retries)
-                self._live.pop(task.task_id, None)
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._done.set()
+            if self._ledger is not None:
+                self._ledger.drop(task)
+            self._task_left()
+
+    def _task_left(self) -> None:
+        """One launched task reached its terminal event (task lock held)."""
+        self._outstanding -= 1
+        if self._outstanding == 0:
+            self._done.set()
 
     # -- fault handling (live twin of the event simulator's helpers) --------
 
@@ -598,7 +371,6 @@ class LeimeRuntime:
     ) -> str:
         """Digest of a live run's configuration for checkpoint validation."""
         from ..chaos.checkpoint import run_fingerprint
-        from ..core.kernels import kernel_tier
 
         return run_fingerprint(
             path="runtime",
@@ -609,7 +381,6 @@ class LeimeRuntime:
             recovery=repr(recovery),
             overload=repr(overload),
             qos=repr(qos),
-            kernels=kernel_tier(),
             metrics=metrics,
         )
 
@@ -627,8 +398,11 @@ class LeimeRuntime:
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
         resume_from=None,
-    ) -> RuntimeReport:
-        """Generate ``num_slots`` slots of live tasks and wait for drain.
+    ) -> EventSimResult:
+        """Generate ``num_slots`` slots of live tasks, wait for drain, and
+        return the run as an :class:`~repro.sim.events.EventSimResult`
+        whose ``horizon`` is the virtual clock at the cut and whose
+        ``modes`` are the ladder's rungs per slot.
 
         Args:
             arrivals: One process per device.
@@ -642,7 +416,7 @@ class LeimeRuntime:
                 rather than the run total.
             drain_timeout: Wall-clock seconds to wait for completion after
                 generation ends before giving up (unfinished tasks then
-                show as incomplete in the report).
+                count as in flight in the result).
             slot_hook: Called with the slot index at the top of every
                 slot, before the slot's control plan — the attachment
                 point for trace-driven adaptation
@@ -717,22 +491,12 @@ class LeimeRuntime:
                         "resume needs a fresh runtime: this instance already "
                         f"generated {self._task_counter} tasks"
                     )
-        if metrics == "streaming":
-            self._stats = StreamingTaskStats()
         controller = SlotController.for_system(
             self._deployed, self.seed, overload, qos
         )
-        qstate = controller.qos
-        class_name_of: list[str] | None = None
-        if qstate is not None:
-            self._class_of = list(qstate.class_of)
-            class_name_of = [
-                qstate.class_names[c] for c in qstate.class_of
-            ]
-            if metrics == "streaming":
-                self._cstats = [
-                    StreamingTaskStats() for _ in qstate.class_names
-                ]
+        ledger = TaskLedger(metrics == "streaming", controller.qos)
+        with self._tasks_lock:
+            self._ledger = ledger
         self._faults = faults
         self._recovery = recovery
         if overload is not None and overload.queue_capacity is not None:
@@ -795,25 +559,11 @@ class LeimeRuntime:
                         created=self.clock.now(),
                         offloaded=self._control_random() < ratios[i],
                         shed=k >= admitted,
-                        qos=class_name_of[i]
-                        if class_name_of is not None
-                        else "",
+                        qos=ledger.tag(i),
                     )
                     self._task_counter += 1
                     with self._tasks_lock:
-                        if self._stats is not None:
-                            self._stats.observe_generated()
-                            if self._cstats is not None:
-                                crow = self._cstats[self._class_of[i]]
-                                crow.observe_generated()
-                                if task.shed:
-                                    crow.observe_shed()
-                            if task.shed:
-                                self._stats.observe_shed()
-                            else:
-                                self._live[task.task_id] = task
-                        else:
-                            self._tasks.append(task)
+                        ledger.add(task)
                         if not task.shed:
                             self._outstanding += 1
                             self._done.clear()
@@ -829,36 +579,13 @@ class LeimeRuntime:
             nothing_pending = self._outstanding == 0
         if not nothing_pending:
             self._done.wait(timeout=drain_timeout)
-        names = qstate.class_names if qstate is not None else ()
-        if self._stats is not None:
-            with self._tasks_lock:
-                # Tasks that beat the drain timeout are in flight when
-                # the report is cut — counted explicitly, under the same
-                # lock terminal folds take, so a racing finish cannot be
-                # double-counted.
-                stats = self._stats
-                cstats = self._cstats
-                for task in self._live.values():
-                    stats.observe_in_flight(1, task.retries)
-                    if cstats is not None:
-                        cstats[self._class_of[task.device]].observe_in_flight(
-                            1, task.retries
-                        )
-                self._live.clear()
-                self._stats = None
-                self._cstats = None
-            return RuntimeReport(
-                tasks=(),
-                virtual_duration=self.clock.now(),
-                stats=stats,
-                class_names=names,
-                class_stats=tuple(cstats) if cstats is not None else (),
-            )
-        return RuntimeReport(
-            tasks=tuple(self._tasks),
-            virtual_duration=self.clock.now(),
-            class_names=names,
-        )
+        with self._tasks_lock:
+            # Tasks that beat the drain timeout are in flight at the cut.
+            # It is taken under the lock terminal events take, and the
+            # books are detached (records copied), so a task finishing
+            # later changes neither the counts nor the records.
+            self._ledger = None
+            return ledger.result(self.clock.now(), controller.log, detach=True)
 
     def simulate_offline(
         self,

@@ -63,7 +63,7 @@ from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .network import Link
 from .nodes import FifoServer
-from .streaming import StreamingTaskStats
+from .streaming import StreamingTaskStats, TaskLedger
 from .tasks import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,7 +128,10 @@ def resolve_engine(engine: str, num_devices: int) -> str:
 
 @dataclass(frozen=True)
 class EventSimResult:
-    """Per-task outcomes of an event-driven run.
+    """Per-task outcomes of a task-level run: either event engine or the
+    live runtime (:meth:`repro.runtime.system.LeimeRuntime.run`, whose
+    ``horizon`` is the virtual clock when the result was cut).  Built by
+    :meth:`repro.sim.streaming.TaskLedger.result`.
 
     Empty-fleet convention: statistics over zero tasks — ``mean_tct``
     over zero completions, ``completion_rate``/``drop_rate``/
@@ -504,14 +507,9 @@ class EventSimulator:
     ) -> str:
         """Digest of the run configuration for checkpoint validation.
 
-        Includes the active kernel tier and the metrics mode: a
-        checkpoint taken under one engine tier or metric mode must not
-        silently resume under another (the compiled tier is bitwise-
-        identical by contract, but a *claimed* equality is exactly what
-        checkpoint validation exists to not take on faith, and a
-        streaming run cannot continue from record-mode state)."""
+        Includes the metrics mode: a streaming run cannot continue from
+        record-mode state."""
         from ..chaos.checkpoint import run_fingerprint
-        from ..core.kernels import kernel_tier
 
         return run_fingerprint(
             path=path_name,
@@ -524,7 +522,6 @@ class EventSimulator:
             recovery=repr(self.recovery),
             overload=repr(self.overload),
             qos=repr(self.qos),
-            kernels=kernel_tier(),
             metrics=metrics,
         )
 
@@ -579,7 +576,7 @@ class EventSimulator:
             resume_from: Continue (fast) or deterministically re-execute
                 (scalar) a killed run from its checkpoint; the
                 fingerprint must match this simulator's configuration —
-                including the kernel tier and metrics mode it ran under.
+                including the metrics mode it ran under.
         """
         if num_slots <= 0:
             raise ValueError("need a positive number of slots")
@@ -665,63 +662,23 @@ class EventSimulator:
         controller = SlotController.for_system(
             system, self.seed, self.overload, self.qos
         )
-        qstate = controller.qos
-        class_name_of: list[str] = []
-        if qstate is not None:
-            class_name_of = [
-                qstate.class_names[c] for c in qstate.class_of
-            ]
-
-        streaming = metrics == "streaming"
-        stats = StreamingTaskStats() if streaming else None
-        cstats = (
-            [StreamingTaskStats() for _ in qstate.class_names]
-            if streaming and qstate is not None
-            else None
-        )
-        tasks: list[TaskRecord] = []
-        # Tasks between creation and their terminal event, by id.  In
-        # streaming mode this is the *only* reference keeping a task
-        # record alive besides its scheduled continuation: terminal
-        # events pop it, so memory tracks concurrent in-flight tasks,
-        # not the ever-growing total.
-        live_tasks: dict[int, TaskRecord] = {}
-        # Two exit coins per task, pre-drawn at creation from the exit
-        # stream and indexed by task id (see the module docstring).
-        # Streaming mode pops a task's coins at its terminal event, for
-        # the same constant-memory reason.
-        exit_coins: dict[int, tuple[float, float]] | list = (
-            {} if streaming else []
-        )
+        ledger = TaskLedger(metrics == "streaming", controller.qos)
+        # Two exit coins per launched task, pre-drawn at creation from the
+        # exit stream and keyed by task id (see the module docstring);
+        # popped at the task's terminal event, so they track the tasks
+        # in flight.
+        exit_coins: dict[int, tuple[float, float]] = {}
         ratios = [0.0] * n
         fractional = [0.0] * n
         state = LyapunovState.zeros(n)
 
         def finish(task: TaskRecord, time: float, tier: int) -> None:
-            task.completed = time
-            task.exit_tier = tier
-            if streaming:
-                stats.observe_completed(
-                    time - task.created, tier, task.offloaded, task.retries
-                )
-                if cstats is not None:
-                    cstats[qstate.class_of[task.device]].observe_completed(
-                        time - task.created, tier, task.offloaded,
-                        task.retries,
-                    )
-                live_tasks.pop(task.task_id, None)
-                exit_coins.pop(task.task_id, None)
+            ledger.finish(task, time, tier)
+            del exit_coins[task.task_id]
 
         def drop(task: TaskRecord) -> None:
-            task.dropped = True
-            if streaming:
-                stats.observe_dropped(task.retries)
-                if cstats is not None:
-                    cstats[qstate.class_of[task.device]].observe_dropped(
-                        task.retries
-                    )
-                live_tasks.pop(task.task_id, None)
-                exit_coins.pop(task.task_id, None)
+            ledger.drop(task)
+            del exit_coins[task.task_id]
 
         def fault_slot(time: float) -> int:
             # Past the plan the accessors report a healthy world, so the
@@ -972,39 +929,21 @@ class EventSimulator:
                             else 0.0
                         )
                         task = TaskRecord(
-                            # Streaming keeps no task list; the exact
-                            # generated counter doubles as the id source
-                            # (incremented one per task, in order).
-                            task_id=(
-                                stats.generated if streaming else len(tasks)
-                            ),
+                            task_id=ledger.generated,
                             device=i,
                             created=time + offset,
                             offloaded=bool(rng.random() < ratios[i]),
                             shed=k >= admitted,
-                            qos=class_name_of[i] if qstate is not None else "",
+                            qos=ledger.tag(i),
                         )
                         coins = (
                             float(exit_rng.random()), float(exit_rng.random())
                         )
-                        if streaming:
-                            stats.observe_generated()
-                            if cstats is not None:
-                                crow = cstats[qstate.class_of[i]]
-                                crow.observe_generated()
-                                if task.shed:
-                                    crow.observe_shed()
-                            if task.shed:
-                                # Never launched: terminal at creation
-                                # (its coins are drawn but never read).
-                                stats.observe_shed()
-                            else:
-                                live_tasks[task.task_id] = task
-                                exit_coins[task.task_id] = coins
-                        else:
-                            tasks.append(task)
-                            exit_coins.append(coins)
+                        ledger.add(task)
+                        # A shed task is never launched: terminal at
+                        # creation, its coins drawn but never read.
                         if not task.shed:
+                            exit_coins[task.task_id] = coins
                             engine.schedule(
                                 task.created,
                                 lambda t, _task=task: launch(_task, t),
@@ -1019,28 +958,4 @@ class EventSimulator:
         engine.run_until(horizon)
         if drain:
             engine.run_to_exhaustion(horizon * drain_limit_factor)
-        names = qstate.class_names if qstate is not None else ()
-        if streaming:
-            # Whatever never reached a terminal event is in flight at the
-            # horizon — counted explicitly so the conservation identity
-            # verifies the books instead of restating them.
-            for task in live_tasks.values():
-                stats.observe_in_flight(1, task.retries)
-                if cstats is not None:
-                    cstats[qstate.class_of[task.device]].observe_in_flight(
-                        1, task.retries
-                    )
-            return EventSimResult(
-                tasks=(),
-                horizon=engine.now,
-                modes=tuple(controller.log),
-                stats=stats,
-                class_names=names,
-                class_stats=tuple(cstats) if cstats is not None else None,
-            )
-        return EventSimResult(
-            tasks=tuple(tasks),
-            horizon=engine.now,
-            modes=tuple(controller.log),
-            class_names=names,
-        )
+        return ledger.result(engine.now, controller.log)

@@ -57,7 +57,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core import kernels
 from ..core.offloading import LyapunovState, OffloadingPolicy
 from ..core.vectorized import fifo_schedule_batch, service_times_batch
 from ..resilience.control import SlotController
@@ -375,17 +374,9 @@ class _TaskStore:
         self.count = i1
         return np.arange(i0, i1, dtype=_I8)
 
-    def fold_terminal(
-        self, stats, cstats=None, class_of=None
-    ) -> np.ndarray | None:
+    def fold_terminal(self, ledger) -> np.ndarray | None:
         """Fold terminal rows (completed, dropped, or shed) into the
-        streaming ``stats`` aggregate and left-compact the live rows.
-
-        When per-class aggregates are active (``cstats`` a list of
-        per-class stats, ``class_of`` the device→class index array),
-        completed/dropped rows additionally fold into their class row —
-        generated/shed per-class counts are observed at creation time by
-        the caller, like the global ones.
+        streaming ``ledger`` and left-compact the live rows.
 
         Returns the old→new id map over all current rows, or None when
         no row was terminal.  Live rows keep their *relative* order, so
@@ -404,37 +395,18 @@ class _TaskStore:
         terminal = completed | dropped | self.shed[:c]
         if not terminal.any():
             return None
-        cls = class_of[self.device[:c]] if cstats is not None else None
         if completed.any():
-            stats.fold_completed(
+            ledger.finish_batch(
                 self.completed[:c][completed] - self.created[:c][completed],
                 self.tier[:c][completed],
                 self.offloaded[:c][completed],
                 self.retries[:c][completed],
+                self.device[:c][completed],
             )
-            if cstats is not None:
-                for k, crow in enumerate(cstats):
-                    m = completed & (cls == k)
-                    if m.any():
-                        crow.fold_completed(
-                            self.completed[:c][m] - self.created[:c][m],
-                            self.tier[:c][m],
-                            self.offloaded[:c][m],
-                            self.retries[:c][m],
-                        )
         if dropped.any():
-            stats.fold_dropped(
-                int(np.count_nonzero(dropped)),
-                int(self.retries[:c][dropped].sum()),
+            ledger.drop_batch(
+                self.retries[:c][dropped], self.device[:c][dropped]
             )
-            if cstats is not None:
-                for k, crow in enumerate(cstats):
-                    m = dropped & (cls == k)
-                    if m.any():
-                        crow.fold_dropped(
-                            int(np.count_nonzero(m)),
-                            int(self.retries[:c][m].sum()),
-                        )
         keep = ~terminal
         remap = np.cumsum(keep, dtype=_I8) - 1
         kept = int(np.count_nonzero(keep))
@@ -444,9 +416,10 @@ class _TaskStore:
         self.count = kept
         return remap
 
-    def materialize(self, class_name_of=None) -> list[TaskRecord]:
+    def materialize(self, names: list[str]) -> list[TaskRecord]:
+        """Every row as a :class:`TaskRecord`; ``names[device]`` is the
+        QoS class name its tasks carry."""
         c = self.count
-        names = class_name_of
         # tolist() converts whole columns to Python scalars in C; the
         # positional constructor then avoids per-field keyword overhead.
         # An open task has completed == NaN (NaN != NaN maps it to None).
@@ -456,7 +429,7 @@ class _TaskStore:
                 tier if fin == fin else 0,
                 fin if fin == fin else None,
                 comp, trans, queue, retries, dropped, shed,
-                names[dev] if names is not None else "",
+                names[dev],
             )
             for i, (dev, created, off, tier, fin, comp, trans, queue,
                     retries, dropped, shed) in enumerate(
@@ -628,15 +601,14 @@ class _FastEngine:
         occ += self.free_at >= w0
         return occ
 
-    def compact(self, stats, cstats=None, class_of=None) -> None:
+    def compact(self, ledger) -> None:
         """Streaming-mode compaction between windows: fold every task
-        that reached a terminal state into ``stats`` (and its per-class
-        row, when QoS is active) and drop its row, remapping the
-        surviving ids through every cross-window batch.  Run state
-        afterwards covers live tasks only, so store memory tracks the
-        concurrent in-flight population instead of the run-total task
-        count."""
-        remap = self.store.fold_terminal(stats, cstats, class_of)
+        that reached a terminal state into ``ledger`` and drop its row,
+        remapping the surviving ids through every cross-window batch.
+        Run state afterwards covers live tasks only, so store memory
+        tracks the concurrent in-flight population instead of the
+        run-total task count."""
+        remap = self.store.fold_terminal(ledger)
         if remap is None:
             return
         for batch in (self.carried, self.cal_int, self.cal_rec):
@@ -723,33 +695,18 @@ class _FastEngine:
                 give_up = exhausted & ~fb
                 retry = ~exhausted
                 if retry.any():
-                    # Compiled kernel tier (None on the default NumPy
-                    # tier) — bitwise-identical arithmetic either way.
-                    kout = kernels.retry_schedule(
-                        a,
-                        t,
-                        self.store.created[task],
-                        self.backoff_tab,
-                        self.max_retries,
-                        self.deadline,
+                    idx = np.minimum(a, max(self.max_retries - 1, 0))
+                    delay = (
+                        self.backoff_tab[idx]
+                        if self.backoff_tab.shape[0]
+                        else np.zeros(a.shape[0])
                     )
-                    if kout is not None:
-                        when, raw_breach = kout
-                        breach = retry & raw_breach
-                    else:
-                        idx = np.minimum(a, max(self.max_retries - 1, 0))
-                        delay = (
-                            self.backoff_tab[idx]
-                            if self.backoff_tab.shape[0]
-                            else np.zeros(a.shape[0])
+                    when = t + delay
+                    breach = np.zeros(a.shape[0], dtype=np.bool_)
+                    if self.deadline is not None:
+                        breach = retry & (
+                            when - self.store.created[task] > self.deadline
                         )
-                        when = t + delay
-                        breach = np.zeros(a.shape[0], dtype=np.bool_)
-                        if self.deadline is not None:
-                            breach = retry & (
-                                when - self.store.created[task]
-                                > self.deadline
-                            )
                     sched = retry & ~breach
                     if sched.any():
                         nxt = _rows(
@@ -1320,14 +1277,13 @@ def run_fast(
     byte-identical to an uninterrupted one.
 
     ``metrics="streaming"`` compacts the task store after every window
-    (:meth:`_FastEngine.compact`): terminal rows fold into a
-    :class:`~repro.sim.streaming.StreamingTaskStats` aggregate and the
-    live rows slide left, so store memory tracks the in-flight
-    population, not the run total — and the final materialisation of
-    per-task records is skipped entirely.
+    (:meth:`_FastEngine.compact`): terminal rows fold into the run's
+    :class:`~repro.sim.streaming.TaskLedger` and the live rows slide
+    left, so store memory tracks the in-flight population, not the run
+    total — and the final materialisation of per-task records is
+    skipped entirely.
     """
-    from .events import EventSimResult
-    from .streaming import StreamingTaskStats
+    from .streaming import TaskLedger
     from ..chaos.checkpoint import (
         should_emit,
         snapshot,
@@ -1348,8 +1304,7 @@ def run_fast(
         ratios = payload["ratios"]
         fractional = payload["fractional"]
         controller = payload["controller"]
-        stats = payload.get("stats")
-        cstats = payload.get("cstats")
+        ledger = payload["ledger"]
         start_slot = resume_from.slot
         system = sim.system
         tau = system.slot_length
@@ -1365,24 +1320,13 @@ def run_fast(
         state = LyapunovState.zeros(n)
         ratios = [0.0] * n
         fractional = [0.0] * n
-        stats = StreamingTaskStats() if metrics == "streaming" else None
         controller = SlotController.for_system(
             system, sim.seed, sim.overload, sim.qos
         )
-        cstats = (
-            [StreamingTaskStats() for _ in controller.qos.class_names]
-            if metrics == "streaming" and controller.qos is not None
-            else None
-        )
+        ledger = TaskLedger(metrics == "streaming", controller.qos)
         start_slot = 0
-    qstate = controller.qos
+    streaming = ledger.stats is not None
     governed = controller.gate is not None
-    if qstate is not None:
-        class_of_arr = np.asarray(qstate.class_of, dtype=_I8)
-        class_name_of = [qstate.class_names[c] for c in qstate.class_of]
-    else:
-        class_of_arr = None
-        class_name_of = None
 
     for slot in range(start_slot, num_slots):
         if should_emit(checkpoint_every, slot):
@@ -1400,8 +1344,7 @@ def run_fast(
                         ratios=ratios,
                         fractional=fractional,
                         controller=controller,
-                        stats=stats,
-                        cstats=cstats,
+                        ledger=ledger,
                     ),
                 )
             )
@@ -1475,39 +1418,20 @@ def run_fast(
             tasks = eng.store.append_batch(
                 devices, times, offloaded, exit_draws[0::2], exit_draws[1::2]
             )
-            if stats is not None:
-                stats.observe_generated(total)
-                if cstats is not None:
-                    gen_by_class = np.bincount(
-                        class_of_arr[devices], minlength=len(cstats)
-                    )
-                    for k, g in enumerate(gen_by_class.tolist()):
-                        if g:
-                            cstats[k].observe_generated(g)
-            if governed:
-                # Shed tasks keep their rows (all RNG draws consumed, so
-                # governed and ungoverned runs replay identical streams)
-                # but never become launch intents — per device the first
-                # ``admitted`` tasks run, the tail is shed, exactly the
-                # scalar boundary's k >= admitted rule.
-                shed_arr = np.concatenate(l_shed)
-                if shed_arr.any():
-                    eng.store.shed[tasks[shed_arr]] = True
-                    if stats is not None:
-                        stats.observe_shed(int(shed_arr.sum()))
-                        if cstats is not None:
-                            shed_by_class = np.bincount(
-                                class_of_arr[devices[shed_arr]],
-                                minlength=len(cstats),
-                            )
-                            for k, s in enumerate(shed_by_class.tolist()):
-                                if s:
-                                    cstats[k].observe_shed(s)
-                    keep = ~shed_arr
-                    times = times[keep]
-                    tasks = tasks[keep]
-                    offloaded = offloaded[keep]
-                    total = int(keep.sum())
+            # Shed tasks keep their rows (all RNG draws consumed, so
+            # governed and ungoverned runs replay identical streams) but
+            # never become launch intents — per device the first
+            # ``admitted`` tasks run, the tail is shed, exactly the
+            # scalar boundary's k >= admitted rule.
+            shed_arr = np.concatenate(l_shed) if governed else None
+            ledger.add_batch(devices, shed_arr)
+            if governed and shed_arr.any():
+                eng.store.shed[tasks[shed_arr]] = True
+                keep = ~shed_arr
+                times = times[keep]
+                tasks = tasks[keep]
+                offloaded = offloaded[keep]
+                total = int(keep.sum())
         else:
             times = np.empty(0, dtype=_F8)
             tasks = np.empty(0, dtype=_I8)
@@ -1526,8 +1450,8 @@ def run_fast(
             src=-1,
         )
         eng.window(w0, w1, launches)
-        if stats is not None:
-            eng.compact(stats, cstats, class_of_arr)
+        if streaming:
+            eng.compact(ledger)
 
     horizon = num_slots * tau
     if drain:
@@ -1544,35 +1468,13 @@ def run_fast(
         # exactly at the horizon, with the last window's rates.
         eng.window(horizon, horizon, _empty(_INTENT), inclusive=True)
         result_horizon = horizon
-    names = qstate.class_names if qstate is not None else ()
-    if stats is not None:
+    store = eng.store
+    if streaming:
         # Fold the drain window's terminals, then count the survivors —
         # tasks still in the system at the horizon — explicitly.
-        eng.compact(stats, cstats, class_of_arr)
-        live = eng.store.count
-        stats.observe_in_flight(
-            live, int(eng.store.retries[:live].sum())
-        )
-        if cstats is not None and live:
-            cls = class_of_arr[eng.store.device[:live]]
-            for k, crow in enumerate(cstats):
-                m = cls == k
-                if m.any():
-                    crow.observe_in_flight(
-                        int(np.count_nonzero(m)),
-                        int(eng.store.retries[:live][m].sum()),
-                    )
-        return EventSimResult(
-            tasks=(),
-            horizon=result_horizon,
-            modes=tuple(controller.log),
-            stats=stats,
-            class_names=names,
-            class_stats=tuple(cstats) if cstats is not None else None,
-        )
-    return EventSimResult(
-        tasks=tuple(eng.store.materialize(class_name_of)),
-        horizon=result_horizon,
-        modes=tuple(controller.log),
-        class_names=names,
-    )
+        eng.compact(ledger)
+        live = store.count
+        ledger.in_flight_batch(store.retries[:live], store.device[:live])
+    else:
+        ledger.tasks = store.materialize([ledger.tag(i) for i in range(n)])
+    return ledger.result(result_horizon, controller.log)

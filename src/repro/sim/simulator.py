@@ -560,7 +560,6 @@ class SlotSimulator:
         self, path_name: str, num_slots: int, metrics: str = "records"
     ) -> str:
         from ..chaos.checkpoint import run_fingerprint
-        from ..core.kernels import kernel_tier
 
         return run_fingerprint(
             path=path_name,
@@ -570,7 +569,6 @@ class SlotSimulator:
             include_tail=self.include_tail,
             overload=repr(self.overload),
             qos=repr(self.qos),
-            kernels=kernel_tier(),
             metrics=metrics,
         )
 

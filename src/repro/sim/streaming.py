@@ -8,7 +8,7 @@ module provides the ``metrics="streaming"`` alternative: small,
 reach a terminal state, so a run's footprint is independent of how many
 tasks it generates.
 
-Three pieces:
+Four pieces:
 
 * :class:`QuantileSketch` — a DDSketch-style log-bucket sketch with a
   guaranteed relative-error bound ``alpha``.  A value ``v`` lands in
@@ -25,6 +25,9 @@ Three pieces:
   exact counters for the SLO conservation identity
   ``generated = completed + dropped + shed + in-flight``, exact
   mean/max/min latency, and sketch-backed p50/p99.
+* :class:`TaskLedger` — one task-level run's books in either metric
+  mode (task records, or the global and per-class aggregates), cut
+  into the run's :class:`~repro.sim.events.EventSimResult`.
 * :class:`FluidStreamStats` — the fluid analogue for the slot
   simulators: exact arrival/shed/backlog aggregates plus a sketch over
   per-slot mean TCTs.
@@ -38,10 +41,16 @@ percentiles are approximate.
 
 from __future__ import annotations
 
+import copy
 import math
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience.qos import QoSState
+    from .events import EventSimResult
+    from .tasks import TaskRecord
 
 # Values at or below this threshold are tracked exactly in a dedicated
 # zero bucket (log buckets cannot represent 0).
@@ -341,6 +350,198 @@ class StreamingTaskStats:
         (sketch-resolution accuracy; exact counters are unavailable in
         streaming mode)."""
         return self.sketch.rank_fraction(deadline)
+
+
+class TaskLedger:
+    """The books of one task-level run, in either metric mode.
+
+    Record mode keeps every :class:`~repro.sim.tasks.TaskRecord` in
+    :attr:`tasks`.  Streaming mode keeps the global
+    :class:`StreamingTaskStats`, one more per QoS class, and the
+    id→record map of tasks not yet terminal (:attr:`live`): a task folds
+    into the aggregates at its terminal event and is forgotten, so memory
+    tracks the in-flight population.  The global row always folds before
+    the class row (``tct_sum`` is a float sum, so the order is part of
+    the result).
+
+    The scalar engine and the live runtime report one task at a time
+    (:meth:`add`, :meth:`finish`, :meth:`drop`); the fast engine, which
+    keeps its own task arrays, reports batches (:meth:`add_batch`,
+    :meth:`finish_batch`, :meth:`drop_batch`, :meth:`in_flight_batch`)
+    and hands over its materialised records at the end.  :meth:`result`
+    cuts the books into the run's
+    :class:`~repro.sim.events.EventSimResult`.
+
+    Args:
+        streaming: Keep aggregates instead of records.
+        qos: The run's :class:`~repro.resilience.qos.QoSState` (its class
+            names and every device's class), or None without QoS.
+    """
+
+    def __init__(self, streaming: bool, qos: QoSState | None = None) -> None:
+        self.class_names: tuple[str, ...] = (
+            () if qos is None else tuple(qos.class_names)
+        )
+        self.tasks: list[TaskRecord] = []
+        self.live: dict[int, TaskRecord] = {}
+        self.stats = StreamingTaskStats() if streaming else None
+        self.class_stats = (
+            [StreamingTaskStats() for _ in self.class_names]
+            if streaming and self.class_names
+            else None
+        )
+        self._class_of = [] if qos is None else list(qos.class_of)
+        self._class_arr = np.asarray(self._class_of, dtype=np.int64)
+
+    @property
+    def generated(self) -> int:
+        """Tasks added so far (the next task id on the per-task paths)."""
+        return len(self.tasks) if self.stats is None else self.stats.generated
+
+    def tag(self, device: int) -> str:
+        """The QoS class name a task of ``device`` carries ("" without
+        QoS)."""
+        if not self.class_names:
+            return ""
+        return self.class_names[self._class_of[device]]
+
+    def _rows(self, device: int) -> list[StreamingTaskStats]:
+        """The aggregates a task of ``device`` folds into: global first."""
+        if self.class_stats is None:
+            return [self.stats]
+        return [self.stats, self.class_stats[self._class_of[device]]]
+
+    # -- per task (scalar engine, live runtime) -----------------------------
+
+    def add(self, task: TaskRecord) -> None:
+        """Book a newly created task; a shed task is terminal here."""
+        if self.stats is None:
+            self.tasks.append(task)
+            return
+        for row in self._rows(task.device):
+            row.observe_generated()
+            if task.shed:
+                row.observe_shed()
+        if not task.shed:
+            self.live[task.task_id] = task
+
+    def finish(self, task: TaskRecord, time: float, tier: int) -> None:
+        """Complete ``task`` at ``time`` through exit ``tier``."""
+        task.completed = time
+        task.exit_tier = tier
+        if self.stats is not None:
+            for row in self._rows(task.device):
+                row.observe_completed(
+                    time - task.created, tier, task.offloaded, task.retries
+                )
+            self.live.pop(task.task_id, None)
+
+    def drop(self, task: TaskRecord) -> None:
+        """Abandon ``task`` (a terminal failure)."""
+        task.dropped = True
+        if self.stats is not None:
+            for row in self._rows(task.device):
+                row.observe_dropped(task.retries)
+            self.live.pop(task.task_id, None)
+
+    # -- batches (fast engine; no-ops in record mode) -----------------------
+
+    def _by_class(self, devices: np.ndarray, fold) -> None:
+        """Call ``fold(row, mask)`` for every class row whose devices
+        appear in ``devices``."""
+        if self.class_stats is None:
+            return
+        cls = self._class_arr[devices]
+        for k, row in enumerate(self.class_stats):
+            mask = cls == k
+            if mask.any():
+                fold(row, mask)
+
+    def add_batch(
+        self, devices: np.ndarray, shed: np.ndarray | None = None
+    ) -> None:
+        """Book tasks created on ``devices``; ``shed`` marks the ones
+        rejected at admission."""
+        if self.stats is None:
+            return
+        self.stats.observe_generated(int(devices.shape[0]))
+        self._by_class(
+            devices, lambda row, m: row.observe_generated(int(m.sum()))
+        )
+        if shed is not None and shed.any():
+            self.stats.observe_shed(int(shed.sum()))
+            self._by_class(
+                devices[shed], lambda row, m: row.observe_shed(int(m.sum()))
+            )
+
+    def finish_batch(
+        self,
+        tcts: np.ndarray,
+        exits: np.ndarray,
+        offloaded: np.ndarray,
+        retries: np.ndarray,
+        devices: np.ndarray,
+    ) -> None:
+        """Fold a batch of completed tasks (one row per task)."""
+        self.stats.fold_completed(tcts, exits, offloaded, retries)
+        self._by_class(
+            devices,
+            lambda row, m: row.fold_completed(
+                tcts[m], exits[m], offloaded[m], retries[m]
+            ),
+        )
+
+    def drop_batch(self, retries: np.ndarray, devices: np.ndarray) -> None:
+        """Fold a batch of dropped tasks."""
+        self.stats.fold_dropped(int(retries.shape[0]), int(retries.sum()))
+        self._by_class(
+            devices,
+            lambda row, m: row.fold_dropped(
+                int(np.count_nonzero(m)), int(retries[m].sum())
+            ),
+        )
+
+    def in_flight_batch(self, retries: np.ndarray, devices: np.ndarray) -> None:
+        """Count the tasks still in the system at the horizon."""
+        self.stats.observe_in_flight(int(retries.shape[0]), int(retries.sum()))
+        self._by_class(
+            devices,
+            lambda row, m: row.observe_in_flight(
+                int(np.count_nonzero(m)), int(retries[m].sum())
+            ),
+        )
+
+    # -- the cut ------------------------------------------------------------
+
+    def result(
+        self, horizon: float, modes: Sequence[int] = (), detach: bool = False
+    ) -> EventSimResult:
+        """Cut the books into an :class:`~repro.sim.events.EventSimResult`.
+
+        Streaming mode counts every task still in :attr:`live` as in
+        flight — explicitly, so the conservation identity checks the books
+        instead of restating them.  ``detach`` copies each record, for a
+        caller whose workers keep mutating tasks after the cut.
+        """
+        from .events import EventSimResult
+
+        for task in self.live.values():
+            for row in self._rows(task.device):
+                row.observe_in_flight(1, task.retries)
+        self.live.clear()
+        tasks = self.tasks
+        if detach:
+            tasks = [copy.copy(task) for task in tasks]
+        return EventSimResult(
+            tasks=tuple(tasks),
+            horizon=horizon,
+            modes=tuple(modes),
+            stats=self.stats,
+            class_names=self.class_names,
+            class_stats=(
+                None if self.class_stats is None else tuple(self.class_stats)
+            ),
+        )
 
 
 class FluidStreamStats:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -196,6 +197,65 @@ def test_federated_event_kill_resume_shard_granular(engine):
             assert resumed.edge_members == baseline.edge_members
             for a, b in zip(resumed.edge_results, baseline.edge_results):
                 assert a.tasks == b.tasks, (engine, seed, kill_edge)
+
+
+def test_federated_resume_refuses_changed_plans():
+    """A federated checkpoint pins its fault plan and its assignment
+    plan: resuming under another raises instead of continuing silently
+    on the new one."""
+    from repro.federation import (
+        FederatedEventSimulator,
+        FederatedSlotSimulator,
+        FederationFaultPlan,
+        build_assignment_plan,
+    )
+
+    topology = random_federation_topology(0, 3, 6, max_arrivals=1.0)
+    plan = static_home_plan(topology, SLOTS)
+    churned = build_assignment_plan(topology, SLOTS, seed=1, churn_per_100=50.0)
+    assert (churned.matrix != plan.matrix).any()
+    arrivals = [PoissonArrivals(d.mean_arrivals) for d in topology.devices]
+
+    def outage(edge):
+        edge_down = np.zeros((SLOTS, topology.num_edges))
+        edge_down[2:6, edge] = 1.0
+        return FederationFaultPlan(edge_down=edge_down)
+
+    def killed(sim, kill):
+        with pytest.raises(Killed) as stop:
+            sim.run(
+                DriftPlusPenaltyPolicy(v=50.0),
+                SLOTS,
+                checkpoint_every=1,
+                checkpoint_sink=KillSwitch(kill),
+            )
+        return stop.value.checkpoint
+
+    def fluid(**overrides):
+        config = dict(plan=plan, faults=outage(0), seed=0)
+        config.update(overrides)
+        return FederatedSlotSimulator(
+            topology=topology, arrivals=arrivals, **config
+        )
+
+    checkpoint = killed(fluid(), 4)
+    for changed in (fluid(faults=None), fluid(plan=churned)):
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            changed.run(
+                DriftPlusPenaltyPolicy(v=50.0), SLOTS, resume_from=checkpoint
+            )
+
+    def events(faults):
+        return FederatedEventSimulator(
+            topology=topology, arrivals=arrivals, plan=plan, seed=0,
+            faults=faults,
+        )
+
+    checkpoint = killed(events(outage(0)), 1)
+    with pytest.raises(CheckpointError, match="fingerprint"):
+        events(outage(1)).run(
+            DriftPlusPenaltyPolicy(v=50.0), SLOTS, resume_from=checkpoint
+        )
 
 
 # -- live runtime (control-plane record identical) ---------------------------

@@ -3,10 +3,10 @@
 ``engine="auto"`` is a pure wall-clock heuristic: it must resolve to the
 scalar reference loop for small fleets (≤ ``AUTO_ENGINE_THRESHOLD``
 devices) and can never change results, because the engines are per-task
-identical.  Checkpoint fingerprints now carry the kernel tier and the
-metric mode, so a checkpoint taken under one configuration refuses a
-silent resume under another — resuming a record-mode run in streaming
-mode would otherwise silently return a result with no tasks.
+identical.  Checkpoint fingerprints carry the metric mode, so a
+checkpoint taken under one configuration refuses a silent resume under
+another — resuming a record-mode run in streaming mode would otherwise
+silently return a result with no tasks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import CheckpointError, Killed, KillSwitch
-from repro.core import kernels
 from repro.core.offloading import FixedRatioPolicy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.events import (
@@ -130,29 +129,3 @@ def test_fluid_resume_refuses_metric_mode_change() -> None:
     checkpoint = _killed_checkpoint(run)
     with pytest.raises(CheckpointError):
         run(metrics="streaming", resume_from=checkpoint)
-
-
-def test_event_resume_refuses_kernel_tier_change(monkeypatch) -> None:
-    """A checkpoint taken under the NumPy tier must not silently resume
-    under a different compiled tier (the tiers are verified identical,
-    but the fingerprint refuses to *assume* it)."""
-    system = random_fleet(3, N, max_arrivals=1.0)
-
-    def run(**kwargs):
-        return EventSimulator(system, _arrivals(system), seed=3).run(
-            FixedRatioPolicy(0.5),
-            SLOTS,
-            drain_limit_factor=100.0,
-            engine="fast",
-            **kwargs,
-        )
-
-    kernels.set_kernel_tier("numpy")
-    try:
-        checkpoint = _killed_checkpoint(run)
-        # Simulate a resume on a machine whose tier resolved differently.
-        monkeypatch.setattr(kernels, "_active", "numba")
-        with pytest.raises(CheckpointError):
-            run(resume_from=checkpoint)
-    finally:
-        kernels.set_kernel_tier(None)

@@ -1,11 +1,11 @@
-"""Backhaul as a latency term in the federated event paths.
+"""Backhaul as a latency term in every federated task path.
 
 An :class:`~repro.federation.topology.EdgeSite` may charge a
 ``backhaul_latency``: extra one-way propagation a device homed at a
 *different* site pays on every device↔edge transfer to this edge.  The
 term rides on the member's link profile inside the shard, so both event
-engines price it through the ordinary transfer-time machinery — which is
-what the scalar-vs-fast conformance case pins.
+engines and the live runtime price it through their ordinary transfer
+machinery — the scalar-vs-fast conformance case pins the engines equal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core.offloading import FixedRatioPolicy
-from repro.federation import AssignmentPlan, FederatedEventSimulator
+from repro.federation import (
+    AssignmentPlan,
+    FederatedEventSimulator,
+    FederatedRuntime,
+)
 from repro.sim.arrivals import PoissonArrivals
 
 from .helpers import random_federation_topology
@@ -144,3 +148,29 @@ def test_backhaul_slows_migrated_members_only(engine: str) -> None:
     assert away_base, "fixture needs offloaded tasks on migrated members"
     assert home_slow == home_base
     assert sum(away_slow) > sum(away_base)
+
+
+def test_live_federation_charges_backhaul() -> None:
+    """The live federation deploys the same shards as the event wrapper:
+    a migrated member's task that crosses its uplink (offloaded, or past
+    the first exit) crosses the backhaul, so it cannot complete sooner
+    than the backhaul latency."""
+    backhaul = 5.0
+    topology, plan, arrivals = _backhaul_world(0, backhaul)
+    homes = topology.home_assignment()
+    federated = FederatedRuntime(
+        topology, FixedRatioPolicy(0.5), plan, speedup=500.0, seed=0
+    )
+    try:
+        result = federated.run(arrivals, NUM_SLOTS, drain_timeout=30.0)
+    finally:
+        federated.shutdown()
+    merged = result.merged()
+    assert merged.completion_rate == 1.0
+    crossed = [
+        t.tct
+        for t in merged.tasks
+        if homes[t.device] != 0 and (t.offloaded or t.exit_tier > 1)
+    ]
+    assert crossed, "fixture needs migrated members' tasks on the uplink"
+    assert min(crossed) >= backhaul

@@ -236,8 +236,7 @@ def test_runtime_path_conformance(seed: int) -> None:
     # are wall-clock): task identity, owning device, offload decision.
     single_plane = [(t.task_id, t.device, t.offloaded) for t in single.tasks]
     federated_plane = [
-        (task_id, device, offloaded)
-        for _, task_id, device, offloaded in report.control_plane()
+        (t.task_id, t.device, t.offloaded) for t in report.merged().tasks
     ]
     assert single_plane == federated_plane, f"runtime/seed={seed}"
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
+from repro.chaos.oracles import event_conservation
 from repro.core.offloading import DriftPlusPenaltyPolicy, FixedRatioPolicy
 from repro.runtime import LeimeRuntime, RuntimeLink, RuntimeNode, VirtualClock
 from repro.hardware import NetworkProfile
+from repro.resilience.slo import slo_summary
 from repro.sim.arrivals import ConstantArrivals
+from repro.sim.events import EventSimResult
 
 
 # -- clock ---------------------------------------------------------------------
@@ -101,21 +107,39 @@ def test_runtime_link_shutdown_drains_propagation_timers():
     assert len(deliveries) == 3
 
 
-def test_empty_runtime_report_rates_are_nan():
-    """Statistics over zero tasks are NaN, never an optimistic number —
-    including the overload layer's shed_rate."""
-    import math
-
-    from repro.runtime.system import RuntimeReport
-
-    report = RuntimeReport(tasks=(), virtual_duration=0.0)
-    assert math.isnan(report.completion_rate)
-    assert math.isnan(report.mean_tct)
-    assert math.isnan(report.drop_rate)
-    assert math.isnan(report.shed_rate)
-    assert report.shed_count == 0
-    assert report.dropped_count == 0
-    assert report.in_flight_count == 0
+def test_empty_runtime_report_rates_are_nan(small_system):
+    """A live run that generates nothing returns the event simulator's
+    result with NaN statistics, never an optimistic number — including
+    the overload layer's shed_rate — and honest zero counters."""
+    runtime = LeimeRuntime(
+        small_system, FixedRatioPolicy(0.5), speedup=1000.0, seed=0
+    )
+    try:
+        live = runtime.run(
+            [ConstantArrivals(0.0)] * 2, num_slots=2, drain_timeout=1.0
+        )
+    finally:
+        runtime.shutdown()
+    assert isinstance(live, EventSimResult)
+    rates = (
+        live.completion_rate,
+        live.mean_tct,
+        live.drop_rate,
+        live.shed_rate,
+        live.deadline_hit_rate(1.0),
+        live.offloaded_fraction(),
+        *live.exit_fractions(),
+    )
+    assert all(math.isnan(rate) for rate in rates)
+    counters = (
+        live.generated_count,
+        live.completed_count,
+        live.dropped_count,
+        live.shed_count,
+        live.in_flight_count,
+        live.total_retries,
+    )
+    assert counters == (0, 0, 0, 0, 0, 0)
 
 
 def test_runtime_link_delivers_after_latency():
@@ -187,3 +211,79 @@ def test_runtime_arrival_count_validation(small_system):
             runtime.run([ConstantArrivals(1.0)], num_slots=2)
     finally:
         runtime.shutdown()
+
+
+def test_live_result_has_the_event_result_accessors(small_system):
+    """A live run answers every accessor of the event result: the SLO
+    block with a deadline-miss rate, the rung log and the horizon."""
+    runtime = LeimeRuntime(
+        small_system, FixedRatioPolicy(0.5), speedup=500.0, seed=1
+    )
+    try:
+        live = runtime.run(
+            [ConstantArrivals(1.0)] * 2, num_slots=4, drain_timeout=30.0
+        )
+    finally:
+        runtime.shutdown()
+    summary = slo_summary(live, deadline=2.0)
+    assert summary["tasks"] == 8
+    assert summary["deadline_miss_rate"] == live.deadline_miss_rate(2.0)
+    assert 0.0 <= summary["deadline_miss_rate"] <= 1.0
+    assert live.modes == ()  # ungoverned: no ladder, no rungs
+    assert live.horizon >= 4.0
+    assert event_conservation(live) == []
+
+
+def test_live_records_result_is_cut_at_return(small_system):
+    """A records-mode result is a snapshot taken when ``run`` returns:
+    tasks the workers finish after a drain timeout change neither its
+    records nor its counts."""
+    runtime = LeimeRuntime(
+        small_system, FixedRatioPolicy(0.5), speedup=500.0, seed=2
+    )
+    try:
+        live = runtime.run(
+            [ConstantArrivals(15.0)] * 2, num_slots=2, drain_timeout=0.01
+        )
+        cut = [
+            (t.completed, t.exit_tier, t.dropped) for t in live.tasks
+        ]
+        counts = (live.completed_count, live.in_flight_count)
+    finally:
+        # Stopping drains every queued job, finishing the tasks that
+        # were in flight at the cut.
+        runtime.shutdown()
+    assert counts[1] > 0, "fixture needs tasks in flight at the cut"
+    assert [(t.completed, t.exit_tier, t.dropped) for t in live.tasks] == cut
+    assert (live.completed_count, live.in_flight_count) == counts
+    assert event_conservation(live) == []
+
+
+def test_live_streaming_cut_holds_identities_under_contention(small_system):
+    """Workers fold terminal events into the books while the controller
+    cuts them: with a short switch interval and the cut racing a full
+    pipeline, the global and per-class identities hold at the cut, and
+    the returned aggregates stay put while the workers drain."""
+    from repro.resilience.qos import QoSConfig
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    runtime = LeimeRuntime(
+        small_system, FixedRatioPolicy(0.5), speedup=500.0, seed=3
+    )
+    try:
+        live = runtime.run(
+            [ConstantArrivals(15.0)] * 2,
+            num_slots=2,
+            drain_timeout=0.01,
+            qos=QoSConfig(),
+            metrics="streaming",
+        )
+        cut = (live.completed_count, live.in_flight_count)
+    finally:
+        runtime.shutdown()
+        sys.setswitchinterval(interval)
+    assert cut[1] > 0, "fixture needs tasks in flight at the cut"
+    assert live.stats.identity_gap == 0
+    assert set(live.class_identity_gaps().values()) == {0}
+    assert (live.completed_count, live.in_flight_count) == cut
