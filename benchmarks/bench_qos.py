@@ -17,6 +17,10 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_qos.py
     PYTHONPATH=src python benchmarks/bench_qos.py --devices 10 --slots 20
 
+Each fluid configuration is timed over enough back-to-back fresh runs
+that its overload-only total clears the 0.2 s timing floor; fluid rows
+report seconds per run and how many runs they averaged.
+
 Soft regression gate (CI): compare a fresh sweep against the committed
 baseline and fail when any row's *overhead ratio* (QoS-governed time
 over overload-only time — machine-independent, unlike absolute
@@ -59,6 +63,9 @@ BURST_MAGNITUDE = 10.0
 SCALAR_CHECK_MAX_DEVICES = 100
 #: Allowed relative growth in a row's overhead ratio before --check fails.
 REGRESSION_TOLERANCE = 0.30
+#: Overload-only seconds a row must be timed over before --check gates
+#: it; fluid rows repeat fresh runs until their total clears it.
+TIMING_FLOOR_S = 0.2
 
 #: The QoS layer under test: a real memory budget (so the warm pool
 #: evicts and reloads throughout the burst) and a shed budget (so the
@@ -126,6 +133,22 @@ def _fluid_run(n: int, slots: int, qos: bool, seed: int):
     return time.perf_counter() - start, result
 
 
+def _fluid_timing(n: int, slots: int, seed: int):
+    """Seconds per run of the QoS and overload-only fluid configurations,
+    each timed over the same number of back-to-back fresh runs: as many
+    as the overload-only total needs to clear :data:`TIMING_FLOOR_S`."""
+    runs, base_total = 0, 0.0
+    while base_total < TIMING_FLOOR_S:
+        elapsed, _ = _fluid_run(n, slots, qos=False, seed=seed)
+        base_total += elapsed
+        runs += 1
+    qos_total = 0.0
+    for _ in range(runs):
+        elapsed, result = _fluid_run(n, slots, qos=True, seed=seed)
+        qos_total += elapsed
+    return runs, qos_total / runs, base_total / runs, result
+
+
 def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
     rows = []
     for n in device_counts:
@@ -161,6 +184,7 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
             "tasks": len(rq.tasks),
             "shed": rq.shed_count,
             "max_mode": max(rq.modes) if rq.modes else 0,
+            "runs": 1,
             "qos_s": round(qos_s, 3),
             "baseline_s": round(base_s, 3),
             "overhead": round(qos_s / base_s, 3),
@@ -180,8 +204,7 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
                 "diverged — refusing to write benchmark results"
             )
 
-        qos_s, fq = _fluid_run(n, slots, qos=True, seed=seed)
-        base_s, _ = _fluid_run(n, slots, qos=False, seed=seed)
+        runs, qos_s, base_s, fq = _fluid_timing(n, slots, seed)
         flow = fq.class_flow
         conserved = flow is not None and math.isclose(
             sum(flow.generated),
@@ -195,8 +218,9 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
             "tasks": round(fq.total_generated, 1),
             "shed": round(fq.total_shed, 1),
             "max_mode": int(fq.mode_timeline().max()),
-            "qos_s": round(qos_s, 3),
-            "baseline_s": round(base_s, 3),
+            "runs": runs,
+            "qos_s": round(qos_s, 4),
+            "baseline_s": round(base_s, 4),
             "overhead": round(qos_s / base_s, 3),
             "identity": conserved,
             "exact": None,
@@ -204,9 +228,9 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
         rows.append(row)
         print(
             f"fluid  {n:>6} devices: {row['tasks']:>7} tasks, "
-            f"qos {qos_s:7.3f}s, overload-only {base_s:7.3f}s, "
-            f"overhead {row['overhead']:5.3f}x, shed {row['shed']}, "
-            f"conserved={conserved}"
+            f"qos {qos_s:7.3f}s, overload-only {base_s:7.3f}s per run "
+            f"({runs} runs), overhead {row['overhead']:5.3f}x, "
+            f"shed {row['shed']}, conserved={conserved}"
         )
         if not conserved:
             raise SystemExit(
@@ -229,8 +253,9 @@ def check(baseline_path: Path, rows: list[dict]) -> int:
         base = by_key.get((row["path"], row["devices"]))
         if base is None or base.get("overhead") is None:
             continue
-        # Sub-second rows are timing noise, not signal.
-        if row["baseline_s"] < 0.2:
+        # A single run under the floor is timing noise, not signal;
+        # repeated (fluid) rows cleared the floor in total.
+        if row["runs"] == 1 and row["baseline_s"] < TIMING_FLOOR_S:
             continue
         ceiling = base["overhead"] * (1.0 + REGRESSION_TOLERANCE)
         if row["overhead"] > ceiling:

@@ -251,6 +251,13 @@ class QoSState:
       warm-up job.
     * An edge outage flushes the pool — PR 6 failovers and PR 8
       restarts land cold and must re-warm.
+    * One slot costs O(N log N) for N devices: one sort of the requested
+      devices, at most one sort of the unpinned residents (walked with a
+      cursor across every load of the slot), and a running residency
+      total.  The total matches a fresh re-sum bit for bit because every
+      footprint is an integer-valued float (``2·(μ₁+μ₂)`` FLOPs, at most
+      ~2.1e10 for the zoo models), so each partial sum is exact below
+      2**53 whatever the order.
     """
 
     def __init__(
@@ -343,9 +350,6 @@ class QoSState:
 
     # -- warm pool -----------------------------------------------------------
 
-    def _used(self) -> float:
-        return sum(self.footprints[i] for i in self.resident)
-
     def requested_mask(
         self, expected: Sequence[float], modes: Sequence[int]
     ) -> list[bool]:
@@ -363,45 +367,61 @@ class QoSState:
         warm times (``<= w0`` means already warm — no hold)."""
         holds = [w0] * self.num_devices
         self.loads_this_slot = []
+        weights = [c.weight for c in self.config.classes]
+        class_of = self.class_of
         order = sorted(
             (i for i in range(self.num_devices) if requested[i]),
-            key=lambda i: (-self.class_at(i).weight, i),
+            key=lambda i: (-weights[class_of[i]], i),
         )
+        resident, ready_at = self.resident, self.ready_at
+        footprints, load_seconds = self.footprints, self.load_seconds
+        limit = self.budget + 1e-9
+        # Running residency total: exact in any order, because the
+        # footprints are integer-valued FLOP counts (see the class
+        # docstring).
+        used = sum(footprints[j] for j in resident)
         pinned: set[int] = set()
+        # Eviction order, built at the first load that does not fit.
+        # An unpinned resident's key is fixed for the whole slot and
+        # new residents are pinned, so one sorted pass serves every
+        # later load: entries behind the cursor are evicted, entries
+        # pinned since are skipped.
+        victims: list[int] | None = None
+        cursor = 0
         for i in order:
-            if i in self.resident:
-                self.resident[i] = slot
+            if i in resident:
+                resident[i] = slot
                 pinned.add(i)
-                holds[i] = self.ready_at.get(i, w0)
+                holds[i] = ready_at.get(i, w0)
                 continue
-            need = self.footprints[i]
-            if self._used() + need > self.budget + 1e-9:
-                victims = sorted(
-                    (j for j in self.resident if j not in pinned),
-                    key=lambda j: (
-                        self.class_at(j).weight,
-                        self.resident[j],
-                        j,
-                    ),
-                )
-                for j in victims:
-                    if self._used() + need <= self.budget + 1e-9:
-                        break
-                    del self.resident[j]
-                    self.ready_at.pop(j, None)
+            need = footprints[i]
+            if used + need > limit:
+                if victims is None:
+                    victims = sorted(
+                        (j for j in resident if j not in pinned),
+                        key=lambda j: (weights[class_of[j]], resident[j], j),
+                    )
+                while used + need > limit and cursor < len(victims):
+                    j = victims[cursor]
+                    cursor += 1
+                    if j in pinned:
+                        continue
+                    del resident[j]
+                    ready_at.pop(j, None)
+                    used -= footprints[j]
                     self.evictions += 1
             self.cold_hits += 1
-            warm_time = w0 + self.load_seconds[i]
-            self.loads_this_slot.append((i, self.load_seconds[i]))
-            if self._used() + need > self.budget + 1e-9 and pinned:
+            warm_time = w0 + load_seconds[i]
+            self.loads_this_slot.append((i, load_seconds[i]))
+            holds[i] = warm_time
+            if used + need > limit and pinned:
                 # The pinned (higher-priority) set fills the budget: a
                 # transient load — serve cold, retain nothing.
-                holds[i] = warm_time
                 continue
-            self.resident[i] = slot
-            self.ready_at[i] = warm_time
+            resident[i] = slot
+            ready_at[i] = warm_time
+            used += need
             pinned.add(i)
-            holds[i] = warm_time
         return holds
 
     def flush(self) -> None:
@@ -476,14 +496,20 @@ def degrade_system_by_modes(
     """The system a per-device rung vector deploys.  A uniform vector
     degrades every partition, fleet-wide and per-device, to its rung
     (:data:`~repro.resilience.overload.MODE_FULL` returns ``system``
-    itself); a mixed one pins per-device partitions to each rung."""
+    itself); a mixed one pins per-device partitions to each rung,
+    degrading each distinct (partition, rung) pair once and sharing the
+    result between the devices that deploy it."""
     mode = modes[0]
     if any(m != mode for m in modes):
-        parts = tuple(
-            degrade_partition(system.partition_for(i), m)
-            for i, m in enumerate(modes)
-        )
-        return replace(system, device_partitions=parts)
+        degraded: dict[tuple[int, int], "PartitionedModel"] = {}
+        parts = []
+        for i, m in enumerate(modes):
+            part = system.partition_for(i)
+            key = (id(part), m)
+            if key not in degraded:
+                degraded[key] = degrade_partition(part, m)
+            parts.append(degraded[key])
+        return replace(system, device_partitions=tuple(parts))
     if mode <= MODE_FULL:
         return system
     return replace(

@@ -10,8 +10,9 @@ Four families of invariants, each over ≥25 seeded fleets:
   vectorized stays byte-identical and event scalar ↔ fast stays
   per-task identical (class tags included).
 * **Warm pool** — eviction never loses in-flight (requested-and-warm)
-  work, the memory budget is never exceeded by resident partitions, and
-  cold-start delays are a pure function of the seed.
+  work, the memory budget is never exceeded by resident partitions,
+  cold-start delays are a pure function of the seed, and the incremental
+  slot step decides exactly what the re-summing reference decides.
 * **Sentinels** — every rate over an empty class is NaN, never an
   optimistic zero.
 """
@@ -24,8 +25,16 @@ import numpy as np
 import pytest
 
 from repro.core.offloading import DriftPlusPenaltyPolicy
+from repro.models.multi_exit import MultiExitDNN
+from repro.models.zoo import MODEL_BUILDERS, build_model
 from repro.resilience.overload import OverloadControl
-from repro.resilience.qos import QoSClass, QoSConfig, QoSState, assign_classes
+from repro.resilience.qos import (
+    QoSClass,
+    QoSConfig,
+    QoSState,
+    assign_classes,
+    partition_footprint,
+)
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.events import EventSimulator
 from repro.sim.simulator import SlotSimulator
@@ -209,6 +218,112 @@ def test_eviction_never_loses_in_flight_work(seed: int) -> None:
         assert all(
             h <= slot * tau + max(state.load_seconds) + 1e-12 for h in holds
         ), (seed, slot)
+
+
+def _reference_on_slot(
+    state: QoSState, slot: int, w0: float, requested
+) -> list[float]:
+    """The warm pool's original slot step, kept as an oracle: it re-sums
+    the resident pool before every fit check and re-sorts the unpinned
+    residents at every load that does not fit."""
+
+    def used() -> float:
+        return sum(state.footprints[i] for i in state.resident)
+
+    holds = [w0] * state.num_devices
+    state.loads_this_slot = []
+    order = sorted(
+        (i for i in range(state.num_devices) if requested[i]),
+        key=lambda i: (-state.class_at(i).weight, i),
+    )
+    pinned: set[int] = set()
+    for i in order:
+        if i in state.resident:
+            state.resident[i] = slot
+            pinned.add(i)
+            holds[i] = state.ready_at.get(i, w0)
+            continue
+        need = state.footprints[i]
+        if used() + need > state.budget + 1e-9:
+            victims = sorted(
+                (j for j in state.resident if j not in pinned),
+                key=lambda j: (state.class_at(j).weight, state.resident[j], j),
+            )
+            for j in victims:
+                if used() + need <= state.budget + 1e-9:
+                    break
+                del state.resident[j]
+                state.ready_at.pop(j, None)
+                state.evictions += 1
+        state.cold_hits += 1
+        warm_time = w0 + state.load_seconds[i]
+        state.loads_this_slot.append((i, state.load_seconds[i]))
+        if used() + need > state.budget + 1e-9 and pinned:
+            holds[i] = warm_time
+            continue
+        state.resident[i] = slot
+        state.ready_at[i] = warm_time
+        pinned.add(i)
+        holds[i] = warm_time
+    return holds
+
+
+WARM_POOL_FRACTIONS = (0.1, 0.25, 0.4, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_warm_pool_matches_the_reference_slot_step(seed: int) -> None:
+    """The incremental warm pool (running residency total, one eviction
+    order per slot) makes exactly the decisions of the re-summing
+    reference: same holds, same resident and warm-time maps in the same
+    insertion order (checkpoints pickle them), same loads and counters
+    after every slot, across memory pressures, fleet shapes and
+    outage flushes."""
+    n, slots = 16, 176
+    evictions = 0
+    for heterogeneous in (False, True):
+        system = random_fleet(seed, n, heterogeneous=heterogeneous)
+        for fraction in WARM_POOL_FRACTIONS:
+            config = QoSConfig(memory_fraction=fraction)
+            state = QoSState(config, system, seed)
+            reference = QoSState(config, system, seed)
+            rng = np.random.default_rng([seed, int(heterogeneous), n])
+            tau = system.slot_length
+            for slot in range(slots):
+                if rng.random() < 0.05:
+                    state.flush()
+                    reference.flush()
+                density = rng.uniform(0.2, 1.0)
+                requested = [bool(b) for b in rng.random(n) < density]
+                w0 = slot * tau
+                holds = state.on_slot(slot, w0, requested)
+                expected = _reference_on_slot(reference, slot, w0, requested)
+                where = (seed, heterogeneous, fraction, slot)
+                assert holds == expected, where
+                assert list(state.resident.items()) == list(
+                    reference.resident.items()
+                ), where
+                assert list(state.ready_at.items()) == list(
+                    reference.ready_at.items()
+                ), where
+                assert state.loads_this_slot == reference.loads_this_slot, where
+                assert state.evictions == reference.evictions, where
+                assert state.cold_hits == reference.cold_hits, where
+            evictions += state.evictions
+    assert evictions > 0, seed
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+def test_partition_footprints_are_integer_valued(model: str) -> None:
+    """The warm pool's running residency total is exact only because
+    every footprint is an integer-valued float, small enough that a pool
+    of 10,000 of them still sums below 2**53; check that premise for
+    every cut of every zoo model."""
+    me_dnn = MultiExitDNN(build_model(model))
+    for selection in me_dnn.candidate_selections():
+        footprint = partition_footprint(me_dnn.partition(selection))
+        assert footprint.is_integer(), (model, selection, footprint)
+        assert 0.0 < footprint * 10_000 < 2.0**53, (model, selection, footprint)
 
 
 def test_heavy_eviction_still_conserves_every_task() -> None:
