@@ -13,7 +13,8 @@ The invariants:
   task level, ``generated = admitted + shed`` at the fluid level.
 * **Cross-path conformance** — the scalar and vectorized fluid paths
   agree SlotRecord-for-SlotRecord; the scalar and fast event engines
-  agree TaskRecord-for-TaskRecord.
+  agree TaskRecord-for-TaskRecord (:func:`event_results_close` is the
+  float-tolerant form the experiments and CLI replays use).
 * **NaN sentinels** — no quantity that should be a number is NaN or
   infinite (the empty-fleet NaN convention is deliberate and excluded:
   sentinels scan raw records/tasks, not derived rates).
@@ -24,6 +25,7 @@ The invariants:
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 #: Cap on per-oracle violation detail lines — a systematically broken
 #: run should not produce a megabyte report.
@@ -146,6 +148,36 @@ def records_diff(a, b, label: str = "records") -> list[str]:
 def tasks_equal(a, b) -> bool:
     """TaskRecord-for-TaskRecord equality."""
     return list(a) == list(b)
+
+
+_EXACT = attrgetter(
+    "task_id", "device", "created", "offloaded", "exit_tier", "retries",
+    "dropped", "shed", "qos",
+)
+_SPLIT = attrgetter("compute_time", "transfer_time", "queue_time")
+
+
+def event_results_close(a, b, tol: float = 1e-9) -> bool:
+    """Twin task-level runs (scalar vs fast event engine) agree: equal
+    rung logs and task counts, horizons within ``tol``, and per task
+    equal ids, devices, creation times, placement, exit tiers, retries,
+    drop/shed flags and QoS classes, with completion times and the
+    compute/transfer/queue split within ``tol``."""
+    if (
+        a.modes != b.modes
+        or len(a.tasks) != len(b.tasks)
+        or abs(a.horizon - b.horizon) > tol
+    ):
+        return False
+    for x, y in zip(a.tasks, b.tasks):
+        if _EXACT(x) != _EXACT(y) or x.done != y.done:
+            return False
+        floats = [*zip(_SPLIT(x), _SPLIT(y))]
+        if x.done:
+            floats.append((x.completed, y.completed))
+        if any(abs(p - q) > tol for p, q in floats):
+            return False
+    return True
 
 
 def tasks_diff(a, b, label: str = "tasks") -> list[str]:

@@ -41,13 +41,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .core.analysis import measure_search_complexity, measure_v_tradeoff
-from .core.exit_setting import AverageEnvironment, branch_and_bound_exit_setting
+from .core.exit_setting import branch_and_bound_exit_setting
 from .experiments.common import TestbedConfig, run_scheme, Scheme
 from .policies import build_policy, policy_names, policy_spec
 from .tournament.scenarios import scenario_names
 from .hardware import NetworkProfile, PLATFORMS, platform
 from .models.exit_rates import ParametricExitCurve
-from .models.multi_exit import MultiExitDNN
 from .models.zoo import MODEL_BUILDERS, build_model
 from .units import mbps, ms, to_ms
 
@@ -341,18 +340,11 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         system, trace, policy, num_slots=num_slots, seed=args.seed
     )
     scalar_elapsed = time.perf_counter() - start
-    identical = all(
-        a.queue_local == b.queue_local
-        and a.queue_edge == b.queue_edge
-        and a.total_time == b.total_time
-        and a.ratios == b.ratios
-        for a, b in zip(scalar.records, fast.records)
-    )
+    from .chaos.oracles import fluid_conservation, records_equal
 
+    identical = records_equal(scalar.records, fast.records)
     conservation = []
     for label, run in (("vectorized", fast), ("scalar", scalar)):
-        from .chaos.oracles import fluid_conservation
-
         conservation += [
             f"[{label}] {line}" for line in fluid_conservation(run)
         ]
@@ -495,13 +487,14 @@ def _cmd_faults_replay(args: argparse.Namespace) -> int:
     fast = fluid(vectorized=True)
     fast_elapsed = time.perf_counter() - start
     scalar = fluid(vectorized=False)
-    identical = all(
-        a.queue_local == b.queue_local
-        and a.queue_edge == b.queue_edge
-        and a.total_time == b.total_time
-        and a.ratios == b.ratios
-        for a, b in zip(scalar.records, fast.records)
+    from .chaos.oracles import (
+        event_conservation,
+        event_results_close,
+        fluid_conservation,
+        records_equal,
     )
+
+    identical = records_equal(scalar.records, fast.records)
 
     # Task level: recovery vs. first-fault-drops through the event
     # simulator, under common randomness.  Resolve "auto" up front so
@@ -544,17 +537,7 @@ def _cmd_faults_replay(args: argparse.Namespace) -> int:
         drain_limit_factor=100.0,
         engine="fast" if engine == "scalar" else "scalar",
     )
-    reference = engine_results["recovery"]
-    engines_agree = len(reference.tasks) == len(twin.tasks) and all(
-        a.exit_tier == b.exit_tier
-        and a.completed == b.completed
-        and a.retries == b.retries
-        and a.dropped == b.dropped
-        for a, b in zip(reference.tasks, twin.tasks)
-    )
-
-    from .chaos.oracles import event_conservation, fluid_conservation
-
+    engines_agree = event_results_close(engine_results["recovery"], twin)
     conservation = [f"[fluid] {line}" for line in fluid_conservation(fast)]
     for label, result in engine_results.items():
         conservation += [

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..chaos.oracles import records_equal
 from ..core.offloading import DriftPlusPenaltyPolicy, FixedRatioPolicy
 from ..resilience import (
     FaultPlan,
@@ -93,16 +94,6 @@ class FigFaultsResult:
             if row.scheme == name:
                 return row
         raise KeyError(name)
-
-
-def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
-    return len(a.records) == len(b.records) and all(
-        x.queue_local == y.queue_local
-        and x.queue_edge == y.queue_edge
-        and x.total_time == y.total_time
-        and x.ratios == y.ratios
-        for x, y in zip(a.records, b.records)
-    )
 
 
 def run_fig_faults(
@@ -200,7 +191,9 @@ def run_fig_faults(
         plan=plan,
         rows=tuple(rows),
         fluid_rows=fluid_rows,
-        paths_identical=_records_identical(leime_scalar, leime_fluid),
+        paths_identical=records_equal(
+            leime_scalar.records, leime_fluid.records
+        ),
     )
 
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..chaos.oracles import event_results_close, records_equal
 from ..core.offloading import DriftPlusPenaltyPolicy
 from ..resilience import MODE_FULL, OverloadControl, time_to_recovery
 from ..sim.arrivals import TraceArrivals
@@ -113,18 +114,6 @@ class FigOverloadResult:
         raise KeyError(name)
 
 
-def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
-    return len(a.records) == len(b.records) and all(
-        x.queue_local == y.queue_local
-        and x.queue_edge == y.queue_edge
-        and x.total_time == y.total_time
-        and x.ratios == y.ratios
-        and x.shed == y.shed
-        and x.mode == y.mode
-        for x, y in zip(a.records, b.records)
-    )
-
-
 def _mode_recovery(modes: np.ndarray, crowd_stop: int) -> float:
     """Slots after ``crowd_stop`` until the rung timeline reads
     :data:`MODE_FULL` again — 0.0 if the ladder never engaged, ``inf``
@@ -187,24 +176,6 @@ def run_fig_overload(
     governed = event_sim(control).run(policy(), num_slots)
     governed_fast = run_fast(event_sim(control), policy(), num_slots)
     ungoverned = event_sim(None).run(policy(), num_slots)
-
-    engines_identical = (
-        len(governed.tasks) == len(governed_fast.tasks)
-        and governed.modes == governed_fast.modes
-        and all(
-            a.shed == b.shed
-            and a.dropped == b.dropped
-            and a.exit_tier == b.exit_tier
-            and (
-                (a.completed is None) == (b.completed is None)
-                and (
-                    a.completed is None
-                    or abs(a.completed - b.completed) < 1e-9
-                )
-            )
-            for a, b in zip(governed.tasks, governed_fast.tasks)
-        )
-    )
 
     rows = tuple(
         OverloadSchemeRow(
@@ -290,10 +261,10 @@ def run_fig_overload(
         crowd_stop=crowd_stop,
         rows=rows,
         fluid_rows=fluid_rows,
-        fluid_paths_identical=_records_identical(
-            governed_scalar, governed_fluid
+        fluid_paths_identical=records_equal(
+            governed_scalar.records, governed_fluid.records
         ),
-        event_engines_identical=engines_identical,
+        event_engines_identical=event_results_close(governed, governed_fast),
         fluid_conservation=conservation,
     )
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..chaos.oracles import event_results_close, records_equal
 from ..core.offloading import DriftPlusPenaltyPolicy
 from ..resilience import MODE_FULL, OverloadControl
 from ..resilience.faults import canonical_outage_plan
@@ -197,18 +198,6 @@ class FigQoSResult:
         )
 
 
-def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
-    return len(a.records) == len(b.records) and all(
-        x.queue_local == y.queue_local
-        and x.queue_edge == y.queue_edge
-        and x.total_time == y.total_time
-        and x.ratios == y.ratios
-        and x.shed == y.shed
-        and x.mode == y.mode
-        for x, y in zip(a.records, b.records)
-    )
-
-
 def run_fig_qos(
     num_slots: int = 160,
     seed: int = 0,
@@ -267,25 +256,6 @@ def run_fig_qos(
     aware = event_sim(aware_cfg).run(policy(), num_slots)
     aware_fast = run_fast(event_sim(aware_cfg), policy(), num_slots)
     uniform = event_sim(uniform_cfg).run(policy(), num_slots)
-
-    engines_identical = (
-        len(aware.tasks) == len(aware_fast.tasks)
-        and aware.modes == aware_fast.modes
-        and all(
-            a.shed == b.shed
-            and a.dropped == b.dropped
-            and a.exit_tier == b.exit_tier
-            and a.qos == b.qos
-            and (
-                (a.completed is None) == (b.completed is None)
-                and (
-                    a.completed is None
-                    or abs(a.completed - b.completed) < 1e-9
-                )
-            )
-            for a, b in zip(aware.tasks, aware_fast.tasks)
-        )
-    )
 
     deadlines = {
         "gold": GOLD_DEADLINE_S,
@@ -361,8 +331,10 @@ def run_fig_qos(
         outage=(third, third + num_slots // 8),
         rows=tuple(rows),
         class_rows=tuple(class_rows),
-        event_engines_identical=engines_identical,
-        fluid_paths_identical=_records_identical(fluid_scalar, fluid_vec),
+        event_engines_identical=event_results_close(aware, aware_fast),
+        fluid_paths_identical=records_equal(
+            fluid_scalar.records, fluid_vec.records
+        ),
         fluid_class_conservation=conservation,
     )
 

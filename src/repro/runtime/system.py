@@ -9,10 +9,12 @@ Mirrors the event simulator's topology (Fig. 1/4) with actual threads:
   re-runs the configured offloading policy — exactly the online phase of
   §III-D, but against real queues instead of modelled ones.
 
-Tasks carry the same :class:`~repro.sim.tasks.TaskRecord` lifecycle as the
-event simulator and are booked in the same
-:class:`~repro.sim.streaming.TaskLedger`, so a run returns the event
-simulator's :class:`~repro.sim.events.EventSimResult`.
+Tasks walk the scalar event engine's own hop graph
+(:class:`~repro.sim.pipeline.TaskPipeline`) over these workers — fault
+gates, retries, fallback, exit decisions and stage accounting included —
+and are booked in the same :class:`~repro.sim.streaming.TaskLedger`, so
+a run returns the event simulator's
+:class:`~repro.sim.events.EventSimResult`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from ..core.vectorized import vectorized_equivalent
 from ..models.multi_exit import PartitionedModel
 from ..resilience.recovery import resolve_recovery
 from ..sim.arrivals import ArrivalProcess
+from ..sim.pipeline import Hop, OnDone, TaskPipeline
 from ..sim.streaming import TaskLedger
 from ..sim.tasks import TaskRecord
 from .clock import VirtualClock
@@ -41,17 +44,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.events import EventSimResult
 
 
+def _hop(worker: RuntimeNode, send: Callable) -> Hop:
+    """A threaded worker as a pipeline hop; ``send`` is its ``submit``
+    (or a link's ``transmit``).  The worker keeps time on the shared
+    clock, so the hop's start time goes unused, and a completion reports
+    the job's nominal service time — the rest of the hop's span, thread
+    jitter included, is queueing."""
+
+    def hop(time: float, demand: float, on_done: OnDone) -> bool:
+        service = worker._service_time(demand)
+        return send(demand, lambda t: on_done(t, service))
+
+    return hop
+
+
 class LeimeRuntime:
     """Run a deployed :class:`EdgeSystem` on live threads.
 
     The run's randomness is split into two independent streams derived
-    from ``seed``: a **control** stream consumed only by the controller
-    loop (arrival draws and per-task offload coin flips) and an **exit**
-    stream consumed by worker threads (early-exit coin flips).  Workers
-    race each other, so their draw *order* is scheduling-dependent — but
-    because they draw from their own stream, the controller's sequence of
-    arrivals and offload decisions is byte-identical across same-seed runs
-    (``tests/test_determinism.py`` pins this).
+    from ``seed``, both drawn by the controller loop as it creates
+    tasks: a **control** stream (arrival draws and per-task offload coin
+    flips) and an **exit** stream (each task's two early-exit coins, as
+    in the event engines).  Worker threads draw nothing — they compare a
+    task's coins with the slot's exit thresholds — so the sequence of
+    arrivals and offload decisions is byte-identical across same-seed
+    runs, and so is every exit tier when worker timing cannot decide a
+    task's fate (no overload control, no faults;
+    ``tests/test_determinism.py`` pins both).
 
     Args:
         system: The deployment (devices, shares, partition(s), τ).
@@ -83,8 +102,6 @@ class LeimeRuntime:
         control_seq, exit_seq = np.random.SeedSequence(seed).spawn(2)
         self._control_rng = np.random.default_rng(control_seq)
         self._exit_rng = np.random.default_rng(exit_seq)
-        self._control_lock = threading.Lock()
-        self._exit_lock = threading.Lock()
         n = system.num_devices
         self.devices = [
             RuntimeNode(
@@ -112,6 +129,13 @@ class LeimeRuntime:
         self.cloud = RuntimeNode(
             "cloud", system.cloud_flops, self.clock, overhead=system.cloud_overhead
         )
+        self._workers = (
+            *self.devices,
+            *self.uplinks,
+            *self.edge_slices,
+            self.cloud_link,
+            self.cloud,
+        )
         # The current run's books; every access holds the task lock, and
         # the cut at the end of a run detaches them, so workers finishing
         # late cannot change a returned result.
@@ -120,24 +144,12 @@ class LeimeRuntime:
         self._tasks_lock = threading.Lock()
         self._done = threading.Event()
         self._outstanding = 0
-        self._faults: "FaultPlan | None" = None
-        self._recovery: "RecoveryPolicy | None" = None
+        # The current run's hop graph; its fault cursor is the
+        # controller's slot counter.
+        self._pipeline: TaskPipeline | None = None
         self._live_slot = 0
 
-    # -- randomness (two streams: controller vs worker threads) -------------
-
-    def _control_random(self) -> float:
-        """Controller-loop draws (offload coin flips): deterministic order."""
-        with self._control_lock:
-            return float(self._control_rng.random())
-
-    def _exit_random(self) -> float:
-        """Worker-thread draws (exit coin flips): order races, stream is
-        isolated so it cannot perturb the control stream."""
-        with self._exit_lock:
-            return float(self._exit_rng.random())
-
-    # -- task pipeline --------------------------------------------------------
+    # -- terminal hooks (called by the pipeline on worker threads) ----------
 
     def _task_finished(self, task: TaskRecord, time: float, tier: int) -> None:
         with self._tasks_lock:
@@ -148,9 +160,7 @@ class LeimeRuntime:
     def _task_dropped(self, task: TaskRecord) -> None:
         """Terminal failure: the task leaves the system uncompleted (it
         still decrements the drain counter, so runs always terminate).
-        Bounded-queue rejections mid-pipeline land here too — every
-        submission path checks its ``submit``/``transmit`` result, so a
-        full queue can never strand the drain counter."""
+        A bounded queue refusing a task mid-pipeline lands here too."""
         with self._tasks_lock:
             if self._ledger is not None:
                 self._ledger.drop(task)
@@ -162,188 +172,15 @@ class LeimeRuntime:
         if self._outstanding == 0:
             self._done.set()
 
-    # -- fault handling (live twin of the event simulator's helpers) --------
-
-    def _fault_slot(self) -> int:
-        """The fault-plan row in effect: the controller's current slot.
-
-        Keyed off the slot *counter*, not the virtual clock — the
-        controller loop can fall behind wall-scaled time (a policy solve
-        takes longer than τ/speedup), and a clock-derived index would
-        then replay the wrong rows.  Worker threads race the counter, so
-        a fault read near a boundary may land one row off — acceptable:
-        determinism is promised for the control plane, not the worker
-        interleaving.  After generation the counter sits past the plan,
-        where accessors report a healthy world, so drains terminate."""
-        return self._live_slot
-
-    def _retry(
-        self,
-        task: TaskRecord,
-        action: Callable[[], None],
-        give_up: Callable[[], None],
+    def _after(
+        self, time: float, delay: float, again: Callable[[float], None]
     ) -> None:
-        """Spend one retry (backoff runs on a timer thread in scaled wall
-        time), drop on a deadline breach, or hand over to ``give_up``."""
-        recovery = self._recovery
-        attempt = task.retries
-        if attempt >= recovery.max_retries:
-            give_up()
-            return
-        delay = recovery.backoff(attempt)
-        if (
-            recovery.deadline is not None
-            and self.clock.now() + delay - task.created > recovery.deadline
-        ):
-            self._task_dropped(task)
-            return
-        task.retries += 1
-        timer = threading.Timer(delay / self.clock.speedup, action)
+        """A retry's backoff: a timer thread, in scaled wall time."""
+        timer = threading.Timer(
+            delay / self.clock.speedup, lambda: again(self.clock.now())
+        )
         timer.daemon = True
         timer.start()
-
-    def _transmit_uplink(
-        self,
-        task: TaskRecord,
-        size: float,
-        on_delivered: Callable[[float], None],
-        give_up: Callable[[], None],
-    ) -> None:
-        faults = self._faults
-        if faults is None:
-            if not self.uplinks[task.device].transmit(size, on_delivered):
-                give_up()
-            return
-        slot = self._fault_slot()
-        if faults.drop_at(slot, task.device):
-            self._retry(
-                task,
-                lambda: self._transmit_uplink(task, size, on_delivered, give_up),
-                give_up,
-            )
-            return
-        corrupted = faults.corrupt_at(slot, task.device)
-
-        def delivered(t: float) -> None:
-            if corrupted:
-                self._retry(
-                    task,
-                    lambda: self._transmit_uplink(
-                        task, size, on_delivered, give_up
-                    ),
-                    give_up,
-                )
-            else:
-                on_delivered(t)
-
-        if not self.uplinks[task.device].transmit(size, delivered):
-            give_up()
-
-    def _submit_edge(
-        self,
-        task: TaskRecord,
-        demand: float,
-        on_done: Callable[[float], None],
-        give_up: Callable[[], None],
-    ) -> None:
-        faults = self._faults
-        if faults is not None and faults.edge_down_at(self._fault_slot()):
-            self._retry(
-                task,
-                lambda: self._submit_edge(task, demand, on_done, give_up),
-                give_up,
-            )
-            return
-        if not self.edge_slices[task.device].submit(demand, on_done):
-            give_up()
-
-    def _to_cloud(self, task: TaskRecord) -> None:
-        part = self.system.partition_for(task.device)
-
-        def sent(t: float) -> None:
-            accepted = self.cloud.submit(
-                part.mu3, lambda t2: self._task_finished(task, t2, 3)
-            )
-            if not accepted:
-                self._task_dropped(task)
-
-        if not self.cloud_link.transmit(part.d2, sent):
-            self._task_dropped(task)
-
-    def _second_block(self, task: TaskRecord) -> None:
-        part = self.system.partition_for(task.device)
-        sigma1, sigma2 = part.sigma1, part.sigma2
-        exit2_given = (sigma2 - sigma1) / (1.0 - sigma1) if sigma1 < 1.0 else 1.0
-
-        def done(t: float) -> None:
-            if self._exit_random() < exit2_given:
-                self._task_finished(task, t, 2)
-            else:
-                self._to_cloud(task)
-
-        # Block 2 needs the edge-resident intermediate state; past the
-        # retry budget the task is lost.
-        self._submit_edge(
-            task, part.mu2, done, lambda: self._task_dropped(task)
-        )
-
-    def _first_block_on_edge(self, task: TaskRecord) -> None:
-        part = self.system.partition_for(task.device)
-
-        def done(t: float) -> None:
-            if self._exit_random() < part.sigma1:
-                self._task_finished(task, t, 1)
-            else:
-                self._second_block(task)
-
-        def give_up() -> None:
-            # The device still holds the raw input: fall back on-device.
-            if self._recovery is not None and self._recovery.fallback_local:
-                self._first_block_on_device(task)
-            else:
-                self._task_dropped(task)
-
-        self._submit_edge(task, part.mu1, done, give_up)
-
-    def _first_block_on_device(self, task: TaskRecord) -> None:
-        part = self.system.partition_for(task.device)
-        demand = part.mu1
-        if self._faults is not None:
-            demand *= self._faults.straggler_at(self._fault_slot(), task.device)
-
-        def local_done(t: float) -> None:
-            if self._exit_random() < part.sigma1:
-                self._task_finished(task, t, 1)
-                return
-            self._transmit_uplink(
-                task,
-                part.d1,
-                lambda t2: self._second_block(task),
-                lambda: self._task_dropped(task),
-            )
-
-        if not self.devices[task.device].submit(demand, local_done):
-            self._task_dropped(task)
-
-    def _launch(self, task: TaskRecord) -> None:
-        part = self.system.partition_for(task.device)
-        if task.offloaded:
-
-            def give_up() -> None:
-                if self._recovery is not None and self._recovery.fallback_local:
-                    self._first_block_on_device(task)
-                else:
-                    self._task_dropped(task)
-
-            self._transmit_uplink(
-                task,
-                part.d0,
-                lambda t: self._first_block_on_edge(task),
-                give_up,
-            )
-            return
-
-        self._first_block_on_device(task)
 
     # -- live reconfiguration --------------------------------------------------
 
@@ -353,11 +190,11 @@ class LeimeRuntime:
         Tasks launched after the swap read the new partition at every
         stage; in-flight tasks pick it up at their *next* stage (a task
         mid-first-block finishes that block at the old μ but transfers
-        and exits per the new plan) — the cheap approximation of a rolling
-        model rollout.  Per-device partitions are cleared: a re-plan
-        deploys one fleet-wide setting, as the paper's planner does.
-        During a governed run the slot's rungs degrade the new
-        deployment from the next slot boundary on.
+        per the new plan) — the cheap approximation of a rolling model
+        rollout.  The exit thresholds, and during a governed run the
+        slot's rungs, follow from the next slot boundary.  Per-device
+        partitions are cleared: a re-plan deploys one fleet-wide
+        setting, as the paper's planner does.
         """
         self.system = self._deployed = replace(
             self._deployed, partition=partition, device_partitions=()
@@ -371,13 +208,16 @@ class LeimeRuntime:
     ) -> str:
         """Digest of a live run's configuration for checkpoint validation."""
         from ..chaos.checkpoint import run_fingerprint
+        from ..resilience.faults import FAULT_CHANNELS
 
         return run_fingerprint(
             path="runtime",
             seed=self.seed,
             devices=self.system.num_devices,
             slots=num_slots,
-            faults=None if faults is None else repr(faults.describe()),
+            faults=None
+            if faults is None
+            else [getattr(faults, c) for c in FAULT_CHANNELS],
             recovery=repr(recovery),
             overload=repr(overload),
             qos=repr(qos),
@@ -497,17 +337,31 @@ class LeimeRuntime:
         ledger = TaskLedger(metrics == "streaming", controller.qos)
         with self._tasks_lock:
             self._ledger = ledger
-        self._faults = faults
-        self._recovery = recovery
+        self._pipeline = pipeline = TaskPipeline(
+            # Read at every stage: a hot-swapped partition reaches
+            # in-flight tasks at their next hop.
+            partition_for=lambda i: self.system.partition_for(i),
+            device_cpu=[_hop(cpu, cpu.submit) for cpu in self.devices],
+            uplink=[_hop(link, link.transmit) for link in self.uplinks],
+            edge_slice=[_hop(cpu, cpu.submit) for cpu in self.edge_slices],
+            cloud_link=_hop(self.cloud_link, self.cloud_link.transmit),
+            cloud_cpu=_hop(self.cloud, self.cloud.submit),
+            wait=self._after,
+            # Keyed off the slot *counter*, not the virtual clock: the
+            # controller can fall behind wall-scaled time, and a
+            # clock-derived row would replay the wrong slot.  Workers
+            # race the counter, so a fault read near a boundary may land
+            # one row off — determinism is promised for the control
+            # plane, not the worker interleaving.
+            fault_slot=lambda time: self._live_slot,
+            faults=faults,
+            recovery=recovery,
+            finished=self._task_finished,
+            dropped=self._task_dropped,
+        )
         if overload is not None and overload.queue_capacity is not None:
-            for node in (
-                *self.devices,
-                *self.uplinks,
-                *self.edge_slices,
-                self.cloud_link,
-                self.cloud,
-            ):
-                node.capacity = int(overload.queue_capacity)
+            for worker in self._workers:
+                worker.capacity = int(overload.queue_capacity)
         state = LyapunovState.zeros(n)
         tau = self.system.slot_length
         fractional = [0.0] * n
@@ -538,6 +392,7 @@ class LeimeRuntime:
             # Every device serves its own deployed partition at its rung;
             # in-flight tasks pick the rung up at their next stage.
             self.system = degrade_system_by_modes(self._deployed, rungs)
+            pipeline.set_rungs(self._deployed, rungs)
             if holds is not None:
                 for i in range(n):
                     if holds[i] > w0:
@@ -546,9 +401,7 @@ class LeimeRuntime:
                 policy.decide(self.system, state, expected), state.queue_edge
             )
             for i, proc in enumerate(arrivals):
-                with self._control_lock:
-                    drawn = float(proc.sample(slot, self._control_rng))
-                fractional[i] += drawn
+                fractional[i] += float(proc.sample(slot, self._control_rng))
                 count = int(fractional[i])
                 fractional[i] -= count
                 admitted = controller.admit(i, count)
@@ -557,20 +410,26 @@ class LeimeRuntime:
                         task_id=self._task_counter,
                         device=i,
                         created=self.clock.now(),
-                        offloaded=self._control_random() < ratios[i],
+                        offloaded=bool(self._control_rng.random() < ratios[i]),
                         shed=k >= admitted,
                         qos=ledger.tag(i),
                     )
                     self._task_counter += 1
+                    coins = (
+                        float(self._exit_rng.random()),
+                        float(self._exit_rng.random()),
+                    )
                     with self._tasks_lock:
                         ledger.add(task)
                         if not task.shed:
                             self._outstanding += 1
                             self._done.clear()
                     # A shed task never enters the pipeline — it is
-                    # terminal at creation and exempt from the drain.
+                    # terminal at creation and exempt from the drain; its
+                    # coins are drawn all the same, so a governed run
+                    # keeps its ungoverned twin's exit stream.
                     if not task.shed:
-                        self._launch(task)
+                        pipeline.launch(task, task.created, coins)
             self.clock.sleep(tau)
         # Generation is over: park the fault cursor past the plan (a
         # healthy world), so retries issued during the drain succeed.
@@ -587,47 +446,6 @@ class LeimeRuntime:
             self._ledger = None
             return ledger.result(self.clock.now(), controller.log, detach=True)
 
-    def simulate_offline(
-        self,
-        arrivals: list[ArrivalProcess],
-        num_slots: int,
-        faults: "FaultPlan | None" = None,
-        recovery: "RecoveryPolicy | None" = None,
-        qos: "QoSConfig | None" = None,
-        engine: str = "fast",
-        drain_limit_factor: float = 50.0,
-    ):
-        """Replay this deployment offline through the event simulator.
-
-        A live run costs wall-clock time (worker threads racing a virtual
-        clock); capacity planning wants the same deployment — system,
-        policy, seed, fault plan — answered in milliseconds.  This seam
-        hands the runtime's configuration to
-        :class:`~repro.sim.events.EventSimulator`, defaulting to the
-        array-backed fast lane, and returns its
-        :class:`~repro.sim.events.EventSimResult`.
-
-        The replay is a *what-if model* of the deployment, not a
-        byte-identical twin of :meth:`run`: live worker threads race each
-        other (their exit draws and queue interleavings are
-        scheduling-dependent), while the simulator is fully deterministic.
-        """
-        from ..sim.events import EventSimulator
-
-        return EventSimulator(
-            system=self.system,
-            arrivals=arrivals,
-            seed=self.seed,
-            faults=faults,
-            recovery=recovery,
-            qos=qos,
-        ).run(
-            self.policy,
-            num_slots,
-            drain_limit_factor=drain_limit_factor,
-            engine=engine,
-        )
-
     def shutdown(self) -> bool:
         """Stop every worker thread.  Returns ``True`` when all stopped
         cleanly; a wedged worker warns loudly (see
@@ -635,12 +453,6 @@ class LeimeRuntime:
         result to ``False``, but never blocks the remaining workers from
         being stopped."""
         clean = True
-        for worker in (
-            *self.devices,
-            *self.uplinks,
-            *self.edge_slices,
-            self.cloud_link,
-            self.cloud,
-        ):
+        for worker in self._workers:
             clean = worker.shutdown() and clean
         return clean

@@ -32,17 +32,20 @@ already in service finish at their old rate (rate changes apply to
 subsequently started transfers), which matches how traffic shaping tools
 like the paper's COMCAST behave on short transfers.
 
+Each task walks the hop graph of :class:`~repro.sim.pipeline.TaskPipeline`
+over this engine's heap servers; the live runtime drives the same
+pipeline over worker threads.
+
 Randomness is split into two independent streams derived from ``seed``,
-mirroring :class:`repro.runtime.system.LeimeRuntime`'s documented
-discipline: a **control** stream consumed at slot boundaries (environment
-draws, arrival sampling, arrival offsets, offload coin flips) and an
-**exit** stream from which every task pre-draws its two exit coins at
-creation (the second coin is consumed only if the task reaches block 2).
-Keying exit coins to the *task* instead of to global completion order is
-what lets the array-backed fast lane (:mod:`repro.sim.fast_events`,
-selected with ``run(engine="fast")``) batch completions without
-perturbing seeded results — both engines replay the identical coin for
-the identical task.
+the discipline the live runtime shares: a **control** stream consumed at
+slot boundaries (environment draws, arrival sampling, arrival offsets,
+offload coin flips) and an **exit** stream from which every task
+pre-draws its two exit coins at creation (the second coin is consumed
+only if the task reaches block 2).  Keying exit coins to the *task*
+instead of to global completion order is what lets the array-backed
+fast lane (:mod:`repro.sim.fast_events`, selected with
+``run(engine="fast")``) batch completions without perturbing seeded
+results — both engines replay the identical coin for the identical task.
 """
 
 from __future__ import annotations
@@ -50,19 +53,19 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
 from ..resilience.control import SlotController
-from ..resilience.overload import degraded_exit_params
 from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .network import Link
 from .nodes import FifoServer
+from .pipeline import TaskPipeline
 from .streaming import StreamingTaskStats, TaskLedger
 from .tasks import TaskRecord
 
@@ -507,9 +510,12 @@ class EventSimulator:
     ) -> str:
         """Digest of the run configuration for checkpoint validation.
 
-        Includes the metrics mode: a streaming run cannot continue from
-        record-mode state."""
+        Digests the fault plan by content (every channel array, not
+        summary statistics two plans can share), and includes the
+        metrics mode: a streaming run cannot continue from record-mode
+        state."""
         from ..chaos.checkpoint import run_fingerprint
+        from ..resilience.faults import FAULT_CHANNELS
 
         return run_fingerprint(
             path=path_name,
@@ -518,7 +524,9 @@ class EventSimulator:
             slots=num_slots,
             spread_arrivals=self.spread_arrivals,
             shared_uplink=self.shared_uplink,
-            faults=None if self.faults is None else repr(self.faults.describe()),
+            faults=None
+            if self.faults is None
+            else [getattr(self.faults, c) for c in FAULT_CHANNELS],
             recovery=repr(self.recovery),
             overload=repr(self.overload),
             qos=repr(self.qos),
@@ -547,10 +555,10 @@ class EventSimulator:
                 generation horizon; exceeding it raises, which is the
                 unstable-system signal tests rely on).
             drain_limit_factor: Safety bound for the drain phase.
-            engine: ``"scalar"`` walks the reference closure-per-hop event
-                loop below; ``"fast"`` dispatches the identical scenario
-                to the array-backed engine
-                (:func:`repro.sim.fast_events.run_fast`), which the
+            engine: ``"scalar"`` walks every task through the shared
+                hop graph on the reference event heap; ``"fast"``
+                dispatches the identical scenario to the array-backed
+                engine (:func:`repro.sim.fast_events.run_fast`), which the
                 differential harness pins to the scalar results per task;
                 ``"auto"`` picks by fleet size (see
                 :func:`resolve_engine`) — safe because the two engines
@@ -652,222 +660,33 @@ class EventSimulator:
 
         faults = self.faults
         policy, recovery = resolve_recovery(policy, faults, self.recovery, n)
-
-        # Effective exit parameters per device: the slot's rungs set them
-        # at each boundary; every exit decision reads them at completion
-        # time, mirroring how the fast engine's per-window arrays pick up
-        # the rung set at the window start.
-        sigma1_eff = [0.0] * n
-        exit2_eff = [0.0] * n
         controller = SlotController.for_system(
             system, self.seed, self.overload, self.qos
         )
         ledger = TaskLedger(metrics == "streaming", controller.qos)
-        # Two exit coins per launched task, pre-drawn at creation from the
-        # exit stream and keyed by task id (see the module docstring);
-        # popped at the task's terminal event, so they track the tasks
-        # in flight.
-        exit_coins: dict[int, tuple[float, float]] = {}
+        # Heap servers never refuse a job, so each hop is the server's
+        # own call bound to this run's heap.
+        pipeline = TaskPipeline(
+            partition_for=system.partition_for,
+            device_cpu=[partial(cpu.submit, engine) for cpu in device_cpu],
+            uplink=[partial(link.transmit, engine) for link in uplink],
+            edge_slice=[partial(cpu.submit, engine) for cpu in edge_slice],
+            cloud_link=partial(cloud_link.transmit, engine),
+            cloud_cpu=partial(cloud_cpu.submit, engine),
+            wait=lambda time, delay, again: engine.schedule(
+                time + delay, again
+            ),
+            # Past the plan the accessors report a healthy world, so the
+            # drain phase always terminates.
+            fault_slot=lambda time: int(time / tau),
+            faults=faults,
+            recovery=recovery,
+            finished=ledger.finish,
+            dropped=ledger.drop,
+        )
         ratios = [0.0] * n
         fractional = [0.0] * n
         state = LyapunovState.zeros(n)
-
-        def finish(task: TaskRecord, time: float, tier: int) -> None:
-            ledger.finish(task, time, tier)
-            del exit_coins[task.task_id]
-
-        def drop(task: TaskRecord) -> None:
-            ledger.drop(task)
-            del exit_coins[task.task_id]
-
-        def fault_slot(time: float) -> int:
-            # Past the plan the accessors report a healthy world, so the
-            # drain phase always terminates.
-            return int(time / tau)
-
-        def try_again(
-            task: TaskRecord,
-            time: float,
-            action: Callable[[float], None],
-            give_up: Callable[[float], None],
-        ) -> None:
-            """One failed attempt: spend a retry (deterministic backoff),
-            drop on a deadline breach, or hand over to ``give_up`` once
-            the budget is gone."""
-            attempt = task.retries
-            if attempt >= recovery.max_retries:
-                give_up(time)
-                return
-            delay = recovery.backoff(attempt)
-            if (
-                recovery.deadline is not None
-                and time + delay - task.created > recovery.deadline
-            ):
-                drop(task)
-                return
-            task.retries += 1
-            engine.schedule(time + delay, action)
-
-        def transmit_uplink(
-            task: TaskRecord,
-            time: float,
-            size: float,
-            on_sent: Callable[[float, float], None],
-            give_up: Callable[[float], None],
-        ) -> None:
-            """The device's uplink with drop/corrupt faults applied:
-            a transfer started in a drop slot never arrives; a corrupted
-            transfer burns its airtime, then must be re-sent."""
-            if faults is None:
-                uplink[task.device].transmit(engine, time, size, on_sent)
-                return
-            slot = fault_slot(time)
-            if faults.drop_at(slot, task.device):
-                try_again(
-                    task,
-                    time,
-                    lambda t: transmit_uplink(task, t, size, on_sent, give_up),
-                    give_up,
-                )
-                return
-            corrupted = faults.corrupt_at(slot, task.device)
-
-            def sent(t: float, service: float) -> None:
-                if corrupted:
-                    # Wasted airtime still counts against the task.
-                    task.transfer_time += t - time
-                    try_again(
-                        task,
-                        t,
-                        lambda t2: transmit_uplink(
-                            task, t2, size, on_sent, give_up
-                        ),
-                        give_up,
-                    )
-                else:
-                    on_sent(t, service)
-
-            uplink[task.device].transmit(engine, time, size, sent)
-
-        def submit_edge(
-            task: TaskRecord,
-            time: float,
-            demand: float,
-            on_done: Callable[[float, float], None],
-            give_up: Callable[[float], None],
-        ) -> None:
-            """The task's edge slice with the outage mask applied: a
-            crashed edge rejects new submissions (jobs already queued
-            drain when it returns — a restart, not data loss)."""
-            if faults is not None and faults.edge_down_at(fault_slot(time)):
-                try_again(
-                    task,
-                    time,
-                    lambda t: submit_edge(task, t, demand, on_done, give_up),
-                    give_up,
-                )
-                return
-            edge_slice[task.device].submit(engine, time, demand, on_done)
-
-        def to_cloud(task: TaskRecord, time: float) -> None:
-            part = system.partition_for(task.device)
-
-            def sent(t: float, service: float) -> None:
-                task.transfer_time += t - time
-
-                def computed(t2: float, service2: float) -> None:
-                    task.compute_time += service2
-                    task.queue_time += (t2 - t) - service2
-                    finish(task, t2, 3)
-
-                cloud_cpu.submit(engine, t, part.mu3, computed)
-
-            cloud_link.transmit(engine, time, part.d2, sent)
-
-        def second_block(task: TaskRecord, time: float) -> None:
-            """Run block 2 on the task's edge slice, then exit or go deeper."""
-            part = system.partition_for(task.device)
-
-            def computed(t: float, service: float) -> None:
-                task.compute_time += service
-                task.queue_time += (t - time) - service
-                if exit_coins[task.task_id][1] < exit2_eff[task.device]:
-                    finish(task, t, 2)
-                else:
-                    to_cloud(task, t)
-
-            def give_up(t: float) -> None:
-                # Block 2 needs the intermediate state that lives on the
-                # edge path; past the retry budget the task is lost.
-                drop(task)
-
-            submit_edge(task, time, part.mu2, computed, give_up)
-
-        def first_block_on_edge(task: TaskRecord, time: float) -> None:
-            part = system.partition_for(task.device)
-
-            def computed(t: float, service: float) -> None:
-                task.compute_time += service
-                task.queue_time += (t - time) - service
-                if exit_coins[task.task_id][0] < sigma1_eff[task.device]:
-                    finish(task, t, 1)
-                else:
-                    second_block(task, t)
-
-            def give_up(t: float) -> None:
-                # The device still holds the raw input: fall back to an
-                # on-device first block, or lose the task.
-                if recovery is not None and recovery.fallback_local:
-                    first_block_on_device(task, t)
-                else:
-                    drop(task)
-
-            submit_edge(task, time, part.mu1, computed, give_up)
-
-        def first_block_on_device(task: TaskRecord, time: float) -> None:
-            """Local first block on the device CPU (straggler-scaled)."""
-            part = system.partition_for(task.device)
-            demand = part.mu1
-            if faults is not None:
-                demand *= faults.straggler_at(fault_slot(time), task.device)
-
-            def computed(t: float, service: float) -> None:
-                task.compute_time += service
-                task.queue_time += (t - time) - service
-                if exit_coins[task.task_id][0] < sigma1_eff[task.device]:
-                    finish(task, t, 1)
-                    return
-
-                # Non-exited: intermediate d1 to the edge for block 2.
-                def sent(t2: float, service2: float) -> None:
-                    task.transfer_time += t2 - t
-                    second_block(task, t2)
-
-                def give_up(t2: float) -> None:
-                    drop(task)
-
-                transmit_uplink(task, t, part.d1, sent, give_up)
-
-            device_cpu[task.device].submit(engine, time, demand, computed)
-
-        def launch(task: TaskRecord, time: float) -> None:
-            part = system.partition_for(task.device)
-            if task.offloaded:
-                # Raw input travels to the edge first (d0 on the uplink).
-                def sent(t: float, service: float) -> None:
-                    task.transfer_time += t - time
-                    first_block_on_edge(task, t)
-
-                def give_up(t: float) -> None:
-                    if recovery is not None and recovery.fallback_local:
-                        first_block_on_device(task, t)
-                    else:
-                        drop(task)
-
-                transmit_uplink(task, time, part.d0, sent, give_up)
-                return
-
-            first_block_on_device(task, time)
 
         def slot_boundary(slot: int) -> Callable[[float], None]:
             def handler(time: float) -> None:
@@ -898,10 +717,7 @@ class EventSimulator:
                     expected,
                     faults is not None and faults.edge_down_at(slot),
                 )
-                for i in range(n):
-                    sigma1_eff[i], exit2_eff[i] = degraded_exit_params(
-                        system.partition_for(i), rungs[i]
-                    )
+                pipeline.set_rungs(system, rungs)
                 if holds is not None:
                     for i in range(n):
                         edge_slice[i].hold_until(engine, time, holds[i])
@@ -943,10 +759,9 @@ class EventSimulator:
                         # A shed task is never launched: terminal at
                         # creation, its coins drawn but never read.
                         if not task.shed:
-                            exit_coins[task.task_id] = coins
                             engine.schedule(
                                 task.created,
-                                lambda t, _task=task: launch(_task, t),
+                                partial(pipeline.launch, task, coins=coins),
                             )
 
             return handler

@@ -130,7 +130,6 @@ _REC = np.dtype(
         ("base", _F8),
         ("push", _F8),
         ("src", _I8),
-        ("submit", _F8),
         ("service", _F8),
         ("corrupt", np.bool_),
     ]
@@ -172,10 +171,6 @@ _SUB_KEYS = (
 
 def _empty(dt: np.dtype) -> np.ndarray:
     return np.empty(0, dtype=dt)
-
-
-def _size(batch: np.ndarray) -> int:
-    return batch.shape[0]
 
 
 def _cat(dt: np.dtype, batches) -> np.ndarray:
@@ -615,7 +610,7 @@ class _FastEngine:
             if batch.shape[0]:
                 batch["task"] = remap[batch["task"]]
 
-    # -- intent resolution (the try_again / fault-gate cascade) -------------
+    # -- intent resolution (the retry / fault-gate cascade) -----------------
 
     def _sid_demand_corrupt(self, time, task, kind):
         """Server, demand, and corrupt flag for gate-passing intents."""
@@ -659,13 +654,15 @@ class _FastEngine:
         through the retry budget, cascading until the window's work is a
         plain submission list.  Pure: commits nothing.
 
-        Returns ``(subs, future_intents, drops)``; retry intents that land
-        beyond the window go to ``future_intents`` (their spent attempt is
-        still recorded by the caller, as the scalar ``try_again`` spends
-        the retry at scheduling time)."""
+        Returns ``(subs, future_intents, drops, accruals)``; retry
+        intents that land beyond the window go to ``future_intents``
+        (their spent attempt is still recorded by the caller, as the
+        pipeline's ``_retry`` spends the retry at scheduling time), and
+        each fallback to the device charges the abandoned hop's span."""
         subs: list[np.ndarray] = []
         futs: list[np.ndarray] = []
         drops: list[np.ndarray] = []
+        accs: list[np.ndarray] = []
         pend_i = intents
         pend_f = fails
         for _ in range(100_000):
@@ -689,6 +686,22 @@ class _FastEngine:
                     # callback, so the fallback submission keeps that
                     # event's heap position: ``push`` is inherited.
                     sel = pend_f[fb]
+                    # The abandoned hop's span ends here: an uplink's is
+                    # transfer, an edge slice's is queueing.
+                    span = sel["time"] - sel["base"]
+                    up = sel["kind"] == K_UP0
+                    accs.append(
+                        _rows(
+                            _ACC,
+                            sel.shape[0],
+                            time=sel["time"],
+                            task=sel["task"],
+                            dc=0.0,
+                            dt=np.where(up, span, 0.0),
+                            dq=np.where(up, 0.0, span),
+                            src=sel["src"],
+                        )
+                    )
                     sel["kind"] = K_DEV1
                     sel["base"] = sel["time"]  # a fresh hop starts here
                     new_i.append(sel)
@@ -717,7 +730,7 @@ class _FastEngine:
                             kind=kd[sched],
                             attempt=a[sched] + 1,
                             base=pend_f["base"][sched],
-                            # try_again pushes the retry event here.
+                            # The pipeline's retry wait is pushed here.
                             push=t[sched],
                             src=pend_f["src"][sched],
                         )
@@ -778,7 +791,12 @@ class _FastEngine:
             pend_f = _cat(_INTENT, new_f)
         else:  # pragma: no cover - defensive
             raise RuntimeError("fast engine: retry cascade failed to settle")
-        return _cat(_SUB, subs), _cat(_INTENT, futs), _cat(_DROP, drops)
+        return (
+            _cat(_SUB, subs),
+            _cat(_INTENT, futs),
+            _cat(_DROP, drops),
+            _cat(_ACC, accs),
+        )
 
     # -- record expansion ---------------------------------------------------
 
@@ -930,10 +948,10 @@ class _FastEngine:
             deli = pend["rtype"] == R_DELIVER
             if deli.any():
                 d = pend[deli]
-                # A corrupt transfer's wasted airtime spans only its own
-                # attempt; a clean delivery closes the hop and is measured
-                # from hop arrival (backoff waits included), exactly as the
-                # scalar ``on_sent`` closures account it.
+                # A clean delivery closes the hop and is measured from hop
+                # arrival (backoff waits and corrupted attempts included),
+                # exactly as the pipeline's ``sent`` closures account it; a
+                # corrupted attempt charges nothing of its own.
                 accs.append(
                     _rows(
                         _ACC,
@@ -941,11 +959,7 @@ class _FastEngine:
                         time=d["time"],
                         task=d["task"],
                         dc=0.0,
-                        dt=np.where(
-                            d["corrupt"],
-                            d["time"] - d["submit"],
-                            d["time"] - d["base"],
-                        ),
+                        dt=np.where(d["corrupt"], 0.0, d["time"] - d["base"]),
                         dq=0.0,
                         src=d["src"],
                     )
@@ -1078,7 +1092,7 @@ class _FastEngine:
         exo_int["src"] = -1
         exo_fail = fact_fail
         exo_fail["src"] = -1
-        exo_subs, exo_futs, exo_drops = self.resolve(
+        exo_subs, exo_futs, exo_drops, exo_acc = self.resolve(
             exo_int, exo_fail, w1, inclusive
         )
 
@@ -1087,7 +1101,7 @@ class _FastEngine:
         subs_pool.append(self.carried)
         subs_pool.append(exo_subs)
         sched_pool = _SchedPool()  # accepted schedules
-        eacc = _Pool()  # accruals from expanded records
+        eacc = _Pool()  # accruals from expanded records and fallbacks
         eterm = _Pool()  # terminal exits
         efut = _Pool()  # delivery records landing beyond the window
         frec = _Pool()  # served records finishing beyond the window
@@ -1173,7 +1187,6 @@ class _FastEngine:
                 # service starts; downstream hops sort ties by this.
                 push=start[served],
                 src=d_served["sid"],
-                submit=d_served["time"],
                 service=service[served],
                 corrupt=d_served["corrupt"],
             )
@@ -1187,10 +1200,13 @@ class _FastEngine:
             eacc.append(acc)
             eterm.append(term)
             efut.append(futs)
-            nsubs, nfuts, ndrops = self.resolve(ints, fails, w1, inclusive)
+            nsubs, nfuts, ndrops, nacc = self.resolve(
+                ints, fails, w1, inclusive
+            )
             subs_pool.append(nsubs)
             dfut.append(nfuts)
             ddrop.append(ndrops)
+            eacc.append(nacc)
             # Next round's candidates: servers that gained or lost rows,
             # plus the deeper dirty servers deferred this round.
             cand = deferred
@@ -1227,7 +1243,7 @@ class _FastEngine:
             if batch.shape[0]:
                 store.completed[batch["task"]] = batch["time"]
                 store.tier[batch["task"]] = batch["tier"]
-        acc_all = _cat(_ACC, [fact_acc] + eacc.compress())
+        acc_all = _cat(_ACC, [fact_acc, exo_acc] + eacc.compress())
         if acc_all.shape[0]:
             order = np.lexsort((acc_all["task"], acc_all["time"]))
             acc_all = acc_all[order]

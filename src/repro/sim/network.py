@@ -45,7 +45,7 @@ class Link(FifoServer):
         now: float,
         num_bytes: float,
         on_delivered: Callable[[float, float], None],
-    ) -> None:
+    ) -> bool:
         """Queue a transfer; ``on_delivered(arrival_time, service_time)``
         fires at the far end after serialisation + propagation."""
-        self.submit(engine, now, num_bytes, on_delivered)
+        return self.submit(engine, now, num_bytes, on_delivered)

@@ -76,14 +76,16 @@ class FifoServer:
         now: float,
         demand: float,
         on_done: Callable[[float, float], None],
-    ) -> None:
+    ) -> bool:
         """Enqueue a job; ``on_done(finish_time, service_time)`` fires when
-        it leaves the server (after ``extra_delay``)."""
+        it leaves the server (after ``extra_delay``).  The queue is
+        unbounded, so the job is always accepted (``True``)."""
         if demand < 0:
             raise ValueError("demand must be non-negative")
         self._queue.append((now, demand, on_done))
         if not self._busy:
             self._start_next(engine, now)
+        return True
 
     def hold_until(self, engine: EventScheduler, now: float, time: float) -> None:
         """Floor the next service start at ``time`` (a cold-start model

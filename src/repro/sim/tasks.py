@@ -19,8 +19,11 @@ class TaskRecord:
         completed: Completion time, or ``None`` while in flight.
         compute_time: Total seconds spent executing on compute servers.
         transfer_time: Total seconds spent on links (serialisation +
-            propagation).
-        queue_time: Total seconds spent waiting in FIFO queues.
+            propagation, retries of a transfer included).
+        queue_time: Total seconds spent waiting in FIFO queues (and in
+            an edge outage's retries).  Each hop's span is charged once
+            (see :mod:`repro.sim.pipeline`), so a completed task's
+            ``compute_time + transfer_time + queue_time`` equals its TCT.
         retries: Fault-recovery attempts consumed (dropped transfers
             re-sent, corrupted transfers retransmitted, edge submissions
             re-tried during an outage).

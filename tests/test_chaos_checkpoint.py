@@ -258,6 +258,46 @@ def test_federated_resume_refuses_changed_plans():
         )
 
 
+@pytest.mark.parametrize("path", ["scalar", "fast", "live"])
+def test_resume_refuses_a_rolled_fault_plan(path):
+    """A single-edge checkpoint pins its fault plan by content: rolling
+    the outage mask one slot keeps every summary statistic of the plan
+    but must still refuse the resume."""
+    from repro.runtime import LeimeRuntime
+
+    plan = canonical_outage_plan(num_slots=20, num_devices=4, seed=0)
+    rolled = dataclasses.replace(plan, edge_down=np.roll(plan.edge_down, 1))
+    assert plan.describe() == rolled.describe()
+    system = random_fleet(0, 4, max_arrivals=0.5)
+
+    def run(faults, **hooks):
+        if path == "live":
+            runtime = LeimeRuntime(
+                system, DriftPlusPenaltyPolicy(v=50.0), speedup=2000.0
+            )
+            try:
+                return runtime.run(
+                    _arrivals(system),
+                    num_slots=6,
+                    faults=faults,
+                    recovery=RecoveryPolicy.default(),
+                    **hooks,
+                )
+            finally:
+                runtime.shutdown()
+        return EventSimulator(
+            system=system,
+            arrivals=_arrivals(system),
+            faults=faults,
+            recovery=RecoveryPolicy.default(),
+        ).run(DriftPlusPenaltyPolicy(v=50.0), 6, engine=path, **hooks)
+
+    with pytest.raises(Killed) as killed:
+        run(plan, checkpoint_every=1, checkpoint_sink=KillSwitch(2))
+    with pytest.raises(CheckpointError, match="fingerprint"):
+        run(rolled, resume_from=killed.value.checkpoint)
+
+
 # -- live runtime (control-plane record identical) ---------------------------
 
 

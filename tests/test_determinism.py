@@ -89,6 +89,11 @@ def test_runtime_same_seed_same_control_plane(small_system):
     b = _run_runtime(5, small_system)
     assert len(a.tasks) == len(b.tasks) > 0
     assert _control_plane(a) == _control_plane(b)
+    # The controller draws each task's exit coins when it creates the
+    # task, so an ungoverned, fault-free run reproduces every exit tier.
+    assert all(t.done for t in a.tasks + b.tasks)
+    assert [t.exit_tier for t in a.tasks] == [t.exit_tier for t in b.tasks]
+    assert len({t.exit_tier for t in a.tasks}) > 1
 
 
 def test_runtime_different_seeds_differ(small_system):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.chaos.oracles import event_conservation
 from repro.core.offloading import (
     DriftPlusPenaltyPolicy,
     FixedRatioPolicy,
@@ -335,9 +336,7 @@ def test_runtime_replays_faults_with_recovery(small_system):
     finally:
         runtime.shutdown()
     assert len(report.tasks) == 24
-    assert len(report.tasks) == (
-        len(report.completed) + report.dropped_count + report.in_flight_count
-    )
+    assert event_conservation(report) == []
     assert report.completion_rate >= 0.9
 
 

@@ -181,6 +181,55 @@ def test_runtime_completes_all_tasks(small_system, policy):
     assert tier1 + tier2 + tier3 == pytest.approx(1.0)
 
 
+def test_drained_live_run_leaves_no_exit_coin(small_system):
+    """The controller adds each launched task's exit coins while the
+    workers remove the finished ones: with a short switch interval, a
+    drained run — tasks completed or lost — leaves none behind."""
+    from repro.resilience import (
+        FaultPlanSpec,
+        RecoveryPolicy,
+        generate_fault_plan,
+    )
+
+    # Every uplink transfer drops, so every task that needs one is lost.
+    plan = generate_fault_plan(
+        FaultPlanSpec(
+            num_slots=8,
+            num_devices=2,
+            drop_prob=1.0,
+            corrupt_prob=0.0,
+            crash_rate=0.0,
+            straggler_prob=0.0,
+            stale_prob=0.0,
+        )
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for faults, recovery in (
+            (None, None),
+            (plan, RecoveryPolicy.none()),
+        ):
+            runtime = LeimeRuntime(
+                small_system, FixedRatioPolicy(0.5), speedup=500.0, seed=4
+            )
+            try:
+                live = runtime.run(
+                    [ConstantArrivals(2.0)] * 2,
+                    num_slots=8,
+                    drain_timeout=30.0,
+                    faults=faults,
+                    recovery=recovery,
+                )
+            finally:
+                runtime.shutdown()
+            assert live.in_flight_count == 0
+            assert (live.dropped_count > 0) == (faults is not None)
+            assert runtime._pipeline.exit_coins == {}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_runtime_latency_compatible_with_event_sim(small_system):
     """The live threads and the event simulator describe the same system:
     their mean TCTs agree within a loose factor (thread scheduling adds

@@ -10,6 +10,8 @@ from repro.core.offloading import (
     FixedRatioPolicy,
     LyapunovState,
 )
+from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
+from repro.resilience.recovery import RecoveryPolicy
 from repro.sim.arrivals import ConstantArrivals, PoissonArrivals
 from repro.sim.environment import (
     RandomWalkEnvironment,
@@ -203,14 +205,89 @@ def test_event_sim_offloaded_fraction_tracks_ratio(small_system):
     assert result.offloaded_fraction() == pytest.approx(0.7, abs=0.06)
 
 
+#: One fault channel switched on at a time (every other one quiet).
+SINGLE_CHANNEL_FAULTS = {
+    "corrupt": dict(corrupt_prob=0.3),
+    "drop": dict(drop_prob=0.3),
+    "outage": dict(crash_rate=15.0, crash_recovery_mean=2.0),
+    "straggler": dict(straggler_prob=0.3),
+}
+
+
+def _single_channel_plan(channel: str, num_slots: int, num_devices: int):
+    quiet = dict(
+        drop_prob=0.0,
+        corrupt_prob=0.0,
+        crash_rate=0.0,
+        straggler_prob=0.0,
+        stale_prob=0.0,
+    )
+    spec = FaultPlanSpec(
+        num_slots=num_slots,
+        num_devices=num_devices,
+        **{**quiet, **SINGLE_CHANNEL_FAULTS[channel]},
+    )
+    return generate_fault_plan(spec, seed=3)
+
+
+def _assert_split_adds_up(result, tag: str) -> None:
+    assert result.completed, tag
+    for task in result.completed:
+        parts = task.compute_time + task.transfer_time + task.queue_time
+        assert parts == pytest.approx(task.tct, rel=1e-6, abs=1e-9), (
+            f"{tag}: task {task.task_id}"
+        )
+
+
 def test_event_sim_task_time_decomposition(small_system):
+    """A completed task's compute + transfer + queue is its TCT: on both
+    engines under each fault channel and retry budget (corrupted
+    attempts and fallbacks to the device included), and live."""
     sim = EventSimulator(
         system=small_system, arrivals=[PoissonArrivals(0.3)] * 2, seed=3
     )
-    result = sim.run(FixedRatioPolicy(0.0), 30)
-    for task in result.completed:
-        parts = task.compute_time + task.transfer_time + task.queue_time
-        assert parts == pytest.approx(task.tct, rel=1e-6, abs=1e-9)
+    _assert_split_adds_up(sim.run(FixedRatioPolicy(0.0), 30), "fault-free")
+    budgets = {
+        "default": RecoveryPolicy.default(),
+        "1-retry": RecoveryPolicy(
+            max_retries=1, exclude_dead_edge=False, watchdog=False
+        ),
+    }
+    for channel in SINGLE_CHANNEL_FAULTS:
+        plan = _single_channel_plan(channel, 30, 2)
+        for name, recovery in budgets.items():
+            for engine in ("scalar", "fast"):
+                result = EventSimulator(
+                    system=small_system,
+                    arrivals=[PoissonArrivals(0.5)] * 2,
+                    seed=3,
+                    faults=plan,
+                    recovery=recovery,
+                ).run(
+                    FixedRatioPolicy(0.6),
+                    30,
+                    drain_limit_factor=100.0,
+                    engine=engine,
+                )
+                _assert_split_adds_up(result, f"{channel}/{name}/{engine}")
+    from repro.runtime import LeimeRuntime
+
+    live_faults = _single_channel_plan("drop", 8, 2)
+    for faults, recovery in ((None, None), (live_faults, budgets["1-retry"])):
+        runtime = LeimeRuntime(
+            small_system, FixedRatioPolicy(0.6), speedup=500.0, seed=3
+        )
+        try:
+            live = runtime.run(
+                [ConstantArrivals(1.0)] * 2,
+                num_slots=8,
+                drain_timeout=30.0,
+                faults=faults,
+                recovery=recovery,
+            )
+        finally:
+            runtime.shutdown()
+        _assert_split_adds_up(live, f"live/faults={faults is not None}")
 
 
 def test_event_sim_unstable_drain_raises(small_system):
