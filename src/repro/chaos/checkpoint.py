@@ -42,7 +42,9 @@ from typing import Any
 
 import numpy as np
 
-CHECKPOINT_SCHEMA_VERSION = 1
+#: v2: the fast event engine's payload holds the shared slot step
+#: (:class:`~repro.sim.pipeline.TaskSlots`) instead of its loose parts.
+CHECKPOINT_SCHEMA_VERSION = 2
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_KINDS = ("state", "replay")
 

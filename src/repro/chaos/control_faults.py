@@ -159,19 +159,6 @@ class ControlFaultPlan:
     def num_slots(self) -> int:
         return self.delay.shape[0]
 
-    @classmethod
-    def healthy(cls, num_slots: int = 1, slot_length: float = 1.0) -> "ControlFaultPlan":
-        """An all-quiet plan (useful as an explicit no-fault baseline)."""
-        zeros = np.zeros(num_slots, dtype=np.float64)
-        return cls(
-            delay=zeros.copy(),
-            drop=zeros.copy(),
-            dup=zeros.copy(),
-            skew=zeros.copy(),
-            down=zeros.copy(),
-            slot_length=slot_length,
-        )
-
     # -- scalar accessors (healthy out of range) ----------------------------
 
     def _in_range(self, slot: int) -> bool:

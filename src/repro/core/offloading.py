@@ -26,6 +26,7 @@ relaxation ``0 ≤ x_i(t) ≤ 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -128,8 +129,11 @@ class EdgeSystem:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("need at least one device")
-        if self.edge_flops <= 0 or self.cloud_flops <= 0:
-            raise ValueError("edge and cloud FLOPS must be positive")
+        # A chained comparison is False for NaN, so NaN fails too.
+        if not (
+            0 < self.edge_flops < math.inf and 0 < self.cloud_flops < math.inf
+        ):
+            raise ValueError("edge and cloud FLOPS must be finite and positive")
         if self.slot_length <= 0:
             raise ValueError("slot length must be positive")
         if not self.shares:

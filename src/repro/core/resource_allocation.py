@@ -175,56 +175,3 @@ def mean_processing_time(
         acc += k * work_per_task / (f_d + p * edge_flops)
     return acc / total_k
 
-
-def federated_edge_allocation(
-    device_flops: Sequence[float],
-    arrival_rates: Sequence[float],
-    edge_flops_per_edge: Sequence[float],
-    assignment: Sequence[int],
-    min_share: float = 0.01,
-) -> list[float]:
-    """Per-edge KKT water-filling across a federation.
-
-    Each edge runs Appendix B's allocation independently over the devices
-    assigned to it: device ``i``'s share is its slice of *its own* edge's
-    capacity, so shares sum to 1 within every populated edge (not
-    globally).  With a single edge this reduces exactly to
-    :func:`floored_edge_allocation` — the E=1 conformance contract the
-    federation layer relies on.
-
-    Args:
-        device_flops: ``F_i^d`` per device, fleet-wide.
-        arrival_rates: expected tasks per slot ``k_i`` per device.
-        edge_flops_per_edge: ``F^e`` per edge cluster.
-        assignment: edge index per device (one row of an
-            :class:`~repro.federation.assignment.AssignmentPlan`).
-        min_share: per-device floor forwarded to each edge's allocation.
-
-    Returns:
-        Global share vector; ``shares[i]`` is device ``i``'s slice of
-        edge ``assignment[i]``'s capacity.
-    """
-    _validate(device_flops, arrival_rates)
-    if len(assignment) != len(device_flops):
-        raise ValueError("assignment must name an edge per device")
-    num_edges = len(edge_flops_per_edge)
-    if num_edges == 0:
-        raise ValueError("need at least one edge")
-    if any(f <= 0 for f in edge_flops_per_edge):
-        raise ValueError("edge FLOPS must be positive")
-    if any(not 0 <= e < num_edges for e in assignment):
-        raise ValueError(f"assignment indices must be in [0, {num_edges})")
-    shares = [0.0] * len(device_flops)
-    for edge in range(num_edges):
-        members = [i for i, e in enumerate(assignment) if e == edge]
-        if not members:
-            continue
-        local = floored_edge_allocation(
-            [device_flops[i] for i in members],
-            [arrival_rates[i] for i in members],
-            edge_flops_per_edge[edge],
-            min_share=min_share,
-        )
-        for i, share in zip(members, local):
-            shares[i] = share
-    return shares

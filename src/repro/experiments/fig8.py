@@ -11,7 +11,7 @@ because their intuitive exit rules interact badly with some architectures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..hardware import JETSON_NANO, Platform, RASPBERRY_PI_3B
 from .common import (
@@ -20,7 +20,6 @@ from .common import (
     TestbedConfig,
     compare_schemes,
     format_rows,
-    speedup_over,
 )
 
 
@@ -31,10 +30,6 @@ class DeviceGrid:
     device: str
     models: tuple[str, ...]
     tct: dict[str, dict[str, float]]  # tct[model][scheme]
-
-    def speedups(self, model: str) -> dict[str, float]:
-        base = self.tct[model]["LEIME"]
-        return {name: value / base for name, value in self.tct[model].items()}
 
     def speedup_range(self) -> tuple[float, float]:
         """(min, max) speedup of LEIME over any benchmark on any model."""

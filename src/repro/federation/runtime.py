@@ -49,7 +49,6 @@ class FederatedRuntime:
         seed: Base seed; shard ``e`` derives
             :meth:`~repro.federation.topology.FederationTopology.
             shard_seed`.
-        vectorized: Forwarded to each shard's runtime.
     """
 
     def __init__(
@@ -59,7 +58,6 @@ class FederatedRuntime:
         plan: AssignmentPlan,
         speedup: float = 200.0,
         seed: int = 0,
-        vectorized: bool = False,
     ):
         check_federation(topology, plan)
         self.topology = topology
@@ -67,7 +65,6 @@ class FederatedRuntime:
         self.plan = plan
         self.speedup = speedup
         self.seed = seed
-        self.vectorized = vectorized
         self._runtimes: list[LeimeRuntime] = []
 
     def run(
@@ -111,7 +108,6 @@ class FederatedRuntime:
                 copy.deepcopy(self.policy),
                 speedup=self.speedup,
                 seed=shard.seed,
-                vectorized=self.vectorized,
             )
             self._runtimes.append(runtime)
             try:

@@ -180,11 +180,6 @@ class QoSConfig:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
-    def deadline_of(self, name: str) -> float:
-        for c in self.classes:
-            if c.name == name:
-                return c.deadline
-        raise KeyError(name)
 
 
 def assign_classes(

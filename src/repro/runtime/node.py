@@ -4,9 +4,9 @@ Each :class:`RuntimeNode` is one FIFO worker thread — a device CPU, an
 edge container slice, or the cloud — consuming jobs from a real
 ``queue.Queue`` and "executing" them by sleeping the scaled service time.
 A :class:`RuntimeLink` is the same pattern with bandwidth semantics, plus
-a detached propagation delay (a timer thread) so the link is free to
-serialise the next transfer while the previous one propagates — matching
-:class:`repro.sim.network.Link` exactly.
+a detached propagation delay (a second worker, the courier) so the link
+is free to serialise the next transfer while the previous one propagates
+— matching :class:`repro.sim.network.Link`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import queue
 import threading
-import time
 import warnings
 from typing import Callable
 
@@ -142,22 +141,29 @@ class RuntimeNode:
         return True
 
 
+class _Courier(RuntimeNode):
+    """A worker whose job demand is a due time: it serves each job by
+    sleeping until then, so FIFO jobs due in order are each delivered on
+    time."""
+
+    def _service_time(self, due: float) -> float:
+        return max(due - self._clock.now(), 0.0)
+
+
 class RuntimeLink(RuntimeNode):
     """A serialising link with detached propagation.
 
-    Job demands are bytes; service time is ``bytes / bandwidth``; after
-    serialisation a timer thread delivers the payload ``latency`` virtual
-    seconds later without blocking the link.  Outstanding propagation
-    timers are tracked so :meth:`shutdown` can wait for in-flight
-    deliveries instead of leaking detached timer threads whose callbacks
-    would fire into a half-torn-down runtime.
+    Job demands are bytes; service time is ``bytes / bandwidth``.  After
+    serialisation the link's courier delivers the payload ``latency``
+    virtual seconds later without blocking the link.  A link's latency
+    is fixed, so deliveries fall due in serialisation order and one FIFO
+    courier per link serves them all.
     """
 
     def __init__(self, name: str, profile: NetworkProfile, clock: VirtualClock):
         super().__init__(name, flops=profile.bandwidth, clock=clock)
         self.latency = profile.latency
-        self._timers: set[threading.Timer] = set()
-        self._timers_lock = threading.Lock()
+        self._courier = _Courier(f"{name}-courier", 1.0, clock)
 
     def transmit(
         self, num_bytes: float, on_delivered: Callable[[float], None]
@@ -168,43 +174,15 @@ class RuntimeLink(RuntimeNode):
         def serialised(time_done: float) -> None:
             if self.latency <= 0:
                 on_delivered(time_done)
-                return
-            wall_delay = self.latency / self._clock.speedup
-
-            def deliver() -> None:
-                try:
-                    on_delivered(self._clock.now())
-                finally:
-                    with self._timers_lock:
-                        self._timers.discard(timer)
-
-            timer = threading.Timer(wall_delay, deliver)
-            timer.daemon = True
-            with self._timers_lock:
-                self._timers.add(timer)
-            timer.start()
+            else:
+                self._courier.submit(time_done + self.latency, on_delivered)
 
         return self.submit(num_bytes, serialised)
 
     def shutdown(self, join_timeout: float = 5.0) -> bool:
-        """Stop the serialising worker, then drain outstanding propagation
-        timers within the same ``join_timeout`` budget.  A timer still
-        alive past the budget is reported exactly like a wedged worker."""
+        """Stop the serialising worker, then the courier once every
+        payload still propagating is delivered; a wedged courier is
+        reported like a wedged worker."""
         clean = super().shutdown(join_timeout)
-        deadline = time.monotonic() + join_timeout
-        # The worker is joined, so no new timers can be created; snapshot
-        # and join what is still propagating.
-        with self._timers_lock:
-            pending = list(self._timers)
-        for timer in pending:
-            timer.join(timeout=max(0.0, deadline - time.monotonic()))
-        leaked = [t for t in pending if t.is_alive()]
-        if leaked:
-            message = (
-                f"link {self.name!r} leaked {len(leaked)} propagation "
-                f"timer(s) still alive {join_timeout:.1f}s after shutdown"
-            )
-            logger.warning(message)
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-            return False
-        return clean
+        # The worker is joined, so nothing new reaches the courier.
+        return self._courier.shutdown(join_timeout) and clean

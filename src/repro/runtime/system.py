@@ -6,15 +6,14 @@ Mirrors the event simulator's topology (Fig. 1/4) with actual threads:
   one for the cloud;
 * one :class:`RuntimeLink` per device uplink and one edge→cloud link;
 * a controller loop that, every slot τ, reads live queue occupancies and
-  re-runs the configured offloading policy — exactly the online phase of
-  §III-D, but against real queues instead of modelled ones.
+  runs the event engines' slot step
+  (:class:`~repro.sim.pipeline.TaskSlots`) — the online phase of §III-D
+  against real queues instead of modelled ones.
 
 Tasks walk the scalar event engine's own hop graph
-(:class:`~repro.sim.pipeline.TaskPipeline`) over these workers — fault
-gates, retries, fallback, exit decisions and stage accounting included —
-and are booked in the same :class:`~repro.sim.streaming.TaskLedger`, so
-a run returns the event simulator's
-:class:`~repro.sim.events.EventSimResult`.
+(:class:`~repro.sim.pipeline.TaskPipeline`) over these workers and are
+booked in the same :class:`~repro.sim.streaming.TaskLedger`, so a run
+returns the event simulator's :class:`~repro.sim.events.EventSimResult`.
 """
 
 from __future__ import annotations
@@ -23,14 +22,10 @@ import threading
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
-from ..core.vectorized import vectorized_equivalent
+from ..core.offloading import EdgeSystem, OffloadingPolicy
 from ..models.multi_exit import PartitionedModel
-from ..resilience.recovery import resolve_recovery
 from ..sim.arrivals import ArrivalProcess
-from ..sim.pipeline import Hop, OnDone, TaskPipeline
+from ..sim.pipeline import Hop, OnDone, TaskPipeline, TaskSlots
 from ..sim.streaming import TaskLedger
 from ..sim.tasks import TaskRecord
 from .clock import VirtualClock
@@ -61,25 +56,19 @@ def _hop(worker: RuntimeNode, send: Callable) -> Hop:
 class LeimeRuntime:
     """Run a deployed :class:`EdgeSystem` on live threads.
 
-    The run's randomness is split into two independent streams derived
-    from ``seed``, both drawn by the controller loop as it creates
-    tasks: a **control** stream (arrival draws and per-task offload coin
-    flips) and an **exit** stream (each task's two early-exit coins, as
-    in the event engines).  Worker threads draw nothing — they compare a
-    task's coins with the slot's exit thresholds — so the sequence of
-    arrivals and offload decisions is byte-identical across same-seed
-    runs, and so is every exit tier when worker timing cannot decide a
-    task's fate (no overload control, no faults;
-    ``tests/test_determinism.py`` pins both).
+    Each run draws from the event engines' two streams derived from
+    ``seed`` (see :class:`~repro.sim.pipeline.TaskSlots`), all in the
+    controller loop; worker threads only compare a task's exit coins
+    with the slot's thresholds.  So same-seed runs make the same arrival
+    and offload decisions, and the same exit decisions when worker
+    timing cannot decide a task's fate (no overload control, no faults)
+    — those of the scalar engine with slot-start arrivals.
 
     Args:
         system: The deployment (devices, shares, partition(s), τ).
         policy: The per-slot offloading policy.
         speedup: Virtual seconds per wall second.
         seed: RNG seed for arrivals, offload draws and exit draws.
-        vectorized: Swap the policy for its fleet-scale batched equivalent
-            (see :func:`repro.core.vectorized.vectorized_equivalent`) when
-            one exists; policies without a fast path run unchanged.
     """
 
     def __init__(
@@ -88,20 +77,14 @@ class LeimeRuntime:
         policy: OffloadingPolicy,
         speedup: float = 200.0,
         seed: int = 0,
-        vectorized: bool = False,
     ):
         self.system = system
         # The deployment the ladder's rungs degrade: ``system`` is what
         # the current slot serves, re-derived from this every slot.
         self._deployed = system
-        if vectorized:
-            policy = vectorized_equivalent(policy) or policy
         self.policy = policy
         self.seed = seed
         self.clock = VirtualClock(speedup)
-        control_seq, exit_seq = np.random.SeedSequence(seed).spawn(2)
-        self._control_rng = np.random.default_rng(control_seq)
-        self._exit_rng = np.random.default_rng(exit_seq)
         n = system.num_devices
         self.devices = [
             RuntimeNode(
@@ -140,7 +123,6 @@ class LeimeRuntime:
         # the cut at the end of a run detaches them, so workers finishing
         # late cannot change a returned result.
         self._ledger: TaskLedger | None = None
-        self._task_counter = 0
         self._tasks_lock = threading.Lock()
         self._done = threading.Event()
         self._outstanding = 0
@@ -201,28 +183,6 @@ class LeimeRuntime:
         )
 
     # -- the controller loop ---------------------------------------------------
-
-    def _run_fingerprint(
-        self, num_slots, faults, recovery, overload, metrics="records",
-        qos=None,
-    ) -> str:
-        """Digest of a live run's configuration for checkpoint validation."""
-        from ..chaos.checkpoint import run_fingerprint
-        from ..resilience.faults import FAULT_CHANNELS
-
-        return run_fingerprint(
-            path="runtime",
-            seed=self.seed,
-            devices=self.system.num_devices,
-            slots=num_slots,
-            faults=None
-            if faults is None
-            else [getattr(faults, c) for c in FAULT_CHANNELS],
-            recovery=repr(recovery),
-            overload=repr(overload),
-            qos=repr(qos),
-            metrics=metrics,
-        )
 
     def run(
         self,
@@ -300,41 +260,31 @@ class LeimeRuntime:
                 seed, so the re-run reproduces the control-plane record.
             checkpoint_sink: Callable receiving each checkpoint.
             resume_from: A checkpoint from a killed run.  This runtime
-                must be fresh (no tasks generated) and configured
-                identically; the run then proceeds normally.
+                must be fresh (never run) and configured identically;
+                the run then proceeds normally.
         """
-        n = self.system.num_devices
-        if len(arrivals) != n:
-            raise ValueError("need one arrival process per device")
-        policy, recovery = resolve_recovery(self.policy, faults, recovery, n)
-        if metrics not in ("records", "streaming"):
-            raise ValueError(f"unknown metrics mode {metrics!r}")
-        from ..chaos.checkpoint import (
-            CheckpointError,
-            should_emit,
-            snapshot,
-            validate_hooks,
-            validate_resume,
-        )
-        from ..resilience.control import SlotController
-        from ..resilience.qos import degrade_system_by_modes
+        from ..chaos.checkpoint import CheckpointError
 
-        validate_hooks(checkpoint_every, checkpoint_sink)
-        fingerprint = self._run_fingerprint(
-            num_slots, faults, recovery, overload, metrics, qos
+        slots = TaskSlots(
+            self._deployed,
+            arrivals,
+            self.policy,
+            seed=self.seed,
+            metrics=metrics,
+            faults=faults,
+            recovery=recovery,
+            overload=overload,
+            qos=qos,
         )
-        if resume_from is not None:
-            validate_resume(resume_from, "runtime", "replay", fingerprint)
-            with self._tasks_lock:
-                if self._task_counter:
-                    raise CheckpointError(
-                        "resume needs a fresh runtime: this instance already "
-                        f"generated {self._task_counter} tasks"
-                    )
-        controller = SlotController.for_system(
-            self._deployed, self.seed, overload, qos
+        emit = slots.checkpoints(
+            "runtime", "replay", num_slots, checkpoint_every, checkpoint_sink,
+            resume_from,
         )
-        ledger = TaskLedger(metrics == "streaming", controller.qos)
+        if resume_from is not None and self._pipeline is not None:
+            raise CheckpointError(
+                "resume needs a fresh runtime: this instance already ran"
+            )
+        ledger = slots.ledger
         with self._tasks_lock:
             self._ledger = ledger
         self._pipeline = pipeline = TaskPipeline(
@@ -355,82 +305,49 @@ class LeimeRuntime:
             # plane, not the worker interleaving.
             fault_slot=lambda time: self._live_slot,
             faults=faults,
-            recovery=recovery,
+            recovery=slots.recovery,
             finished=self._task_finished,
             dropped=self._task_dropped,
         )
         if overload is not None and overload.queue_capacity is not None:
             for worker in self._workers:
                 worker.capacity = int(overload.queue_capacity)
-        state = LyapunovState.zeros(n)
-        tau = self.system.slot_length
-        fractional = [0.0] * n
         for slot in range(num_slots):
             self._live_slot = slot
-            if should_emit(checkpoint_every, slot):
-                checkpoint_sink(
-                    snapshot("runtime", "replay", slot, fingerprint, {})
-                )
+            emit(slot, {})
             if slot_hook is not None:
                 slot_hook(slot)
-            # Live queue occupancy drives the policy, as on a real edge.
-            for i in range(n):
-                state.queue_local[i] = self.devices[i].backlog
-                state.queue_edge[i] = self.edge_slices[i].backlog
-            backlogs = [
-                state.queue_local[i] + state.queue_edge[i] for i in range(n)
-            ]
-            expected = [proc.mean(slot) for proc in arrivals]
+            # Live queue occupancy drives the policy, as on a real edge;
+            # every device then serves its own deployed partition at its
+            # rung, which in-flight tasks pick up at their next stage.
             w0 = self.clock.now()
-            rungs, holds = controller.plan(
+            _, rungs, holds, self.system = slots.control(
                 slot,
                 w0,
-                backlogs,
-                expected,
-                faults is not None and faults.edge_down_at(slot),
+                [cpu.backlog for cpu in self.devices],
+                [cpu.backlog for cpu in self.edge_slices],
+                self._deployed,
             )
-            # Every device serves its own deployed partition at its rung;
-            # in-flight tasks pick the rung up at their next stage.
-            self.system = degrade_system_by_modes(self._deployed, rungs)
             pipeline.set_rungs(self._deployed, rungs)
             if holds is not None:
-                for i in range(n):
-                    if holds[i] > w0:
-                        self.edge_slices[i].hold(holds[i] - w0)
-            ratios = controller.backpressure(
-                policy.decide(self.system, state, expected), state.queue_edge
-            )
-            for i, proc in enumerate(arrivals):
-                fractional[i] += float(proc.sample(slot, self._control_rng))
-                count = int(fractional[i])
-                fractional[i] -= count
-                admitted = controller.admit(i, count)
-                for k in range(count):
-                    task = TaskRecord(
-                        task_id=self._task_counter,
-                        device=i,
-                        created=self.clock.now(),
-                        offloaded=bool(self._control_rng.random() < ratios[i]),
-                        shed=k >= admitted,
-                        qos=ledger.tag(i),
-                    )
-                    self._task_counter += 1
-                    coins = (
-                        float(self._exit_rng.random()),
-                        float(self._exit_rng.random()),
-                    )
-                    with self._tasks_lock:
-                        ledger.add(task)
-                        if not task.shed:
-                            self._outstanding += 1
-                            self._done.clear()
-                    # A shed task never enters the pipeline — it is
-                    # terminal at creation and exempt from the drain; its
-                    # coins are drawn all the same, so a governed run
-                    # keeps its ungoverned twin's exit stream.
-                    if not task.shed:
-                        pipeline.launch(task, task.created, coins)
-            self.clock.sleep(tau)
+                for cpu, hold in zip(self.edge_slices, holds):
+                    if hold > w0:
+                        cpu.hold(hold - w0)
+            # The slot's tasks arrive at one clock read, after the
+            # decision; they are booked under the task lock the workers'
+            # terminal events take.
+            with self._tasks_lock:
+                launches = ledger.add_records(
+                    slots.draw(slot, self.clock.now())
+                )
+                self._outstanding += len(launches)
+                if launches:
+                    self._done.clear()
+            # A shed task never enters the pipeline — it is terminal at
+            # creation and exempt from the drain.
+            for task, coins in launches:
+                pipeline.launch(task, task.created, coins)
+            self.clock.sleep(slots.tau)
         # Generation is over: park the fault cursor past the plan (a
         # healthy world), so retries issued during the drain succeed.
         self._live_slot = max(num_slots, faults.num_slots if faults else 0)
@@ -444,7 +361,7 @@ class LeimeRuntime:
             # books are detached (records copied), so a task finishing
             # later changes neither the counts nor the records.
             self._ledger = None
-            return ledger.result(self.clock.now(), controller.log, detach=True)
+            return slots.result(self.clock.now(), detach=True)
 
     def shutdown(self) -> bool:
         """Stop every worker thread.  Returns ``True`` when all stopped

@@ -52,8 +52,8 @@ class ConstantArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
 
     def mean(self, slot: int) -> float:
         return self.rate
@@ -71,8 +71,8 @@ class PoissonArrivals:
     maximum: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
         if self.maximum is not None and self.maximum < self.rate:
             raise ValueError("maximum must be at least the mean rate")
 

@@ -32,20 +32,15 @@ already in service finish at their old rate (rate changes apply to
 subsequently started transfers), which matches how traffic shaping tools
 like the paper's COMCAST behave on short transfers.
 
-Each task walks the hop graph of :class:`~repro.sim.pipeline.TaskPipeline`
-over this engine's heap servers; the live runtime drives the same
-pipeline over worker threads.
-
-Randomness is split into two independent streams derived from ``seed``,
-the discipline the live runtime shares: a **control** stream consumed at
-slot boundaries (environment draws, arrival sampling, arrival offsets,
-offload coin flips) and an **exit** stream from which every task
-pre-draws its two exit coins at creation (the second coin is consumed
-only if the task reaches block 2).  Keying exit coins to the *task*
-instead of to global completion order is what lets the array-backed
-fast lane (:mod:`repro.sim.fast_events`, selected with
-``run(engine="fast")``) batch completions without perturbing seeded
-results — both engines replay the identical coin for the identical task.
+Each slot boundary runs the slot step every task-level path shares
+(:class:`~repro.sim.pipeline.TaskSlots`), and each task walks the hop
+graph of :class:`~repro.sim.pipeline.TaskPipeline` over this engine's
+heap servers.  The step draws from two streams derived from ``seed``: a
+**control** stream at slot boundaries and an **exit** stream from which
+every task draws its two exit coins at creation.  Keying exit coins to
+the *task* instead of to completion order is what lets the array-backed
+fast lane (:mod:`repro.sim.fast_events`, ``run(engine="fast")``) batch
+completions and still replay the identical coin for the identical task.
 """
 
 from __future__ import annotations
@@ -58,15 +53,14 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
-from ..resilience.control import SlotController
+from ..core.offloading import EdgeSystem, OffloadingPolicy
 from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .network import Link
 from .nodes import FifoServer
-from .pipeline import TaskPipeline
-from .streaming import StreamingTaskStats, TaskLedger
+from .pipeline import TaskPipeline, TaskSlots
+from .streaming import StreamingTaskStats
 from .tasks import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -500,37 +494,28 @@ class EventSimulator:
     def __post_init__(self) -> None:
         if len(self.arrivals) != self.system.num_devices:
             raise ValueError("need one arrival process per device")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # Reject a mismatched fault plan or budget at construction.
         resolve_recovery(
             None, self.faults, self.recovery, self.system.num_devices
         )
 
-    def _fingerprint(
-        self, path_name: str, num_slots: int, metrics: str = "records"
-    ) -> str:
-        """Digest of the run configuration for checkpoint validation.
-
-        Digests the fault plan by content (every channel array, not
-        summary statistics two plans can share), and includes the
-        metrics mode: a streaming run cannot continue from record-mode
-        state."""
-        from ..chaos.checkpoint import run_fingerprint
-        from ..resilience.faults import FAULT_CHANNELS
-
-        return run_fingerprint(
-            path=path_name,
+    def _task_slots(self, policy: OffloadingPolicy, metrics: str) -> TaskSlots:
+        """A fresh slot step for one run of this configuration (either
+        engine)."""
+        return TaskSlots(
+            self.system,
+            self.arrivals,
+            policy,
             seed=self.seed,
-            devices=self.system.num_devices,
-            slots=num_slots,
-            spread_arrivals=self.spread_arrivals,
-            shared_uplink=self.shared_uplink,
-            faults=None
-            if self.faults is None
-            else [getattr(self.faults, c) for c in FAULT_CHANNELS],
-            recovery=repr(self.recovery),
-            overload=repr(self.overload),
-            qos=repr(self.qos),
             metrics=metrics,
+            environment=self.environment,
+            spread_arrivals=self.spread_arrivals,
+            faults=self.faults,
+            recovery=self.recovery,
+            overload=self.overload,
+            qos=self.qos,
         )
 
     def run(
@@ -590,8 +575,6 @@ class EventSimulator:
             raise ValueError("need a positive number of slots")
         if engine not in ("scalar", "fast", "auto"):
             raise ValueError(f"unknown event engine {engine!r}")
-        if metrics not in ("records", "streaming"):
-            raise ValueError(f"unknown metrics mode {metrics!r}")
         engine = resolve_engine(engine, self.system.num_devices)
         if engine == "fast":
             from .fast_events import run_fast
@@ -607,24 +590,14 @@ class EventSimulator:
                 checkpoint_sink=checkpoint_sink,
                 resume_from=resume_from,
             )
-        from ..chaos.checkpoint import (
-            should_emit,
-            snapshot,
-            validate_hooks,
-            validate_resume,
+        slots = self._task_slots(policy, metrics)
+        # Replay-kind checkpoints: a resume validates the configuration,
+        # then re-executes from slot 0 — determinism from the seed makes
+        # the result byte-identical to the uninterrupted run.
+        emit = slots.checkpoints(
+            "event-scalar", "replay", num_slots, checkpoint_every,
+            checkpoint_sink, resume_from, shared_uplink=self.shared_uplink,
         )
-
-        validate_hooks(checkpoint_every, checkpoint_sink)
-        fingerprint = self._fingerprint("event-scalar", num_slots, metrics)
-        if resume_from is not None:
-            # The scalar engine's checkpoints are replay-kind: validate
-            # the configuration matches, then re-execute from slot 0 —
-            # determinism from the seed makes the result byte-identical
-            # to the uninterrupted run.
-            validate_resume(resume_from, "event-scalar", "replay", fingerprint)
-        control_seq, exit_seq = np.random.SeedSequence(self.seed).spawn(2)
-        rng = np.random.default_rng(control_seq)
-        exit_rng = np.random.default_rng(exit_seq)
         engine = _Engine()
         system = self.system
         tau = system.slot_length
@@ -658,12 +631,7 @@ class EventSimulator:
             "cloud", system.cloud_flops, overhead=system.cloud_overhead
         )
 
-        faults = self.faults
-        policy, recovery = resolve_recovery(policy, faults, self.recovery, n)
-        controller = SlotController.for_system(
-            system, self.seed, self.overload, self.qos
-        )
-        ledger = TaskLedger(metrics == "streaming", controller.qos)
+        ledger = slots.ledger
         # Heap servers never refuse a job, so each hop is the server's
         # own call bound to this run's heap.
         pipeline = TaskPipeline(
@@ -679,98 +647,40 @@ class EventSimulator:
             # Past the plan the accessors report a healthy world, so the
             # drain phase always terminates.
             fault_slot=lambda time: int(time / tau),
-            faults=faults,
-            recovery=recovery,
+            faults=self.faults,
+            recovery=slots.recovery,
             finished=ledger.finish,
             dropped=ledger.drop,
         )
-        ratios = [0.0] * n
-        fractional = [0.0] * n
-        state = LyapunovState.zeros(n)
 
-        def slot_boundary(slot: int) -> Callable[[float], None]:
-            def handler(time: float) -> None:
-                if should_emit(checkpoint_every, slot):
-                    checkpoint_sink(
-                        snapshot("event-scalar", "replay", slot, fingerprint, {})
-                    )
-                live = self.environment.devices_at(slot, system.devices, rng)
-                if self.shared_uplink:
-                    uplink[0].reconfigure(live[0].link)
-                else:
-                    for i, device in enumerate(live):
-                        uplink[i].reconfigure(device.link)
-                # Mirror true queue occupancy into the Lyapunov state the
-                # policies read.
-                for i in range(n):
-                    state.queue_local[i] = device_cpu[i].occupancy
-                    state.queue_edge[i] = edge_slice[i].occupancy
-                expected = [proc.mean(slot) for proc in self.arrivals]
-                backlogs = [
-                    state.queue_local[i] + state.queue_edge[i]
-                    for i in range(n)
-                ]
-                rungs, holds = controller.plan(
-                    slot,
-                    time,
-                    backlogs,
-                    expected,
-                    faults is not None and faults.edge_down_at(slot),
+        def boundary(slot: int, time: float) -> None:
+            emit(slot, {})
+            live, rungs, holds, _ = slots.control(
+                slot,
+                time,
+                [cpu.occupancy for cpu in device_cpu],
+                [cpu.occupancy for cpu in edge_slice],
+                system,
+            )
+            if self.shared_uplink:
+                uplink[0].reconfigure(live[0].link)
+            else:
+                for link, device in zip(uplink, live):
+                    link.reconfigure(device.link)
+            pipeline.set_rungs(system, rungs)
+            if holds is not None:
+                for cpu, hold in zip(edge_slice, holds):
+                    cpu.hold_until(engine, time, hold)
+            for task, coins in ledger.add_records(slots.draw(slot, time)):
+                engine.schedule(
+                    task.created, partial(pipeline.launch, task, coins=coins)
                 )
-                pipeline.set_rungs(system, rungs)
-                if holds is not None:
-                    for i in range(n):
-                        edge_slice[i].hold_until(engine, time, holds[i])
-                ratios[:] = controller.backpressure(
-                    policy.decide(system, state, expected, live),
-                    state.queue_edge,
-                )
-                for i, proc in enumerate(self.arrivals):
-                    # Tasks are integral here; fractional draws (the fluid
-                    # model's constant rates) accumulate until they yield a
-                    # whole task, so long-run rates are preserved exactly.
-                    fractional[i] += float(proc.sample(slot, rng))
-                    count = int(fractional[i])
-                    fractional[i] -= count
-                    # The gate runs once per device per slot (token refill)
-                    # even when nothing arrived.  Shed tasks beyond the
-                    # allowance are still created — all their RNG draws are
-                    # consumed so a governed run replays its ungoverned
-                    # twin's streams — but never launched.
-                    admitted = controller.admit(i, count)
-                    for k in range(count):
-                        offset = (
-                            float(rng.uniform(0.0, tau))
-                            if self.spread_arrivals
-                            else 0.0
-                        )
-                        task = TaskRecord(
-                            task_id=ledger.generated,
-                            device=i,
-                            created=time + offset,
-                            offloaded=bool(rng.random() < ratios[i]),
-                            shed=k >= admitted,
-                            qos=ledger.tag(i),
-                        )
-                        coins = (
-                            float(exit_rng.random()), float(exit_rng.random())
-                        )
-                        ledger.add(task)
-                        # A shed task is never launched: terminal at
-                        # creation, its coins drawn but never read.
-                        if not task.shed:
-                            engine.schedule(
-                                task.created,
-                                partial(pipeline.launch, task, coins=coins),
-                            )
-
-            return handler
 
         for slot in range(num_slots):
-            engine.schedule(slot * tau, slot_boundary(slot))
+            engine.schedule(slot * tau, partial(boundary, slot))
 
         horizon = num_slots * tau
         engine.run_until(horizon)
         if drain:
             engine.run_to_exhaustion(horizon * drain_limit_factor)
-        return ledger.result(engine.now, controller.log)
+        return slots.result(engine.now)

@@ -29,8 +29,9 @@ seed, ``run(engine="fast")`` produces per-task records equal to the
 scalar engine — same exit tier, completion time within 1e-9, identical
 drop/retry counts — because
 
-* both engines draw the same control stream at slot boundaries and the
-  same per-task exit coins at creation (see the events module docstring);
+* both engines run the same slot step
+  (:class:`~repro.sim.pipeline.TaskSlots`): the same control draws and
+  the same per-task exit coins;
 * service times are evaluated with the exact scalar expression
   ``demand / rate + overhead`` at the rate of the window in which the
   job starts;
@@ -57,19 +58,19 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.offloading import LyapunovState, OffloadingPolicy
+from ..core.offloading import OffloadingPolicy
 from ..core.vectorized import fifo_schedule_batch, service_times_batch
-from ..resilience.control import SlotController
 from ..resilience.overload import (
     MODE_FULL,
     MODE_SECOND_EXIT,
     degraded_exit_params,
 )
-from ..resilience.recovery import resolve_recovery
+from ..resilience.recovery import RecoveryPolicy
 from .tasks import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventSimResult, EventSimulator
+    from .pipeline import SlotTasks
 
 # Hop kinds: which (server, demand) pair an intent targets.
 K_DEV1 = 0  # first block on the device CPU (straggler-scaled)
@@ -319,33 +320,9 @@ class _TaskStore:
         "tier", "dropped", "retries", "comp", "trans", "queue", "shed",
     )
 
-    def append(self, device, created, offloaded, u1, u2) -> int:
-        if self.count == self.device.shape[0]:
-            for name in self._COLS:
-                col = getattr(self, name)
-                grown = np.empty(col.shape[0] * 2, dtype=col.dtype)
-                grown[: self.count] = col[: self.count]
-                setattr(self, name, grown)
-        i = self.count
-        self.device[i] = device
-        self.created[i] = created
-        self.offloaded[i] = offloaded
-        self.u1[i] = u1
-        self.u2[i] = u2
-        self.completed[i] = np.nan
-        self.tier[i] = 0
-        self.dropped[i] = False
-        self.retries[i] = 0
-        self.comp[i] = 0.0
-        self.trans[i] = 0.0
-        self.queue[i] = 0.0
-        self.shed[i] = False
-        self.count += 1
-        return i
-
-    def append_batch(self, device, created, offloaded, u1, u2) -> np.ndarray:
-        """Append ``k`` tasks for one device; returns their task ids."""
-        k = created.shape[0]
+    def append_batch(self, tasks: "SlotTasks") -> np.ndarray:
+        """Append a slot's new tasks; returns their row ids."""
+        k = tasks.created.shape[0]
         while self.count + k > self.device.shape[0]:
             for name in self._COLS:
                 col = getattr(self, name)
@@ -353,11 +330,11 @@ class _TaskStore:
                 grown[: self.count] = col[: self.count]
                 setattr(self, name, grown)
         i0, i1 = self.count, self.count + k
-        self.device[i0:i1] = device
-        self.created[i0:i1] = created
-        self.offloaded[i0:i1] = offloaded
-        self.u1[i0:i1] = u1
-        self.u2[i0:i1] = u2
+        self.device[i0:i1] = tasks.device
+        self.created[i0:i1] = tasks.created
+        self.offloaded[i0:i1] = tasks.offloaded
+        self.u1[i0:i1] = tasks.exits[:, 0]
+        self.u2[i0:i1] = tasks.exits[:, 1]
         self.completed[i0:i1] = np.nan
         self.tier[i0:i1] = 0
         self.dropped[i0:i1] = False
@@ -365,7 +342,7 @@ class _TaskStore:
         self.comp[i0:i1] = 0.0
         self.trans[i0:i1] = 0.0
         self.queue[i0:i1] = 0.0
-        self.shed[i0:i1] = False
+        self.shed[i0:i1] = tasks.shed
         self.count = i1
         return np.arange(i0, i1, dtype=_I8)
 
@@ -448,26 +425,21 @@ class _TaskStore:
 class _FastEngine:
     """One run's worth of window-batched event simulation state."""
 
-    def __init__(self, sim: "EventSimulator", policy: OffloadingPolicy):
+    def __init__(
+        self, sim: "EventSimulator", recovery: "RecoveryPolicy | None"
+    ):
         system = sim.system
-        self.sim = sim
         self.system = system
+        self.shared_uplink = sim.shared_uplink
         self.tau = system.slot_length
         self.n = n = system.num_devices
         self.faults = sim.faults
-        self.policy, recovery = resolve_recovery(
-            policy, sim.faults, sim.recovery, system.num_devices
-        )
-        if recovery is not None:
-            self.max_retries = recovery.max_retries
-            self.backoff_tab = recovery.backoff_table()
-            self.deadline = recovery.deadline
-            self.fallback_local = recovery.fallback_local
-        else:
-            self.max_retries = 0
-            self.backoff_tab = np.empty(0, dtype=_F8)
-            self.deadline = None
-            self.fallback_local = False
+        # Without faults nothing fails: any budget will do.
+        recovery = recovery or RecoveryPolicy.none()
+        self.max_retries = recovery.max_retries
+        self.backoff_tab = recovery.backoff_table()
+        self.deadline = recovery.deadline
+        self.fallback_local = recovery.fallback_local
 
         # Per-device partition parameters (heterogeneous-aware).  A
         # homogeneous fleet shares one partition object, so broadcast it
@@ -560,7 +532,7 @@ class _FastEngine:
             return
         self._last_live = live
         n = self.n
-        if self.sim.shared_uplink:
+        if self.shared_uplink:
             self.rate[n] = live[0].link.bandwidth
             self.extra[n] = live[0].link.latency
         else:
@@ -595,6 +567,27 @@ class _FastEngine:
         ).astype(_I8)
         occ += self.free_at >= w0
         return occ
+
+    def launches(self, tasks: "SlotTasks", w0: float) -> np.ndarray:
+        """Store a slot's new tasks and return the admitted ones as
+        launch intents.  Shed tasks keep their rows (terminal at
+        creation) but never launch."""
+        keep = ~tasks.shed
+        ids = self.store.append_batch(tasks)[keep]
+        times = tasks.created[keep]
+        return _rows(
+            _INTENT,
+            ids.shape[0],
+            time=times,
+            task=ids,
+            kind=np.where(tasks.offloaded[keep], K_UP0, K_DEV1),
+            attempt=0,
+            base=times,
+            # Arrival events are pushed while the boundary is processed,
+            # so same-time ties against older events sort after them.
+            push=w0,
+            src=-1,
+        )
 
     def compact(self, ledger) -> None:
         """Streaming-mode compaction between windows: fold every task
@@ -1288,9 +1281,10 @@ def run_fast(
     """Array-backed twin of the scalar ``EventSimulator.run`` loop.
 
     Checkpoints are ``"state"``-kind: the engine is plain arrays (task
-    store, server clocks, carried work, calibration state), so the whole
-    mutable run state pickles bit-exactly and a resumed run continues
-    byte-identical to an uninterrupted one.
+    store, server clocks, carried work, calibration state) and the slot
+    step is plain picklable state, so the whole mutable run state
+    pickles bit-exactly and a resumed run continues byte-identical to an
+    uninterrupted one.
 
     ``metrics="streaming"`` compacts the task store after every window
     (:meth:`_FastEngine.compact`): terminal rows fold into the run's
@@ -1299,173 +1293,39 @@ def run_fast(
     total — and the final materialisation of per-task records is
     skipped entirely.
     """
-    from .streaming import TaskLedger
-    from ..chaos.checkpoint import (
-        should_emit,
-        snapshot,
-        validate_hooks,
-        validate_resume,
+    slots = sim._task_slots(policy, metrics)
+    emit = slots.checkpoints(
+        "event-fast", "state", num_slots, checkpoint_every, checkpoint_sink,
+        resume_from, shared_uplink=sim.shared_uplink,
     )
-
-    validate_hooks(checkpoint_every, checkpoint_sink)
-    fingerprint = sim._fingerprint("event-fast", num_slots, metrics)
-    if resume_from is not None:
-        validate_resume(resume_from, "event-fast", "state", fingerprint)
-        payload = resume_from.payload()
-        eng = payload["eng"]
-        sim = eng.sim
-        rng = payload["rng"]
-        exit_rng = payload["exit_rng"]
-        state = payload["state"]
-        ratios = payload["ratios"]
-        fractional = payload["fractional"]
-        controller = payload["controller"]
-        ledger = payload["ledger"]
-        start_slot = resume_from.slot
-        system = sim.system
-        tau = system.slot_length
-        n = system.num_devices
-    else:
-        control_seq, exit_seq = np.random.SeedSequence(sim.seed).spawn(2)
-        rng = np.random.default_rng(control_seq)
-        exit_rng = np.random.default_rng(exit_seq)
-        eng = _FastEngine(sim, policy)
-        system = sim.system
-        tau = system.slot_length
-        n = system.num_devices
-        state = LyapunovState.zeros(n)
-        ratios = [0.0] * n
-        fractional = [0.0] * n
-        controller = SlotController.for_system(
-            system, sim.seed, sim.overload, sim.qos
-        )
-        ledger = TaskLedger(metrics == "streaming", controller.qos)
+    if resume_from is None:
+        eng = _FastEngine(sim, slots.recovery)
         start_slot = 0
+    else:
+        payload = resume_from.payload()
+        eng, slots = payload["eng"], payload["slots"]
+        start_slot = resume_from.slot
+    system = eng.system
+    tau = system.slot_length
+    n = system.num_devices
+    ledger = slots.ledger
     streaming = ledger.stats is not None
-    governed = controller.gate is not None
 
     for slot in range(start_slot, num_slots):
-        if should_emit(checkpoint_every, slot):
-            checkpoint_sink(
-                snapshot(
-                    "event-fast",
-                    "state",
-                    slot,
-                    fingerprint,
-                    dict(
-                        eng=eng,
-                        rng=rng,
-                        exit_rng=exit_rng,
-                        state=state,
-                        ratios=ratios,
-                        fractional=fractional,
-                        controller=controller,
-                        ledger=ledger,
-                    ),
-                )
-            )
+        emit(slot, dict(eng=eng, slots=slots))
         w0 = slot * tau
-        w1 = (slot + 1) * tau
-        live = sim.environment.devices_at(slot, system.devices, rng)
-        eng.reconfigure(live)
         occ = eng.occupancy(w0)
-        state.queue_local[:] = occ[:n].tolist()
-        state.queue_edge[:] = occ[2 * n : 3 * n].tolist()
-        expected = [proc.mean(slot) for proc in sim.arrivals]
-        backlogs = (occ[:n] + occ[2 * n : 3 * n]).tolist()
-        rungs, holds = controller.plan(
-            slot,
-            w0,
-            backlogs,
-            expected,
-            eng.faults is not None and eng.faults.edge_down_at(slot),
+        live, rungs, holds, _ = slots.control(
+            slot, w0, occ[:n].tolist(), occ[2 * n : 3 * n].tolist(), system
         )
+        eng.reconfigure(live)
         eng.set_device_modes(rungs)
         if holds is not None:
             # The scalar boundary's ``hold_until`` calls, as one
             # frontier assignment.
             eng.hold_until[2 * n : 3 * n] = holds
-        ratios[:] = controller.backpressure(
-            eng.policy.decide(system, state, expected, live),
-            state.queue_edge,
-        )
-        l_draws: list[np.ndarray] = []
-        l_dev: list[int] = []
-        l_count: list[int] = []
-        l_shed: list[np.ndarray] = []
-        spread = sim.spread_arrivals
-        random = rng.random
-        for i, proc in enumerate(sim.arrivals):
-            fractional[i] += float(proc.sample(slot, rng))
-            count = int(fractional[i])
-            fractional[i] -= count
-            # The gate's per-device refill runs once per slot whether or
-            # not tasks arrived, mirroring the scalar boundary handler.
-            admitted = controller.admit(i, count)
-            if not count:
-                continue
-            if governed:
-                l_shed.append(np.arange(count) >= admitted)
-            # Batched draws consume the same PCG64 doubles, in the same
-            # order, as the scalar engine's per-task
-            # ``uniform(0, tau)`` / ``random()`` interleaving:
-            # ``uniform(0, tau)`` is ``0.0 + tau * next_double()``.
-            # Only the RNG call stays per-device (the stream order is
-            # the contract); the arithmetic on the draws is elementwise,
-            # so it is deferred and batched once per slot.
-            l_draws.append(random(2 * count) if spread else random(count))
-            l_dev.append(i)
-            l_count.append(count)
-        total = int(sum(l_count))
-        if total:
-            draws = np.concatenate(l_draws)
-            devices = np.repeat(
-                np.asarray(l_dev, dtype=_I8),
-                np.asarray(l_count, dtype=_I8),
-            )
-            if spread:
-                times = w0 + draws[0::2] * tau
-                coins = draws[1::2]
-            else:
-                coins = draws
-                times = np.full(total, w0, dtype=_F8)
-            offloaded = coins < np.asarray(ratios, dtype=_F8)[devices]
-            exit_draws = exit_rng.random(2 * total)
-            tasks = eng.store.append_batch(
-                devices, times, offloaded, exit_draws[0::2], exit_draws[1::2]
-            )
-            # Shed tasks keep their rows (all RNG draws consumed, so
-            # governed and ungoverned runs replay identical streams) but
-            # never become launch intents — per device the first
-            # ``admitted`` tasks run, the tail is shed, exactly the
-            # scalar boundary's k >= admitted rule.
-            shed_arr = np.concatenate(l_shed) if governed else None
-            ledger.add_batch(devices, shed_arr)
-            if governed and shed_arr.any():
-                eng.store.shed[tasks[shed_arr]] = True
-                keep = ~shed_arr
-                times = times[keep]
-                tasks = tasks[keep]
-                offloaded = offloaded[keep]
-                total = int(keep.sum())
-        else:
-            times = np.empty(0, dtype=_F8)
-            tasks = np.empty(0, dtype=_I8)
-            offloaded = np.empty(0, dtype=np.bool_)
-        launches = _rows(
-            _INTENT,
-            total,
-            time=times,
-            task=tasks,
-            kind=np.where(offloaded, K_UP0, K_DEV1),
-            attempt=0,
-            base=times,
-            # Arrival events are pushed while the boundary is processed,
-            # so same-time ties against older events sort after them.
-            push=w0,
-            src=-1,
-        )
-        eng.window(w0, w1, launches)
+        launches = eng.launches(slots.draw(slot, w0), w0)
+        eng.window(w0, (slot + 1) * tau, launches)
         if streaming:
             eng.compact(ledger)
 
@@ -1493,4 +1353,4 @@ def run_fast(
         ledger.in_flight_batch(store.retries[:live], store.device[:live])
     else:
         ledger.tasks = store.materialize([ledger.tag(i) for i in range(n)])
-    return ledger.result(result_horizon, controller.log)
+    return slots.result(result_horizon)

@@ -1,5 +1,11 @@
-"""The per-task hop graph (Fig. 4), shared by the scalar event engine
-and the live runtime.
+"""The task-level slot step and the per-task hop graph (Fig. 4).
+
+:class:`TaskSlots` is LEIME's online phase (§III-D) for both event
+engines and the live runtime: once per slot it reads the device queues,
+plans rungs and holds, picks the offloading ratios ``x_i(t)`` against
+the expected arrivals, and draws, admits and books the slot's tasks.  A
+path keeps only its data plane: it reports occupancy from its own
+servers, realises the rungs and holds, and launches the drawn tasks.
 
 A task runs its first block on its device CPU, or on its edge slice
 after the raw input ``d0`` crosses the uplink.  Past the First-exit it
@@ -7,10 +13,11 @@ runs block 2 on the edge slice (sending ``d1`` up first if block 1 ran
 locally); past the Second it sends ``d2`` over the edge→cloud link and
 runs block 3 in the cloud.
 
-:class:`TaskPipeline` owns the whole walk: the fault gates, retries
-with backoff and deadline, the local fallback, the exit decisions, the
-stage accounting and the terminal calls.  A path supplies only what
-differs:
+:class:`TaskPipeline` owns the whole walk, which the scalar event
+engine drives over heap servers and the live runtime over worker
+threads: the fault gates, retries with backoff and deadline, the local
+fallback, the exit decisions, the stage accounting and the terminal
+calls.  A path supplies only what differs:
 
 * its servers, as hops ``hop(time, demand, on_done) -> bool`` calling
   ``on_done(finish_time, service_time)`` — heap servers always accept;
@@ -33,20 +40,224 @@ is its TCT.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
+import numpy as np
+
+from ..core.offloading import LyapunovState
+from ..resilience.control import SlotController
 from ..resilience.overload import degraded_exit_params
+from ..resilience.qos import degrade_system_by_modes
+from ..resilience.recovery import resolve_recovery
+from .environment import StaticEnvironment
+from .streaming import TaskLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.offloading import EdgeSystem
+    from ..core.offloading import EdgeSystem, OffloadingPolicy
     from ..models.multi_exit import PartitionedModel
     from ..resilience.faults import FaultPlan
+    from ..resilience.overload import OverloadControl
+    from ..resilience.qos import QoSConfig
     from ..resilience.recovery import RecoveryPolicy
+    from .arrivals import ArrivalProcess
+    from .environment import DynamicEnvironment
     from .tasks import TaskRecord
 
 OnDone = Callable[[float, float], None]
 Hop = Callable[[float, float, OnDone], bool]
 Then = Callable[[float], None]
+
+
+class SlotTasks(NamedTuple):
+    """One slot's new tasks in id order (device-major), as columns."""
+
+    first: int  # id of the first task
+    device: np.ndarray
+    created: np.ndarray
+    offloaded: np.ndarray
+    exits: np.ndarray  # (k, 2): each task's two exit coins
+    shed: np.ndarray
+
+
+class TaskSlots:
+    """The slot step of one task-level run, shared by every path.
+
+    Holds what the run decides at slot boundaries as plain picklable
+    state: the control and exit RNG streams spawned from ``seed``, the
+    Lyapunov queues mirrored from occupancy, the fractional arrival
+    carries, the :class:`~repro.resilience.control.SlotController`, the
+    run's :class:`~repro.sim.streaming.TaskLedger` and ``policy``
+    (wrapped per :func:`~repro.resilience.recovery.resolve_recovery`).
+
+    A slot is two calls, :meth:`control` then :meth:`draw`.  The draws
+    are batched per device yet consume the same PCG64 doubles, in the
+    same order, as a per-task loop: per task ``uniform(0, τ)`` when
+    arrivals are spread (``0.0 + τ·next_double()``), then the offload
+    coin; then two exit coins per task.  Shed tasks burn their draws
+    too, so a governed run replays its ungoverned twin's streams.
+    """
+
+    def __init__(
+        self,
+        system: "EdgeSystem",
+        arrivals: Sequence["ArrivalProcess"],
+        policy: "OffloadingPolicy",
+        *,
+        seed: int,
+        metrics: str = "records",
+        environment: "DynamicEnvironment" = StaticEnvironment(),
+        spread_arrivals: bool = False,
+        faults: "FaultPlan | None" = None,
+        recovery: "RecoveryPolicy | None" = None,
+        overload: "OverloadControl | None" = None,
+        qos: "QoSConfig | None" = None,
+    ):
+        n = system.num_devices
+        if len(arrivals) != n:
+            raise ValueError("need one arrival process per device")
+        if metrics not in ("records", "streaming"):
+            raise ValueError(f"unknown metrics mode {metrics!r}")
+        self.policy, self.recovery = resolve_recovery(
+            policy, faults, recovery, n
+        )
+        self.arrivals = list(arrivals)
+        self.environment = environment
+        self.spread_arrivals = spread_arrivals
+        self.faults = faults
+        self.seed = seed
+        self.metrics = metrics
+        self.overload = overload
+        self.qos = qos
+        self.tau = system.slot_length
+        control_seq, exit_seq = np.random.SeedSequence(seed).spawn(2)
+        self.rng = np.random.default_rng(control_seq)
+        self.exit_rng = np.random.default_rng(exit_seq)
+        self.controller = SlotController.for_system(system, seed, overload, qos)
+        self.ledger = TaskLedger(metrics == "streaming", self.controller.qos)
+        self.state = LyapunovState.zeros(n)
+        self.fractional = [0.0] * n
+        self.ratios: Sequence[float] = [0.0] * n
+        self.generated = 0
+
+    def checkpoints(
+        self,
+        path: str,
+        kind: str,
+        num_slots: int,
+        checkpoint_every: int | None,
+        checkpoint_sink: Callable[[Any], None] | None,
+        resume_from=None,
+        **data_plane,
+    ) -> Callable[[int, dict], None]:
+        """Check the hooks, and ``resume_from`` against the run's
+        fingerprint: the configuration with the fault plan by content
+        (not summary statistics two plans can share), the metrics mode
+        and the path's ``data_plane`` options.  Returns ``emit(slot,
+        payload)``, which hands the sink a ``kind`` checkpoint of
+        ``payload`` every ``checkpoint_every`` slots.  The hooks stay
+        out of this object, so a state checkpoint can carry it."""
+        from ..chaos import checkpoint
+        from ..resilience.faults import FAULT_CHANNELS
+
+        checkpoint.validate_hooks(checkpoint_every, checkpoint_sink)
+        fingerprint = checkpoint.run_fingerprint(
+            path=path,
+            seed=self.seed,
+            devices=len(self.arrivals),
+            slots=num_slots,
+            spread_arrivals=self.spread_arrivals,
+            faults=None
+            if self.faults is None
+            else [getattr(self.faults, c) for c in FAULT_CHANNELS],
+            recovery=repr(self.recovery),
+            overload=repr(self.overload),
+            qos=repr(self.qos),
+            metrics=self.metrics,
+            **data_plane,
+        )
+        if resume_from is not None:
+            checkpoint.validate_resume(resume_from, path, kind, fingerprint)
+
+        def emit(slot: int, payload: dict) -> None:
+            if checkpoint.should_emit(checkpoint_every, slot):
+                checkpoint_sink(
+                    checkpoint.snapshot(path, kind, slot, fingerprint, payload)
+                )
+
+        return emit
+
+    def control(
+        self,
+        slot: int,
+        w0: float,
+        queue_local: Sequence[int],
+        queue_edge: Sequence[int],
+        system: "EdgeSystem",
+    ) -> tuple:
+        """Decide slot ``slot``, starting at ``w0``, from the occupancy of
+        every device's CPU and edge slice.  Returns the environment's
+        device configs, the per-device rungs, the edge slices' warm
+        times (None without QoS) and the system served: the deployed
+        ``system`` degraded to the rungs, which the policy plans on."""
+        live = self.environment.devices_at(slot, system.devices, self.rng)
+        state = self.state
+        state.queue_local[:] = queue_local
+        state.queue_edge[:] = queue_edge
+        expected = [proc.mean(slot) for proc in self.arrivals]
+        backlogs = [q + h for q, h in zip(queue_local, queue_edge)]
+        edge_down = self.faults is not None and self.faults.edge_down_at(slot)
+        rungs, holds = self.controller.plan(
+            slot, w0, backlogs, expected, edge_down
+        )
+        served = degrade_system_by_modes(system, rungs)
+        self.ratios = self.controller.backpressure(
+            self.policy.decide(served, state, expected, live), queue_edge
+        )
+        return live, rungs, holds, served
+
+    def draw(self, slot: int, time: float) -> SlotTasks:
+        """Draw and book (:meth:`TaskLedger.add_batch`) the tasks
+        arriving in slot ``slot``, created at ``time`` (plus a uniform
+        offset within the slot when arrivals are spread).  Fractional
+        samples carry over until they make a whole task; per device, the
+        first admitted tasks run and the tail is shed."""
+        rng = self.rng
+        spread = self.spread_arrivals
+        fractional = self.fractional
+        counts: list[int] = []
+        admitted: list[int] = []
+        draws: list[np.ndarray] = []
+        for i, proc in enumerate(self.arrivals):
+            fractional[i] += float(proc.sample(slot, rng))
+            count = int(fractional[i])
+            fractional[i] -= count
+            # The gate refills once per device per slot, even for none.
+            admitted.append(self.controller.admit(i, count))
+            counts.append(count)
+            if count:
+                draws.append(rng.random(2 * count if spread else count))
+        total = sum(counts)
+        first = self.generated
+        self.generated += total
+        device = np.arange(len(counts)).repeat(counts)
+        coins = np.concatenate(draws) if draws else np.empty(0)
+        if spread:
+            created = time + coins[0::2] * self.tau
+            coins = coins[1::2]
+        else:
+            created = np.full(total, time)
+        offloaded = coins < np.asarray(self.ratios, dtype=np.float64)[device]
+        shed = np.zeros(total, dtype=bool)
+        if admitted != counts:
+            rank = np.arange(total) - (np.cumsum(counts) - counts)[device]
+            shed = rank >= np.take(admitted, device)
+        exits = self.exit_rng.random((total, 2))
+        self.ledger.add_batch(device, shed)
+        return SlotTasks(first, device, created, offloaded, exits, shed)
+
+    def result(self, horizon: float, detach: bool = False):
+        """Cut the run's books (see :meth:`TaskLedger.result`)."""
+        return self.ledger.result(horizon, self.controller.log, detach=detach)
 
 
 class TaskPipeline:

@@ -555,6 +555,8 @@ class SlotSimulator:
                 f"need one arrival process per device: "
                 f"{len(self.arrivals)} != {self.system.num_devices}"
             )
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def _fingerprint(
         self, path_name: str, num_slots: int, metrics: str = "records"

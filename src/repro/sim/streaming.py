@@ -47,10 +47,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .tasks import TaskRecord
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.qos import QoSState
     from .events import EventSimResult
-    from .tasks import TaskRecord
+    from .pipeline import SlotTasks
 
 # Values at or below this threshold are tracked exactly in a dedicated
 # zero bucket (log buckets cannot represent 0).
@@ -364,11 +366,13 @@ class TaskLedger:
     the class row (``tct_sum`` is a float sum, so the order is part of
     the result).
 
-    The scalar engine and the live runtime report one task at a time
-    (:meth:`add`, :meth:`finish`, :meth:`drop`); the fast engine, which
-    keeps its own task arrays, reports batches (:meth:`add_batch`,
-    :meth:`finish_batch`, :meth:`drop_batch`, :meth:`in_flight_batch`)
-    and hands over its materialised records at the end.  :meth:`result`
+    Every path's slot step books its new tasks in one batch
+    (:meth:`add_batch`).  The scalar engine and the live runtime keep one
+    record per task (:meth:`add_records`) and report its terminal event
+    (:meth:`finish`, :meth:`drop`); the fast engine, which keeps its own
+    task arrays, reports batches (:meth:`finish_batch`,
+    :meth:`drop_batch`, :meth:`in_flight_batch`) and hands over its
+    materialised records at the end.  :meth:`result`
     cuts the books into the run's
     :class:`~repro.sim.events.EventSimResult`.
 
@@ -393,11 +397,6 @@ class TaskLedger:
         self._class_of = [] if qos is None else list(qos.class_of)
         self._class_arr = np.asarray(self._class_of, dtype=np.int64)
 
-    @property
-    def generated(self) -> int:
-        """Tasks added so far (the next task id on the per-task paths)."""
-        return len(self.tasks) if self.stats is None else self.stats.generated
-
     def tag(self, device: int) -> str:
         """The QoS class name a task of ``device`` carries ("" without
         QoS)."""
@@ -413,17 +412,34 @@ class TaskLedger:
 
     # -- per task (scalar engine, live runtime) -----------------------------
 
-    def add(self, task: TaskRecord) -> None:
-        """Book a newly created task; a shed task is terminal here."""
+    def add_records(
+        self, tasks: "SlotTasks"
+    ) -> list[tuple[TaskRecord, tuple[float, float]]]:
+        """Keep one record per task of a booked slot (:meth:`add_batch`
+        counted it): every record in record mode, the admitted ones as
+        live tasks in streaming mode.  Returns the admitted tasks with
+        their exit coins, in id order, for the path to launch."""
+        columns = zip(
+            tasks.device.tolist(), tasks.created.tolist(),
+            tasks.offloaded.tolist(), tasks.shed.tolist(),
+        )
+        records = [
+            TaskRecord(
+                tasks.first + k, device, created, offloaded,
+                shed=shed, qos=self.tag(device),
+            )
+            for k, (device, created, offloaded, shed) in enumerate(columns)
+        ]
+        launches = [
+            (task, tuple(coins))
+            for task, coins in zip(records, tasks.exits.tolist())
+            if not task.shed
+        ]
         if self.stats is None:
-            self.tasks.append(task)
-            return
-        for row in self._rows(task.device):
-            row.observe_generated()
-            if task.shed:
-                row.observe_shed()
-        if not task.shed:
-            self.live[task.task_id] = task
+            self.tasks += records
+        else:
+            self.live.update((task.task_id, task) for task, _ in launches)
+        return launches
 
     def finish(self, task: TaskRecord, time: float, tier: int) -> None:
         """Complete ``task`` at ``time`` through exit ``tier``."""
@@ -444,7 +460,7 @@ class TaskLedger:
                 row.observe_dropped(task.retries)
             self.live.pop(task.task_id, None)
 
-    # -- batches (fast engine; no-ops in record mode) -----------------------
+    # -- batches (no-ops in record mode) -------------------------------------
 
     def _by_class(self, devices: np.ndarray, fold) -> None:
         """Call ``fold(row, mask)`` for every class row whose devices
@@ -457,9 +473,7 @@ class TaskLedger:
             if mask.any():
                 fold(row, mask)
 
-    def add_batch(
-        self, devices: np.ndarray, shed: np.ndarray | None = None
-    ) -> None:
+    def add_batch(self, devices: np.ndarray, shed: np.ndarray) -> None:
         """Book tasks created on ``devices``; ``shed`` marks the ones
         rejected at admission."""
         if self.stats is None:
@@ -468,7 +482,7 @@ class TaskLedger:
         self._by_class(
             devices, lambda row, m: row.observe_generated(int(m.sum()))
         )
-        if shed is not None and shed.any():
+        if shed.any():
             self.stats.observe_shed(int(shed.sum()))
             self._by_class(
                 devices[shed], lambda row, m: row.observe_shed(int(m.sum()))

@@ -17,8 +17,6 @@ the multi-stage topologies the experiments use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def utilisation(arrival_rate: float, service_time: float) -> float:
     """``ρ = λ·s``; must be < 1 for a stable queue."""
@@ -48,20 +46,3 @@ def mm1_mean_wait(arrival_rate: float, mean_service_time: float) -> float:
         raise ValueError(f"unstable queue: utilisation {rho:.3f} >= 1")
     return rho * mean_service_time / (1.0 - rho)
 
-
-@dataclass(frozen=True)
-class QueueComparison:
-    """Simulated vs theoretical sojourn time for one queue."""
-
-    utilisation: float
-    simulated_sojourn: float
-    theoretical_sojourn: float
-
-    @property
-    def relative_error(self) -> float:
-        if self.theoretical_sojourn == 0:
-            return 0.0
-        return (
-            abs(self.simulated_sojourn - self.theoretical_sojourn)
-            / self.theoretical_sojourn
-        )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.offloading import DriftPlusPenaltyPolicy, FixedRatioPolicy
+from repro.core.vectorized import vectorized_equivalent
 from repro.runtime import LeimeRuntime
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.environment import RandomWalkEnvironment
@@ -66,13 +67,12 @@ def _control_plane(report):
     return [(t.task_id, t.device, t.offloaded) for t in report.tasks]
 
 
-def _run_runtime(seed: int, system, vectorized: bool = False):
+def _run_runtime(seed: int, system, policy=None):
     runtime = LeimeRuntime(
         system,
-        FixedRatioPolicy(0.5),
+        FixedRatioPolicy(0.5) if policy is None else policy,
         speedup=500.0,
         seed=seed,
-        vectorized=vectorized,
     )
     try:
         return runtime.run(
@@ -104,8 +104,9 @@ def test_runtime_different_seeds_differ(small_system):
 
 def test_runtime_vectorized_flag_keeps_control_plane(small_system):
     """Swapping in the batched policy must not consume different RNG draws."""
-    a = _run_runtime(5, small_system, vectorized=False)
-    b = _run_runtime(5, small_system, vectorized=True)
+    policy = FixedRatioPolicy(0.5)
+    a = _run_runtime(5, small_system, policy)
+    b = _run_runtime(5, small_system, vectorized_equivalent(policy) or policy)
     assert _control_plane(a) == _control_plane(b)
 
 

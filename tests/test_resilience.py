@@ -403,6 +403,21 @@ def test_node_shutdown_warns_on_wedged_worker():
     never.set()  # release the thread so the test process exits cleanly
 
 
+def test_link_shutdown_warns_on_wedged_courier():
+    from repro.hardware import NetworkProfile
+    from repro.runtime.node import RuntimeLink
+
+    clock = VirtualClock(speedup=1000.0)
+    link = RuntimeLink("wedged", NetworkProfile(bandwidth=1e9, latency=1.0), clock)
+    import threading
+
+    never = threading.Event()
+    link.transmit(1.0, lambda _t: never.wait())  # delivery blocks forever
+    with pytest.warns(RuntimeWarning, match="courier.*wedged"):
+        assert link.shutdown(join_timeout=0.3) is False
+    never.set()  # release the thread so the test process exits cleanly
+
+
 def test_node_shutdown_clean_returns_true():
     clock = VirtualClock(speedup=1000.0)
     node = RuntimeNode("clean", flops=1e9, clock=clock)

@@ -91,9 +91,9 @@ def test_runtime_node_capacity_validation():
 
 
 def test_runtime_link_shutdown_drains_propagation_timers():
-    """shutdown() joins in-flight propagation timers: every transmitted
-    payload has been delivered by the time it returns, and the return
-    value reports a clean stop."""
+    """shutdown() drains the link's courier: every transmitted payload
+    has been delivered by the time it returns, and the return value
+    reports a clean stop."""
     clock = VirtualClock(speedup=1000.0)
     link = RuntimeLink(
         "hop", NetworkProfile(bandwidth=1e9, latency=2.0), clock

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -413,3 +415,36 @@ def test_shared_uplink_single_device_equivalent(small_system):
         system=single, arrivals=arrivals, seed=13, shared_uplink=True
     ).run(FixedRatioPolicy(1.0), 60)
     assert a.mean_tct == pytest.approx(b.mean_tct)
+
+
+# -- construction-time checks ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda system: PoissonArrivals(float("nan")),
+        lambda system: ConstantArrivals(float("nan")),
+        lambda system: ConstantArrivals(float("inf")),
+        lambda system: dataclasses.replace(system, edge_flops=float("nan")),
+        lambda system: dataclasses.replace(system, cloud_flops=float("inf")),
+        lambda system: EventSimulator(
+            system=system, arrivals=[ConstantArrivals(1.0)] * 2, seed=-1
+        ),
+        lambda system: SlotSimulator(
+            system=system, arrivals=[ConstantArrivals(1.0)] * 2, seed=-1
+        ),
+    ],
+    ids=[
+        "poisson-nan",
+        "constant-nan",
+        "constant-inf",
+        "edge-flops-nan",
+        "cloud-flops-inf",
+        "event-seed",
+        "slot-seed",
+    ],
+)
+def test_bad_inputs_fail_at_construction(small_system, build):
+    with pytest.raises(ValueError):
+        build(small_system)
