@@ -1,10 +1,12 @@
 """Fleet-scale throughput: scalar slot loop vs the vectorized engine.
 
 Sweeps fleet sizes (10 → 5,000 devices by default) and reports how many
-simulated slots per second each path sustains with the drift-plus-penalty
-policy deciding every slot.  The vectorized path evaluates the whole
-device × ratio-grid cost matrix in NumPy; the scalar path is the per-device
-reference loop.  Results land in ``BENCH_fleet.json`` at the repo root.
+simulated slots per second each fluid path sustains with the
+drift-plus-penalty policy deciding every slot.  Both paths decide through
+the batched ``dpp_decide`` search; they differ in the rest of the slot.
+The vectorized path prices costs and advances queues for the whole fleet
+in NumPy; the scalar path does it one device at a time.  Results land in
+``BENCH_fleet.json`` at the repo root.
 
 Run directly::
 
@@ -44,7 +46,7 @@ def _slots_per_sec(system, num_slots: int, vectorized: bool, seed: int) -> float
         seed=seed,
         vectorized=vectorized,
     )
-    policy = DriftPlusPenaltyPolicy(v=50.0, vectorized=vectorized)
+    policy = DriftPlusPenaltyPolicy(v=50.0)
     start = time.perf_counter()
     sim.run(policy, num_slots)
     elapsed = time.perf_counter() - start
@@ -100,7 +102,7 @@ def main(argv: list[str] | None = None) -> None:
         "--scalar-limit",
         type=int,
         default=1000,
-        help="largest fleet the scalar reference loop is timed at",
+        help="largest fleet the scalar fluid loop is timed at",
     )
     parser.add_argument(
         "--output",

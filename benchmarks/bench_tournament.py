@@ -17,8 +17,13 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_tournament.py
     PYTHONPATH=src python benchmarks/bench_tournament.py --check BENCH_tournament.json
+    PYTHONPATH=src python benchmarks/bench_tournament.py \
+        --output BENCH_tournament_ci.json --check BENCH_tournament.json
 
 A markdown league report lands next to the JSON (same stem, ``.md``).
+Without ``--output`` the run writes ``BENCH_tournament.json`` in the repo
+root, except under ``--check``, which never overwrites the baseline; with
+both flags the one bracket run is written *and* gated.
 """
 
 from __future__ import annotations
@@ -108,9 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_tournament.json",
+        default=None,
         help="where to write the JSON results (a .md league report lands "
-        "next to it)",
+        "next to it); defaults to the repo-root BENCH_tournament.json, "
+        "which --check alone never writes",
     )
     parser.add_argument(
         "--check",
@@ -127,10 +133,14 @@ def main(argv: list[str] | None = None) -> int:
         "engines: "
         + ", ".join(f"{k} {v:.3f}s" for k, v in payload["elapsed_s"].items())
     )
-    if args.check is not None:
-        return check(args.check, payload)
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    report = args.output.with_suffix(".md")
+    # Gate before writing, so an --output naming the baseline is still
+    # checked against the committed bytes.
+    status = 0 if args.check is None else check(args.check, payload)
+    if args.output is None and args.check is not None:
+        return status
+    output = args.output or REPO_ROOT / "BENCH_tournament.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report = output.with_suffix(".md")
     report.write_text(
         league_markdown(
             {
@@ -141,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
     )
-    print(f"wrote {args.output} and {report}")
-    return 0
+    print(f"wrote {output} and {report}")
+    return status
 
 
 if __name__ == "__main__":

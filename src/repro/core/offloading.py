@@ -15,9 +15,10 @@ The module implements, in the paper's notation:
 * the per-slot delay cost ``Y_i = T_i^d + T_i^e`` (Eqs. 12-14) —
   :func:`slot_cost`;
 * the drift-plus-penalty objective of P1' (Eq. 18) and its per-device
-  decentralized solvers — :class:`DriftPlusPenaltyPolicy` (exact scalar
-  minimisation) and :class:`BalanceOffloadingPolicy` (the paper's
-  Cauchy-Schwarz balance rule ``T_i^d ≈ T_i^e``, Eq. 20);
+  decentralized solvers — :class:`DriftPlusPenaltyPolicy` (grid-and-refine
+  minimisation, batched over the fleet) and
+  :class:`BalanceOffloadingPolicy` (the paper's Cauchy-Schwarz balance rule
+  ``T_i^d ≈ T_i^e``, Eq. 20);
 * the fixed-ratio and capability-based baselines of Test Case 4.
 
 Tasks are fluid (fractional counts), matching the paper's continuous
@@ -468,29 +469,6 @@ class OffloadingPolicy(Protocol):
         ...
 
 
-def _grid_refine_minimum(objective, lo: float, hi: float, grid: int = 33) -> float:
-    """Minimise a smooth scalar objective on ``[lo, hi]``: coarse grid, then
-    two rounds of local grid refinement around the best point.  Robust to
-    the mild non-convexity the Eq. 19 objective can exhibit near x=0.
-
-    A degenerate interval (``lo == hi``, e.g. the Eq. 8 feasible set of a
-    saturated uplink collapsing to ``x = 0``) returns ``lo`` directly —
-    there is nothing to search and a zero-width grid must never be built.
-    The same holds mid-refinement if round-off collapses the bracket.
-    """
-    if hi <= lo:
-        return lo
-    best = lo
-    for _ in range(3):
-        step = (hi - lo) / (grid - 1)
-        if step <= 0.0:  # bracket collapsed to a point during refinement
-            break
-        xs = [lo + i * step for i in range(grid)]
-        best = min(xs, key=objective)
-        lo, hi = max(lo, best - step), min(hi, best + step)
-    return best
-
-
 @dataclass
 class DriftPlusPenaltyPolicy:
     """Decentralized exact minimisation of the P1' objective (Eq. 18).
@@ -500,13 +478,17 @@ class DriftPlusPenaltyPolicy:
     is separable across devices once the shares ``p_i`` are fixed, so the
     decentralized solution is also the centralized optimum of P1'.
 
+    Every decision is one call to :func:`repro.core.vectorized.dpp_decide`,
+    which runs the grid-and-refine search (33 ratios, two refinement
+    rounds) for all devices at once — at any fleet size, one device
+    included.  The test suite keeps the per-device scalar loop it replaced
+    as a bitwise reference.
+
     Attributes:
         v: The Lyapunov trade-off parameter ``V`` (larger → lower delay,
             larger queues; Theorem 3's ``O(B/V)`` gap).
-        vectorized: Opt into the NumPy fleet-scale fast path
-            (:func:`repro.core.vectorized.dpp_decide`) — same decisions
-            (pinned by the differential test harness), evaluated for all
-            devices and all candidate ratios at once.
+        vectorized: Accepted for compatibility with callers that still
+            pass it; it selects nothing, since there is only one solver.
     """
 
     v: float = 50.0
@@ -523,37 +505,9 @@ class DriftPlusPenaltyPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        if self.vectorized:
-            from .vectorized import dpp_decide
+        from .vectorized import dpp_decide
 
-            return dpp_decide(system, state, arrivals, devices, v=self.v)
-        devs = tuple(devices) if devices is not None else system.devices
-        ratios: list[float] = []
-        for i, device in enumerate(devs):
-            partition = system.partition_for(i)
-            lo, hi = feasible_ratio_interval(
-                device, partition, system.slot_length, arrivals[i]
-            )
-            q, h = state.queue_local[i], state.queue_edge[i]
-
-            def objective(
-                x: float, _i=i, _dev=device, _q=q, _h=h, _part=partition
-            ) -> float:
-                cost = slot_cost(
-                    _dev,
-                    system,
-                    x,
-                    arrivals[_i],
-                    _q,
-                    _h,
-                    system.shares[_i],
-                    include_tail=False,
-                    partition=_part,
-                )
-                return drift_plus_penalty(cost, _q, _h, self.v)
-
-            ratios.append(_grid_refine_minimum(objective, lo, hi))
-        return ratios
+        return dpp_decide(system, state, arrivals, devices, v=self.v)
 
 
 @dataclass

@@ -36,6 +36,16 @@ def _validate(device_flops: Sequence[float], arrival_rates: Sequence[float]) -> 
         raise ValueError("arrival rates must be non-negative")
 
 
+def _validate_kkt(
+    device_flops: Sequence[float],
+    arrival_rates: Sequence[float],
+    edge_flops: float,
+) -> None:
+    _validate(device_flops, arrival_rates)
+    if edge_flops <= 0:
+        raise ValueError("edge FLOPS must be positive")
+
+
 def kkt_edge_allocation(
     device_flops: Sequence[float],
     arrival_rates: Sequence[float],
@@ -54,9 +64,7 @@ def kkt_edge_allocation(
     Raises:
         ValueError: on inconsistent inputs or non-positive edge capacity.
     """
-    _validate(device_flops, arrival_rates)
-    if edge_flops <= 0:
-        raise ValueError("edge FLOPS must be positive")
+    _validate_kkt(device_flops, arrival_rates, edge_flops)
     n = len(device_flops)
     if all(k == 0 for k in arrival_rates):
         # No demand: the objective is flat; fall back to a uniform split.
@@ -73,7 +81,7 @@ def kkt_edge_allocation(
             i: math.sqrt(arrival_rates[i]) * level - device_flops[i] / edge_flops
             for i in active
         }
-        negative = [i for i in active if candidate[i] < 0]
+        negative = {i for i in active if candidate[i] < 0}
         if not negative:
             for i in active:
                 shares[i] = candidate[i]
@@ -108,20 +116,26 @@ def floored_edge_allocation(
     therefore floor every device with non-zero arrivals at ``min_share``
     and renormalise; the paper's Docker-based edge behaves the same way (a
     container always retains a CPU quantum).
+
+    When the floors alone fill the budget (``active · min_share ≥ 1``,
+    e.g. 100 or more active devices at the default 1 %) every device gets
+    ``1/n`` and the KKT problem is never solved.
     """
     if not 0.0 <= min_share < 1.0:
         raise ValueError("min_share must be in [0, 1)")
-    shares = kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
     if min_share == 0.0:
-        return shares
-    active = [i for i, k in enumerate(arrival_rates) if k > 0]
-    if not active or len(active) * min_share >= 1.0:
+        return kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
+    # Check the inputs here too: the uniform split below skips the solve
+    # that would otherwise reject them.
+    _validate_kkt(device_flops, arrival_rates, edge_flops)
+    num_active = sum(1 for k in arrival_rates if k > 0)
+    if not num_active or num_active * min_share >= 1.0:
         # Degenerate: floors alone exceed the budget; split evenly.
-        n = len(shares)
+        n = len(device_flops)
         return [1.0 / n] * n
+    shares = kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
     floored = [
-        max(s, min_share) if i in set(active) else s
-        for i, s in enumerate(shares)
+        max(s, min_share) if k > 0 else s for s, k in zip(shares, arrival_rates)
     ]
     total = sum(floored)
     return [s / total for s in floored]

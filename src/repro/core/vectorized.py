@@ -27,9 +27,11 @@ Entry points:
   equivalents of the scalar functions of the same names;
 * :func:`kkt_edge_allocation_batch` / :func:`floored_edge_allocation_batch`
   — the Eq. 27 KKT edge allocation over arrays;
-* :func:`dpp_decide` / :func:`balance_decide` — batched policy solvers
-  backing the ``vectorized=True`` flag of
-  :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` and
+* :func:`dpp_decide` — the only solver of
+  :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` (its per-device
+  scalar loop survives only as the test suite's reference);
+* :func:`balance_decide` — the batched solver behind the
+  ``vectorized=True`` flag of
   :class:`~repro.core.offloading.BalanceOffloadingPolicy`;
 * :class:`FleetState` + :class:`VectorizedSlotEngine` — array-backed
   ``Q_i``/``H_i`` queues and a one-call whole-slot step, used by
@@ -449,13 +451,18 @@ def _grid_refine_minimum_batch(
     hi: np.ndarray,
     grid: int = 33,
 ) -> np.ndarray:
-    """Batched mirror of ``offloading._grid_refine_minimum``: the same
-    coarse-grid + two-refinement search run on every row at once.
+    """Minimise a smooth objective on every row's ``[lo, hi]`` at once: a
+    coarse grid, then two rounds of local grid refinement around the best
+    point.  Robust to the mild non-convexity the Eq. 19 objective can
+    exhibit near x=0.
 
-    Ties resolve to the first grid index in both paths (``min`` over a list
-    and ``np.argmin`` both keep the earliest minimum), and the grid points
-    are generated with the same ``lo + i·step`` arithmetic, so the two
-    implementations return bit-identical ratios.
+    Grid points are ``lo + i·step`` and ties resolve to the first grid
+    index (``np.argmin`` keeps the earliest minimum), so a row returns the
+    same bits as the per-device scalar search kept in the test suite as
+    the reference.  A degenerate row (``lo == hi``, e.g. the Eq. 8
+    feasible set of a saturated uplink collapsing to ``x = 0``) returns
+    exactly ``lo``; so does a bracket that round-off collapses
+    mid-refinement.
     """
     lo = lo.astype(np.float64).copy()
     hi = hi.astype(np.float64).copy()
@@ -482,7 +489,7 @@ def dpp_decide(
     v: float = 50.0,
     grid: int = 33,
 ) -> list[float]:
-    """Vectorized :class:`~repro.core.offloading.DriftPlusPenaltyPolicy`
+    """The :class:`~repro.core.offloading.DriftPlusPenaltyPolicy`
     decision: minimise Eq. 19 for every device over a shared ratio grid."""
     params = FleetParams.from_system(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
@@ -554,12 +561,16 @@ def balance_decide(
 
 def vectorized_equivalent(policy):
     """The batched drop-in for ``policy``, or ``None`` when no fast path
-    exists (the caller then keeps the scalar policy)."""
-    from dataclasses import replace
+    exists (the caller then keeps the scalar policy).
 
+    A :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` always
+    decides through :func:`dpp_decide`, so it comes back unchanged.
+    """
     from .offloading import BalanceOffloadingPolicy, DriftPlusPenaltyPolicy
 
-    if isinstance(policy, (DriftPlusPenaltyPolicy, BalanceOffloadingPolicy)):
+    if isinstance(policy, DriftPlusPenaltyPolicy):
+        return policy
+    if isinstance(policy, BalanceOffloadingPolicy):
         if policy.vectorized:
             return policy
         return replace(policy, vectorized=True)

@@ -96,9 +96,10 @@ def build_policy(
 
     ``v`` parameterises every cost-model-driven policy the same way so a
     tournament compares controllers, not tunings; ``seed`` feeds
-    policy-private exploration RNGs; ``vectorized`` opts DPP/Balance
-    into their fleet-scale fast paths (decisions pinned identical by the
-    differential harness).
+    policy-private exploration RNGs; ``vectorized`` opts Balance into its
+    batched bisection (decisions pinned identical by the differential
+    harness).  LEIME's DPP policy always decides in one batched call, so
+    the flag does not reach it.
     """
     policy = policy_spec(name).factory(v=v, seed=seed, vectorized=vectorized)
     if not isinstance(policy, OffloadingPolicy):
@@ -142,9 +143,7 @@ def healthy_fault_plan() -> FaultPlan:
 def _register_builtins() -> None:
     register_policy(
         "leime",
-        lambda *, v=50.0, vectorized=False, **_: DriftPlusPenaltyPolicy(
-            v=v, vectorized=vectorized
-        ),
+        lambda *, v=50.0, **_: DriftPlusPenaltyPolicy(v=v),
         "drift-plus-penalty exact minimisation of Eq. 19 (the paper's LEIME)",
         kind="paper",
     )

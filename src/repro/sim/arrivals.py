@@ -95,8 +95,8 @@ class UniformArrivals:
     high: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ValueError("need 0 <= low <= high")
+        if not 0 <= self.low <= self.high < math.inf:
+            raise ValueError("need 0 <= low <= high < inf")
 
     def mean(self, slot: int) -> float:
         return 0.5 * (self.low + self.high)
@@ -176,10 +176,10 @@ class PiecewiseRateArrivals:
         if not self.phases:
             raise ValueError("need at least one phase")
         for duration, rate in self.phases:
-            if duration <= 0:
-                raise ValueError("phase durations must be positive")
-            if rate < 0:
-                raise ValueError("phase rates must be non-negative")
+            if not 0 < duration < math.inf:
+                raise ValueError("phase durations must be finite and positive")
+            if not 0 <= rate < math.inf:
+                raise ValueError("phase rates must be finite and non-negative")
 
     @property
     def _cycle(self) -> int:
@@ -213,10 +213,10 @@ class SinusoidalRateArrivals:
     period: int
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.amplitude < 0:
-            raise ValueError("base and amplitude must be non-negative")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (0 <= self.base < math.inf and 0 <= self.amplitude < math.inf):
+            raise ValueError("base and amplitude must be finite and non-negative")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be finite and positive")
 
     def _rate_at(self, slot: int) -> float:
         rate = self.base + self.amplitude * math.sin(2.0 * math.pi * slot / self.period)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -338,10 +339,14 @@ def test_dpp_minimises_objective_on_grid(partition):
 
 
 def test_grid_refine_handles_degenerate_interval():
-    """``_grid_refine_minimum`` on a collapsed bracket returns ``lo``
-    without evaluating a zero-width grid (regression: ``lo == hi`` used to
-    feed ``step == 0`` into the refinement rounds)."""
-    from repro.core.offloading import _grid_refine_minimum
+    """A collapsed bracket returns exactly ``lo``: the scalar reference
+    search skips the zero-width grid (regression: ``lo == hi`` used to feed
+    ``step == 0`` into the refinement rounds), and the batched search
+    returns the same bits row by row — including a one-ulp bracket that
+    round-off collapses during refinement."""
+    from repro.core.vectorized import _grid_refine_minimum_batch
+
+    from tests.test_vectorized_differential import _grid_refine_minimum
 
     calls = []
 
@@ -357,11 +362,19 @@ def test_grid_refine_handles_degenerate_interval():
         0.3, abs=1e-3
     )
 
+    lo = np.array([0.0, 0.7, 1.0, 0.0])
+    hi = np.array([0.0, 0.7, np.nextafter(1.0, 2.0), 1.0])
+    got = _grid_refine_minimum_batch(lambda xs: (xs - 0.3) ** 2, lo, hi)
+    assert got[0] == 0.0 and got[1] == 0.7 and got[2] == 1.0
+    assert got.tolist() == [
+        _grid_refine_minimum(objective, a, b) for a, b in zip(lo, hi)
+    ]
+
 
 def test_saturated_uplink_forces_full_local(partition):
     """A hop whose latency eats the whole slot admits only x = 0 (Eq. 8's
-    degenerate case); both DPP paths must return exactly 0.0 rather than
-    probe an empty interval."""
+    degenerate case); DPP must return exactly 0.0 under either value of
+    its ``vectorized`` flag rather than probe an empty interval."""
     # slot_length is 1.0 s; a 1500 ms latency makes the budget negative.
     saturated = _device(bandwidth=10.0, latency=1500.0, arrivals=1.0)
     system = _system(partition, devices=(saturated, _device()))

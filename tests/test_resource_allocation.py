@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.resource_allocation import (
+    floored_edge_allocation,
     kkt_edge_allocation,
     mean_processing_time,
     proportional_allocation,
@@ -67,6 +69,61 @@ def test_validation():
         kkt_edge_allocation([0.0], [1.0], gflops(60))
     with pytest.raises(ValueError):
         kkt_edge_allocation([gflops(1)], [-1.0], gflops(60))
+
+
+def _reference_floored(device_flops, arrival_rates, edge_flops, min_share=0.01):
+    """The floored allocation as first written: it solves the KKT problem
+    even when the floors then discard the result for a uniform split."""
+    if not 0.0 <= min_share < 1.0:
+        raise ValueError("min_share must be in [0, 1)")
+    shares = kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
+    if min_share == 0.0:
+        return shares
+    active = [i for i, k in enumerate(arrival_rates) if k > 0]
+    if not active or len(active) * min_share >= 1.0:
+        n = len(shares)
+        return [1.0 / n] * n
+    floored = [
+        max(s, min_share) if i in set(active) else s
+        for i, s in enumerate(shares)
+    ]
+    total = sum(floored)
+    return [s / total for s in floored]
+
+
+@pytest.mark.parametrize("idle", [False, True], ids=["all-active", "some-idle"])
+@pytest.mark.parametrize("min_share", [0.0, 0.01, 0.05])
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 250])
+def test_floored_allocation_matches_reference(n, min_share, idle):
+    """Skipping the discarded KKT solve leaves every share's bits alone,
+    on both sides of the ``active · min_share ≥ 1`` threshold."""
+    rng = np.random.default_rng(n)
+    flops = [float(f) for f in rng.uniform(gflops(1), gflops(100), n)]
+    rates = [float(k) for k in rng.uniform(0.1, 3.0, n)]
+    if idle:
+        rates[::7] = [0.0] * len(rates[::7])
+    edge = gflops(60) * (1 + n // 10)
+    want = _reference_floored(flops, rates, edge, min_share)
+    assert floored_edge_allocation(flops, rates, edge, min_share) == want
+
+
+def test_floored_allocation_validates_before_uniform_split():
+    """150 active devices fill a 1 % floor budget, so no solve runs — the
+    inputs are still checked."""
+    flops, rates, edge = [gflops(4)] * 150, [1.0] * 150, gflops(60)
+    assert floored_edge_allocation(flops, rates, edge) == [1 / 150] * 150
+    bad_inputs = [
+        ([0.0] + flops[1:], rates, edge),
+        (flops, [-1.0] + rates[1:], edge),
+        (flops, rates, 0.0),
+        (flops, rates[1:], edge),
+        ([], [], edge),
+    ]
+    for args in bad_inputs:
+        with pytest.raises(ValueError):
+            floored_edge_allocation(*args)
+    with pytest.raises(ValueError):
+        floored_edge_allocation(flops, rates, edge, min_share=1.0)
 
 
 def test_proportional_and_uniform_baselines():

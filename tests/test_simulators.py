@@ -14,7 +14,13 @@ from repro.core.offloading import (
 )
 from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
 from repro.resilience.recovery import RecoveryPolicy
-from repro.sim.arrivals import ConstantArrivals, PoissonArrivals
+from repro.sim.arrivals import (
+    ConstantArrivals,
+    PiecewiseRateArrivals,
+    PoissonArrivals,
+    SinusoidalRateArrivals,
+    UniformArrivals,
+)
 from repro.sim.environment import (
     RandomWalkEnvironment,
     StaticEnvironment,
@@ -426,6 +432,14 @@ def test_shared_uplink_single_device_equivalent(small_system):
         lambda system: PoissonArrivals(float("nan")),
         lambda system: ConstantArrivals(float("nan")),
         lambda system: ConstantArrivals(float("inf")),
+        lambda system: PiecewiseRateArrivals(((10, float("nan")),)),
+        lambda system: PiecewiseRateArrivals(((10, float("inf")),)),
+        lambda system: PiecewiseRateArrivals(((float("nan"), 1.0),)),
+        lambda system: PiecewiseRateArrivals(((float("inf"), 1.0),)),
+        lambda system: SinusoidalRateArrivals(float("nan"), 1.0, 10),
+        lambda system: SinusoidalRateArrivals(1.0, float("inf"), 10),
+        lambda system: SinusoidalRateArrivals(1.0, 1.0, float("nan")),
+        lambda system: UniformArrivals(0.0, float("inf")),
         lambda system: dataclasses.replace(system, edge_flops=float("nan")),
         lambda system: dataclasses.replace(system, cloud_flops=float("inf")),
         lambda system: EventSimulator(
@@ -439,6 +453,14 @@ def test_shared_uplink_single_device_equivalent(small_system):
         "poisson-nan",
         "constant-nan",
         "constant-inf",
+        "piecewise-rate-nan",
+        "piecewise-rate-inf",
+        "piecewise-duration-nan",
+        "piecewise-duration-inf",
+        "sinusoidal-base-nan",
+        "sinusoidal-amplitude-inf",
+        "sinusoidal-period-nan",
+        "uniform-high-inf",
         "edge-flops-nan",
         "cloud-flops-inf",
         "event-seed",

@@ -6,11 +6,17 @@ ID, so a failure names the instance that broke) and asserts that
 ``repro.core.offloading`` / ``repro.core.resource_allocation`` to 1e-9 —
 in practice the two paths are bit-identical because the batched formulas
 mirror the scalar arithmetic operation-for-operation.
+
+``DriftPlusPenaltyPolicy`` decides through ``dpp_decide`` alone, so its
+oracle is the per-device scalar loop kept here
+(:func:`_reference_dpp_decide`), and those checks demand exact equality:
+both event engines compare each ratio against an offload coin, so a
+last-bit change would move tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from repro.core.vectorized import (
     kkt_edge_allocation_batch,
     slot_cost_batch,
 )
+from repro.hardware import NetworkProfile
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.environment import RandomWalkEnvironment
 from repro.sim.simulator import SlotSimulator
@@ -64,6 +71,62 @@ def _instance(seed: int, heterogeneous: bool = False):
     arrivals = random_arrivals(seed + 2, n)
     ratios = [float(v) for v in np.random.default_rng(seed + 3).uniform(0, 1, n)]
     return system, state, arrivals, ratios
+
+
+def _grid_refine_minimum(objective, lo: float, hi: float, grid: int = 33) -> float:
+    """Minimise a smooth scalar objective on ``[lo, hi]``: coarse grid, then
+    two rounds of local grid refinement around the best point.  Robust to
+    the mild non-convexity the Eq. 19 objective can exhibit near x=0.
+
+    A degenerate interval (``lo == hi``, e.g. the Eq. 8 feasible set of a
+    saturated uplink collapsing to ``x = 0``) returns ``lo`` directly —
+    there is nothing to search and a zero-width grid must never be built.
+    The same holds mid-refinement if round-off collapses the bracket.
+    """
+    if hi <= lo:
+        return lo
+    best = lo
+    for _ in range(3):
+        step = (hi - lo) / (grid - 1)
+        if step <= 0.0:  # bracket collapsed to a point during refinement
+            break
+        xs = [lo + i * step for i in range(grid)]
+        best = min(xs, key=objective)
+        lo, hi = max(lo, best - step), min(hi, best + step)
+    return best
+
+
+def _reference_dpp_decide(system, state, arrivals, devices=None, v=50.0):
+    """The per-device scalar DPP loop, kept as the oracle for
+    ``dpp_decide``: one ``slot_cost`` call per candidate ratio, each
+    device minimising Eq. 19 over its own Eq. 8 interval."""
+    devs = tuple(devices) if devices is not None else system.devices
+    ratios: list[float] = []
+    for i, device in enumerate(devs):
+        partition = system.partition_for(i)
+        lo, hi = feasible_ratio_interval(
+            device, partition, system.slot_length, arrivals[i]
+        )
+        q, h = state.queue_local[i], state.queue_edge[i]
+
+        def objective(
+            x: float, _i=i, _dev=device, _q=q, _h=h, _part=partition
+        ) -> float:
+            cost = slot_cost(
+                _dev,
+                system,
+                x,
+                arrivals[_i],
+                _q,
+                _h,
+                system.shares[_i],
+                include_tail=False,
+                partition=_part,
+            )
+            return drift_plus_penalty(cost, _q, _h, v)
+
+        ratios.append(_grid_refine_minimum(objective, lo, hi))
+    return ratios
 
 
 def _scalar_costs(system, state, ratios, arrivals, include_tail=True):
@@ -188,9 +251,52 @@ def test_kkt_allocation_matches_scalar(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dpp_decide_matches_scalar_policy(seed):
     system, state, arrivals, _ = _instance(seed)
-    want = DriftPlusPenaltyPolicy(v=50.0).decide(system, state, arrivals)
-    got = dpp_decide(system, state, arrivals, v=50.0)
-    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL, err_msg=f"seed {seed}")
+    want = _reference_dpp_decide(system, state, arrivals, v=50.0)
+    assert dpp_decide(system, state, arrivals, v=50.0) == want, f"seed {seed}"
+
+
+def _probe_instance(seed: int):
+    """A harder DPP instance: up to 39 devices, heterogeneous on odd
+    seeds, some zero queues and zero arrivals, and on every third seed a
+    per-slot link override whose bandwidth spans 0.01-2x the device's own
+    and whose latency (1.5 s or 0.9 s of a 1 s slot) leaves no or almost
+    no uplink budget."""
+    rng = np.random.default_rng(10_000 + seed)
+    n = 1 + seed % 39
+    system = random_fleet(seed, n, heterogeneous=seed % 2 == 1)
+    state = random_queue_state(seed + 1, n)
+    arrivals = random_arrivals(seed + 2, n)
+    for i in range(n):
+        if rng.random() < 0.2:
+            state.queue_local[i] = 0.0
+        if rng.random() < 0.2:
+            state.queue_edge[i] = 0.0
+        if rng.random() < 0.15:
+            arrivals[i] = 0.0
+    devices = None
+    if seed % 3 == 0:
+        devices = tuple(
+            replace(
+                device,
+                link=NetworkProfile(
+                    device.link.bandwidth * float(rng.uniform(0.01, 2.0)),
+                    1.5 if rng.random() < 0.5 else 0.9,
+                ),
+            )
+            for device in system.devices
+        )
+    return system, state, arrivals, devices
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dpp_decide_matches_reference_bitwise(seed):
+    """The policy returns the reference loop's exact bits on dead and
+    near-dead links, idle devices and every ``V`` regime."""
+    system, state, arrivals, devices = _probe_instance(seed)
+    for v in (0.0, 1.0, 50.0, 1e4):
+        want = _reference_dpp_decide(system, state, arrivals, devices, v=v)
+        got = DriftPlusPenaltyPolicy(v=v).decide(system, state, arrivals, devices)
+        assert got == want, (seed, v)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -205,13 +311,9 @@ def test_balance_decide_matches_scalar_policy(seed):
 def test_policies_agree_on_heterogeneous_partitions(seed):
     """Per-device exit settings flow through ``partition_for`` identically."""
     system, state, arrivals, ratios = _instance(seed, heterogeneous=True)
-    np.testing.assert_allclose(
-        dpp_decide(system, state, arrivals, v=50.0),
-        DriftPlusPenaltyPolicy(v=50.0).decide(system, state, arrivals),
-        rtol=TOL,
-        atol=TOL,
-        err_msg=f"seed {seed}",
-    )
+    assert dpp_decide(system, state, arrivals, v=50.0) == _reference_dpp_decide(
+        system, state, arrivals, v=50.0
+    ), f"seed {seed}"
     params = FleetParams.from_system(system)
     batch = slot_cost_batch(
         params,
@@ -229,13 +331,13 @@ def test_policies_agree_on_heterogeneous_partitions(seed):
 
 @pytest.mark.parametrize("seed", range(0, 20))
 def test_vectorized_policy_flag_is_a_drop_in(seed):
-    """``DriftPlusPenaltyPolicy(vectorized=True)`` returns the scalar answer."""
+    """Either value of the DPP ``vectorized`` flag returns the reference
+    answer, and Balance's flag returns its scalar answer."""
     system, state, arrivals, _ = _instance(seed)
-    scalar = DriftPlusPenaltyPolicy(v=25.0).decide(system, state, arrivals)
-    fast = DriftPlusPenaltyPolicy(v=25.0, vectorized=True).decide(
-        system, state, arrivals
-    )
-    np.testing.assert_allclose(fast, scalar, rtol=TOL, atol=TOL)
+    want = _reference_dpp_decide(system, state, arrivals, v=25.0)
+    for vectorized in (False, True):
+        policy = DriftPlusPenaltyPolicy(v=25.0, vectorized=vectorized)
+        assert policy.decide(system, state, arrivals) == want
     scalar_b = BalanceOffloadingPolicy().decide(system, state, arrivals)
     fast_b = BalanceOffloadingPolicy(vectorized=True).decide(
         system, state, arrivals
@@ -315,8 +417,8 @@ def test_engine_step_advances_like_simulator():
     engine = VectorizedSlotEngine(system)
     policy = DriftPlusPenaltyPolicy(v=50.0)
     ratios, cost = engine.step(policy, fleet, arrivals, arrivals)
-    want_ratios = policy.decide(system, state, arrivals)
-    np.testing.assert_allclose(ratios, want_ratios, rtol=TOL, atol=TOL)
+    want_ratios = _reference_dpp_decide(system, state, arrivals, v=50.0)
+    assert ratios == want_ratios
     costs = _scalar_costs(system, state, want_ratios, arrivals)
     for i, c in enumerate(costs):
         state.update(i, c)
