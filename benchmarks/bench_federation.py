@@ -24,6 +24,9 @@ baseline and fail when any row's sharding overhead grew by more than
 30%::
 
     PYTHONPATH=src python benchmarks/bench_federation.py --check BENCH_federation.json
+
+``--check`` alone writes nothing; with ``--output`` too, one sweep is
+gated first and then written (the CI form).
 """
 
 from __future__ import annotations
@@ -198,16 +201,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_federation.json",
-        help="where to write the JSON results",
+        default=None,
+        help="where to write the JSON results; defaults to the repo-root "
+        "BENCH_federation.json, which --check alone never writes",
     )
     parser.add_argument(
         "--check",
         type=Path,
         default=None,
         metavar="BASELINE",
-        help="compare sharding overheads against this committed baseline "
-        "instead of overwriting it; exit 1 on a >30%% growth",
+        help="compare sharding overheads against this committed baseline; "
+        "exit 1 on a >30%% growth",
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -218,8 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         else list(DEFAULT_SWEEP)
     )
     rows = sweep(configs, args.slots, seed=args.seed)
-    if args.check is not None:
-        return check(args.check, rows)
+    # Gate before writing, so an --output naming the baseline is still
+    # checked against the committed numbers.
+    status = 0 if args.check is None else check(args.check, rows)
+    if args.output is None and args.check is not None:
+        return status
     payload = {
         "benchmark": "federation_sharded_coordinator",
         "policy": "FixedRatioPolicy(0.5)",
@@ -228,9 +235,10 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "results": rows,
     }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    output = args.output or REPO_ROOT / "BENCH_federation.json"
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {output}")
+    return status
 
 
 # -- pytest-benchmark entry point (small configuration) -------------------------

@@ -22,6 +22,9 @@ ungoverned time — machine-independent, unlike absolute seconds) grew by
 more than 30%::
 
     PYTHONPATH=src python benchmarks/bench_overload.py --check BENCH_overload.json
+
+``--check`` alone writes nothing; with ``--output`` too, one sweep is
+gated first and then written (the CI form).
 """
 
 from __future__ import annotations
@@ -242,23 +245,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_overload.json",
-        help="where to write the JSON results",
+        default=None,
+        help="where to write the JSON results; defaults to the repo-root "
+        "BENCH_overload.json, which --check alone never writes",
     )
     parser.add_argument(
         "--check",
         type=Path,
         default=None,
         metavar="BASELINE",
-        help="compare overhead ratios against this committed baseline "
-        "instead of overwriting it; exit 1 on a >30%% growth",
+        help="compare overhead ratios against this committed baseline; "
+        "exit 1 on a >30%% growth",
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     rows = sweep(args.devices, args.slots, seed=args.seed)
-    if args.check is not None:
-        return check(args.check, rows)
+    # Gate before writing, so an --output naming the baseline is still
+    # checked against the committed numbers.
+    status = 0 if args.check is None else check(args.check, rows)
+    if args.output is None and args.check is not None:
+        return status
     payload = {
         "benchmark": "overload_layer",
         "policy": "FixedRatioPolicy(0.5)",
@@ -270,9 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "results": rows,
     }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    output = args.output or REPO_ROOT / "BENCH_overload.json"
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {output}")
+    return status
 
 
 # -- pytest-benchmark entry point (small configuration) -------------------------

@@ -21,6 +21,11 @@ uninterrupted run.  Two kinds cover the five execution paths:
   re-executes from slot 0.  The result is byte-identical to the
   uninterrupted run for the same reason two seeded runs are.
 
+Every path opens a run with :func:`checkpoint_hook`, which fingerprints
+the run from its whole configuration object (:func:`config_digest`), so
+resuming against a different world — another deployment, other
+arrivals, another environment — is refused, not spliced.
+
 The payload is pickled *at snapshot time* into :attr:`Checkpoint.blob`,
 so a sink's copy can never alias state the run keeps mutating — a
 checkpoint taken at slot k stays a slot-k snapshot.
@@ -33,12 +38,14 @@ whose magic or schema version does not match raises a loud
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -119,17 +126,108 @@ def _canonical(value: Any) -> Any:
 
 
 def run_fingerprint(**fields: Any) -> str:
-    """A short stable digest of a run configuration.
+    """A short stable digest of JSON-representable fields.
 
     Keys/values must be JSON-representable primitives or NumPy arrays
     (other values are stringified); the digest is over the canonical
-    sorted encoding, so two simulators built from the same configuration
-    agree.
+    sorted encoding, so equal fields always agree.
     """
     canon = json.dumps(
         fields, sort_keys=True, separators=(",", ":"), default=_canonical
     )
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+# How :func:`config_digest` walks a value of each type: a dataclass by
+# a getter of its fields, anything else by one of these kinds.
+_ITEMS, _MAPPING, _ARRAY, _ATTRIBUTES = range(4)
+_WALKS: dict[type, tuple[str, Any]] = {}
+
+
+def _walk_of(kind: type) -> tuple[str, Any]:
+    """The type's name and how to walk it (cached per type)."""
+    walk = _WALKS.get(kind)
+    if walk is None:
+        if dataclasses.is_dataclass(kind):
+            names = [f.name for f in dataclasses.fields(kind)]
+            how = (
+                attrgetter(*names)
+                if len(names) > 1
+                else lambda value: tuple(getattr(value, n) for n in names)
+            )
+        elif issubclass(kind, (tuple, list)):
+            how = _ITEMS
+        elif issubclass(kind, dict):
+            how = _MAPPING
+        elif issubclass(kind, np.ndarray):
+            how = _ARRAY
+        else:
+            how = _ATTRIBUTES
+        walk = _WALKS[kind] = (f"{kind.__module__}.{kind.__qualname__}", how)
+    return walk
+
+
+def config_digest(config: Any) -> str:
+    """A by-value digest of a run's configuration object.
+
+    Dataclasses go by their fields in declaration order, NumPy arrays by
+    dtype, shape and content, floats exactly, tuples, lists and dicts
+    element by element, anything else by its public attributes
+    (``_``-prefixed state — a cache, a walk's position — is not
+    configuration).  So configurations built from equal inputs agree:
+    ``[p] * n`` and ``n`` equal processes, a fresh simulator and one
+    that has already run.  Floats are hashed as one array; an object met
+    again replays the tokens and floats of its first visit.
+    """
+    tokens: list[str] = []
+    floats: list[float] = []
+    spans: dict[int, tuple[int, int, int, int]] = {}
+
+    def walk_all(values) -> None:
+        for value in values:
+            kind = type(value)
+            if kind is float:
+                tokens.append("f")
+                floats.append(value)
+            elif kind is int or kind is str or kind is bool or value is None:
+                tokens.append(repr(value))
+            else:
+                walk(value)
+
+    def walk(value: Any) -> None:
+        span = spans.get(id(value))
+        if span is not None:
+            tokens.extend(tokens[span[0] : span[1]])
+            floats.extend(floats[span[2] : span[3]])
+            return
+        t0, f0 = len(tokens), len(floats)
+        name, how = _walk_of(type(value))
+        tokens.append(name)
+        if callable(how):
+            walk_all(how(value))
+        elif how == _ITEMS:
+            tokens.append(str(len(value)))
+            walk_all(value)
+        elif how == _MAPPING:
+            tokens.append(str(len(value)))
+            for item in value.items():
+                walk_all(item)
+        elif how == _ARRAY:
+            tokens.append(str(_canonical(value)))
+        else:
+            state = getattr(value, "__dict__", None)
+            if state is None:  # e.g. a NumPy scalar: its repr is exact
+                tokens.append(repr(value))
+            else:
+                for key in sorted(k for k in state if not k.startswith("_")):
+                    tokens.append(key)
+                    walk_all((state[key],))
+        spans[id(value)] = (t0, len(tokens), f0, len(floats))
+
+    walk_all((config,))
+    digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8"))
+    digest.update(np.asarray(floats, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 def validate_hooks(checkpoint_every: int | None, checkpoint_sink: Any) -> None:
@@ -140,12 +238,6 @@ def validate_hooks(checkpoint_every: int | None, checkpoint_sink: Any) -> None:
         raise ValueError(
             "checkpoint_every and checkpoint_sink must be given together"
         )
-
-
-def should_emit(checkpoint_every: int | None, slot: int) -> bool:
-    """Emit at every positive multiple of the cadence (slot 0 is the
-    initial condition — nothing to save yet)."""
-    return bool(checkpoint_every) and slot > 0 and slot % checkpoint_every == 0
 
 
 def validate_resume(
@@ -171,6 +263,41 @@ def validate_resume(
             f"checkpoint fingerprint {checkpoint.fingerprint} does not match "
             f"this run's configuration ({fingerprint}); resume would diverge"
         )
+
+
+def checkpoint_hook(
+    config: Any,
+    path: str,
+    kind: str,
+    checkpoint_every: int | None,
+    checkpoint_sink: Callable[[Checkpoint], None] | None,
+    resume_from: Checkpoint | None = None,
+    **run: Any,
+) -> Callable[[int, Any], None]:
+    """The checkpoint seam of one run, for every execution path.
+
+    Checks the hook pair, and ``resume_from`` against the run's
+    fingerprint: the :func:`config_digest` of ``config`` (the simulator,
+    or what the live runtime was handed), the ``path`` and the ``run``
+    arguments — taken only when the run checkpoints or resumes.
+    Returns ``emit(step, payload)``, handing the sink a ``kind``
+    checkpoint of ``payload`` at every positive multiple of
+    ``checkpoint_every`` (step 0 is the initial condition).
+    """
+    validate_hooks(checkpoint_every, checkpoint_sink)
+    if checkpoint_every is None and resume_from is None:
+        return lambda step, payload: None
+    fingerprint = run_fingerprint(
+        path=path, config=config_digest(config), **run
+    )
+    if resume_from is not None:
+        validate_resume(resume_from, path, kind, fingerprint)
+
+    def emit(step: int, payload: Any) -> None:
+        if checkpoint_every and step > 0 and step % checkpoint_every == 0:
+            checkpoint_sink(snapshot(path, kind, step, fingerprint, payload))
+
+    return emit
 
 
 # -- serialization ----------------------------------------------------------

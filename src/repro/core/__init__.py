@@ -50,7 +50,6 @@ from .vectorized import (
     floored_edge_allocation_batch,
     kkt_edge_allocation_batch,
     slot_cost_batch,
-    vectorized_equivalent,
 )
 from .baselines import (
     ddnn_exit_setting,
@@ -96,7 +95,6 @@ __all__ = [
     "floored_edge_allocation_batch",
     "kkt_edge_allocation_batch",
     "slot_cost_batch",
-    "vectorized_equivalent",
     "ddnn_exit_setting",
     "edgent_exit_setting",
     "mean_exit_setting",

@@ -69,12 +69,13 @@ class DeviceConfig:
     overhead: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.flops <= 0:
-            raise ValueError(f"device {self.name!r} needs positive FLOPS")
-        if self.mean_arrivals < 0:
-            raise ValueError("mean arrivals must be non-negative")
-        if self.overhead < 0:
-            raise ValueError("overhead must be non-negative")
+        # A chained comparison is False for NaN, so NaN fails too.
+        if not 0 < self.flops < math.inf:
+            raise ValueError(f"device {self.name!r} needs finite FLOPS > 0")
+        if not 0 <= self.mean_arrivals < math.inf:
+            raise ValueError("mean arrivals must be finite and non-negative")
+        if not 0 <= self.overhead < math.inf:
+            raise ValueError("overhead must be finite and non-negative")
 
     @classmethod
     def from_platform(
@@ -135,8 +136,8 @@ class EdgeSystem:
             0 < self.edge_flops < math.inf and 0 < self.cloud_flops < math.inf
         ):
             raise ValueError("edge and cloud FLOPS must be finite and positive")
-        if self.slot_length <= 0:
-            raise ValueError("slot length must be positive")
+        if not 0 < self.slot_length < math.inf:
+            raise ValueError("slot length must be finite and positive")
         if not self.shares:
             shares = floored_edge_allocation(
                 [d.flops for d in self.devices],
@@ -148,10 +149,14 @@ class EdgeSystem:
             raise ValueError("shares must match devices")
         if any(p < -1e-9 for p in self.shares):
             raise ValueError("shares must be non-negative")
-        if abs(sum(self.shares) - 1.0) > 1e-6:
-            raise ValueError("shares must sum to 1")
-        if self.edge_overhead < 0 or self.cloud_overhead < 0:
-            raise ValueError("overheads must be non-negative")
+        # Negated, so that a NaN or infinite share fails too.
+        if not abs(sum(self.shares) - 1.0) <= 1e-6:
+            raise ValueError("shares must be finite and sum to 1")
+        if not (
+            0 <= self.edge_overhead < math.inf
+            and 0 <= self.cloud_overhead < math.inf
+        ):
+            raise ValueError("overheads must be finite and non-negative")
         if self.device_partitions and len(self.device_partitions) != len(
             self.devices
         ):

@@ -65,7 +65,6 @@ __all__ = [
     "floored_edge_allocation_batch",
     "dpp_decide",
     "balance_decide",
-    "vectorized_equivalent",
     "service_times_batch",
     "fifo_schedule_batch",
 ]
@@ -557,35 +556,6 @@ def balance_decide(
     # Iteration budget exhausted: the scalar path returns the midpoint.
     result = np.where(active, 0.5 * (lo_b + hi_b), result)
     return result.tolist()
-
-
-def vectorized_equivalent(policy):
-    """The batched drop-in for ``policy``, or ``None`` when no fast path
-    exists (the caller then keeps the scalar policy).
-
-    A :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` always
-    decides through :func:`dpp_decide`, so it comes back unchanged.
-    """
-    from .offloading import BalanceOffloadingPolicy, DriftPlusPenaltyPolicy
-
-    if isinstance(policy, DriftPlusPenaltyPolicy):
-        return policy
-    if isinstance(policy, BalanceOffloadingPolicy):
-        if policy.vectorized:
-            return policy
-        return replace(policy, vectorized=True)
-    # Imported lazily: repro.resilience depends on repro.core, not the
-    # other way around.
-    from ..resilience.recovery import ResilientPolicy
-
-    if isinstance(policy, ResilientPolicy):
-        inner = vectorized_equivalent(policy.inner)
-        if inner is None:
-            return None
-        # replace() re-runs __post_init__, so the copy starts with a
-        # fresh slot cursor — callers swap policies before running.
-        return replace(policy, inner=inner)
-    return None
 
 
 # -- fleet state and whole-slot stepping ---------------------------------------

@@ -287,8 +287,8 @@ class FederatedEventSimulator:
 
     Attributes mirror :class:`~repro.sim.events.EventSimulator` plus the
     federation inputs (``topology``, ``plan``, ``faults`` as a
-    federation plan).  ``policy`` and ``environment`` are deep-copied
-    per shard (both may carry per-run state).
+    federation plan).  Each shard runs on a deep copy of ``policy`` and
+    of ``environment`` (both may carry per-run state).
     """
 
     topology: FederationTopology
@@ -311,28 +311,6 @@ class FederatedEventSimulator:
         check_federation(self.topology, self.plan, self.arrivals, self.faults)
         if self.recovery is not None and self.faults is None:
             raise ValueError("recovery requires a fault plan to recover from")
-
-    def _fingerprint(
-        self, num_slots: int, engine: str, metrics: str = "records"
-    ) -> str:
-        from ..chaos.checkpoint import run_fingerprint
-
-        return run_fingerprint(
-            path="federated-event",
-            seed=self.seed,
-            devices=self.topology.num_devices,
-            edges=self.topology.num_edges,
-            slots=num_slots,
-            engine=engine,
-            spread_arrivals=self.spread_arrivals,
-            shared_uplink=self.shared_uplink,
-            faults=None if self.faults is None else self.faults.edge_down,
-            plan=self.plan.matrix,
-            recovery=repr(self.recovery),
-            overload=repr(self.overload),
-            qos=repr(self.qos),
-            metrics=metrics,
-        )
 
     def run(
         self,
@@ -363,18 +341,14 @@ class FederatedEventSimulator:
         deterministic from its shard seed, so the combined result is
         byte-identical to an uninterrupted run.
         """
-        from ..chaos.checkpoint import (
-            snapshot,
-            validate_hooks,
-            validate_resume,
-        )
+        from ..chaos.checkpoint import checkpoint_hook
 
-        validate_hooks(checkpoint_every, checkpoint_sink)
-        fingerprint = self._fingerprint(num_slots, engine, metrics)
+        emit = checkpoint_hook(
+            self, "federated-event", "state", checkpoint_every,
+            checkpoint_sink, resume_from,
+            slots=num_slots, engine=engine, metrics=metrics,
+        )
         if resume_from is not None:
-            validate_resume(
-                resume_from, "federated-event", "state", fingerprint
-            )
             payload = resume_from.payload()
             results = payload["results"]
             members_per_edge = payload["members_per_edge"]
@@ -395,6 +369,13 @@ class FederatedEventSimulator:
             start=start_edge,
         )
         for shard in shards:
+            # The step is the next edge to run; the payload holds the
+            # edges already finished (the last one's finish emits
+            # nothing — the run is done).
+            emit(
+                shard.edge,
+                dict(results=results, members_per_edge=members_per_edge),
+            )
             members_per_edge.append(shard.members)
             if shard.system is None:
                 results.append(TaskLedger(metrics == "streaming").result(0.0))
@@ -402,7 +383,7 @@ class FederatedEventSimulator:
                 sim = EventSimulator(
                     system=shard.system,
                     arrivals=shard.arrivals,
-                    environment=copy.deepcopy(self.environment),
+                    environment=self.environment,
                     seed=shard.seed,
                     spread_arrivals=self.spread_arrivals,
                     shared_uplink=self.shared_uplink,
@@ -421,50 +402,8 @@ class FederatedEventSimulator:
                         metrics=metrics,
                     )
                 )
-            self._emit_shard_checkpoint(
-                checkpoint_every,
-                checkpoint_sink,
-                snapshot,
-                fingerprint,
-                shard.edge,
-                results,
-                members_per_edge,
-            )
         return FederatedEventResult(
             edge_results=tuple(results),
             edge_members=tuple(members_per_edge),
             plan=self.plan,
-        )
-
-    def _emit_shard_checkpoint(
-        self,
-        checkpoint_every,
-        checkpoint_sink,
-        snapshot,
-        fingerprint,
-        edge,
-        results,
-        members_per_edge,
-    ) -> None:
-        """Snapshot the finished shards after edge ``edge`` completes
-        (``slot`` = the next edge index; the final edge emits nothing —
-        the run is already done)."""
-        done = edge + 1
-        if (
-            not checkpoint_every
-            or done >= self.topology.num_edges
-            or done % checkpoint_every != 0
-        ):
-            return
-        checkpoint_sink(
-            snapshot(
-                "federated-event",
-                "state",
-                done,
-                fingerprint,
-                dict(
-                    results=list(results),
-                    members_per_edge=list(members_per_edge),
-                ),
-            )
         )

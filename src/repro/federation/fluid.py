@@ -148,25 +148,6 @@ class FederatedSlotSimulator:
         if not 0.0 < self.edge_down_factor <= 1.0:
             raise ValueError("edge_down_factor must be in (0, 1]")
 
-    def _fingerprint(self, num_slots: int, metrics: str = "records") -> str:
-        from ..chaos.checkpoint import run_fingerprint
-
-        return run_fingerprint(
-            path="federated-fluid",
-            seed=self.seed,
-            devices=self.topology.num_devices,
-            edges=self.topology.num_edges,
-            slots=num_slots,
-            vectorized=self.vectorized,
-            include_tail=self.include_tail,
-            faults=None if self.faults is None else self.faults.edge_down,
-            plan=self.plan.matrix,
-            overload=repr(self.overload),
-            qos=repr(self.qos),
-            edge_down_factor=self.edge_down_factor,
-            metrics=metrics,
-        )
-
     def run(
         self,
         policy: OffloadingPolicy,
@@ -200,7 +181,6 @@ class FederatedSlotSimulator:
             checkpoint_sink,
             resume_from,
             path="federated-fluid",
-            fingerprint=self._fingerprint(num_slots, metrics),
             per_shard=True,
         )
         return FederatedFluidResult(

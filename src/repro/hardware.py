@@ -23,6 +23,7 @@ substitute (see DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .units import gflops, mbps, ms
@@ -132,10 +133,11 @@ class NetworkProfile:
     latency: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError("latency must be finite and non-negative")
 
     def transfer_time(self, num_bytes: float) -> float:
         """Seconds to move ``num_bytes`` across this hop (serialisation +

@@ -38,6 +38,7 @@ per-slot order for every path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -94,14 +95,21 @@ class OverloadControl:
     max_mode: int = MODE_SHED
 
     def __post_init__(self) -> None:
-        if not 0 <= self.queue_low < self.queue_high:
-            raise ValueError("need 0 <= queue_low < queue_high")
-        if self.token_rate < 0 or self.bucket_depth < 0:
-            raise ValueError("token_rate and bucket_depth must be >= 0")
-        if self.queue_capacity is not None and self.queue_capacity <= 0:
-            raise ValueError("queue_capacity must be positive (or None)")
-        if self.patience < 1 or self.cooldown < 1:
-            raise ValueError("patience and cooldown must be >= 1")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 <= self.queue_low < self.queue_high < math.inf:
+            raise ValueError("need 0 <= queue_low < queue_high < inf")
+        if not 0 <= self.token_rate < math.inf:
+            raise ValueError("token_rate must be finite and >= 0")
+        if not 0 <= self.bucket_depth < math.inf:
+            raise ValueError("bucket_depth must be finite and >= 0")
+        if self.queue_capacity is not None and not (
+            0 < self.queue_capacity < math.inf
+        ):
+            raise ValueError("queue_capacity must be finite, positive or None")
+        if not 1 <= self.patience < math.inf:
+            raise ValueError("patience must be finite and >= 1")
+        if not 1 <= self.cooldown < math.inf:
+            raise ValueError("cooldown must be finite and >= 1")
         if not MODE_FULL < self.max_mode <= MODE_SHED:
             raise ValueError("max_mode must be a rung deeper than full")
 

@@ -34,6 +34,7 @@ survive with QoS active.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -72,8 +73,9 @@ class QoSClass:
 
     Attributes:
         name: Class label carried on tasks and metrics keys.
-        share: Fraction of devices assigned to this class (normalised
-            over the configured classes by the seeded assignment).
+        share: Relative weight of the devices assigned to this class
+            (normalised over the configured classes by the seeded
+            assignment, so any finite positive value is legal).
         weight: Utility per unit of demand — orders admission under a
             shed budget and protects the class's warm-pool residency.
         deadline: Per-class SLO deadline in virtual seconds.
@@ -95,14 +97,17 @@ class QoSClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("class name must be non-empty")
-        if self.share <= 0:
-            raise ValueError("class share must be positive")
-        if self.weight <= 0:
-            raise ValueError("class weight must be positive")
-        if self.deadline <= 0:
-            raise ValueError("class deadline must be positive")
-        if self.cost <= 0:
-            raise ValueError("class cost must be positive")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 < self.share < math.inf:
+            raise ValueError("class share must be finite and positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("class weight must be finite and positive")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError("class deadline must be finite and positive")
+        if not -math.inf < self.rung_bias < math.inf:
+            raise ValueError("class rung_bias must be finite")
+        if not 0 < self.cost < math.inf:
+            raise ValueError("class cost must be finite and positive")
 
     @property
     def utility_per_cost(self) -> float:
@@ -122,11 +127,6 @@ DEFAULT_CLASSES = (
 @dataclass(frozen=True)
 class QoSConfig:
     """Immutable QoS layer configuration.
-
-    The ``repr`` is stable (a frozen dataclass of scalars and tuples),
-    so it enters run fingerprints directly: resuming a checkpoint under
-    a different QoS configuration raises a loud
-    :class:`~repro.chaos.checkpoint.CheckpointError`.
 
     Attributes:
         classes: The traffic classes.  Order matters: class indices (and
@@ -160,14 +160,16 @@ class QoSConfig:
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names: {names}")
-        if self.memory_fraction <= 0:
-            raise ValueError("memory_fraction must be positive")
-        if self.cold_start_seconds < 0:
-            raise ValueError("cold_start_seconds must be non-negative")
-        if self.cold_start_jitter < 0:
-            raise ValueError("cold_start_jitter must be non-negative")
-        if self.shed_budget is not None and self.shed_budget < 0:
-            raise ValueError("shed_budget must be non-negative")
+        if not 0 < self.memory_fraction < math.inf:
+            raise ValueError("memory_fraction must be finite and positive")
+        if not 0 <= self.cold_start_seconds < math.inf:
+            raise ValueError("cold_start_seconds must be finite and >= 0")
+        if not 0 <= self.cold_start_jitter < math.inf:
+            raise ValueError("cold_start_jitter must be finite and >= 0")
+        if self.shed_budget is not None and not (
+            0 <= self.shed_budget < math.inf
+        ):
+            raise ValueError("shed_budget must be finite and >= 0 (or None)")
         if self.class_map is not None:
             k = len(self.classes)
             for c in self.class_map:

@@ -24,6 +24,7 @@ fault-plan replays stay byte-identical across paths (pinned by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -69,14 +70,15 @@ class RecoveryPolicy:
     watchdog: bool = True
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_base <= 0:
-            raise ValueError("backoff_base must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ValueError("deadline must be finite and positive (or None)")
+        if not 0 <= self.max_retries < math.inf:
+            raise ValueError("max_retries must be finite and non-negative")
+        if not 0 < self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and positive")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be finite and >= 1")
 
     @classmethod
     def default(cls) -> "RecoveryPolicy":

@@ -263,7 +263,7 @@ class LeimeRuntime:
                 must be fresh (never run) and configured identically;
                 the run then proceeds normally.
         """
-        from ..chaos.checkpoint import CheckpointError
+        from ..chaos.checkpoint import CheckpointError, checkpoint_hook
 
         slots = TaskSlots(
             self._deployed,
@@ -276,9 +276,15 @@ class LeimeRuntime:
             overload=overload,
             qos=qos,
         )
-        emit = slots.checkpoints(
-            "runtime", "replay", num_slots, checkpoint_every, checkpoint_sink,
-            resume_from,
+        # The runtime's configuration is split between its constructor
+        # and this call; the policy stays out, as on every path.
+        config = dict(
+            system=self._deployed, seed=self.seed, arrivals=arrivals,
+            faults=faults, recovery=recovery, overload=overload, qos=qos,
+        )
+        emit = checkpoint_hook(
+            config, "runtime", "replay", checkpoint_every, checkpoint_sink,
+            resume_from, slots=num_slots, metrics=metrics,
         )
         if resume_from is not None and self._pipeline is not None:
             raise CheckpointError(

@@ -568,8 +568,9 @@ class EventSimulator:
             checkpoint_sink: Callable receiving each checkpoint.
             resume_from: Continue (fast) or deterministically re-execute
                 (scalar) a killed run from its checkpoint; the
-                fingerprint must match this simulator's configuration —
-                including the metrics mode it ran under.
+                fingerprint must match this simulator's whole
+                configuration — every field — and the slots and
+                metrics mode it ran under.
         """
         if num_slots <= 0:
             raise ValueError("need a positive number of slots")
@@ -590,13 +591,15 @@ class EventSimulator:
                 checkpoint_sink=checkpoint_sink,
                 resume_from=resume_from,
             )
+        from ..chaos.checkpoint import checkpoint_hook
+
         slots = self._task_slots(policy, metrics)
         # Replay-kind checkpoints: a resume validates the configuration,
         # then re-executes from slot 0 — determinism from the seed makes
         # the result byte-identical to the uninterrupted run.
-        emit = slots.checkpoints(
-            "event-scalar", "replay", num_slots, checkpoint_every,
-            checkpoint_sink, resume_from, shared_uplink=self.shared_uplink,
+        emit = checkpoint_hook(
+            self, "event-scalar", "replay", checkpoint_every,
+            checkpoint_sink, resume_from, slots=num_slots, metrics=metrics,
         )
         engine = _Engine()
         system = self.system

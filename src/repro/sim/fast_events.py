@@ -1293,10 +1293,12 @@ def run_fast(
     total — and the final materialisation of per-task records is
     skipped entirely.
     """
+    from ..chaos.checkpoint import checkpoint_hook
+
     slots = sim._task_slots(policy, metrics)
-    emit = slots.checkpoints(
-        "event-fast", "state", num_slots, checkpoint_every, checkpoint_sink,
-        resume_from, shared_uplink=sim.shared_uplink,
+    emit = checkpoint_hook(
+        sim, "event-fast", "state", checkpoint_every, checkpoint_sink,
+        resume_from, slots=num_slots, metrics=metrics,
     )
     if resume_from is None:
         eng = _FastEngine(sim, slots.recovery)

@@ -40,7 +40,8 @@ is its TCT.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+import copy
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,7 +122,9 @@ class TaskSlots:
             policy, faults, recovery, n
         )
         self.arrivals = list(arrivals)
-        self.environment = environment
+        # The run steps its own copy: every run starts from the
+        # configured environment, and a state checkpoint carries it.
+        self.environment = copy.deepcopy(environment)
         self.spread_arrivals = spread_arrivals
         self.faults = faults
         self.seed = seed
@@ -138,53 +141,6 @@ class TaskSlots:
         self.fractional = [0.0] * n
         self.ratios: Sequence[float] = [0.0] * n
         self.generated = 0
-
-    def checkpoints(
-        self,
-        path: str,
-        kind: str,
-        num_slots: int,
-        checkpoint_every: int | None,
-        checkpoint_sink: Callable[[Any], None] | None,
-        resume_from=None,
-        **data_plane,
-    ) -> Callable[[int, dict], None]:
-        """Check the hooks, and ``resume_from`` against the run's
-        fingerprint: the configuration with the fault plan by content
-        (not summary statistics two plans can share), the metrics mode
-        and the path's ``data_plane`` options.  Returns ``emit(slot,
-        payload)``, which hands the sink a ``kind`` checkpoint of
-        ``payload`` every ``checkpoint_every`` slots.  The hooks stay
-        out of this object, so a state checkpoint can carry it."""
-        from ..chaos import checkpoint
-        from ..resilience.faults import FAULT_CHANNELS
-
-        checkpoint.validate_hooks(checkpoint_every, checkpoint_sink)
-        fingerprint = checkpoint.run_fingerprint(
-            path=path,
-            seed=self.seed,
-            devices=len(self.arrivals),
-            slots=num_slots,
-            spread_arrivals=self.spread_arrivals,
-            faults=None
-            if self.faults is None
-            else [getattr(self.faults, c) for c in FAULT_CHANNELS],
-            recovery=repr(self.recovery),
-            overload=repr(self.overload),
-            qos=repr(self.qos),
-            metrics=self.metrics,
-            **data_plane,
-        )
-        if resume_from is not None:
-            checkpoint.validate_resume(resume_from, path, kind, fingerprint)
-
-        def emit(slot: int, payload: dict) -> None:
-            if checkpoint.should_emit(checkpoint_every, slot):
-                checkpoint_sink(
-                    checkpoint.snapshot(path, kind, slot, fingerprint, payload)
-                )
-
-        return emit
 
     def control(
         self,

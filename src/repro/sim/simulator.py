@@ -23,6 +23,7 @@ one shard per edge.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -116,16 +117,17 @@ def run_fluid(
     resume_from: "Checkpoint | None",
     *,
     path: str,
-    fingerprint: str,
     per_shard: bool = False,
 ) -> tuple[
     SimulationResult, list[list[SlotRecord]] | None, list[FluidStreamStats] | None
 ]:
     """The fluid per-slot pipeline, stepped over a list of shards.
 
-    ``sim`` supplies the run configuration (``arrivals``,
-    ``environment``, ``seed``, ``include_tail``, ``vectorized``,
-    ``overload``, ``qos``).  ``shards`` is the shard provider:
+    ``sim`` is the run configuration (``arrivals``, ``environment``,
+    ``seed``, ``include_tail``, ``vectorized``, ``overload``, ``qos``);
+    the run's checkpoint fingerprint digests all of it.  The run steps
+    its own copy of the environment, so every run starts from the
+    configured one.  ``shards`` is the shard provider:
     ``num_devices``, ``num_shards``, the base ``devices`` and
     ``slot_length``, ``qos_states(config, seed)`` (one
     :class:`~repro.resilience.qos.QoSState` per shard over the global
@@ -157,12 +159,7 @@ def run_fluid(
         raise ValueError(
             f'metrics must be "records" or "streaming", got {metrics!r}'
         )
-    from ..chaos.checkpoint import (
-        should_emit,
-        snapshot,
-        validate_hooks,
-        validate_resume,
-    )
+    from ..chaos.checkpoint import checkpoint_hook
     from ..resilience.control import SlotController
     from ..resilience.overload import MODE_FULL, AdmissionGate, clamp_queues
     from ..resilience.qos import (
@@ -171,11 +168,13 @@ def run_fluid(
         drain_stranded_edge_by_mode,
     )
 
-    validate_hooks(checkpoint_every, checkpoint_sink)
+    emit = checkpoint_hook(
+        sim, path, "state", checkpoint_every, checkpoint_sink, resume_from,
+        slots=num_slots, metrics=metrics,
+    )
     overload = sim.overload
     n, num_shards = shards.num_devices, shards.num_shards
     if resume_from is not None:
-        validate_resume(resume_from, path, "state", fingerprint)
         carried = resume_from.payload()
         start_slot = resume_from.slot
     else:
@@ -205,7 +204,7 @@ def run_fluid(
                 else None
             ),
             policy=policy,
-            environment=sim.environment,
+            environment=copy.deepcopy(sim.environment),
             arrivals=list(sim.arrivals),
         )
         start_slot = 0
@@ -227,8 +226,7 @@ def run_fluid(
     # the policy once per shard, not once per slot.
     begin_slot = getattr(policy, "begin_slot", None)
     for slot in range(start_slot, num_slots):
-        if should_emit(checkpoint_every, slot):
-            checkpoint_sink(snapshot(path, "state", slot, fingerprint, carried))
+        emit(slot, carried)
         if begin_slot is not None:
             begin_slot(slot)
         owner, slot_shards = shards.at(slot, environment)
@@ -558,22 +556,6 @@ class SlotSimulator:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-    def _fingerprint(
-        self, path_name: str, num_slots: int, metrics: str = "records"
-    ) -> str:
-        from ..chaos.checkpoint import run_fingerprint
-
-        return run_fingerprint(
-            path=path_name,
-            seed=self.seed,
-            devices=self.system.num_devices,
-            slots=num_slots,
-            include_tail=self.include_tail,
-            overload=repr(self.overload),
-            qos=repr(self.qos),
-            metrics=metrics,
-        )
-
     def run(
         self,
         policy: OffloadingPolicy,
@@ -611,7 +593,6 @@ class SlotSimulator:
                 ``state`` arguments are ignored (the checkpoint carries
                 them).
         """
-        path = "fluid-vectorized" if self.vectorized else "fluid-scalar"
         return run_fluid(
             self,
             _WholeFleet(self.system, self.vectorized),
@@ -622,8 +603,7 @@ class SlotSimulator:
             checkpoint_every,
             checkpoint_sink,
             resume_from,
-            path=path,
-            fingerprint=self._fingerprint(path, num_slots, metrics),
+            path="fluid-vectorized" if self.vectorized else "fluid-scalar",
         )[0]
 
     def compare(

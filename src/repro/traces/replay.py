@@ -94,9 +94,16 @@ class TraceEnvironment:
         edge = self.trace.get("edge_flops")
         self._edge = None if edge is None else np.ravel(edge.values)
         # Per-slot caches: rebuilding an EdgeSystem re-runs validation,
-        # so reuse the previous object while the capacity is unchanged.
+        # so reuse the previous object while the base system and the
+        # capacity are unchanged.
+        self._last_base: EdgeSystem | None = None
         self._last_edge_flops: float | None = None
         self._last_system: EdgeSystem | None = None
+
+    def __deepcopy__(self, memo: dict) -> "TraceEnvironment":
+        # A run steps its own copy; the trace is immutable, so the copy
+        # shares it and starts with empty caches.
+        return type(self)(self.trace, self.cycle)
 
     def _index(self, slot: int) -> int:
         if self.cycle:
@@ -150,9 +157,9 @@ class TraceEnvironment:
         edge_flops = float(self._edge[self._index(slot)])
         if edge_flops == base.edge_flops:
             return base
-        if edge_flops != self._last_edge_flops or self._last_system is None:
+        if base is not self._last_base or edge_flops != self._last_edge_flops:
             self._last_system = replace(base, edge_flops=edge_flops)
-            self._last_edge_flops = edge_flops
+            self._last_base, self._last_edge_flops = base, edge_flops
         return self._last_system
 
 

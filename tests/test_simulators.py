@@ -13,6 +13,8 @@ from repro.core.offloading import (
     LyapunovState,
 )
 from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
+from repro.resilience.overload import OverloadControl
+from repro.resilience.qos import DEFAULT_CLASSES, QoSConfig
 from repro.resilience.recovery import RecoveryPolicy
 from repro.sim.arrivals import (
     ConstantArrivals,
@@ -31,6 +33,8 @@ from repro.sim.metrics import SimulationResult, SlotRecord, summarize
 from repro.sim.simulator import SlotSimulator
 from repro.hardware import NetworkProfile
 from repro.units import mbps, ms
+
+from .helpers import random_fleet
 
 
 # -- slot simulator ------------------------------------------------------------
@@ -470,3 +474,48 @@ def test_shared_uplink_single_device_equivalent(small_system):
 def test_bad_inputs_fail_at_construction(small_system, build):
     with pytest.raises(ValueError):
         build(small_system)
+
+
+def _run_configurations():
+    """One valid instance of each run configuration class, every
+    optional number set (``None`` means unbounded)."""
+    system = random_fleet(0, 2)
+    return (
+        system.devices[0],
+        system.devices[0].link,
+        system,
+        DEFAULT_CLASSES[0],
+        QoSConfig(shed_budget=10.0),
+        OverloadControl(),
+        RecoveryPolicy(deadline=30.0),
+    )
+
+
+def _numeric_fields():
+    for config in _run_configurations():
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            if isinstance(value, tuple) and value:
+                value = value[0]  # a per-device column, e.g. shares
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield config, field.name
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "config,name",
+    list(_numeric_fields()),
+    ids=[f"{type(c).__name__}.{name}" for c, name in _numeric_fields()],
+)
+def test_non_finite_numbers_fail_at_construction(config, name, bad):
+    value = getattr(config, name)
+    if isinstance(value, tuple):
+        value = (bad, *value[1:])
+    else:
+        value = bad
+    with pytest.raises(ValueError):
+        dataclasses.replace(config, **{name: value})
+
+
+def test_qos_class_share_is_a_relative_weight():
+    assert dataclasses.replace(DEFAULT_CLASSES[0], share=1.5).share == 1.5
