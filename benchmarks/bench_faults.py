@@ -33,6 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.chaos.oracles import records_equal
 from repro.core.offloading import DriftPlusPenaltyPolicy
 from repro.experiments.common import TestbedConfig, leime_scheme
 from repro.resilience import (
@@ -48,16 +49,6 @@ from repro.sim.simulator import SlotSimulator
 
 #: Deadline used for the reported miss rates (seconds of TCT).
 DEADLINE_S = 10.0
-
-
-def _identical(scalar, fast) -> bool:
-    return all(
-        a.queue_local == b.queue_local
-        and a.queue_edge == b.queue_edge
-        and a.total_time == b.total_time
-        and a.ratios == b.ratios
-        for a, b in zip(scalar.records, fast.records)
-    )
 
 
 def run(
@@ -107,7 +98,9 @@ def run(
         scalar = fluid(vectorized=False)
         scalar_elapsed = time.perf_counter() - start
         fluid_entry["scalar_slots_per_sec"] = round(num_slots / scalar_elapsed, 2)
-        fluid_entry["paths_identical"] = _identical(scalar, fast)
+        fluid_entry["paths_identical"] = records_equal(
+            scalar.records, fast.records
+        )
         if not fluid_entry["paths_identical"]:
             raise AssertionError(
                 "scalar and vectorized fault replays diverged"

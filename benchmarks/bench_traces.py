@@ -29,20 +29,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.chaos.oracles import records_equal
 from repro.experiments.common import SCHEME_BUILDERS, TestbedConfig
 from repro.experiments.fig_wild import wild_spec
 from repro.traces.generators import generate_trace
 from repro.traces.replay import replay_trace
-
-
-def _identical(scalar, fast) -> bool:
-    return all(
-        a.queue_local == b.queue_local
-        and a.queue_edge == b.queue_edge
-        and a.total_time == b.total_time
-        and a.ratios == b.ratios
-        for a, b in zip(scalar.records, fast.records)
-    )
 
 
 def run(
@@ -78,12 +69,16 @@ def run(
         }
         if not skip_scalar:
             start = time.perf_counter()
-            scalar = replay_trace(system, trace, scheme.policy, seed=seed)
+            scalar = replay_trace(
+                system, trace, scheme.policy, seed=seed, vectorized=False
+            )
             scalar_elapsed = time.perf_counter() - start
             entry["scalar_slots_per_sec"] = round(
                 num_slots / scalar_elapsed, 2
             )
-            entry["paths_identical"] = _identical(scalar, fast)
+            entry["paths_identical"] = records_equal(
+                scalar.records, fast.records
+            )
             if not entry["paths_identical"]:
                 raise AssertionError(
                     f"scalar and vectorized replays diverged for {name}"

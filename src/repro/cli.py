@@ -311,16 +311,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .traces.serialize import load_trace
 
     trace = load_trace(args.trace)
-    config = TestbedConfig(
-        model=args.model,
-        device=platform(args.device),
-        edge=platform(args.edge),
-        cloud=platform(args.cloud),
-        num_devices=trace.num_devices,
-        arrival_rate=args.arrival_rate,
-        device_edge=NetworkProfile(mbps(args.bandwidth_mbps), ms(args.latency_ms)),
-        exit_curve=ParametricExitCurve.from_complexity(args.complexity),
-    )
+    config = replace(_testbed_from_args(args), num_devices=trace.num_devices)
     me_dnn = config.me_dnn()
     partition = branch_and_bound_exit_setting(
         me_dnn, config.average_environment()
@@ -337,7 +328,8 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     fast_elapsed = time.perf_counter() - start
     start = time.perf_counter()
     scalar = replay_trace(
-        system, trace, policy, num_slots=num_slots, seed=args.seed
+        system, trace, policy, num_slots=num_slots, seed=args.seed,
+        vectorized=False,
     )
     scalar_elapsed = time.perf_counter() - start
     from .chaos.oracles import fluid_conservation, records_equal

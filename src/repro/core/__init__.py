@@ -47,8 +47,6 @@ from .vectorized import (
     drift_plus_penalty_batch,
     edge_compute_split_batch,
     feasible_ratio_intervals,
-    floored_edge_allocation_batch,
-    kkt_edge_allocation_batch,
     slot_cost_batch,
 )
 from .baselines import (
@@ -92,8 +90,6 @@ __all__ = [
     "drift_plus_penalty_batch",
     "edge_compute_split_batch",
     "feasible_ratio_intervals",
-    "floored_edge_allocation_batch",
-    "kkt_edge_allocation_batch",
     "slot_cost_batch",
     "ddnn_exit_setting",
     "edgent_exit_setting",

@@ -25,17 +25,16 @@ Entry points:
 * :func:`feasible_ratio_intervals` / :func:`edge_compute_split_batch` /
   :func:`slot_cost_batch` / :func:`drift_plus_penalty_batch` — the batched
   equivalents of the scalar functions of the same names;
-* :func:`kkt_edge_allocation_batch` / :func:`floored_edge_allocation_batch`
-  — the Eq. 27 KKT edge allocation over arrays;
 * :func:`dpp_decide` — the only solver of
   :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` (its per-device
   scalar loop survives only as the test suite's reference);
-* :func:`balance_decide` — the batched solver behind the
-  ``vectorized=True`` flag of
-  :class:`~repro.core.offloading.BalanceOffloadingPolicy`;
+* :func:`balance_decide` — the solver
+  :class:`~repro.core.offloading.BalanceOffloadingPolicy` takes on
+  fleets of ``_BALANCE_BATCH_MIN`` devices or more;
 * :class:`FleetState` + :class:`VectorizedSlotEngine` — array-backed
-  ``Q_i``/``H_i`` queues and a one-call whole-slot step, used by
-  :class:`~repro.sim.simulator.SlotSimulator` when ``vectorized=True``.
+  ``Q_i``/``H_i`` queues and one-call whole-fleet slot costs: the
+  fluid simulators' array plane (see
+  :func:`~repro.sim.simulator.resolve_plane`).
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ __all__ = [
     "edge_compute_split_batch",
     "slot_cost_batch",
     "drift_plus_penalty_batch",
-    "kkt_edge_allocation_batch",
-    "floored_edge_allocation_batch",
     "dpp_decide",
     "balance_decide",
     "service_times_batch",
@@ -377,70 +374,6 @@ def drift_plus_penalty_batch(
     )
 
 
-# -- Eq. 27 KKT edge allocation ------------------------------------------------
-
-
-def kkt_edge_allocation_batch(
-    device_flops: np.ndarray, arrival_rates: np.ndarray, edge_flops: float
-) -> np.ndarray:
-    """Array implementation of Eq. 27's active-set KKT water-filling —
-    the twin of :func:`~repro.core.resource_allocation.kkt_edge_allocation`.
-
-    The active-set loop survives (it shrinks the support, at most N
-    rounds in theory and 2-3 in practice) but every round is one array
-    expression instead of N scalar evaluations.
-    """
-    f = np.asarray(device_flops, dtype=np.float64)
-    k = np.asarray(arrival_rates, dtype=np.float64)
-    if f.shape != k.shape or f.ndim != 1 or f.size == 0:
-        raise ValueError("need matching 1-D device_flops and arrival_rates")
-    if np.any(f <= 0):
-        raise ValueError("device FLOPS must be positive")
-    if np.any(k < 0):
-        raise ValueError("arrival rates must be non-negative")
-    if edge_flops <= 0:
-        raise ValueError("edge FLOPS must be positive")
-    n = f.size
-    if not np.any(k > 0):
-        return np.full(n, 1.0 / n)
-    active = k > 0
-    sqrt_k = np.sqrt(k)
-    while True:
-        level = (f[active].sum() + edge_flops) / (edge_flops * sqrt_k[active].sum())
-        candidate = np.where(active, sqrt_k * level - f / edge_flops, 0.0)
-        negative = active & (candidate < 0)
-        if not np.any(negative):
-            shares = np.where(active, candidate, 0.0)
-            break
-        active = active & ~negative
-        if not np.any(active):
-            shares = np.zeros(n)
-            shares[int(np.argmin(f))] = 1.0
-            return shares
-    return shares / shares.sum()
-
-
-def floored_edge_allocation_batch(
-    device_flops: np.ndarray,
-    arrival_rates: np.ndarray,
-    edge_flops: float,
-    min_share: float = 0.01,
-) -> np.ndarray:
-    """Array twin of
-    :func:`~repro.core.resource_allocation.floored_edge_allocation`."""
-    if not 0.0 <= min_share < 1.0:
-        raise ValueError("min_share must be in [0, 1)")
-    shares = kkt_edge_allocation_batch(device_flops, arrival_rates, edge_flops)
-    if min_share == 0.0:
-        return shares
-    k = np.asarray(arrival_rates, dtype=np.float64)
-    active = k > 0
-    if not np.any(active) or active.sum() * min_share >= 1.0:
-        return np.full(shares.size, 1.0 / shares.size)
-    floored = np.where(active, np.maximum(shares, min_share), shares)
-    return floored / floored.sum()
-
-
 # -- batched policy solvers ----------------------------------------------------
 
 
@@ -571,22 +504,10 @@ class FleetState:
     queue_edge: np.ndarray
 
     @classmethod
-    def zeros(cls, num_devices: int) -> "FleetState":
-        return cls(
-            queue_local=np.zeros(num_devices), queue_edge=np.zeros(num_devices)
-        )
-
-    @classmethod
     def from_lyapunov(cls, state: LyapunovState) -> "FleetState":
         return cls(
             queue_local=np.asarray(state.queue_local, dtype=np.float64).copy(),
             queue_edge=np.asarray(state.queue_edge, dtype=np.float64).copy(),
-        )
-
-    def to_lyapunov(self) -> LyapunovState:
-        return LyapunovState(
-            queue_local=self.queue_local.tolist(),
-            queue_edge=self.queue_edge.tolist(),
         )
 
     def sync_to(self, state: LyapunovState) -> None:
@@ -639,16 +560,6 @@ class FleetState:
             )
         self.queue_local[idx] = shard.queue_local
         self.queue_edge[idx] = shard.queue_edge
-
-    def lyapunov_value(self) -> float:
-        """``L(Θ) = ½·Σ (Q_i² + H_i²)``."""
-        return 0.5 * float(
-            np.dot(self.queue_local, self.queue_local)
-            + np.dot(self.queue_edge, self.queue_edge)
-        )
-
-    def total_backlog(self) -> float:
-        return float(self.queue_local.sum() + self.queue_edge.sum())
 
 
 class VectorizedSlotEngine:
@@ -722,27 +633,6 @@ class VectorizedSlotEngine:
             state.queue_edge,
             include_tail=include_tail,
         )
-
-    def step(
-        self,
-        policy,
-        state: FleetState,
-        expected: Sequence[float],
-        realised: Sequence[float],
-        devices: Sequence[DeviceConfig] | None = None,
-        include_tail: bool = True,
-        system: EdgeSystem | None = None,
-    ) -> tuple[list[float], BatchSlotCost]:
-        """Advance the fleet one slot: decide ratios, evaluate the slot
-        cost at the realised arrivals, and apply the queue recursions."""
-        live_system = self.system if system is None else system
-        scalar_state = state.to_lyapunov()
-        ratios = policy.decide(live_system, scalar_state, expected, devices)
-        cost = self.slot_costs(
-            devices, ratios, realised, state, include_tail, system=live_system
-        )
-        state.update(cost)
-        return ratios, cost
 
 
 # -- event-path kernels -----------------------------------------------------

@@ -153,7 +153,7 @@ def run_fig_faults(
     outage_start = int(plan.meta["outage_start"])
     outage_stop = int(plan.meta["outage_stop"])
 
-    def fluid_run(policy, vectorized: bool) -> SimulationResult:
+    def fluid_run(policy, vectorized: bool | None = None) -> SimulationResult:
         # Fresh environment per run: its degraded-system cache is keyed on
         # object identity and must not leak across paths.
         return SlotSimulator(
@@ -171,9 +171,7 @@ def run_fig_faults(
 
     leime_scalar = fluid_run(resilient(), vectorized=False)
     leime_fluid = fluid_run(resilient(), vectorized=True)
-    fixed_fluid = fluid_run(
-        FixedRatioPolicy(0.5, respect_constraint=False), vectorized=True
-    )
+    fixed_fluid = fluid_run(FixedRatioPolicy(0.5, respect_constraint=False))
     fluid_rows = tuple(
         FaultFluidRow(
             scheme=name,

@@ -163,7 +163,7 @@ def run_fig_federation(
             )
         )
 
-    def run_fluid(plan: AssignmentPlan, vectorized: bool):
+    def run_fluid(plan: AssignmentPlan, vectorized: bool | None = None):
         return FederatedSlotSimulator(
             topology=topology,
             arrivals=arrivals,
@@ -176,8 +176,14 @@ def run_fig_federation(
             num_slots,
         )
 
-    fluid = {name: run_fluid(plan, vectorized=True) for name, plan in plans}
-    fluid_scalar = run_fluid(plans[0][1], vectorized=False)
+    # The failover plan runs on both planes (the twin check); the other
+    # plan takes the plane its fleet size picks.
+    failover = plans[0][1]
+    fluid = {
+        name: run_fluid(plan, vectorized=True if plan is failover else None)
+        for name, plan in plans
+    }
+    fluid_scalar = run_fluid(failover, vectorized=False)
     fluid_paths_identical = (
         fluid_scalar.global_result.records
         == fluid["failover"].global_result.records

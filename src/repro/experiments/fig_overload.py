@@ -43,7 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chaos.oracles import event_results_close, records_equal
+from ..chaos.oracles import (
+    event_conservation,
+    event_results_close,
+    records_equal,
+)
 from ..core.offloading import DriftPlusPenaltyPolicy
 from ..resilience import MODE_FULL, OverloadControl, time_to_recovery
 from ..sim.arrivals import TraceArrivals
@@ -189,13 +193,7 @@ def run_fig_overload(
             p99_tct=result.tct_percentile(99.0),
             deadline_miss_rate=result.deadline_miss_rate(DEADLINE_S),
             max_mode=max(result.modes) if result.modes else MODE_FULL,
-            identity_holds=(
-                len(result.tasks)
-                == len(result.completed)
-                + result.dropped_count
-                + result.shed_count
-                + result.in_flight_count
-            ),
+            identity_holds=not event_conservation(result),
         )
         for name, result in (
             ("LEIME + governor", governed),
@@ -207,7 +205,7 @@ def run_fig_overload(
     # exit directly — the ungoverned Eq. 10-11 recursion grows without
     # bound for the whole crowd window.
     def fluid_run(
-        overload: OverloadControl | None, vectorized: bool
+        overload: OverloadControl | None, vectorized: bool | None = None
     ) -> SimulationResult:
         return SlotSimulator(
             system=system,
@@ -219,7 +217,7 @@ def run_fig_overload(
 
     governed_scalar = fluid_run(control, vectorized=False)
     governed_fluid = fluid_run(control, vectorized=True)
-    ungoverned_fluid = fluid_run(None, vectorized=True)
+    ungoverned_fluid = fluid_run(None)
 
     def fluid_row(name: str, result: SimulationResult) -> OverloadFluidRow:
         backlog = result.backlog_timeline()

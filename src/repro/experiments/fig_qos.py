@@ -43,7 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..chaos.oracles import event_results_close, records_equal
+from ..chaos.oracles import (
+    event_conservation,
+    event_results_close,
+    records_equal,
+)
 from ..core.offloading import DriftPlusPenaltyPolicy
 from ..resilience import MODE_FULL, OverloadControl
 from ..resilience.faults import canonical_outage_plan
@@ -274,13 +278,7 @@ def run_fig_qos(
                 dropped=result.dropped_count,
                 p99_tct=result.tct_percentile(99.0),
                 max_mode=max(result.modes) if result.modes else MODE_FULL,
-                identity_holds=(
-                    len(result.tasks)
-                    == len(result.completed)
-                    + result.dropped_count
-                    + result.shed_count
-                    + result.in_flight_count
-                ),
+                identity_holds=not event_conservation(result),
             )
         )
         summary = result.class_summary(deadlines=deadlines)

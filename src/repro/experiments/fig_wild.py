@@ -103,14 +103,9 @@ def run_fig_wild(
     for name, builder in SCHEME_BUILDERS.items():
         scheme = builder(config)
         system = config.system(scheme.partition)
-        wild = replay_trace(
-            system, trace, scheme.policy, seed=seed, vectorized=True
-        )
+        wild = replay_trace(system, trace, scheme.policy, seed=seed)
         static = SlotSimulator(
-            system=system,
-            arrivals=config.arrival_processes(),
-            seed=seed,
-            vectorized=True,
+            system=system, arrivals=config.arrival_processes(), seed=seed
         ).run(scheme.policy, num_slots)
         rows.append(
             WildSchemeRow(

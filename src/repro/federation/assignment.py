@@ -94,9 +94,6 @@ class AssignmentPlan:
             raise ValueError("slot must be non-negative")
         return self.matrix[min(slot, self.num_slots - 1)]
 
-    def edge_of(self, slot: int, device: int) -> int:
-        return int(self.row(slot)[device])
-
     def members(self, slot: int, edge: int) -> np.ndarray:
         """Ascending global indices of the devices edge ``edge`` serves
         during ``slot``."""

@@ -41,7 +41,7 @@ import numpy as np
 from ..core.offloading import EdgeSystem, OffloadingPolicy
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
-from ..sim.events import EventSimResult, EventSimulator
+from ..sim.events import EventSimResult, EventSimulator, check_drain_limit
 from ..sim.streaming import StreamingTaskStats, TaskLedger
 from ..sim.tasks import TaskRecord
 from .assignment import AssignmentPlan
@@ -256,9 +256,6 @@ class FederatedEventResult:
 
     # -- per-edge SLO accounting --------------------------------------------
 
-    def edge_generated(self, edge: int) -> int:
-        return self.edge_results[edge].generated_count
-
     def identity_holds(self) -> bool:
         """Every shard's SLO identity plus the global sum:
         ``generated = completed + dropped + shed + in-flight`` per edge,
@@ -340,9 +337,13 @@ class FederatedEventSimulator:
         the next *edge index*).  Every shard's own simulation is
         deterministic from its shard seed, so the combined result is
         byte-identical to an uninterrupted run.
+
+        ``drain_limit_factor`` is checked once, before the first shard
+        runs (see :meth:`~repro.sim.events.EventSimulator.run`).
         """
         from ..chaos.checkpoint import checkpoint_hook
 
+        check_drain_limit(drain_limit_factor)
         emit = checkpoint_hook(
             self, "federated-event", "state", checkpoint_every,
             checkpoint_sink, resume_from,

@@ -11,7 +11,8 @@ one warm pool per shard.  This module supplies what is federation-only:
 
 * **Shards**: each populated edge builds an
   :class:`~repro.core.offloading.EdgeSystem` over its members with
-  per-edge KKT shares, cached per assignment epoch.  The vectorized path
+  per-edge KKT shares, cached per assignment epoch.  One plane serves
+  every shard, picked from the devices per edge.  The array plane
   gathers each shard's sub-state with
   :meth:`~repro.core.vectorized.FleetState.shard`, steps it through the
   shard's own :class:`~repro.core.vectorized.VectorizedSlotEngine`, and
@@ -44,7 +45,7 @@ from ..core.vectorized import VectorizedSlotEngine
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from ..sim.metrics import SimulationResult, SlotRecord
-from ..sim.simulator import FluidShard, run_fluid
+from ..sim.simulator import FluidShard, resolve_plane, run_fluid
 from ..sim.streaming import FluidStreamStats
 from .assignment import AssignmentPlan
 from .events import check_federation
@@ -115,9 +116,13 @@ class FederatedSlotSimulator:
             shards — common random numbers across federations).
         include_tail: Forwarded to the cost model.
         seed: Seed for the run's single random generator.
-        vectorized: Step each shard through its own
-            :class:`VectorizedSlotEngine` (array path) instead of the
-            per-device scalar loop.  Byte-identical either way.
+        vectorized: The fluid data plane, one for every shard.  ``None``
+            (default) picks it from the devices per edge
+            (:func:`~repro.sim.simulator.resolve_plane`, the same rule
+            as the single-edge simulator); ``True`` steps each shard
+            through its own :class:`VectorizedSlotEngine`, ``False``
+            through the per-device scalar loop.  Byte-identical either
+            way.
         overload: Enables the overload layer: one global admission gate
             plus a per-edge degradation ladder.
         faults: Per-edge outage schedule; a down edge's capacity
@@ -132,7 +137,7 @@ class FederatedSlotSimulator:
     environment: DynamicEnvironment = field(default_factory=StaticEnvironment)
     include_tail: bool = True
     seed: int = 0
-    vectorized: bool = False
+    vectorized: bool | None = None
     overload: "OverloadControl | None" = None
     faults: FederationFaultPlan | None = None
     edge_down_factor: float = 0.05
@@ -199,7 +204,8 @@ class _EdgeShards:
     they only change at assignment-epoch boundaries, and are derived
     (immutable) data: rebuilt, not checkpointed.  A down edge's capacity
     collapses to ``edge_down_factor`` × nominal while its peers run
-    untouched.
+    untouched.  The plane is decided once, for every shard: the loop
+    keeps one global fleet state on the array plane.
     """
 
     def __init__(self, sim: FederatedSlotSimulator):
@@ -209,6 +215,9 @@ class _EdgeShards:
         self.num_shards = topology.num_edges
         self.devices = topology.devices
         self.slot_length = topology.slot_length
+        self.vectorized = resolve_plane(
+            sim.vectorized, self.num_devices / self.num_shards
+        )
         self._cache: dict[tuple, tuple[EdgeSystem, VectorizedSlotEngine | None]] = {}
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
@@ -255,7 +264,7 @@ class _EdgeShards:
             key = (e, tuple(members))
             if key not in self._cache:
                 system = sim.topology.build_shard(e, members)
-                engine = VectorizedSlotEngine(system) if sim.vectorized else None
+                engine = VectorizedSlotEngine(system) if self.vectorized else None
                 self._cache[key] = (system, engine)
             system, engine = self._cache[key]
             if down:

@@ -9,9 +9,9 @@ learned tables, private RNG streams), so every tournament cell, CLI
 run, and conformance test builds a fresh instance via
 :func:`build_policy` and never shares state across runs.
 
-Factories receive the keyword context of :func:`build_policy` (``v``,
-``seed``, ``vectorized``) and are free to ignore the parts they do not
-use; the built object must satisfy the runtime-checkable
+Factories receive the keyword context of :func:`build_policy` (``v``
+and ``seed``) and are free to ignore the parts they do not use; the
+built object must satisfy the runtime-checkable
 :class:`~repro.core.offloading.OffloadingPolicy` protocol or
 registration is considered broken and :func:`build_policy` raises.
 """
@@ -90,18 +90,14 @@ def build_policy(
     *,
     v: float = 50.0,
     seed: int = 0,
-    vectorized: bool = False,
 ) -> OffloadingPolicy:
     """Build a fresh instance of the registered policy ``name``.
 
     ``v`` parameterises every cost-model-driven policy the same way so a
     tournament compares controllers, not tunings; ``seed`` feeds
-    policy-private exploration RNGs; ``vectorized`` opts Balance into its
-    batched bisection (decisions pinned identical by the differential
-    harness).  LEIME's DPP policy always decides in one batched call, so
-    the flag does not reach it.
+    policy-private exploration RNGs.
     """
-    policy = policy_spec(name).factory(v=v, seed=seed, vectorized=vectorized)
+    policy = policy_spec(name).factory(v=v, seed=seed)
     if not isinstance(policy, OffloadingPolicy):
         raise TypeError(
             f"factory for {name!r} built {type(policy).__name__}, which does "
@@ -149,9 +145,7 @@ def _register_builtins() -> None:
     )
     register_policy(
         "balance",
-        lambda *, vectorized=False, **_: BalanceOffloadingPolicy(
-            vectorized=vectorized
-        ),
+        lambda **_: BalanceOffloadingPolicy(),
         "closed-form balance rule T_d(x) = T_e(x) (Eq. 20 discussion)",
         kind="paper",
     )

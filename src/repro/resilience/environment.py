@@ -98,7 +98,8 @@ class FaultyEnvironment:
                 bandwidth *= self.drop_factor
             elif self.plan.uplink_corrupt[t, i]:
                 bandwidth *= self.corrupt_factor
-            flops = device.flops / self.plan.straggler[t, i]
+            # A Python float, so both fluid planes record the same types.
+            flops = device.flops / float(self.plan.straggler[t, i])
             if bandwidth == device.link.bandwidth and flops == device.flops:
                 adjusted.append(device)
             else:

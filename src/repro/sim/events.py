@@ -123,6 +123,20 @@ def resolve_engine(engine: str, num_devices: int) -> str:
     return engine
 
 
+def check_drain_limit(drain_limit_factor: float) -> None:
+    """Refuse a drain bound that is NaN or below 1.
+
+    The drain phase gives up ("unstable") once simulated time passes
+    ``drain_limit_factor`` × the generation horizon.  NaN would switch
+    that guard off (``time > nan`` is never true), and a factor below 1
+    would trip it on a system that drains.  ``inf`` means no bound."""
+    if not drain_limit_factor >= 1.0:
+        raise ValueError(
+            "drain_limit_factor must be at least 1 (inf for no bound), "
+            f"got {drain_limit_factor!r}"
+        )
+
+
 @dataclass(frozen=True)
 class EventSimResult:
     """Per-task outcomes of a task-level run: either event engine or the
@@ -539,7 +553,9 @@ class EventSimulator:
                 completes (bounded by ``drain_limit_factor`` × the
                 generation horizon; exceeding it raises, which is the
                 unstable-system signal tests rely on).
-            drain_limit_factor: Safety bound for the drain phase.
+            drain_limit_factor: Safety bound for the drain phase: at
+                least 1, ``inf`` for no bound; NaN or a factor below 1
+                raises ``ValueError``.
             engine: ``"scalar"`` walks every task through the shared
                 hop graph on the reference event heap; ``"fast"``
                 dispatches the identical scenario to the array-backed
@@ -576,6 +592,7 @@ class EventSimulator:
             raise ValueError("need a positive number of slots")
         if engine not in ("scalar", "fast", "auto"):
             raise ValueError(f"unknown event engine {engine!r}")
+        check_drain_limit(drain_limit_factor)
         engine = resolve_engine(engine, self.system.num_devices)
         if engine == "fast":
             from .fast_events import run_fast

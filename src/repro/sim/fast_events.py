@@ -66,6 +66,7 @@ from ..resilience.overload import (
     degraded_exit_params,
 )
 from ..resilience.recovery import RecoveryPolicy
+from .events import check_drain_limit
 from .tasks import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -1292,9 +1293,13 @@ def run_fast(
     left, so store memory tracks the in-flight population, not the run
     total — and the final materialisation of per-task records is
     skipped entirely.
+
+    ``drain_limit_factor`` bounds the drain phase as in
+    ``EventSimulator.run``: at least 1, ``inf`` for no bound.
     """
     from ..chaos.checkpoint import checkpoint_hook
 
+    check_drain_limit(drain_limit_factor)
     slots = sim._task_slots(policy, metrics)
     emit = checkpoint_hook(
         sim, "event-fast", "state", checkpoint_every, checkpoint_sink,

@@ -70,6 +70,27 @@ class FluidShard(NamedTuple):
         return self.members is None or bool(self.members)
 
 
+#: Devices per edge at or above which a fluid run that leaves
+#: ``vectorized`` unset steps the array plane; below it the per-device
+#: scalar loop is cheaper.  Per-slot cost on a 2-core host, scalar vs
+#: array (``provisioned_system``, Poisson 0.5, best of 9): 295 vs 341 µs
+#: at 14 devices and 370 vs 347 at 16 under ``FixedRatioPolicy(0.5)``;
+#: 1,361 vs 1,416 and 1,429 vs 1,160 under DPP.
+ARRAY_PLANE_MIN_DEVICES = 16
+
+
+def resolve_plane(vectorized: bool | None, devices_per_edge: float) -> bool:
+    """Whether a fluid run steps the array plane.
+
+    ``True`` and ``False`` force a plane (the twin checks run both);
+    ``None`` picks by devices per edge, the way ``engine="auto"`` picks
+    an event engine.  The two planes are byte-identical, so the choice
+    moves wall-clock only, never a result."""
+    if vectorized is None:
+        return devices_per_edge >= ARRAY_PLANE_MIN_DEVICES
+    return vectorized
+
+
 def _take(values, members):
     """``values`` restricted to ``members`` (all of it for ``None``)."""
     return values if members is None else [values[i] for i in members]
@@ -79,18 +100,20 @@ class _WholeFleet:
     """:class:`SlotSimulator`'s shard provider: one shard over the whole
     fleet.  Its live system comes from the environment's optional
     ``system_at(slot, base)`` extension and its outages from the optional
-    ``edge_down_at(slot)`` extension.  The engine is derived from the
-    (immutable) system — rebuilt per run, not checkpointed."""
+    ``edge_down_at(slot)`` extension.  The plane is resolved from the
+    fleet size, and the engine is derived from the (immutable) system —
+    rebuilt per run, not checkpointed."""
 
     num_shards = 1
 
-    def __init__(self, system: EdgeSystem, vectorized: bool):
+    def __init__(self, system: EdgeSystem, vectorized: bool | None):
         self.system = system
         self.num_devices = system.num_devices
         self.devices = system.devices
         self.slot_length = system.slot_length
         self.owner = [0] * system.num_devices
-        self.engine = VectorizedSlotEngine(system) if vectorized else None
+        self.vectorized = resolve_plane(vectorized, system.num_devices)
+        self.engine = VectorizedSlotEngine(system) if self.vectorized else None
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
         from ..resilience.qos import QoSState
@@ -129,7 +152,10 @@ def run_fluid(
     its own copy of the environment, so every run starts from the
     configured one.  ``shards`` is the shard provider:
     ``num_devices``, ``num_shards``, the base ``devices`` and
-    ``slot_length``, ``qos_states(config, seed)`` (one
+    ``slot_length``, the resolved plane ``vectorized`` (one for every
+    shard: the array plane keeps one global
+    :class:`~repro.core.vectorized.FleetState`),
+    ``qos_states(config, seed)`` (one
     :class:`~repro.resilience.qos.QoSState` per shard over the global
     device numbering), and ``at(slot, environment)`` returning each
     device's shard index and one :class:`FluidShard` per shard.
@@ -184,7 +210,7 @@ def run_fluid(
         carried = dict(
             rng=np.random.default_rng(sim.seed),
             state=state,
-            fleet=FleetState.from_lyapunov(state) if sim.vectorized else None,
+            fleet=FleetState.from_lyapunov(state) if shards.vectorized else None,
             gate=None if overload is None else AdmissionGate(overload, n),
             controllers=[
                 SlotController(n, overload, qstate, gate=False)
@@ -498,13 +524,15 @@ class SlotSimulator:
         seed: Seed for the run's random generator.  Two runs with equal
             seeds see identical arrivals and environments, which is how the
             experiments compare schemes under common randomness.
-        vectorized: Opt into the fleet-scale fast path: the slot's cost
-            evaluation and queue recursions run through
-            :class:`~repro.core.vectorized.VectorizedSlotEngine` as array
-            expressions instead of a per-device Python loop.  The RNG call
-            sequence is unchanged, so a vectorized run sees the *same*
-            arrivals and environment trajectory as a scalar run with the
-            same seed — the differential tests rely on this.
+        vectorized: The fluid data plane.  ``None`` (default) picks it
+            by fleet size (:func:`resolve_plane`): the per-device scalar
+            loop below ``ARRAY_PLANE_MIN_DEVICES`` devices, the array
+            expressions of
+            :class:`~repro.core.vectorized.VectorizedSlotEngine` at or
+            above it.  ``True``/``False`` force the array/scalar plane,
+            which the twin checks do.  The RNG call sequence is the same
+            on both, so both see the same arrivals and environment
+            trajectory and write byte-identical records.
         overload: An :class:`~repro.resilience.overload.OverloadControl`
             enabling the load-control layer: per-slot admission gating
             (shed demand is recorded on each
@@ -543,7 +571,7 @@ class SlotSimulator:
     environment: DynamicEnvironment = field(default_factory=StaticEnvironment)
     include_tail: bool = True
     seed: int = 0
-    vectorized: bool = False
+    vectorized: bool | None = None
     overload: "OverloadControl | None" = None
     qos: "QoSConfig | None" = None
 
@@ -593,9 +621,10 @@ class SlotSimulator:
                 ``state`` arguments are ignored (the checkpoint carries
                 them).
         """
+        shards = _WholeFleet(self.system, self.vectorized)
         return run_fluid(
             self,
-            _WholeFleet(self.system, self.vectorized),
+            shards,
             policy,
             num_slots,
             state,
@@ -603,7 +632,7 @@ class SlotSimulator:
             checkpoint_every,
             checkpoint_sink,
             resume_from,
-            path="fluid-vectorized" if self.vectorized else "fluid-scalar",
+            path="fluid-vectorized" if shards.vectorized else "fluid-scalar",
         )[0]
 
     def compare(

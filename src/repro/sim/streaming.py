@@ -160,10 +160,6 @@ class QuantileSketch:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def num_bins(self) -> int:
-        return len(self.counts) + (1 if self.zero_count else 0)
-
     def percentile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (``q`` in [0, 100]).
 

@@ -169,7 +169,7 @@ def replay_trace(
     policy: OffloadingPolicy,
     num_slots: int | None = None,
     seed: int = 0,
-    vectorized: bool = False,
+    vectorized: bool | None = None,
     include_tail: bool = True,
     poisson: bool = False,
     events: bool = False,
@@ -178,6 +178,10 @@ def replay_trace(
     """Run ``policy`` on ``system`` under ``trace`` for ``num_slots``
     (defaults to the trace length) — the 3-line dynamic-environment
     simulation, as one call.
+
+    ``vectorized`` picks the fluid data plane as
+    :class:`~repro.sim.simulator.SlotSimulator` does: by fleet size when
+    ``None``, forced by ``True``/``False``.
 
     ``events=True`` replays the trace through the task-level
     :class:`~repro.sim.events.EventSimulator` instead of the fluid slot

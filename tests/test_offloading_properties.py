@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.offloading import (
     BalanceOffloadingPolicy,
     DriftPlusPenaltyPolicy,
+    LyapunovState,
     feasible_ratio_interval,
     slot_cost,
 )
@@ -80,9 +81,8 @@ def test_dpp_decisions_are_transmission_feasible(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_balance_decisions_are_transmission_feasible(seed):
     system, state, arrivals = _load(seed)
-    for vectorized in (False, True):
-        policy = BalanceOffloadingPolicy(vectorized=vectorized)
-        _assert_feasible(system, arrivals, policy.decide(system, state, arrivals))
+    policy = BalanceOffloadingPolicy()
+    _assert_feasible(system, arrivals, policy.decide(system, state, arrivals))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -113,15 +113,22 @@ def test_feasible_interval_endpoints_satisfy_constraint(seed):
 # -- queue dynamics ------------------------------------------------------------
 
 
+def _advance(engine, fleet, arrivals):
+    """One array-plane slot, as the fluid loop runs it: decide Eq. 19 on
+    the current queues, price the slot, apply Eqs. 10-11."""
+    state = LyapunovState(fleet.queue_local.tolist(), fleet.queue_edge.tolist())
+    ratios = dpp_decide(engine.system, state, arrivals, v=50.0)
+    fleet.update(engine.slot_costs(None, ratios, arrivals, fleet))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_queues_never_go_negative(seed):
     system, state, _ = _load(seed)
     fleet = FleetState.from_lyapunov(state)
     engine = VectorizedSlotEngine(system)
-    policy = DriftPlusPenaltyPolicy(v=50.0, vectorized=True)
     for step in range(30):
         arrivals = random_arrivals(seed * 100 + step, system.num_devices)
-        engine.step(policy, fleet, arrivals, arrivals)
+        _advance(engine, fleet, arrivals)
         assert np.all(fleet.queue_local >= 0.0)
         assert np.all(fleet.queue_edge >= 0.0)
 
@@ -131,14 +138,13 @@ def test_queue_stability_under_feasible_light_load(seed):
     """Theorem 3 regime: arrivals well inside capacity keep E[backlog]
     bounded — the time-averaged backlog must not grow with the horizon."""
     system = random_fleet(seed, 4, max_arrivals=0.3)
-    policy = DriftPlusPenaltyPolicy(v=50.0, vectorized=True)
     engine = VectorizedSlotEngine(system)
-    fleet = FleetState.zeros(4)
+    fleet = FleetState.from_lyapunov(LyapunovState.zeros(4))
     backlogs = []
     for step in range(300):
         arrivals = random_arrivals(seed * 1000 + step, 4, high=0.3)
-        engine.step(policy, fleet, arrivals, arrivals)
-        backlogs.append(fleet.total_backlog())
+        _advance(engine, fleet, arrivals)
+        backlogs.append(float(fleet.queue_local.sum() + fleet.queue_edge.sum()))
     early = np.mean(backlogs[50:150])
     late = np.mean(backlogs[200:300])
     assert late <= max(2.0 * early, 10.0), "backlog keeps growing under light load"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,13 +29,15 @@ from repro.sim.environment import (
     StaticEnvironment,
     TraceEnvironment,
 )
+from repro.federation import FederatedEventSimulator
 from repro.sim.events import EventSimulator
+from repro.sim.fast_events import run_fast
 from repro.sim.metrics import SimulationResult, SlotRecord, summarize
 from repro.sim.simulator import SlotSimulator
 from repro.hardware import NetworkProfile
 from repro.units import mbps, ms
 
-from .helpers import random_fleet
+from .helpers import random_federation_topology, random_fleet, static_home_plan
 
 
 # -- slot simulator ------------------------------------------------------------
@@ -312,6 +315,66 @@ def test_event_sim_unstable_drain_raises(small_system):
             50,
             drain_limit_factor=2.0,
         )
+
+
+class _CountingPolicy:
+    """``FixedRatioPolicy(0.5)`` that counts its decisions."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, system, state, arrivals, devices=None):
+        self.calls += 1
+        return FixedRatioPolicy(0.5).decide(system, state, arrivals, devices)
+
+
+def _drain_probe() -> EventSimulator:
+    return EventSimulator(
+        system=random_fleet(0, 3), arrivals=[PoissonArrivals(0.5)] * 3, seed=0
+    )
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.5, -1.0])
+@pytest.mark.parametrize("entry", ["scalar", "fast", "run_fast"])
+def test_event_sim_rejects_bad_drain_limit(entry, factor):
+    """NaN would switch the unstable-system guard off and a factor below
+    1 would trip it on a system that drains: both are refused before
+    the first slot runs, on both engines and through ``run_fast``."""
+    policy = _CountingPolicy()
+    with pytest.raises(ValueError, match="drain_limit_factor"):
+        if entry == "run_fast":
+            run_fast(_drain_probe(), policy, 10, drain_limit_factor=factor)
+        else:
+            _drain_probe().run(
+                policy, 10, drain_limit_factor=factor, engine=entry
+            )
+    assert policy.calls == 0
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.5, -1.0])
+def test_federated_event_sim_rejects_bad_drain_limit(factor):
+    topology = random_federation_topology(0, 2, 4)
+    sim = FederatedEventSimulator(
+        topology=topology,
+        arrivals=[PoissonArrivals(0.5)] * 4,
+        plan=static_home_plan(topology, 10),
+    )
+    policy = _CountingPolicy()
+    with pytest.raises(ValueError, match="drain_limit_factor"):
+        sim.run(policy, 10, drain_limit_factor=factor)
+    assert policy.calls == 0
+
+
+@pytest.mark.parametrize("engine", ["scalar", "fast"])
+def test_event_sim_infinite_drain_limit_means_no_bound(engine):
+    bounded = _drain_probe().run(
+        FixedRatioPolicy(0.5), 10, drain_limit_factor=100.0, engine=engine
+    )
+    unbounded = _drain_probe().run(
+        FixedRatioPolicy(0.5), 10, drain_limit_factor=math.inf, engine=engine
+    )
+    assert bounded.tasks and all(t.done for t in bounded.tasks)
+    assert unbounded.tasks == bounded.tasks
 
 
 def test_event_sim_no_drain_counts_inflight(small_system):

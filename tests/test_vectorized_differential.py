@@ -11,7 +11,11 @@ mirror the scalar arithmetic operation-for-operation.
 oracle is the per-device scalar loop kept here
 (:func:`_reference_dpp_decide`), and those checks demand exact equality:
 both event engines compare each ratio against an offload coin, so a
-last-bit change would move tasks.
+last-bit change would move tasks.  ``BalanceOffloadingPolicy`` picks its
+solver by fleet size, so ``balance_decide`` must return its per-device
+loop's exact bits too.  The Eq. 27 allocation has no batched twin in
+``src``; its array formulation lives here as the scalar allocator's
+oracle (:func:`_kkt_allocation_array`).
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from repro.core.vectorized import (
     drift_plus_penalty_batch,
     edge_compute_split_batch,
     feasible_ratio_intervals,
-    floored_edge_allocation_batch,
-    kkt_edge_allocation_batch,
     slot_cost_batch,
 )
 from repro.hardware import NetworkProfile
@@ -226,6 +228,38 @@ def test_drift_plus_penalty_matches_scalar(seed):
     np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL, err_msg=f"seed {seed}")
 
 
+def _kkt_allocation_array(f: np.ndarray, k: np.ndarray, edge: float) -> np.ndarray:
+    """Eq. 27's active-set KKT water-filling as array expressions: an
+    independent formulation of ``kkt_edge_allocation``."""
+    n = f.size
+    if not np.any(k > 0):
+        return np.full(n, 1.0 / n)
+    active = k > 0
+    sqrt_k = np.sqrt(k)
+    while True:
+        level = (f[active].sum() + edge) / (edge * sqrt_k[active].sum())
+        candidate = np.where(active, sqrt_k * level - f / edge, 0.0)
+        negative = active & (candidate < 0)
+        if not np.any(negative):
+            shares = np.where(active, candidate, 0.0)
+            return shares / shares.sum()
+        active = active & ~negative
+        if not np.any(active):
+            shares = np.zeros(n)
+            shares[int(np.argmin(f))] = 1.0
+            return shares
+
+
+def _floored_allocation_array(f, k, edge, min_share):
+    """The floored variant: uniform when the floors leave no room."""
+    shares = _kkt_allocation_array(f, k, edge)
+    active = k > 0
+    if not np.any(active) or active.sum() * min_share >= 1.0:
+        return np.full(shares.size, 1.0 / shares.size)
+    floored = np.where(active, np.maximum(shares, min_share), shares)
+    return floored / floored.sum()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kkt_allocation_matches_scalar(seed):
     rng = np.random.default_rng(seed)
@@ -235,11 +269,11 @@ def test_kkt_allocation_matches_scalar(seed):
     if seed % 5 == 0:  # exercise the zero-demand branches too
         rates[: max(1, n // 2)] = 0.0
     edge = float(rng.uniform(1e10, 1e12))
-    got = kkt_edge_allocation_batch(flops, rates, edge)
-    want = kkt_edge_allocation(list(flops), list(rates), edge)
+    want = _kkt_allocation_array(flops, rates, edge)
+    got = kkt_edge_allocation(list(flops), list(rates), edge)
     np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL, err_msg=f"seed {seed}")
-    got_floored = floored_edge_allocation_batch(flops, rates, edge, min_share=0.05)
-    want_floored = floored_edge_allocation(list(flops), list(rates), edge, 0.05)
+    want_floored = _floored_allocation_array(flops, rates, edge, 0.05)
+    got_floored = floored_edge_allocation(list(flops), list(rates), edge, 0.05)
     np.testing.assert_allclose(
         got_floored, want_floored, rtol=TOL, atol=TOL, err_msg=f"seed {seed}"
     )
@@ -255,14 +289,14 @@ def test_dpp_decide_matches_scalar_policy(seed):
     assert dpp_decide(system, state, arrivals, v=50.0) == want, f"seed {seed}"
 
 
-def _probe_instance(seed: int):
-    """A harder DPP instance: up to 39 devices, heterogeneous on odd
-    seeds, some zero queues and zero arrivals, and on every third seed a
-    per-slot link override whose bandwidth spans 0.01-2x the device's own
-    and whose latency (1.5 s or 0.9 s of a 1 s slot) leaves no or almost
-    no uplink budget."""
+def _probe_instance(seed: int, max_devices: int = 39):
+    """A harder decision instance: up to ``max_devices`` devices,
+    heterogeneous on odd seeds, some zero queues and zero arrivals, and
+    on every third seed a per-slot link override whose bandwidth spans
+    0.01-2x the device's own and whose latency (1.5 s or 0.9 s of a 1 s
+    slot) leaves no or almost no uplink budget."""
     rng = np.random.default_rng(10_000 + seed)
-    n = 1 + seed % 39
+    n = 1 + seed % max_devices
     system = random_fleet(seed, n, heterogeneous=seed % 2 == 1)
     state = random_queue_state(seed + 1, n)
     arrivals = random_arrivals(seed + 2, n)
@@ -301,10 +335,16 @@ def test_dpp_decide_matches_reference_bitwise(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_balance_decide_matches_scalar_policy(seed):
-    system, state, arrivals, _ = _instance(seed)
-    want = BalanceOffloadingPolicy().decide(system, state, arrivals)
-    got = balance_decide(system, state, arrivals)
-    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL, err_msg=f"seed {seed}")
+    """Balance's two solvers return the same bits on 1-64 devices, on
+    dead and near-dead links and idle devices, so the fleet size may pick
+    either; the policy returns them whichever side of the crossover its
+    fleet lands on."""
+    system, state, arrivals, devices = _probe_instance(seed, max_devices=64)
+    policy = BalanceOffloadingPolicy()
+    devs = system.devices if devices is None else devices
+    want = policy._decide_loop(system, state, arrivals, devs)
+    assert balance_decide(system, state, arrivals, devices) == want, seed
+    assert policy.decide(system, state, arrivals, devices) == want, seed
 
 
 @pytest.mark.parametrize("seed", range(0, 40))
@@ -332,17 +372,12 @@ def test_policies_agree_on_heterogeneous_partitions(seed):
 @pytest.mark.parametrize("seed", range(0, 20))
 def test_vectorized_policy_flag_is_a_drop_in(seed):
     """Either value of the DPP ``vectorized`` flag returns the reference
-    answer, and Balance's flag returns its scalar answer."""
+    answer."""
     system, state, arrivals, _ = _instance(seed)
     want = _reference_dpp_decide(system, state, arrivals, v=25.0)
     for vectorized in (False, True):
         policy = DriftPlusPenaltyPolicy(v=25.0, vectorized=vectorized)
         assert policy.decide(system, state, arrivals) == want
-    scalar_b = BalanceOffloadingPolicy().decide(system, state, arrivals)
-    fast_b = BalanceOffloadingPolicy(vectorized=True).decide(
-        system, state, arrivals
-    )
-    np.testing.assert_allclose(fast_b, scalar_b, rtol=TOL, atol=TOL)
 
 
 # -- queue recursions and whole simulations ------------------------------------
@@ -367,10 +402,6 @@ def test_fleet_state_update_matches_lyapunov(seed):
         np.testing.assert_allclose(
             fleet.queue_edge, state.queue_edge, rtol=TOL, atol=TOL
         )
-    assert fleet.lyapunov_value() == pytest.approx(
-        state.lyapunov_value(), rel=TOL
-    )
-    assert fleet.total_backlog() == pytest.approx(state.total_backlog(), rel=TOL)
 
 
 @pytest.mark.parametrize("seed", range(0, 10))
@@ -408,20 +439,3 @@ def test_whole_simulation_matches_scalar(seed, policy_name):
         np.testing.assert_allclose(b.queue_local, a.queue_local, rtol=TOL, atol=TOL)
         np.testing.assert_allclose(b.queue_edge, a.queue_edge, rtol=TOL, atol=TOL)
     assert fast.mean_tct == pytest.approx(scalar.mean_tct, rel=TOL)
-
-
-def test_engine_step_advances_like_simulator():
-    """``VectorizedSlotEngine.step`` = decide + cost + queue update."""
-    system, state, arrivals, _ = _instance(7)
-    fleet = FleetState.from_lyapunov(state)
-    engine = VectorizedSlotEngine(system)
-    policy = DriftPlusPenaltyPolicy(v=50.0)
-    ratios, cost = engine.step(policy, fleet, arrivals, arrivals)
-    want_ratios = _reference_dpp_decide(system, state, arrivals, v=50.0)
-    assert ratios == want_ratios
-    costs = _scalar_costs(system, state, want_ratios, arrivals)
-    for i, c in enumerate(costs):
-        state.update(i, c)
-    np.testing.assert_allclose(fleet.queue_local, state.queue_local, rtol=TOL)
-    np.testing.assert_allclose(fleet.queue_edge, state.queue_edge, rtol=TOL)
-    assert cost.total_time.shape == (system.num_devices,)
