@@ -317,19 +317,19 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         me_dnn, config.average_environment()
     ).partition
     system = config.system(partition)
-    policy = _build_policy(args.policy, args.v)
     num_slots = args.slots if args.slots else trace.num_slots
 
+    # A fresh policy per replay: a learning policy carries per-run state.
     start = time.perf_counter()
     fast = replay_trace(
-        system, trace, policy, num_slots=num_slots, seed=args.seed,
-        vectorized=True,
+        system, trace, _build_policy(args.policy, args.v),
+        num_slots=num_slots, seed=args.seed, vectorized=True,
     )
     fast_elapsed = time.perf_counter() - start
     start = time.perf_counter()
     scalar = replay_trace(
-        system, trace, policy, num_slots=num_slots, seed=args.seed,
-        vectorized=False,
+        system, trace, _build_policy(args.policy, args.v),
+        num_slots=num_slots, seed=args.seed, vectorized=False,
     )
     scalar_elapsed = time.perf_counter() - start
     from .chaos.oracles import fluid_conservation, records_equal

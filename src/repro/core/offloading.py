@@ -28,7 +28,7 @@ relaxation ``0 ≤ x_i(t) ≤ 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -99,6 +99,156 @@ class DeviceConfig:
             mean_arrivals=mean_arrivals,
             overhead=platform.per_task_overhead,
         )
+
+
+def _column(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+class LiveFleet(Sequence[DeviceConfig]):
+    """One slot's device configs, held as columns.
+
+    A dynamic environment's ``devices_at`` returns one of these: the
+    deployed ``base`` configs plus read-only float64 ``flops``,
+    ``bandwidth`` and ``latency`` columns for the slot (and the base
+    ``overhead`` column).  Array consumers read the columns.  Indexing
+    builds the :class:`DeviceConfig` a per-device consumer sees, once
+    per device: the base config itself where the slot leaves it
+    unchanged, otherwise a copy with the live values as Python floats.
+    A fleet compares equal to the tuple of configs it builds.
+
+    :meth:`of` reads a fleet off valid configs; :meth:`with_columns`
+    derives a slot's fleet from it and checks the columns with the
+    conditions of :class:`DeviceConfig` and
+    :class:`~repro.hardware.NetworkProfile`: the first failing device
+    raises the error its constructor raises.
+    """
+
+    __slots__ = ("base", "flops", "bandwidth", "latency", "overhead", "_built")
+
+    def __init__(
+        self,
+        base: Sequence[DeviceConfig],
+        flops,
+        bandwidth,
+        latency,
+        overhead,
+    ):
+        self.base = tuple(base)
+        self.flops = _column(flops)
+        self.bandwidth = _column(bandwidth)
+        self.latency = _column(latency)
+        self.overhead = _column(overhead)
+        self._built: list[DeviceConfig | None] = [None] * len(self.base)
+        shape = (len(self.base),)
+        if not (
+            self.flops.shape
+            == self.bandwidth.shape
+            == self.latency.shape
+            == self.overhead.shape
+            == shape
+        ):
+            raise ValueError(f"a live fleet needs {shape[0]} values per column")
+
+    @classmethod
+    def of(
+        cls, devices: Sequence[DeviceConfig], last: "LiveFleet | None" = None
+    ) -> "LiveFleet":
+        """``devices`` as a live fleet: itself when it is one, ``last``
+        when ``last`` was read off this very tuple, else the configs'
+        columns."""
+        if isinstance(devices, LiveFleet):
+            return devices
+        if last is not None and last.base is devices:
+            return last
+        return cls(
+            devices,
+            [d.flops for d in devices],
+            [d.link.bandwidth for d in devices],
+            [d.link.latency for d in devices],
+            [d.overhead for d in devices],
+        )
+
+    def with_columns(
+        self, *, flops=None, bandwidth=None, latency=None
+    ) -> "LiveFleet":
+        """A fleet over the same base with the given columns replaced,
+        checked."""
+        fleet = LiveFleet(
+            self.base,
+            self.flops if flops is None else flops,
+            self.bandwidth if bandwidth is None else bandwidth,
+            self.latency if latency is None else latency,
+            self.overhead,
+        )
+        # A comparison is False for NaN, so NaN fails too.
+        ok = (
+            (fleet.flops > 0)
+            & (fleet.flops < math.inf)
+            & (fleet.bandwidth > 0)
+            & (fleet.bandwidth < math.inf)
+            & (fleet.latency >= 0)
+            & (fleet.latency < math.inf)
+        )
+        if not ok.all():
+            fleet[int(np.argmin(ok))]  # raises the device's own error
+        return fleet
+
+    def take(self, members: Sequence[int]) -> "LiveFleet":
+        """The sub-fleet of ``members``, in their order."""
+        idx = np.asarray(members, dtype=np.intp)
+        return LiveFleet(
+            [self.base[i] for i in members],
+            self.flops[idx],
+            self.bandwidth[idx],
+            self.latency[idx],
+            self.overhead[idx],
+        )
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self.base))[index])
+        device = self._built[index]
+        if device is None:
+            device = self._built[index] = self._build(index)
+        return device
+
+    def _build(self, i: int) -> DeviceConfig:
+        base = self.base[i]
+        link = base.link
+        flops = self.flops[i].item()
+        bandwidth = self.bandwidth[i].item()
+        latency = self.latency[i].item()
+        same_link = bandwidth == link.bandwidth and latency == link.latency
+        if flops == base.flops:
+            if same_link:
+                return base
+            flops = base.flops
+        return replace(
+            base,
+            flops=flops,
+            link=link if same_link else NetworkProfile(bandwidth, latency),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.base)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (LiveFleet, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"LiveFleet({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -590,7 +740,7 @@ class BalanceOffloadingPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        devs = tuple(devices) if devices is not None else system.devices
+        devs = system.devices if devices is None else devices
         if len(devs) >= _BALANCE_BATCH_MIN:
             from .vectorized import balance_decide
 
@@ -664,7 +814,7 @@ class FixedRatioPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        devs = tuple(devices) if devices is not None else system.devices
+        devs = system.devices if devices is None else devices
         if not self.respect_constraint:
             return [self.ratio] * len(devs)
         if len(devs) >= _BATCH_DECIDE_MIN:
@@ -680,7 +830,7 @@ class FixedRatioPolicy:
     def _decide_batch(
         self,
         system: EdgeSystem,
-        devs: tuple[DeviceConfig, ...],
+        devs: Sequence[DeviceConfig],
         arrivals: Sequence[float],
     ) -> list[float]:
         """Array twin of the per-device loop for serving-scale fleets.
@@ -688,11 +838,15 @@ class FixedRatioPolicy:
         Evaluates the identical elementwise IEEE expressions via
         :func:`~repro.core.vectorized.feasible_ratio_intervals_arrays`,
         so the returned ratios are bitwise equal to the scalar loop's —
-        both event engines consume the same offload coins either way."""
+        both event engines consume the same offload coins either way.
+        A :class:`LiveFleet` hands over its link columns."""
         from .vectorized import feasible_ratio_intervals_arrays
 
-        bandwidth = np.array([d.link.bandwidth for d in devs])
-        latency = np.array([d.link.latency for d in devs])
+        if isinstance(devs, LiveFleet):
+            bandwidth, latency = devs.bandwidth, devs.latency
+        else:
+            bandwidth = np.array([d.link.bandwidth for d in devs])
+            latency = np.array([d.link.latency for d in devs])
         if system.device_partitions:
             parts = system.device_partitions
             d0 = np.array([p.d0 for p in parts])

@@ -48,6 +48,7 @@ from .offloading import (
     _EPS,
     DeviceConfig,
     EdgeSystem,
+    LiveFleet,
     LyapunovState,
 )
 
@@ -65,6 +66,21 @@ __all__ = [
     "service_times_batch",
     "fifo_schedule_batch",
 ]
+
+
+#: The :class:`FleetParams` columns read off each device's partition.
+_PARTITION_COLUMNS = ("mu1", "mu2", "mu3", "d0", "d1", "d2", "sigma1", "sigma2")
+
+
+def _partition_table(system: EdgeSystem, n: int) -> np.ndarray:
+    """The ``(8, n)`` partition columns of the first ``n`` devices; a
+    homogeneous deployment repeats its one partition's values."""
+    parts = system.device_partitions[:n] or (system.partition,)
+    table = np.array(
+        [[getattr(p, name) for p in parts] for name in _PARTITION_COLUMNS],
+        dtype=np.float64,
+    )
+    return table if len(parts) == n else np.repeat(table, n, axis=1)
 
 
 @dataclass(frozen=True)
@@ -103,24 +119,18 @@ class FleetParams:
         devices: Sequence[DeviceConfig] | None = None,
     ) -> "FleetParams":
         """Extract arrays from ``system`` (and this slot's live ``devices``,
-        which a dynamic environment may have substituted)."""
-        devs = tuple(devices) if devices is not None else system.devices
-        parts = [system.partition_for(i) for i in range(len(devs))]
-        as_array = lambda values: np.array(values, dtype=np.float64)
+        which a dynamic environment may have substituted).  A
+        :class:`~repro.core.offloading.LiveFleet` hands over its columns
+        without building a config."""
+        fleet = LiveFleet.of(system.devices if devices is None else devices)
+        n = len(fleet)
         return cls(
-            flops=as_array([d.flops for d in devs]),
-            bandwidth=as_array([d.link.bandwidth for d in devs]),
-            latency=as_array([d.link.latency for d in devs]),
-            overhead=as_array([d.overhead for d in devs]),
-            shares=as_array(system.shares[: len(devs)]),
-            mu1=as_array([p.mu1 for p in parts]),
-            mu2=as_array([p.mu2 for p in parts]),
-            mu3=as_array([p.mu3 for p in parts]),
-            d0=as_array([p.d0 for p in parts]),
-            d1=as_array([p.d1 for p in parts]),
-            d2=as_array([p.d2 for p in parts]),
-            sigma1=as_array([p.sigma1 for p in parts]),
-            sigma2=as_array([p.sigma2 for p in parts]),
+            flops=fleet.flops,
+            bandwidth=fleet.bandwidth,
+            latency=fleet.latency,
+            overhead=fleet.overhead,
+            shares=np.array(system.shares[:n], dtype=np.float64),
+            **dict(zip(_PARTITION_COLUMNS, _partition_table(system, n))),
         )
 
     def column(self, values: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -565,19 +575,26 @@ class FleetState:
 class VectorizedSlotEngine:
     """One-call-per-slot evaluation of a whole fleet.
 
-    Precomputes the static :class:`FleetParams` once; a dynamic environment
-    that substitutes per-slot device configs triggers an O(N) re-extraction
-    (still negligible next to the scalar path's O(N·grid) cost closures).
+    Precomputes the static :class:`FleetParams` once; a dynamic
+    environment's per-slot :class:`~repro.core.offloading.LiveFleet`
+    hands over its columns instead, so no slot reads a config object.
     """
 
     def __init__(self, system: EdgeSystem):
         self.system = system
-        self._static_params = FleetParams.from_system(system)
+        self._fleet = LiveFleet.of(system.devices)
+        self._static_params = FleetParams.from_system(system, self._fleet)
 
     def params_for(
         self, devices: Sequence[DeviceConfig] | None
     ) -> FleetParams:
-        if devices is None or tuple(devices) == self.system.devices:
+        if devices is None or devices is self.system.devices:
+            return self._static_params
+        if not isinstance(devices, LiveFleet) and tuple(devices) == (
+            self.system.devices
+        ):
+            # A static environment's configs gathered for a federated
+            # shard: element identity makes the test cheap.
             return self._static_params
         return FleetParams.from_system(self.system, devices)
 
@@ -598,9 +615,9 @@ class VectorizedSlotEngine:
         and the overload ladder swaps in degraded partitions.  Shared
         overrides (edge capacity) leave the precomputed per-device
         :class:`FleetParams` valid; partition overrides change the
-        ``μ``/``d``/``σ`` rows, so those trigger an O(N) re-extraction
+        ``μ``/``d``/``σ`` rows, so those re-read the partition columns
         from the live system — exactly what the scalar loop reads via
-        ``live_system.partition_for(i)``.
+        ``live_system.partition_for(i)`` — next to the device columns.
 
         ``share_scale`` discounts each device's container-slice share for
         this slot (a cold model load occupying part of the slot; see
@@ -615,6 +632,8 @@ class VectorizedSlotEngine:
             live.partition is not self.system.partition
             or live.device_partitions != self.system.device_partitions
         ):
+            if devices is None or devices is self.system.devices:
+                devices = self._fleet
             params = FleetParams.from_system(live, devices)
         else:
             params = self.params_for(devices)

@@ -11,7 +11,7 @@ one warm pool per shard.  This module supplies what is federation-only:
 
 * **Shards**: each populated edge builds an
   :class:`~repro.core.offloading.EdgeSystem` over its members with
-  per-edge KKT shares, cached per assignment epoch.  One plane serves
+  per-edge KKT shares, kept while its member set holds.  One plane serves
   every shard, picked from the devices per edge.  The array plane
   gathers each shard's sub-state with
   :meth:`~repro.core.vectorized.FleetState.shard`, steps it through the
@@ -200,9 +200,11 @@ class _EdgeShards:
     """The federation's shard provider: one shard per edge over the
     plan's members for the slot.
 
-    Shard systems (and vectorized engines) are cached per member set —
-    they only change at assignment-epoch boundaries, and are derived
-    (immutable) data: rebuilt, not checkpointed.  A down edge's capacity
+    Each edge keeps the shard system (and vectorized engine) of its
+    latest member set: members only change at assignment-epoch
+    boundaries, and a shard is derived (immutable) data — rebuilt, not
+    checkpointed.  An older member set is rebuilt if it comes back, so
+    the cache holds at most one entry per edge.  A down edge's capacity
     collapses to ``edge_down_factor`` × nominal while its peers run
     untouched.  The plane is decided once, for every shard: the loop
     keeps one global fleet state on the array plane.
@@ -218,7 +220,9 @@ class _EdgeShards:
         self.vectorized = resolve_plane(
             sim.vectorized, self.num_devices / self.num_shards
         )
-        self._cache: dict[tuple, tuple[EdgeSystem, VectorizedSlotEngine | None]] = {}
+        self._cache: dict[
+            int, tuple[list[int], EdgeSystem, VectorizedSlotEngine | None]
+        ] = {}
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
         """One warm pool + shed budget per edge over the *global* device
@@ -261,12 +265,12 @@ class _EdgeShards:
             if not members:
                 shards.append(FluidShard(members, None, None, down))
                 continue
-            key = (e, tuple(members))
-            if key not in self._cache:
+            cached = self._cache.get(e)
+            if cached is None or cached[0] != members:
                 system = sim.topology.build_shard(e, members)
                 engine = VectorizedSlotEngine(system) if self.vectorized else None
-                self._cache[key] = (system, engine)
-            system, engine = self._cache[key]
+                cached = self._cache[e] = (members, system, engine)
+            _, system, engine = cached
             if down:
                 system = replace(
                     system, edge_flops=system.edge_flops * sim.edge_down_factor

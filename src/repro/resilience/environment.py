@@ -38,8 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.offloading import DeviceConfig, EdgeSystem
-from ..hardware import NetworkProfile
+from ..core.offloading import DeviceConfig, EdgeSystem, LiveFleet
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from .faults import FaultPlan
 
@@ -74,6 +73,8 @@ class FaultyEnvironment:
             raise ValueError("corrupt_factor must be in (0, 1]")
         if not 0 < self.edge_down_factor <= 1:
             raise ValueError("edge_down_factor must be in (0, 1]")
+        # The columns of the last base fleet seen.
+        self._fleet: LiveFleet | None = None
         # Rebuilding an EdgeSystem re-runs validation; cache the degraded
         # system while the live base system is unchanged.
         self._last_base: EdgeSystem | None = None
@@ -81,7 +82,7 @@ class FaultyEnvironment:
 
     def devices_at(
         self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> tuple[DeviceConfig, ...]:
+    ) -> Sequence[DeviceConfig]:
         devices = self.base.devices_at(slot, base, rng)
         if len(devices) != self.plan.num_devices:
             raise ValueError(
@@ -89,28 +90,18 @@ class FaultyEnvironment:
                 f"system has {len(devices)}"
             )
         if not self.plan.in_range(slot):
-            return tuple(devices)
-        t = slot
-        adjusted = []
-        for i, device in enumerate(devices):
-            bandwidth = device.link.bandwidth
-            if self.plan.uplink_drop[t, i]:
-                bandwidth *= self.drop_factor
-            elif self.plan.uplink_corrupt[t, i]:
-                bandwidth *= self.corrupt_factor
-            # A Python float, so both fluid planes record the same types.
-            flops = device.flops / float(self.plan.straggler[t, i])
-            if bandwidth == device.link.bandwidth and flops == device.flops:
-                adjusted.append(device)
-            else:
-                adjusted.append(
-                    replace(
-                        device,
-                        flops=flops,
-                        link=NetworkProfile(bandwidth, device.link.latency),
-                    )
-                )
-        return tuple(adjusted)
+            return devices
+        plan, t = self.plan, slot
+        fleet = self._fleet = LiveFleet.of(devices, self._fleet)
+        goodput = np.where(
+            plan.uplink_drop[t] != 0,
+            self.drop_factor,
+            np.where(plan.uplink_corrupt[t] != 0, self.corrupt_factor, 1.0),
+        )
+        return fleet.with_columns(
+            flops=fleet.flops / plan.straggler[t],
+            bandwidth=fleet.bandwidth * goodput,
+        )
 
     def edge_down_at(self, slot: int) -> bool:
         """Whether the edge is out during ``slot`` (the fluid simulator

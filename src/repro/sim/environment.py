@@ -9,21 +9,40 @@ exactly the transient mismatch LEIME's online phase is designed to absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..core.offloading import DeviceConfig
-from ..hardware import NetworkProfile
+from ..core.offloading import DeviceConfig, LiveFleet
 
 
 class DynamicEnvironment(Protocol):
-    """Per-slot view of the device population's live conditions."""
+    """Per-slot view of the device population's live conditions.
+
+    ``devices_at`` returns the device configs in effect during the slot,
+    in one of two forms:
+
+    * ``base`` itself, the same tuple every slot, when the environment
+      leaves the devices alone (a consumer may skip its per-slot refresh
+      when it gets the object it saw last slot);
+    * a :class:`~repro.core.offloading.LiveFleet` when it overrides
+      them: the base configs plus the slot's ``flops``, ``bandwidth``
+      and ``latency`` as float64 columns, checked as the slot is derived
+      (``LiveFleet.with_columns``) with the :class:`DeviceConfig` and
+      :class:`~repro.hardware.NetworkProfile` conditions.  Array
+      consumers (``FleetParams.from_system``, ``FixedRatioPolicy``'s
+      batched branch, the fast event engine) read the columns; a
+      per-device consumer indexes it and gets a memoised config.
+
+    An environment that overrides devices keeps the columns of the last
+    base tuple it saw (``LiveFleet.of(base, last)``), so a slot reads no
+    config object.
+    """
 
     def devices_at(
         self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> tuple[DeviceConfig, ...]:
+    ) -> Sequence[DeviceConfig]:
         """The device configs in effect during ``slot``."""
         ...
 
@@ -53,12 +72,19 @@ class TraceEnvironment:
     def __post_init__(self) -> None:
         if not self.trace:
             raise ValueError("trace must be non-empty")
+        object.__setattr__(self, "_fleet", None)
 
     def devices_at(
         self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> tuple[DeviceConfig, ...]:
+    ) -> LiveFleet:
         profile = self.trace[slot % len(self.trace)]
-        return tuple(replace(device, link=profile) for device in base)
+        fleet = LiveFleet.of(base, self._fleet)
+        object.__setattr__(self, "_fleet", fleet)
+        n = len(fleet)
+        return fleet.with_columns(
+            bandwidth=np.full(n, profile.bandwidth),
+            latency=np.full(n, profile.latency),
+        )
 
 
 @dataclass
@@ -87,26 +113,24 @@ class RandomWalkEnvironment:
         if not 0 < self.min_bandwidth <= self.max_bandwidth:
             raise ValueError("need 0 < min_bandwidth <= max_bandwidth")
         self._factors: list[float] = []
+        self._fleet: LiveFleet | None = None
 
     def devices_at(
         self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> tuple[DeviceConfig, ...]:
-        if len(self._factors) != len(base):
-            self._factors = [1.0] * len(base)
-        adjusted = []
-        for i, device in enumerate(base):
-            self._factors[i] *= float(np.exp(rng.normal(0.0, self.sigma)))
+    ) -> LiveFleet:
+        fleet = self._fleet = LiveFleet.of(base, self._fleet)
+        if len(self._factors) != len(fleet):
+            self._factors = [1.0] * len(fleet)
+        factors = self._factors
+        walked = []
+        for i, configured in enumerate(fleet.bandwidth.tolist()):
+            factors[i] *= float(np.exp(rng.normal(0.0, self.sigma)))
             bandwidth = min(
-                max(device.link.bandwidth * self._factors[i], self.min_bandwidth),
+                max(configured * factors[i], self.min_bandwidth),
                 self.max_bandwidth,
             )
             # Keep the walk inside the clamp so it cannot drift arbitrarily
             # far beyond the representable range.
-            self._factors[i] = bandwidth / device.link.bandwidth
-            adjusted.append(
-                replace(
-                    device,
-                    link=NetworkProfile(bandwidth, device.link.latency),
-                )
-            )
-        return tuple(adjusted)
+            factors[i] = bandwidth / configured
+            walked.append(bandwidth)
+        return fleet.with_columns(bandwidth=walked)

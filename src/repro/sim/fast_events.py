@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.offloading import OffloadingPolicy
+from ..core.offloading import LiveFleet, OffloadingPolicy
 from ..core.vectorized import fifo_schedule_batch, service_times_batch
 from ..resilience.overload import (
     MODE_FULL,
@@ -526,23 +526,20 @@ class _FastEngine:
 
     def reconfigure(self, live) -> None:
         # A static environment hands back the same device tuple every
-        # slot (``tuple()`` of a tuple is the identical object), so the
-        # per-device refresh — a Python loop over the whole fleet — only
-        # runs when the configs actually changed.
+        # slot, so the refresh only runs when the configs changed; a
+        # dynamic one hands over a LiveFleet, whose link columns are
+        # copied without reading a config.
         if live is self._last_live:
             return
         self._last_live = live
+        fleet = LiveFleet.of(live)
         n = self.n
         if self.shared_uplink:
-            self.rate[n] = live[0].link.bandwidth
-            self.extra[n] = live[0].link.latency
+            self.rate[n] = fleet.bandwidth[0]
+            self.extra[n] = fleet.latency[0]
         else:
-            rate = self.rate
-            extra = self.extra
-            for i, device in enumerate(live):
-                link = device.link
-                rate[n + i] = link.bandwidth
-                extra[n + i] = link.latency
+            self.rate[n : 2 * n] = fleet.bandwidth
+            self.extra[n : 2 * n] = fleet.latency
 
     def set_device_modes(self, modes) -> None:
         """Realise the slot's per-device rungs: override the exit-coin

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.offloading import (
     EdgeSystem,
+    LiveFleet,
     LyapunovState,
     OffloadingPolicy,
     slot_cost,
@@ -92,8 +93,13 @@ def resolve_plane(vectorized: bool | None, devices_per_edge: float) -> bool:
 
 
 def _take(values, members):
-    """``values`` restricted to ``members`` (all of it for ``None``)."""
-    return values if members is None else [values[i] for i in members]
+    """``values`` restricted to ``members`` (all of it for ``None``); a
+    live fleet gathers its columns."""
+    if members is None:
+        return values
+    if isinstance(values, LiveFleet):
+        return values.take(members)
+    return [values[i] for i in members]
 
 
 class _WholeFleet:

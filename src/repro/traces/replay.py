@@ -24,8 +24,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.offloading import DeviceConfig, EdgeSystem, OffloadingPolicy
-from ..hardware import NetworkProfile
+from ..core.offloading import (
+    DeviceConfig,
+    EdgeSystem,
+    LiveFleet,
+    OffloadingPolicy,
+)
 from ..sim.arrivals import TraceArrivals
 from ..sim.metrics import SimulationResult
 from .schema import Trace
@@ -74,10 +78,12 @@ class TraceEnvironment:
     """Drive a simulator's per-slot conditions from a trace.
 
     Implements ``devices_at`` (per-device link overrides where the trace
-    carries ``bandwidth``/``latency``) and the ``system_at`` extension
-    the :class:`~repro.sim.simulator.SlotSimulator` probes for (per-slot
-    ``edge_flops``).  The KKT ``shares`` stay as deployed — edge capacity
-    scales, the proportional split does not re-run per slot.
+    carries ``bandwidth``/``latency``, as one
+    :class:`~repro.core.offloading.LiveFleet` per slot) and the
+    ``system_at`` extension the :class:`~repro.sim.simulator.SlotSimulator`
+    probes for (per-slot ``edge_flops``).  The KKT ``shares`` stay as
+    deployed — edge capacity scales, the proportional split does not
+    re-run per slot.
 
     Attributes:
         trace: The replayed trace.
@@ -93,6 +99,8 @@ class TraceEnvironment:
         self._latency = _channel_matrix(self.trace, "latency")
         edge = self.trace.get("edge_flops")
         self._edge = None if edge is None else np.ravel(edge.values)
+        # The columns of the last base fleet seen.
+        self._fleet: LiveFleet | None = None
         # Per-slot caches: rebuilding an EdgeSystem re-runs validation,
         # so reuse the previous object while the base system and the
         # capacity are unchanged.
@@ -112,7 +120,7 @@ class TraceEnvironment:
 
     def devices_at(
         self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> tuple[DeviceConfig, ...]:
+    ) -> Sequence[DeviceConfig]:
         if self._bandwidth is None and self._latency is None:
             return tuple(base)
         if len(base) != self.trace.num_devices:
@@ -121,34 +129,22 @@ class TraceEnvironment:
                 f"system has {len(base)}"
             )
         t = self._index(slot)
+        fleet = self._fleet = LiveFleet.of(base, self._fleet)
+        # Offline devices keep their baseline link and carry zero traffic
+        # (the arrival adapter gates the rate with the same mask).
         up = self.trace.up_at(t)
-        adjusted = []
-        for i, device in enumerate(base):
-            if not up[i]:
-                # Offline: baseline link, zero traffic (the arrival
-                # adapter gates the rate with the same mask).
-                adjusted.append(device)
-                continue
-            bandwidth = (
-                device.link.bandwidth
+        return fleet.with_columns(
+            bandwidth=(
+                None
                 if self._bandwidth is None
-                else float(self._bandwidth[t, i])
-            )
-            latency = (
-                device.link.latency
+                else np.where(up, self._bandwidth[t], fleet.bandwidth)
+            ),
+            latency=(
+                None
                 if self._latency is None
-                else float(self._latency[t, i])
-            )
-            if (
-                bandwidth == device.link.bandwidth
-                and latency == device.link.latency
-            ):
-                adjusted.append(device)
-            else:
-                adjusted.append(
-                    replace(device, link=NetworkProfile(bandwidth, latency))
-                )
-        return tuple(adjusted)
+                else np.where(up, self._latency[t], fleet.latency)
+            ),
+        )
 
     def system_at(self, slot: int, base: EdgeSystem) -> EdgeSystem:
         """The system in effect during ``slot`` (per-slot edge capacity)."""

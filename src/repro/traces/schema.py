@@ -15,8 +15,8 @@ channel               units      meaning
 
 Churn uses NaN as the explicit "no signal" value: where ``up`` is 0 a
 device's bandwidth/latency/arrival-rate samples may be NaN (an offline
-device reports nothing), and validation *rejects* NaN anywhere a device
-is up.  Replay treats a down slot as zero arrivals on the device's
+device reports nothing), and validation *rejects* NaN and ±inf anywhere
+a device is up.  Replay treats a down slot as zero arrivals on the device's
 configured baseline link.
 """
 
@@ -142,6 +142,10 @@ class Trace:
             if np.isnan(live).any():
                 raise TraceValidationError(
                     f"channel {name!r} has NaN where devices are up"
+                )
+            if np.isinf(live).any():
+                raise TraceValidationError(
+                    f"channel {name!r} has inf where devices are up"
                 )
             if name in _POSITIVE and not (live > 0).all():
                 raise TraceValidationError(f"channel {name!r} must be positive")

@@ -101,9 +101,11 @@ def test_requires_command():
         main([])
 
 
-def test_trace_generate_describe_replay(tmp_path, capsys):
+@pytest.mark.parametrize("policy", ["leime", "bandit", "tabular-q"])
+def test_trace_generate_describe_replay(tmp_path, capsys, policy):
     """The full trace pipeline through the CLI: synthesise, inspect,
-    replay, and export the benchmark summary."""
+    replay, and export the benchmark summary.  Learning policies carry
+    per-run state, so each plane must replay a fresh one."""
     trace_path = tmp_path / "wild.npz"
     summary_path = tmp_path / "out.json"
     assert (
@@ -141,7 +143,7 @@ def test_trace_generate_describe_replay(tmp_path, capsys):
                 "--model",
                 "squeezenet-1.0",
                 "--policy",
-                "leime",
+                policy,
                 "--output",
                 str(summary_path),
             ]

@@ -108,6 +108,26 @@ def test_nan_allowed_only_where_down():
                 TraceChannel("up", up),
             )
         )
+    # +inf passes every sign test, so it is rejected on its own, in each
+    # canonical channel, at construction rather than at replay.
+    for name in ("bandwidth", "latency", "arrival_rate"):
+        values = bandwidth.copy()
+        values[2, 1] = np.inf
+        with pytest.raises(TraceValidationError, match="inf"):
+            Trace(
+                channels=(
+                    TraceChannel(name, values),
+                    TraceChannel("up", up),
+                )
+            )
+        # ... but an offline device's samples stay unconstrained.
+        values = bandwidth.copy()
+        values[1, 0] = np.inf
+        Trace(channels=(TraceChannel(name, values), TraceChannel("up", up)))
+    edge = np.full(3, 1e9)
+    edge[1] = np.inf
+    with pytest.raises(TraceValidationError, match="inf"):
+        Trace(channels=(TraceChannel("edge_flops", edge),))
 
 
 def test_up_channel_must_be_binary():
