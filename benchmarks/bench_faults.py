@@ -37,9 +37,7 @@ from repro.chaos.oracles import records_equal
 from repro.core.offloading import DriftPlusPenaltyPolicy
 from repro.experiments.common import TestbedConfig, leime_scheme
 from repro.resilience import (
-    FaultyEnvironment,
     RecoveryPolicy,
-    ResilientPolicy,
     canonical_outage_plan,
     slo_summary,
     time_to_recovery,
@@ -70,16 +68,14 @@ def run(
 
     # --- Fluid level: resilient LEIME through both slot-simulator paths.
     def fluid(vectorized: bool):
-        policy = ResilientPolicy(
-            DriftPlusPenaltyPolicy(v=config.v), plan, RecoveryPolicy.default()
-        )
         return SlotSimulator(
             system=system,
             arrivals=config.arrival_processes(),
-            environment=FaultyEnvironment(plan),
             seed=seed,
             vectorized=vectorized,
-        ).run(policy, num_slots)
+            faults=plan,
+            recovery=RecoveryPolicy.default(),
+        ).run(DriftPlusPenaltyPolicy(v=config.v), num_slots)
 
     start = time.perf_counter()
     fast = fluid(vectorized=True)

@@ -233,17 +233,15 @@ def sample_case(spec: ChaosSpec, index: int) -> dict:
 
 def _run_fluid_case(case: Mapping[str, object]) -> list[str]:
     from ..resilience.faults import canonical_outage_plan
-    from ..resilience.environment import FaultyEnvironment
-    from ..resilience.recovery import RecoveryPolicy, ResilientPolicy
-    from ..sim.environment import StaticEnvironment
+    from ..resilience.recovery import RecoveryPolicy
     from ..sim.simulator import SlotSimulator
 
     n = case["num_devices"]
     slots = case["num_slots"]
     system = _fleet(case["seed"], n)
-    # ResilientPolicy keeps its own slot cursor that assumes it is the
-    # outermost per-slot callee, so the fluid level runs data-plane
-    # faults only when the fenced wrapper is off.
+    # The run's ResilientPolicy keeps its own slot cursor that assumes it
+    # is the outermost per-slot callee, so the fluid level runs
+    # data-plane faults only when the fenced wrapper is off.
     data_faults = case["faults"] and not case["control_faults"]
     plan = (
         canonical_outage_plan(num_slots=slots, num_devices=n, seed=case["seed"])
@@ -251,24 +249,16 @@ def _run_fluid_case(case: Mapping[str, object]) -> list[str]:
         else None
     )
 
-    def policy():
-        if plan is not None:
-            return ResilientPolicy(
-                _base_policy(case), plan, RecoveryPolicy.default()
-            )
-        return _policy(case)
-
     def simulate(vectorized: bool, **hooks):
         return SlotSimulator(
             system=system,
             arrivals=_arrival_processes(case, n),
-            environment=(
-                FaultyEnvironment(plan) if plan is not None else StaticEnvironment()
-            ),
             seed=case["seed"],
             vectorized=vectorized,
             overload=_overload(case),
-        ).run(policy(), slots, **hooks)
+            faults=plan,
+            recovery=None if plan is None else RecoveryPolicy.default(),
+        ).run(_policy(case), slots, **hooks)
 
     scalar = simulate(False)
     vectorized = simulate(True)

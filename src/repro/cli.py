@@ -440,13 +440,7 @@ def _cmd_faults_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults_replay(args: argparse.Namespace) -> int:
-    from .resilience import (
-        FaultyEnvironment,
-        RecoveryPolicy,
-        ResilientPolicy,
-        load_fault_plan,
-        slo_summary,
-    )
+    from .resilience import RecoveryPolicy, load_fault_plan, slo_summary
     from .sim.events import EventSimulator
     from .sim.simulator import SlotSimulator
 
@@ -461,19 +455,16 @@ def _cmd_faults_replay(args: argparse.Namespace) -> int:
     num_slots = args.slots if args.slots else plan.num_slots
 
     # Fluid level: both slot-simulator paths must replay the plan
-    # byte-identically (fresh policy/environment per run — both carry
-    # per-run state).
+    # byte-identically (a fresh policy per run: it carries per-run state).
     def fluid(vectorized: bool):
-        policy = ResilientPolicy(
-            _build_policy(args.policy, args.v), plan, RecoveryPolicy.default()
-        )
         return SlotSimulator(
             system=system,
             arrivals=config.arrival_processes(),
-            environment=FaultyEnvironment(plan),
             seed=args.seed,
             vectorized=vectorized,
-        ).run(policy, num_slots)
+            faults=plan,
+            recovery=RecoveryPolicy.default(),
+        ).run(_build_policy(args.policy, args.v), num_slots)
 
     start = time.perf_counter()
     fast = fluid(vectorized=True)

@@ -657,8 +657,9 @@ class DriftPlusPenaltyPolicy:
     vectorized: bool = False
 
     def __post_init__(self) -> None:
-        if self.v < 0:
-            raise ValueError("V must be non-negative")
+        # A chained comparison is False for NaN, so NaN fails too.
+        if not 0 <= self.v < math.inf:
+            raise ValueError("V must be finite and non-negative")
 
     def decide(
         self,
@@ -691,6 +692,13 @@ class BalanceOffloadingPolicy:
 
     tolerance: float = 1e-6
     max_iterations: int = 60
+
+    def __post_init__(self) -> None:
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
+        if not 1 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be finite and at least 1")
 
     def _balance(
         self,

@@ -12,11 +12,12 @@ third of the way in) through both execution models:
   exponential-backoff retries, local fallback, dead-edge exclusion,
   telemetry watchdog) against LEIME and a FixedRatio baseline with no
   recovery at all (first fault contact drops the task);
-* **fluid level** (slot simulator): the same plan overlaid via
-  :class:`~repro.resilience.environment.FaultyEnvironment`, measuring
-  queue boundedness and :func:`~repro.resilience.slo.time_to_recovery`
-  after the outage — and verifying the scalar and vectorized paths
-  replay the plan byte-identically.
+* **fluid level** (slot simulator): the same plan and budget passed as
+  ``faults=``/``recovery=`` (:mod:`repro.resilience.environment` says
+  how the fluid model reads them), measuring queue boundedness and
+  :func:`~repro.resilience.slo.time_to_recovery` after the outage — and
+  verifying the scalar and vectorized paths replay the plan
+  byte-identically.
 
 Expected outcomes:
 
@@ -37,9 +38,7 @@ from ..chaos.oracles import records_equal
 from ..core.offloading import DriftPlusPenaltyPolicy, FixedRatioPolicy
 from ..resilience import (
     FaultPlan,
-    FaultyEnvironment,
     RecoveryPolicy,
-    ResilientPolicy,
     canonical_outage_plan,
     time_to_recovery,
 )
@@ -153,24 +152,19 @@ def run_fig_faults(
     outage_start = int(plan.meta["outage_start"])
     outage_stop = int(plan.meta["outage_stop"])
 
-    def fluid_run(policy, vectorized: bool | None = None) -> SimulationResult:
-        # Fresh environment per run: its degraded-system cache is keyed on
-        # object identity and must not leak across paths.
+    def fluid_run(policy, recovery=None, vectorized=None) -> SimulationResult:
         return SlotSimulator(
             system=system,
             arrivals=config.arrival_processes(),
-            environment=FaultyEnvironment(plan),
             seed=seed,
             vectorized=vectorized,
+            faults=plan,
+            recovery=recovery,
         ).run(policy, num_slots)
 
-    def resilient() -> ResilientPolicy:
-        return ResilientPolicy(
-            DriftPlusPenaltyPolicy(v=config.v), plan, RecoveryPolicy.default()
-        )
-
-    leime_scalar = fluid_run(resilient(), vectorized=False)
-    leime_fluid = fluid_run(resilient(), vectorized=True)
+    resilient = RecoveryPolicy.default()
+    leime_scalar = fluid_run(DriftPlusPenaltyPolicy(v=config.v), resilient, False)
+    leime_fluid = fluid_run(DriftPlusPenaltyPolicy(v=config.v), resilient, True)
     fixed_fluid = fluid_run(FixedRatioPolicy(0.5, respect_constraint=False))
     fluid_rows = tuple(
         FaultFluidRow(

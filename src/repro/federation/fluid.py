@@ -21,10 +21,10 @@ one warm pool per shard.  This module supplies what is federation-only:
   queues ride along to its new shard (tasks are queued *at the device*
   in the fluid model; only the serving edge changes).
 * **Partial outages**: a :class:`~repro.federation.faults.
-  FederationFaultPlan` collapses a down edge's fluid capacity by
-  ``edge_down_factor`` (the same overlay
-  :class:`~repro.resilience.environment.FaultyEnvironment` applies
-  globally) and flushes its warm pool, while its peers run untouched.
+  FederationFaultPlan` collapses a down edge's fluid capacity with
+  :func:`~repro.resilience.environment.edge_down_system` (the collapse
+  the single-edge simulator applies on its plan's outage slots) and
+  flushes its warm pool, while its peers run untouched.
 * **QoS**: classes are assigned globally, and each edge gets its own
   warm pool over an equal split of the fleet-wide memory budget.
 
@@ -35,6 +35,7 @@ computation on both the scalar and vectorized branches.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
 from ..core.vectorized import VectorizedSlotEngine
+from ..resilience.environment import edge_down_system
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from ..sim.metrics import SimulationResult, SlotRecord
@@ -126,9 +128,9 @@ class FederatedSlotSimulator:
         overload: Enables the overload layer: one global admission gate
             plus a per-edge degradation ladder.
         faults: Per-edge outage schedule; a down edge's capacity
-            collapses to ``edge_down_factor`` × nominal for the window.
-        edge_down_factor: Fluid capacity factor during an outage
-            (matches ``FaultyEnvironment``'s default).
+            collapses to
+            :data:`~repro.resilience.environment.EDGE_DOWN_FACTOR` ×
+            nominal for the window.
     """
 
     topology: FederationTopology
@@ -140,7 +142,6 @@ class FederatedSlotSimulator:
     vectorized: bool | None = None
     overload: "OverloadControl | None" = None
     faults: FederationFaultPlan | None = None
-    edge_down_factor: float = 0.05
     #: QoS classes are assigned globally from the base seed (a device
     #: keeps its class wherever it is served); each edge runs its own
     #: warm pool and shed budget over the global device numbering, with
@@ -150,8 +151,6 @@ class FederatedSlotSimulator:
 
     def __post_init__(self) -> None:
         check_federation(self.topology, self.plan, self.arrivals, self.faults)
-        if not 0.0 < self.edge_down_factor <= 1.0:
-            raise ValueError("edge_down_factor must be in (0, 1]")
 
     def run(
         self,
@@ -205,9 +204,9 @@ class _EdgeShards:
     boundaries, and a shard is derived (immutable) data — rebuilt, not
     checkpointed.  An older member set is rebuilt if it comes back, so
     the cache holds at most one entry per edge.  A down edge's capacity
-    collapses to ``edge_down_factor`` × nominal while its peers run
-    untouched.  The plane is decided once, for every shard: the loop
-    keeps one global fleet state on the array plane.
+    collapses (:func:`~repro.resilience.environment.edge_down_system`)
+    while its peers run untouched.  The plane is decided once, for every
+    shard: the loop keeps one global fleet state on the array plane.
     """
 
     def __init__(self, sim: FederatedSlotSimulator):
@@ -255,6 +254,10 @@ class _EdgeShards:
             for e in range(self.num_shards)
         ]
 
+    def environment(self, configured: DynamicEnvironment) -> DynamicEnvironment:
+        """The run's own copy of the configured environment."""
+        return copy.deepcopy(configured)
+
     def at(self, slot: int, environment) -> tuple[list[int], list[FluidShard]]:
         sim = self.sim
         row = sim.plan.row(slot)
@@ -272,8 +275,6 @@ class _EdgeShards:
                 cached = self._cache[e] = (members, system, engine)
             _, system, engine = cached
             if down:
-                system = replace(
-                    system, edge_flops=system.edge_flops * sim.edge_down_factor
-                )
+                system = edge_down_system(system)
             shards.append(FluidShard(members, system, engine, down))
         return row.tolist(), shards

@@ -74,12 +74,15 @@ class EdgeSite:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("site name must be non-empty")
-        if self.edge_flops <= 0:
-            raise ValueError("edge FLOPS must be positive")
-        if self.edge_overhead < 0:
-            raise ValueError("edge overhead must be non-negative")
-        if self.backhaul_latency < 0:
-            raise ValueError("backhaul latency must be non-negative")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 < self.edge_flops < math.inf:
+            raise ValueError("edge FLOPS must be finite and positive")
+        if not 0 <= self.edge_overhead < math.inf:
+            raise ValueError("edge overhead must be finite and non-negative")
+        if not 0 <= self.backhaul_latency < math.inf:
+            raise ValueError("backhaul latency must be finite and non-negative")
+        if not all(-math.inf < p < math.inf for p in self.position):
+            raise ValueError("site position must be finite")
 
     def distance_to(self, position: tuple[float, float]) -> float:
         return math.hypot(

@@ -7,9 +7,9 @@ This package makes those failures first-class and replayable:
 
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan`, a seeded,
   trace-composable schedule of realised fault events;
-* :mod:`~repro.resilience.environment` — :class:`FaultyEnvironment`,
-  replaying a plan through the slot simulator's ``devices_at`` /
-  ``system_at`` seam (scalar and vectorized paths byte-identical);
+* :mod:`~repro.resilience.environment` — how the fluid model reads a
+  plan: the goodput, compute and edge-capacity factors a slot simulator
+  applies (scalar and vectorized paths byte-identical);
 * :mod:`~repro.resilience.recovery` — :class:`RecoveryPolicy` budgets
   (deadline / bounded exponential-backoff retries / local fallback) and
   the :class:`ResilientPolicy` control wrapper (dead-edge exclusion,
@@ -29,12 +29,14 @@ This package makes those failures first-class and replayable:
   makes each slot's ladder, QoS, backpressure and admission decisions
   once for every execution path.
 
-The same plan drives the event simulator (``EventSimulator(faults=...)``)
-and the live runtime (``LeimeRuntime.run(faults=...)``), so a chaos
-scenario reproduces across every execution path from one seed.
+The same plan enters every single-edge path as ``faults=`` with an
+optional ``recovery=`` budget — the slot simulator
+(``SlotSimulator(faults=...)``), the event simulator
+(``EventSimulator(faults=...)``) and the live runtime
+(``LeimeRuntime.run(faults=...)``) — so a chaos scenario reproduces
+across every execution path from one seed.
 """
 
-from .environment import FaultyEnvironment
 from .faults import (
     FAULT_CHANNELS,
     FaultPlan,
@@ -93,7 +95,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FaultPlanSpec",
-    "FaultyEnvironment",
     "OverloadControl",
     "OverloadGovernor",
     "QoSClass",

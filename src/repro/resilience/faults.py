@@ -41,6 +41,7 @@ it.  Serialization therefore rides the trace round-trip for free —
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -110,19 +111,20 @@ class FaultPlanSpec:
     stale_prob: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.num_slots <= 0 or self.num_devices <= 0:
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not (0 < self.num_slots < math.inf and 0 < self.num_devices < math.inf):
             raise FaultPlanError("num_slots and num_devices must be positive")
-        if self.slot_length <= 0:
-            raise FaultPlanError("slot_length must be positive")
+        if not 0 < self.slot_length < math.inf:
+            raise FaultPlanError("slot_length must be finite and positive")
         for name in ("drop_prob", "corrupt_prob", "straggler_prob", "stale_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise FaultPlanError(f"{name} must be a probability")
-        if self.crash_rate < 0:
-            raise FaultPlanError("crash_rate must be non-negative")
-        if self.crash_recovery_mean <= 0:
-            raise FaultPlanError("crash_recovery_mean must be positive")
-        if self.straggler_slowdown < 1.0:
-            raise FaultPlanError("straggler_slowdown must be >= 1")
+        if not 0 <= self.crash_rate < math.inf:
+            raise FaultPlanError("crash_rate must be finite and non-negative")
+        if not 0 < self.crash_recovery_mean < math.inf:
+            raise FaultPlanError("crash_recovery_mean must be finite and positive")
+        if not 1.0 <= self.straggler_slowdown < math.inf:
+            raise FaultPlanError("straggler_slowdown must be finite and >= 1")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.offloading import (
     DeviceConfig,
@@ -34,7 +34,11 @@ from ..core.offloading import (
     LyapunovState,
     OffloadingPolicy,
 )
-from .faults import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Not at run time: the fault-plan module imports the trace package,
+    # which imports the simulators, which import this module.
+    from .faults import FaultPlan
 
 
 @dataclass(frozen=True)

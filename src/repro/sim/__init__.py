@@ -28,7 +28,6 @@ from .environment import (
     DynamicEnvironment,
     RandomWalkEnvironment,
     StaticEnvironment,
-    TraceEnvironment,
 )
 from .metrics import SimulationResult, SlotRecord, summarize
 from .simulator import SlotSimulator
@@ -45,7 +44,6 @@ __all__ = [
     "mean_series",
     "DynamicEnvironment",
     "StaticEnvironment",
-    "TraceEnvironment",
     "RandomWalkEnvironment",
     "SimulationResult",
     "SlotRecord",

@@ -73,8 +73,8 @@ class PoissonArrivals:
     def __post_init__(self) -> None:
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and non-negative")
-        if self.maximum is not None and self.maximum < self.rate:
-            raise ValueError("maximum must be at least the mean rate")
+        if self.maximum is not None and not self.rate <= self.maximum < math.inf:
+            raise ValueError("maximum must be finite and at least the mean rate")
 
     def mean(self, slot: int) -> float:
         return self.rate

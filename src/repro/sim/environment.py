@@ -9,6 +9,7 @@ exactly the transient mismatch LEIME's online phase is designed to absorb.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -57,36 +58,6 @@ class StaticEnvironment:
         return tuple(base)
 
 
-@dataclass(frozen=True)
-class TraceEnvironment:
-    """Replay per-slot network profiles, cycled past the trace end.
-
-    Attributes:
-        trace: One network profile per slot, applied to *every* device (the
-            paper's COMCAST shaping was likewise applied to the shared WiFi
-            hop).
-    """
-
-    trace: tuple[NetworkProfile, ...]
-
-    def __post_init__(self) -> None:
-        if not self.trace:
-            raise ValueError("trace must be non-empty")
-        object.__setattr__(self, "_fleet", None)
-
-    def devices_at(
-        self, slot: int, base: Sequence[DeviceConfig], rng: np.random.Generator
-    ) -> LiveFleet:
-        profile = self.trace[slot % len(self.trace)]
-        fleet = LiveFleet.of(base, self._fleet)
-        object.__setattr__(self, "_fleet", fleet)
-        n = len(fleet)
-        return fleet.with_columns(
-            bandwidth=np.full(n, profile.bandwidth),
-            latency=np.full(n, profile.latency),
-        )
-
-
 @dataclass
 class RandomWalkEnvironment:
     """Log-space random walk on each device's bandwidth, clamped to the wild
@@ -108,10 +79,11 @@ class RandomWalkEnvironment:
     max_bandwidth: float = 30e6 / 8
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0 < self.min_bandwidth <= self.max_bandwidth:
-            raise ValueError("need 0 < min_bandwidth <= max_bandwidth")
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
+        if not 0 < self.min_bandwidth <= self.max_bandwidth < math.inf:
+            raise ValueError("need 0 < min_bandwidth <= max_bandwidth < inf")
         self._factors: list[float] = []
         self._fleet: LiveFleet | None = None
 

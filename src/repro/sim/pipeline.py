@@ -127,10 +127,6 @@ class TaskSlots:
         self.environment = copy.deepcopy(environment)
         self.spread_arrivals = spread_arrivals
         self.faults = faults
-        self.seed = seed
-        self.metrics = metrics
-        self.overload = overload
-        self.qos = qos
         self.tau = system.slot_length
         control_seq, exit_seq = np.random.SeedSequence(seed).spawn(2)
         self.rng = np.random.default_rng(control_seq)

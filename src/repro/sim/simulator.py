@@ -37,6 +37,8 @@ from ..core.offloading import (
     slot_cost,
 )
 from ..core.vectorized import FleetState, VectorizedSlotEngine
+from ..resilience.environment import _FaultyEnvironment, edge_down_system
+from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
 from .metrics import SimulationResult, SlotRecord
@@ -44,8 +46,10 @@ from .streaming import FluidStreamStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.checkpoint import Checkpoint
+    from ..resilience.faults import FaultPlan
     from ..resilience.overload import OverloadControl
     from ..resilience.qos import QoSConfig
+    from ..resilience.recovery import RecoveryPolicy
 
 
 class FluidShard(NamedTuple):
@@ -105,14 +109,16 @@ def _take(values, members):
 class _WholeFleet:
     """:class:`SlotSimulator`'s shard provider: one shard over the whole
     fleet.  Its live system comes from the environment's optional
-    ``system_at(slot, base)`` extension and its outages from the optional
-    ``edge_down_at(slot)`` extension.  The plane is resolved from the
-    fleet size, and the engine is derived from the (immutable) system —
-    rebuilt per run, not checkpointed."""
+    ``system_at(slot, base)`` extension, collapsed on the fault plan's
+    outage slots.  The plane is resolved from the fleet size, and the
+    engine is derived from the (immutable) system — rebuilt per run, not
+    checkpointed."""
 
     num_shards = 1
 
-    def __init__(self, system: EdgeSystem, vectorized: bool | None):
+    def __init__(
+        self, system: EdgeSystem, vectorized: bool | None, faults: "FaultPlan | None"
+    ):
         self.system = system
         self.num_devices = system.num_devices
         self.devices = system.devices
@@ -120,17 +126,27 @@ class _WholeFleet:
         self.owner = [0] * system.num_devices
         self.vectorized = resolve_plane(vectorized, system.num_devices)
         self.engine = VectorizedSlotEngine(system) if self.vectorized else None
+        self.faults = faults
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
         from ..resilience.qos import QoSState
 
         return [QoSState(config, self.system, seed)]
 
+    def environment(self, configured: DynamicEnvironment) -> DynamicEnvironment:
+        """The run's own environment: a copy of the configured one, under
+        the fault plan's device channels."""
+        environment = copy.deepcopy(configured)
+        if self.faults is None:
+            return environment
+        return _FaultyEnvironment(self.faults, environment)
+
     def at(self, slot: int, environment) -> tuple[list[int], tuple[FluidShard]]:
         system_at = getattr(environment, "system_at", None)
-        edge_down_at = getattr(environment, "edge_down_at", None)
         live = self.system if system_at is None else system_at(slot, self.system)
-        down = edge_down_at is not None and edge_down_at(slot)
+        down = self.faults is not None and self.faults.edge_down_at(slot)
+        if down:
+            live = edge_down_system(live)
         return self.owner, (FluidShard(None, live, self.engine, down),)
 
 
@@ -153,14 +169,14 @@ def run_fluid(
     """The fluid per-slot pipeline, stepped over a list of shards.
 
     ``sim`` is the run configuration (``arrivals``, ``environment``,
-    ``seed``, ``include_tail``, ``vectorized``, ``overload``, ``qos``);
-    the run's checkpoint fingerprint digests all of it.  The run steps
-    its own copy of the environment, so every run starts from the
-    configured one.  ``shards`` is the shard provider:
-    ``num_devices``, ``num_shards``, the base ``devices`` and
-    ``slot_length``, the resolved plane ``vectorized`` (one for every
-    shard: the array plane keeps one global
-    :class:`~repro.core.vectorized.FleetState`),
+    ``seed``, ``include_tail``, ``vectorized``, ``overload``, ``qos``,
+    ``faults``); the run's checkpoint fingerprint digests all of it.
+    ``shards`` is the shard provider: ``num_devices``, ``num_shards``,
+    the base ``devices`` and ``slot_length``, the resolved plane
+    ``vectorized`` (one for every shard: the array plane keeps one
+    global :class:`~repro.core.vectorized.FleetState`),
+    ``environment(configured)`` (the run's own copy of the environment,
+    so every run starts from the configured one),
     ``qos_states(config, seed)`` (one
     :class:`~repro.resilience.qos.QoSState` per shard over the global
     device numbering), and ``at(slot, environment)`` returning each
@@ -236,7 +252,7 @@ def run_fluid(
                 else None
             ),
             policy=policy,
-            environment=copy.deepcopy(sim.environment),
+            environment=shards.environment(sim.environment),
             arrivals=list(sim.arrivals),
         )
         start_slot = 0
@@ -560,6 +576,19 @@ class SlotSimulator:
             accounting lands on the result's ``class_flow``.  The QoS
             control plane draws nothing from the run RNG, so attaching
             it leaves arrivals and environments unchanged.
+        faults: A :class:`~repro.resilience.faults.FaultPlan` to replay,
+            as the event simulators and the live runtime take it.  Each
+            run overlays its device channels on its own copy of
+            ``environment`` and collapses the edge on outage slots, which
+            also flush the QoS warm pool
+            (:mod:`repro.resilience.environment`).  No RNG draw, so both
+            planes stay byte-identical.
+        recovery: The :class:`~repro.resilience.recovery.RecoveryPolicy`
+            budget (``RecoveryPolicy.none()`` by default); requires
+            ``faults``.  Only its control-plane fields act in the fluid
+            model (``exclude_dead_edge``, ``watchdog``): with either set,
+            each run wraps the policy passed to :meth:`run` in a fresh
+            :class:`~repro.resilience.recovery.ResilientPolicy`.
 
     Environments may additionally expose a ``system_at(slot, base)``
     method (the :class:`~repro.traces.replay.TraceEnvironment` extension):
@@ -567,9 +596,7 @@ class SlotSimulator:
     a trace vary *testbed* parameters (shared edge capacity) and not just
     device links.  Both the scalar loop and the vectorized engine read
     the same live system, so trace replay stays byte-identical across
-    paths.  An ``edge_down_at(slot)`` method (the
-    :class:`~repro.resilience.environment.FaultyEnvironment` extension)
-    marks outage slots, which flush the QoS warm pool.
+    paths.
     """
 
     system: EdgeSystem
@@ -580,6 +607,8 @@ class SlotSimulator:
     vectorized: bool | None = None
     overload: "OverloadControl | None" = None
     qos: "QoSConfig | None" = None
+    faults: "FaultPlan | None" = None
+    recovery: "RecoveryPolicy | None" = None
 
     def __post_init__(self) -> None:
         if len(self.arrivals) != self.system.num_devices:
@@ -589,6 +618,10 @@ class SlotSimulator:
             )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # Reject a mismatched fault plan or budget at construction.
+        resolve_recovery(
+            None, self.faults, self.recovery, self.system.num_devices
+        )
 
     def run(
         self,
@@ -627,7 +660,10 @@ class SlotSimulator:
                 ``state`` arguments are ignored (the checkpoint carries
                 them).
         """
-        shards = _WholeFleet(self.system, self.vectorized)
+        policy, _ = resolve_recovery(
+            policy, self.faults, self.recovery, self.system.num_devices
+        )
+        shards = _WholeFleet(self.system, self.vectorized, self.faults)
         return run_fluid(
             self,
             shards,

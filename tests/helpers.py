@@ -132,6 +132,21 @@ def random_fleet(
     )
 
 
+def profile_trace(profiles, num_devices: int):
+    """A trace applying one :class:`NetworkProfile` per slot to every
+    device: global link channels, widened to the fleet by an all-up
+    churn mask."""
+    from repro.traces.schema import Trace, TraceChannel
+
+    return Trace(
+        (
+            TraceChannel("bandwidth", np.array([p.bandwidth for p in profiles])),
+            TraceChannel("latency", np.array([p.latency for p in profiles])),
+            TraceChannel("up", np.ones((len(profiles), num_devices))),
+        )
+    )
+
+
 def random_federation_topology(
     seed: int,
     num_edges: int,

@@ -224,9 +224,12 @@ def test_analyze_vsweep(capsys):
     assert "mean TCT" in out and "backlog" in out
 
 
-def test_faults_generate_describe_replay(tmp_path, capsys):
+@pytest.mark.parametrize("policy", ["leime", "bandit", "tabular-q"])
+def test_faults_generate_describe_replay(tmp_path, capsys, policy):
     """The full chaos pipeline through the CLI: synthesise a plan,
-    inspect it, replay it through both simulators, export the summary."""
+    inspect it, replay it through both simulators, export the summary.
+    Every run starts a fresh policy, so learning policies replay
+    byte-identically on both planes too."""
     plan_path = tmp_path / "faults.npz"
     summary_path = tmp_path / "out.json"
     assert (
@@ -266,7 +269,7 @@ def test_faults_generate_describe_replay(tmp_path, capsys):
                 "--model",
                 "squeezenet-1.0",
                 "--policy",
-                "leime",
+                policy,
                 "--arrival-rate",
                 "0.3",
                 "--output",

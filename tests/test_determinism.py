@@ -108,21 +108,19 @@ def test_runtime_different_seeds_differ(small_system):
 
 
 def _fault_replay(seed: int, vectorized: bool, system, plan):
-    from repro.resilience import FaultyEnvironment, RecoveryPolicy, ResilientPolicy
+    from repro.resilience import RecoveryPolicy
 
     sim = SlotSimulator(
         system=system,
         arrivals=[PoissonArrivals(0.4)] * system.num_devices,
-        environment=FaultyEnvironment(plan),
         seed=seed,
         vectorized=vectorized,
+        faults=plan,
+        recovery=RecoveryPolicy.default(),
     )
-    policy = ResilientPolicy(
-        DriftPlusPenaltyPolicy(v=50.0, vectorized=vectorized),
-        plan,
-        RecoveryPolicy.default(),
+    return sim.run(
+        DriftPlusPenaltyPolicy(v=50.0, vectorized=vectorized), plan.num_slots
     )
-    return sim.run(policy, plan.num_slots)
 
 
 def test_fault_plan_generation_is_seed_deterministic():

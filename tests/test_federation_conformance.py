@@ -29,7 +29,6 @@ from repro.federation import (
     lift_fault_plan,
     single_edge_topology,
 )
-from repro.resilience.environment import FaultyEnvironment
 from repro.resilience.faults import FaultPlan, canonical_outage_plan
 from repro.resilience.overload import OverloadControl
 from repro.resilience.qos import QoSConfig
@@ -127,7 +126,7 @@ def _qos_outage_fixture(seed: int):
         arrivals,
         overload,
         num_slots,
-        dict(environment=FaultyEnvironment(faults), qos=qos),
+        dict(faults=faults, qos=qos),
         dict(faults=lift_fault_plan(faults, 1), qos=qos),
     )
 

@@ -5,8 +5,9 @@ Every environment that overrides devices returns a
 columns and per-device consumers index it.  These tests pin the
 sequence contract (equality, memoised configs, the base config where a
 slot changes nothing, today's errors), that both fluid planes and both
-event engines stay twins over all five environments, and that the
-array plane replays a trace without building a single config.
+event engines stay twins in every environment (a fault plan's overlay
+included), and that the array plane replays a trace without building a
+single config.
 """
 
 from __future__ import annotations
@@ -29,21 +30,16 @@ from repro.core.vectorized import FleetParams, VectorizedSlotEngine
 from repro.federation import FederatedSlotSimulator, build_assignment_plan
 from repro.federation import fluid
 from repro.hardware import NetworkProfile
-from repro.resilience.environment import FaultyEnvironment
 from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
 from repro.sim.arrivals import PoissonArrivals
-from repro.sim.environment import (
-    RandomWalkEnvironment,
-    StaticEnvironment,
-    TraceEnvironment as ProfileTraceEnvironment,
-)
+from repro.sim.environment import RandomWalkEnvironment, StaticEnvironment
 from repro.sim.events import EventSimulator
 from repro.sim.simulator import SlotSimulator
 from repro.traces.generators import WildTraceSpec, generate_trace
 from repro.traces.replay import TraceEnvironment, replay_trace
 from repro.units import mbps, ms
 
-from tests.helpers import random_federation_topology, random_fleet
+from tests.helpers import profile_trace, random_federation_topology, random_fleet
 
 SLOTS = 8
 
@@ -60,18 +56,21 @@ def _trace(num_devices: int, seed: int = 0):
     )
 
 
-def _environment(name: str, num_devices: int):
-    """One of the five environments over ``num_devices`` devices."""
+def _environment(name: str, num_devices: int) -> dict:
+    """One of the five settings over ``num_devices`` devices, as
+    simulator keyword arguments."""
     if name == "static":
-        return StaticEnvironment()
+        return dict(environment=StaticEnvironment())
     if name == "profile-trace":
-        return ProfileTraceEnvironment(
-            (NetworkProfile(mbps(2.0), ms(30.0)), NetworkProfile(mbps(20.0), ms(5.0)))
+        profiles = (
+            NetworkProfile(mbps(2.0), ms(30.0)),
+            NetworkProfile(mbps(20.0), ms(5.0)),
         )
+        return dict(environment=TraceEnvironment(profile_trace(profiles, num_devices)))
     if name == "wild-trace":
-        return TraceEnvironment(_trace(num_devices))
+        return dict(environment=TraceEnvironment(_trace(num_devices)))
     if name == "random-walk":
-        return RandomWalkEnvironment(sigma=0.3)
+        return dict(environment=RandomWalkEnvironment(sigma=0.3))
     plan = generate_fault_plan(
         FaultPlanSpec(
             num_slots=SLOTS,
@@ -82,7 +81,7 @@ def _environment(name: str, num_devices: int):
         ),
         seed=1,
     )
-    return FaultyEnvironment(plan, base=TraceEnvironment(_trace(num_devices)))
+    return dict(environment=TraceEnvironment(_trace(num_devices)), faults=plan)
 
 
 ENVIRONMENTS = ("static", "profile-trace", "wild-trace", "random-walk", "faulty-trace")
@@ -200,9 +199,9 @@ def test_fluid_planes_are_twins_in_every_environment(environment, policy):
         return SlotSimulator(
             system=system,
             arrivals=[PoissonArrivals(0.4)] * n,
-            environment=_environment(environment, n),
             seed=5,
             vectorized=vectorized,
+            **_environment(environment, n),
         ).run(_policy(policy), SLOTS).records
 
     scalar, array = run(False), run(True)
@@ -222,9 +221,9 @@ def test_event_engines_are_twins_in_every_environment(environment, shared_uplink
         return EventSimulator(
             system=system,
             arrivals=[PoissonArrivals(0.6)] * n,
-            environment=_environment(environment, n),
             seed=7,
             shared_uplink=shared_uplink,
+            **_environment(environment, n),
         ).run(FixedRatioPolicy(0.5), SLOTS, drain_limit_factor=100.0, engine=engine)
 
     assert event_results_close(run("scalar"), run("fast"))
@@ -250,9 +249,9 @@ def test_array_plane_replay_builds_no_device_config(monkeypatch, policy):
     SlotSimulator(
         system=system,
         arrivals=[PoissonArrivals(0.4)] * n,
-        environment=faulty,
         seed=0,
         vectorized=True,
+        **faulty,
     ).run(_policy(policy), SLOTS)
     assert built == []
     # The counter works: the scalar plane indexes the fleet.

@@ -9,7 +9,9 @@ worker-leak warning.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from repro.resilience import (
     FaultPlan,
     FaultPlanError,
     FaultPlanSpec,
-    FaultyEnvironment,
+    OverloadControl,
+    QoSConfig,
     RecoveryPolicy,
     ResilientPolicy,
     attach_faults,
@@ -37,10 +40,18 @@ from repro.resilience import (
     slo_summary,
     time_to_recovery,
 )
+from repro.resilience.environment import (
+    DROP_FACTOR,
+    EDGE_DOWN_FACTOR,
+    _FaultyEnvironment,
+)
 from repro.runtime import LeimeRuntime, RuntimeNode, VirtualClock
+from repro.sim import simulator
 from repro.sim.arrivals import ConstantArrivals, PoissonArrivals
+from repro.sim.environment import RandomWalkEnvironment, StaticEnvironment
 from repro.sim.events import EventSimResult, EventSimulator
 from repro.sim.simulator import SlotSimulator
+from repro.traces import TraceEnvironment
 from repro.traces.generators import WildTraceSpec, generate_trace
 
 from tests.helpers import random_fleet
@@ -203,11 +214,11 @@ def _drop_only_plan(num_slots: int, num_devices: int) -> FaultPlan:
 
 def test_faulty_environment_degrades_only_flagged_slots():
     system = random_fleet(1, 2)
-    env = FaultyEnvironment(_drop_only_plan(5, 2))
+    env = _FaultyEnvironment(_drop_only_plan(5, 2), StaticEnvironment())
     rng = np.random.default_rng(0)
     hit = env.devices_at(0, system.devices, rng)
     assert hit[0].link.bandwidth == pytest.approx(
-        system.devices[0].link.bandwidth * env.drop_factor
+        system.devices[0].link.bandwidth * DROP_FACTOR
     )
     # The unflagged device and the unflagged slot pass through untouched.
     assert hit[1] is system.devices[1]
@@ -217,22 +228,29 @@ def test_faulty_environment_degrades_only_flagged_slots():
 
 
 def test_faulty_environment_rejects_wrong_fleet_width():
-    env = FaultyEnvironment(_drop_only_plan(5, 3))
+    """A plan of the wrong width fails when the simulator is built."""
     system = random_fleet(1, 2)
-    with pytest.raises(ValueError):
-        env.devices_at(0, system.devices, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="covers 3 devices"):
+        SlotSimulator(
+            system=system,
+            arrivals=[PoissonArrivals(0.3)] * 2,
+            faults=_drop_only_plan(5, 3),
+        )
 
 
 def test_faulty_environment_outage_degrades_the_edge():
+    """The single-edge shard provider reads outages from the plan."""
     plan = canonical_outage_plan(num_slots=60, num_devices=2, seed=0)
-    env = FaultyEnvironment(plan)
     system = random_fleet(1, 2)
     start = int(plan.meta["outage_start"])
-    degraded = env.system_at(start, system)
-    assert degraded.edge_flops == pytest.approx(
-        system.edge_flops * env.edge_down_factor
+    shards = simulator._WholeFleet(system, None, plan)
+    _, (degraded,) = shards.at(start, StaticEnvironment())
+    assert degraded.edge_down
+    assert degraded.system.edge_flops == pytest.approx(
+        system.edge_flops * EDGE_DOWN_FACTOR
     )
-    assert env.system_at(0, system) is system
+    _, (healthy,) = shards.at(0, StaticEnvironment())
+    assert not healthy.edge_down and healthy.system is system
 
 
 def test_time_to_recovery_bounds():
@@ -242,15 +260,143 @@ def test_time_to_recovery_bounds():
     result = SlotSimulator(
         system=system,
         arrivals=[PoissonArrivals(0.3)] * 4,
-        environment=FaultyEnvironment(plan),
         seed=3,
         vectorized=True,
-    ).run(ResilientPolicy(DriftPlusPenaltyPolicy(v=50.0), plan), 80)
+        faults=plan,
+        recovery=RecoveryPolicy.default(),
+    ).run(DriftPlusPenaltyPolicy(v=50.0), 80)
     ttr = time_to_recovery(result, start, stop)
     assert ttr == 0.0 or ttr > 0.0  # finite: the resilient policy recovers
     assert not math.isinf(ttr)
     with pytest.raises(ValueError):
         time_to_recovery(result, 10, 10)
+
+
+# -- the fluid seam: SlotSimulator(faults=, recovery=) ---------------------------
+
+SEAM_SLOTS = 24
+
+
+class _ReferenceOverlay(_FaultyEnvironment):
+    """The hand-built composition ``faults=`` replaced: the device
+    overlay plus the edge outage, collapsed in ``system_at`` and flagged
+    through an ``edge_down_at`` extension."""
+
+    def edge_down_at(self, slot):
+        return self.plan.edge_down_at(slot)
+
+    def system_at(self, slot, base):
+        live = super().system_at(slot, base)
+        if not self.edge_down_at(slot):
+            return live
+        return dataclasses.replace(live, edge_flops=live.edge_flops * 0.05)
+
+
+class _ReferenceFleet(simulator._WholeFleet):
+    """A whole-fleet shard provider that reads outages off the
+    environment's ``edge_down_at``."""
+
+    def at(self, slot, environment):
+        owner, (shard,) = super().at(slot, environment)
+        return owner, (shard._replace(edge_down=environment.edge_down_at(slot)),)
+
+
+def _seam_plan(num_devices: int) -> FaultPlan:
+    plan = generate_fault_plan(
+        FaultPlanSpec(
+            num_slots=SEAM_SLOTS,
+            num_devices=num_devices,
+            drop_prob=0.15,
+            corrupt_prob=0.15,
+            crash_rate=12.0,
+            crash_recovery_mean=3.0,
+            straggler_prob=0.2,
+            stale_prob=0.2,
+        ),
+        seed=4,
+    )
+    assert plan.edge_down.any() and plan.telemetry_stale.any()
+    return plan
+
+
+def _seam_base(name: str, num_devices: int):
+    if name == "static":
+        return StaticEnvironment()
+    if name == "trace":
+        return TraceEnvironment(
+            generate_trace(
+                WildTraceSpec(num_slots=SEAM_SLOTS, num_devices=num_devices),
+                seed=2,
+            )
+        )
+    return RandomWalkEnvironment(sigma=0.3)
+
+
+def _fluid_outcome(result):
+    return result.records, pickle.dumps((result.stream, result.class_flow))
+
+
+@pytest.mark.parametrize("metrics", ["records", "streaming"])
+@pytest.mark.parametrize("control", ["plain", "overload-qos"])
+@pytest.mark.parametrize("base", ["static", "trace", "random-walk"])
+@pytest.mark.parametrize("recovery", [None, RecoveryPolicy.default()], ids=["none", "default"])
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+def test_fault_seam_equals_the_composition_by_hand(
+    vectorized, recovery, base, control, metrics
+):
+    """``SlotSimulator(faults=plan, recovery=R)`` replays exactly what
+    the overlay environment plus a hand-wrapped ``ResilientPolicy``
+    did: device channels, outage collapse and warm-pool flush, and the
+    control-plane budget."""
+    n = 4
+    system = random_fleet(6, n, max_arrivals=1.0)
+    plan = _seam_plan(n)
+    settings = dict(
+        system=system,
+        arrivals=[PoissonArrivals(0.6)] * n,
+        seed=5,
+        vectorized=vectorized,
+    )
+    if control == "overload-qos":
+        settings.update(
+            overload=OverloadControl(queue_high=6.0, queue_low=2.0),
+            qos=QoSConfig(memory_fraction=0.5, cold_start_seconds=0.25),
+        )
+    seam = SlotSimulator(
+        environment=_seam_base(base, n), faults=plan, recovery=recovery, **settings
+    ).run(DriftPlusPenaltyPolicy(v=50.0), SEAM_SLOTS, metrics=metrics)
+    by_hand = SlotSimulator(
+        environment=_ReferenceOverlay(plan, _seam_base(base, n)), **settings
+    )
+    policy = DriftPlusPenaltyPolicy(v=50.0)
+    if recovery is not None:
+        policy = ResilientPolicy(policy, plan, recovery)
+    reference = simulator.run_fluid(
+        by_hand, _ReferenceFleet(system, vectorized, None), policy, SEAM_SLOTS,
+        None, metrics, None, None, None, path="fluid",
+    )[0]
+    assert _fluid_outcome(seam) == _fluid_outcome(reference)
+
+
+def test_fault_seam_checks_at_construction_and_wraps_per_run():
+    system = random_fleet(1, 2)
+    arrivals = [PoissonArrivals(0.5)] * 2
+    with pytest.raises(ValueError, match="requires a fault plan"):
+        SlotSimulator(system, arrivals, recovery=RecoveryPolicy.default())
+    plan = canonical_outage_plan(num_slots=30, num_devices=2, seed=1)
+    policy = FixedRatioPolicy(0.7, respect_constraint=False)
+    resilient = SlotSimulator(
+        system, arrivals, faults=plan, recovery=RecoveryPolicy.default()
+    )
+    # Each run wraps a fresh ResilientPolicy: no cursor carries over.
+    first = resilient.run(policy, 30).records
+    assert resilient.run(policy, 30).records == first
+    # No budget means RecoveryPolicy.none(), which wraps nothing.
+    naive = SlotSimulator(system, arrivals, faults=plan).run(policy, 30).records
+    assert naive == SlotSimulator(
+        system, arrivals, faults=plan, recovery=RecoveryPolicy.none()
+    ).run(policy, 30).records
+    assert naive != first
 
 
 # -- event simulator ------------------------------------------------------------

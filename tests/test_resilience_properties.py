@@ -19,14 +19,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.offloading import DriftPlusPenaltyPolicy, FixedRatioPolicy
-from repro.resilience import (
-    FaultPlanSpec,
-    FaultyEnvironment,
-    RecoveryPolicy,
-    ResilientPolicy,
-    generate_fault_plan,
-)
+from repro.resilience import FaultPlanSpec, RecoveryPolicy, generate_fault_plan
+from repro.resilience.environment import _FaultyEnvironment
+from repro.sim import simulator
 from repro.sim.arrivals import PoissonArrivals
+from repro.sim.environment import StaticEnvironment
 from repro.sim.events import EventSimulator
 from repro.sim.simulator import SlotSimulator
 
@@ -97,10 +94,11 @@ def test_fluid_overlay_keeps_queues_non_negative(
     result = SlotSimulator(
         system=system,
         arrivals=[PoissonArrivals(0.4)] * num_devices,
-        environment=FaultyEnvironment(plan),
         seed=sim_seed,
         vectorized=vectorized,
-    ).run(ResilientPolicy(DriftPlusPenaltyPolicy(v=50.0), plan), 30)
+        faults=plan,
+        recovery=RecoveryPolicy.default(),
+    ).run(DriftPlusPenaltyPolicy(v=50.0), 30)
     for record in result.records:
         assert all(q >= 0.0 for q in record.queue_local)
         assert all(q >= 0.0 for q in record.queue_edge)
@@ -126,13 +124,14 @@ def test_fluid_overlay_never_improves_conditions(
         ),
         seed=plan_seed,
     )
-    env = FaultyEnvironment(plan)
+    env = _FaultyEnvironment(plan, StaticEnvironment())
     devices = env.devices_at(slot, system.devices, np.random.default_rng(0))
     for faulty, healthy in zip(devices, system.devices):
         assert faulty.link.bandwidth <= healthy.link.bandwidth
         assert faulty.flops <= healthy.flops
         assert faulty.link.latency == healthy.link.latency
-    assert env.system_at(slot, system).edge_flops <= system.edge_flops
+    _, (shard,) = simulator._WholeFleet(system, None, plan).at(slot, env)
+    assert shard.system.edge_flops <= system.edge_flops
 
 
 @settings(

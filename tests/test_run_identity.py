@@ -183,6 +183,31 @@ def test_resume_accepts_the_configuration_rebuilt(path):
         assert _outcome(path, first(resume_from=checkpoint)) == whole
 
 
+def test_fluid_resume_refuses_another_fault_plan():
+    """A fluid run's fault plan and recovery budget are part of its
+    configuration: a checkpoint resumes under the same plan only."""
+    from repro.resilience import RecoveryPolicy, canonical_outage_plan
+
+    system = _testbed()
+    n = system.num_devices
+
+    def run(plan_seed, **hooks):
+        return SlotSimulator(
+            system,
+            [PoissonArrivals(RATE)] * n,
+            seed=3,
+            faults=canonical_outage_plan(num_slots=SLOTS, num_devices=n, seed=plan_seed),
+            recovery=RecoveryPolicy.default(),
+        ).run(FixedRatioPolicy(0.5), SLOTS, **hooks)
+
+    with pytest.raises(Killed) as killed:
+        run(0, checkpoint_every=1, checkpoint_sink=KillSwitch(KILL))
+    checkpoint = checkpoint_from_bytes(checkpoint_to_bytes(killed.value.checkpoint))
+    with pytest.raises(CheckpointError, match="fingerprint"):
+        run(1, resume_from=checkpoint)
+    assert run(0, resume_from=checkpoint).records == run(0).records
+
+
 # -- the digest --------------------------------------------------------------
 
 

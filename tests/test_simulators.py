@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.offloading import (
+    BalanceOffloadingPolicy,
     DriftPlusPenaltyPolicy,
     FixedRatioPolicy,
     LyapunovState,
@@ -24,20 +25,22 @@ from repro.sim.arrivals import (
     SinusoidalRateArrivals,
     UniformArrivals,
 )
-from repro.sim.environment import (
-    RandomWalkEnvironment,
-    StaticEnvironment,
-    TraceEnvironment,
-)
-from repro.federation import FederatedEventSimulator
+from repro.sim.environment import RandomWalkEnvironment, StaticEnvironment
+from repro.federation import EdgeSite, FederatedEventSimulator
 from repro.sim.events import EventSimulator
 from repro.sim.fast_events import run_fast
 from repro.sim.metrics import SimulationResult, SlotRecord, summarize
 from repro.sim.simulator import SlotSimulator
-from repro.hardware import NetworkProfile
+from repro.hardware import INTERNET_EDGE_CLOUD, NetworkProfile
+from repro.traces import TraceEnvironment
 from repro.units import mbps, ms
 
-from .helpers import random_federation_topology, random_fleet, static_home_plan
+from .helpers import (
+    profile_trace,
+    random_federation_topology,
+    random_fleet,
+    static_home_plan,
+)
 
 
 # -- slot simulator ------------------------------------------------------------
@@ -151,8 +154,8 @@ def test_static_environment_passthrough(small_system):
 
 
 def test_trace_environment_overrides_link(small_system):
-    trace = (NetworkProfile(mbps(1), ms(5)), NetworkProfile(mbps(2), ms(5)))
-    env = TraceEnvironment(trace)
+    profiles = (NetworkProfile(mbps(1), ms(5)), NetworkProfile(mbps(2), ms(5)))
+    env = TraceEnvironment(profile_trace(profiles, small_system.num_devices))
     rng = np.random.default_rng(0)
     slot0 = env.devices_at(0, small_system.devices, rng)
     slot1 = env.devices_at(1, small_system.devices, rng)
@@ -551,6 +554,12 @@ def _run_configurations():
         QoSConfig(shed_budget=10.0),
         OverloadControl(),
         RecoveryPolicy(deadline=30.0),
+        DriftPlusPenaltyPolicy(v=50.0),
+        BalanceOffloadingPolicy(),
+        RandomWalkEnvironment(),
+        PoissonArrivals(0.5, maximum=4.0),
+        EdgeSite("edge-0", 4e10, INTERNET_EDGE_CLOUD, backhaul_latency=0.01),
+        FaultPlanSpec(),
     )
 
 
@@ -576,6 +585,32 @@ def test_non_finite_numbers_fail_at_construction(config, name, bad):
         value = (bad, *value[1:])
     else:
         value = bad
+    with pytest.raises(ValueError):
+        dataclasses.replace(config, **{name: value})
+
+
+#: Numeric fields whose negative values are legal: a site's planar
+#: coordinates and a QoS class's rung bias (gold's is -1).
+_SIGNED = {("EdgeSite", "position"), ("QoSClass", "rung_bias")}
+
+
+def _non_negative_fields():
+    for config, name in _numeric_fields():
+        if (type(config).__name__, name) not in _SIGNED:
+            yield config, name
+
+
+@pytest.mark.parametrize(
+    "config,name",
+    list(_non_negative_fields()),
+    ids=[f"{type(c).__name__}.{name}" for c, name in _non_negative_fields()],
+)
+def test_negative_numbers_fail_at_construction(config, name):
+    value = getattr(config, name)
+    if isinstance(value, tuple):
+        value = (-1.0, *value[1:])
+    else:
+        value = -1.0
     with pytest.raises(ValueError):
         dataclasses.replace(config, **{name: value})
 
