@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # for `tests.helpers` when run as a script
@@ -119,6 +123,11 @@ def main(argv: list[str] | None = None) -> None:
         "policy": "DriftPlusPenaltyPolicy(v=50)",
         "slots": args.slots,
         "seed": args.seed,
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count(),
+        },
         "results": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

@@ -44,8 +44,6 @@ from .vectorized import (
     FleetParams,
     FleetState,
     VectorizedSlotEngine,
-    drift_plus_penalty_batch,
-    edge_compute_split_batch,
     feasible_ratio_intervals,
     slot_cost_batch,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "FleetParams",
     "FleetState",
     "VectorizedSlotEngine",
-    "drift_plus_penalty_batch",
-    "edge_compute_split_batch",
     "feasible_ratio_intervals",
     "slot_cost_batch",
     "ddnn_exit_setting",

@@ -22,9 +22,12 @@ Entry points:
 * :class:`FleetParams` — per-device arrays extracted from an
   :class:`~repro.core.offloading.EdgeSystem` (heterogeneous per-device
   partitions included);
-* :func:`feasible_ratio_intervals` / :func:`edge_compute_split_batch` /
-  :func:`slot_cost_batch` / :func:`drift_plus_penalty_batch` — the batched
-  equivalents of the scalar functions of the same names;
+* :func:`feasible_ratio_intervals` / :func:`slot_cost_batch` — the
+  batched equivalents of the scalar functions of the same names;
+* :class:`_SlotKernel` — the one implementation of the Eq. 9 and Eq.
+  12-13 per-element formulas, evaluated in place into preallocated
+  buffers; :func:`slot_cost_batch`, the Eq. 19 objective and Balance's
+  gap all read it;
 * :func:`dpp_decide` — the only solver of
   :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` (its per-device
   scalar loop survives only as the test suite's reference);
@@ -58,9 +61,7 @@ __all__ = [
     "BatchSlotCost",
     "VectorizedSlotEngine",
     "feasible_ratio_intervals",
-    "edge_compute_split_batch",
     "slot_cost_batch",
-    "drift_plus_penalty_batch",
     "dpp_decide",
     "balance_decide",
     "service_times_batch",
@@ -133,13 +134,6 @@ class FleetParams:
             **dict(zip(_PARTITION_COLUMNS, _partition_table(system, n))),
         )
 
-    def column(self, values: np.ndarray, like: np.ndarray) -> np.ndarray:
-        """Broadcast a ``(N,)`` parameter against ``like`` — ``(N,)`` stays
-        as-is, ``(N, G)`` grids get a trailing axis."""
-        if like.ndim == 2:
-            return values[:, None]
-        return values
-
 
 def feasible_ratio_intervals(
     params: FleetParams, slot_length: float, arrivals: np.ndarray
@@ -203,21 +197,6 @@ def feasible_ratio_intervals_arrays(
     return lo, hi
 
 
-def edge_compute_split_batch(
-    x: np.ndarray, params: FleetParams, edge_flops: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Eq. 9 split; ``x`` may be ``(N,)`` or ``(N, G)``."""
-    col = lambda v: params.column(v, x)
-    slice_flops = col(params.shares * edge_flops)
-    first_weight = x * col(params.mu1)
-    second_weight = col((1.0 - params.sigma1) * params.mu2)
-    total = first_weight + second_weight
-    moot = total <= 0.0
-    safe_total = np.where(moot, 1.0, total)
-    f1 = np.where(moot, 0.0, slice_flops * first_weight / safe_total)
-    return f1, slice_flops - f1
-
-
 @dataclass(frozen=True)
 class BatchSlotCost:
     """Array-valued mirror of :class:`~repro.core.offloading.DeviceSlotCost`.
@@ -262,6 +241,194 @@ class BatchSlotCost:
         return self.y + self.tail
 
 
+def _transfer_times(
+    payload: np.ndarray, bandwidth: np.ndarray, latency: np.ndarray
+) -> np.ndarray:
+    """``NetworkProfile.transfer_time`` per device, with its zero-payload
+    short-circuit."""
+    return np.where(payload == 0, 0.0, payload / bandwidth + latency)
+
+
+class _SlotKernel:
+    """Eq. 9 and Eqs. 12-13 for one fleet, evaluated in place: the one
+    implementation of the per-element cost formulas behind
+    :func:`slot_cost_batch`, the Eq. 19 objective of :func:`dpp_decide`
+    and the gap :func:`balance_decide` bisects.
+
+    The constructor reads each per-device column once as ``(N, 1)`` and
+    allocates ``(N, grid)`` buffers; :meth:`load` and the term methods
+    then write through ``out=`` ufuncs, so a search round allocates
+    nothing.  Each expression keeps the scalar
+    :func:`~repro.core.offloading.slot_cost`'s association, and a
+    ``where(c, e, 0.0)`` is an overwrite with ``+0.0``, so the results
+    are its bits.  The caller's ratios, arrivals and queues are only
+    read: ratios are clipped into the kernel's own buffer.
+    """
+
+    def __init__(
+        self,
+        params: FleetParams,
+        system: EdgeSystem,
+        arrivals: np.ndarray,
+        queue_local: np.ndarray,
+        queue_edge: np.ndarray,
+        grid: int = 1,
+    ):
+        if (arrivals < 0).any() or (queue_local < 0).any() or (queue_edge < 0).any():
+            raise ValueError("arrivals and queue lengths must be non-negative")
+        self.slot_length = system.slot_length
+        self.edge_overhead = system.edge_overhead
+        self.f1_floor = _EPS * system.edge_flops
+        self.arrivals = arrivals[:, None]
+        self.queue_local = queue_local[:, None]
+        self.queue_edge = queue_edge[:, None]
+        self.mu1 = params.mu1[:, None]
+        self.survive_first = (1.0 - params.sigma1)[:, None]
+        self.second_weight = ((1.0 - params.sigma1) * params.mu2)[:, None]
+        self.slice_flops = (params.shares * system.edge_flops)[:, None]
+        self.unit_local = (params.mu1 / params.flops + params.overhead)[:, None]
+        self.service_local = self.slot_length / self.unit_local
+        link = params.bandwidth, params.latency
+        self.tt0 = _transfer_times(params.d0, *link)[:, None]
+        self.tt1 = _transfer_times(params.d1, *link)[:, None]
+        shape = (params.num_devices, grid)
+        # One allocation: loaded ratios, task split, Eq. 9 slice and
+        # first-block edge unit, then three scratch buffers.
+        buffers = np.empty((8, *shape))
+        self.x, self.a, self.d, self.f1, self.unit_edge = buffers[:5]
+        self._term, self._scratch, self._edge = buffers[5:]
+        # Where the local / offloaded / edge-served terms are zero.
+        self.idle_local, self.idle_edge, self.unserved = np.empty(
+            (3, *shape), dtype=bool
+        )
+
+    def load(self, x: np.ndarray) -> None:
+        """Evaluate the Eq. 9 split and ``A_i``/``D_i`` at ratios ``x`` —
+        ``(N,)`` or ``(N, grid)`` — clipped into ``[0, 1]``."""
+        xs, a, d, f1 = self.x, self.a, self.d, self.f1
+        np.clip(np.reshape(x, xs.shape), 0.0, 1.0, out=xs)
+        np.subtract(1.0, xs, out=a)
+        a *= self.arrivals
+        np.multiply(xs, self.arrivals, out=d)
+        # Eq. 9: F_1 = p·F^e · x·μ₁ / (x·μ₁ + (1 − σ₁)·μ₂); a moot split
+        # (no work of either kind) gives the first block nothing.
+        weight, total, moot = self._term, self._scratch, self.unserved
+        np.multiply(xs, self.mu1, out=weight)
+        np.add(weight, self.second_weight, out=total)
+        np.multiply(self.slice_flops, weight, out=f1)
+        np.less_equal(total, 0.0, out=moot)
+        np.copyto(total, 1.0, where=moot)
+        f1 /= total
+        np.copyto(f1, 0.0, where=moot)
+        for values, idle in (
+            (a, self.idle_local),
+            (d, self.idle_edge),
+            (f1, self.unserved),
+        ):
+            np.logical_not(np.greater(values, 0.0, out=idle), out=idle)
+        unit = self.unit_edge
+        np.maximum(f1, self.f1_floor, out=unit)
+        np.divide(self.mu1, unit, out=unit)
+        unit += self.edge_overhead
+
+    def _processing(self, tasks: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
+        """``n·u + n·max(n − 1, 0)/2·u``: processing plus intra-slot
+        queueing of ``n`` tasks at ``u`` seconds each."""
+        queued = self._scratch
+        np.subtract(tasks, 1.0, out=queued)
+        np.maximum(queued, 0.0, out=queued)
+        np.multiply(tasks, queued, out=queued)
+        queued /= 2.0
+        queued *= unit
+        np.multiply(tasks, unit, out=out)
+        out += queued
+
+    def wait_local(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,1}^d``: drain the device backlog ``Q_i``."""
+        np.multiply(self.a, self.queue_local, out=out)
+        out *= self.unit_local
+        return out
+
+    def proc_local(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,2}^d``."""
+        self._processing(self.a, self.unit_local, out)
+        return out
+
+    def trans_local(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,3}^d``: intermediate uploads of non-exited tasks."""
+        np.multiply(self.survive_first, self.a, out=out)
+        out *= self.tt1
+        np.copyto(out, 0.0, where=self.idle_local)
+        return out
+
+    def trans_edge(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,1}^e``: raw input uploads of offloaded tasks."""
+        np.multiply(self.d, self.tt0, out=out)
+        np.copyto(out, 0.0, where=self.idle_edge)
+        return out
+
+    def wait_edge(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,2}^e``: drain the edge backlog ``H_i``."""
+        np.multiply(self.d, self.queue_edge, out=out)
+        out *= self.unit_edge
+        np.copyto(out, 0.0, where=self.idle_edge)
+        return out
+
+    def proc_edge(self, out: np.ndarray) -> np.ndarray:
+        """``C_{i,3}^e``."""
+        self._processing(self.d, self.unit_edge, out)
+        np.copyto(out, 0.0, where=self.idle_edge)
+        return out
+
+    def service_edge(self, out: np.ndarray) -> np.ndarray:
+        """``c_i(t)``: the edge's first-block capacity per slot."""
+        np.copyto(out, self.f1)
+        np.copyto(out, 1.0, where=self.unserved)
+        np.divide(self.mu1, out, out=out)
+        out += self.edge_overhead
+        np.divide(self.slot_length, out, out=out)
+        np.copyto(out, 0.0, where=self.unserved)
+        return out
+
+    def device_time(self, out: np.ndarray) -> np.ndarray:
+        """``T_i^d`` (Eq. 12)."""
+        term = self._term
+        self.wait_local(out)
+        out += self.proc_local(term)
+        out += self.trans_local(term)
+        return out
+
+    def edge_time(self, out: np.ndarray) -> np.ndarray:
+        """``T_i^e`` (Eq. 13)."""
+        term = self._term
+        self.trans_edge(out)
+        out += self.wait_edge(term)
+        out += self.proc_edge(term)
+        return out
+
+    def delay_gap(self, out: np.ndarray) -> np.ndarray:
+        """``T_i^d − T_i^e``, the gap Balance drives to zero."""
+        self.device_time(out)
+        out -= self.edge_time(self._edge)
+        return out
+
+    def drift_plus_penalty(self, v: float, out: np.ndarray) -> np.ndarray:
+        """Eq. 19, ``V·Y_i + Q_i·(A_i − b_i) + H_i·(D_i − c_i)``, matching
+        :func:`~repro.core.offloading.drift_plus_penalty` term for term."""
+        self.device_time(out)
+        out += self.edge_time(self._edge)
+        out *= v
+        term = self._term
+        np.subtract(self.a, self.service_local, out=term)
+        term *= self.queue_local
+        out += term
+        self.service_edge(term)
+        np.subtract(self.d, term, out=term)
+        term *= self.queue_edge
+        out += term
+        return out
+
+
 def slot_cost_batch(
     params: FleetParams,
     system: EdgeSystem,
@@ -278,109 +445,65 @@ def slot_cost_batch(
     grid per device); ``arrivals``/``queue_local``/``queue_edge`` are
     ``(N,)`` and broadcast across the grid axis.
     """
-    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    x = np.asarray(x, dtype=np.float64)
     arrivals = np.asarray(arrivals, dtype=np.float64)
-    queue_local = np.asarray(queue_local, dtype=np.float64)
-    queue_edge = np.asarray(queue_edge, dtype=np.float64)
-    if np.any(arrivals < 0) or np.any(queue_local < 0) or np.any(queue_edge < 0):
-        raise ValueError("arrivals and queue lengths must be non-negative")
-    col = lambda v: params.column(v, x)
-    tau = system.slot_length
-    m = col(arrivals)
-    a_i = (1.0 - x) * m
-    d_i = x * m
-    f1, f2 = edge_compute_split_batch(x, params, system.edge_flops)
-
-    unit_local = col(params.mu1 / params.flops + params.overhead)
-
-    # Device side (Eq. 12).
-    wait_local = a_i * col(queue_local) * unit_local
-    proc_local = a_i * unit_local + a_i * np.maximum(a_i - 1.0, 0.0) / 2.0 * unit_local
-    # transfer_time(d1) with its zero-payload short-circuit.
-    tt1 = np.where(params.d1 == 0, 0.0, params.d1 / params.bandwidth + params.latency)
-    trans_local = np.where(a_i > 0, col(1.0 - params.sigma1) * a_i * col(tt1), 0.0)
-
-    # Edge side (Eq. 13).
-    tt0 = np.where(params.d0 == 0, 0.0, params.d0 / params.bandwidth + params.latency)
-    trans_edge = np.where(d_i > 0, d_i * col(tt0), 0.0)
-    f1_safe = np.maximum(f1, _EPS * system.edge_flops)
-    unit_edge = col(params.mu1) / f1_safe + system.edge_overhead
-    offloading = d_i > 0
-    wait_edge = np.where(offloading, d_i * col(queue_edge) * unit_edge, 0.0)
-    proc_edge = np.where(
-        offloading,
-        d_i * unit_edge + d_i * np.maximum(d_i - 1.0, 0.0) / 2.0 * unit_edge,
-        0.0,
+    kernel = _SlotKernel(
+        params,
+        system,
+        arrivals,
+        np.asarray(queue_local, dtype=np.float64),
+        np.asarray(queue_edge, dtype=np.float64),
+        grid=x.shape[1] if x.ndim == 2 else 1,
     )
-
-    # Service rates (Eqs. 10-11 drains).
-    service_local = tau / unit_local
-    served = f1 > 0
-    safe_f1 = np.where(served, f1, 1.0)
-    service_edge = np.where(
-        served, tau / (col(params.mu1) / safe_f1 + system.edge_overhead), 0.0
-    )
+    kernel.load(x)
+    grid = kernel.x.shape
+    fields = iter(np.empty((7, *grid)))
+    term = lambda method: method(next(fields)).reshape(x.shape)
+    spread = lambda column: (column * np.ones(grid)).reshape(x.shape)
+    f2 = kernel.slice_flops - kernel.f1
 
     if include_tail:
-        surviving_first = col((1.0 - params.sigma1) * arrivals)
+        surviving_first = ((1.0 - params.sigma1) * arrivals)[:, None]
+        mu2 = params.mu2[:, None]
         f2_safe = np.maximum(f2, _EPS * system.edge_flops)
         tail = np.where(
-            (surviving_first > 0) & (col(params.mu2) > 0),
-            surviving_first * (col(params.mu2) / f2_safe + system.edge_overhead),
+            (surviving_first > 0) & (mu2 > 0),
+            surviving_first * (mu2 / f2_safe + system.edge_overhead),
             0.0,
         )
-        tt2 = np.where(
-            params.d2 == 0,
-            0.0,
-            params.d2 / system.edge_cloud.bandwidth + system.edge_cloud.latency,
+        tt2 = _transfer_times(
+            params.d2, system.edge_cloud.bandwidth, system.edge_cloud.latency
         )
-        surviving_second = col((1.0 - params.sigma2) * arrivals)
+        surviving_second = ((1.0 - params.sigma2) * arrivals)[:, None]
         tail = tail + np.where(
             surviving_second > 0,
             surviving_second
             * (
-                col(tt2)
-                + col(params.mu3) / system.cloud_flops
+                tt2[:, None]
+                + params.mu3[:, None] / system.cloud_flops
                 + system.cloud_overhead
             ),
             0.0,
         )
     else:
-        tail = np.zeros_like(x)
+        tail = np.zeros(grid)
 
     return BatchSlotCost(
-        x=x,
-        arrivals=m * np.ones_like(x),
-        local_tasks=a_i,
-        offloaded_tasks=d_i,
-        wait_local=wait_local,
-        proc_local=proc_local,
-        trans_local=trans_local,
-        trans_edge=trans_edge,
-        wait_edge=wait_edge,
-        proc_edge=proc_edge,
-        tail=tail,
-        service_local=service_local * np.ones_like(x),
-        service_edge=service_edge,
-        edge_first_flops=f1,
-        edge_second_flops=f2,
-    )
-
-
-def drift_plus_penalty_batch(
-    cost: BatchSlotCost,
-    queue_local: np.ndarray,
-    queue_edge: np.ndarray,
-    v: float,
-) -> np.ndarray:
-    """Batched Eq. 19 objective, matching
-    :func:`~repro.core.offloading.drift_plus_penalty` term-for-term."""
-    q = queue_local[:, None] if cost.x.ndim == 2 else queue_local
-    h = queue_edge[:, None] if cost.x.ndim == 2 else queue_edge
-    return (
-        v * cost.y
-        + q * (cost.local_tasks - cost.service_local)
-        + h * (cost.offloaded_tasks - cost.service_edge)
+        x=kernel.x.reshape(x.shape),
+        arrivals=spread(kernel.arrivals),
+        local_tasks=kernel.a.reshape(x.shape),
+        offloaded_tasks=kernel.d.reshape(x.shape),
+        wait_local=term(kernel.wait_local),
+        proc_local=term(kernel.proc_local),
+        trans_local=term(kernel.trans_local),
+        trans_edge=term(kernel.trans_edge),
+        wait_edge=term(kernel.wait_edge),
+        proc_edge=term(kernel.proc_edge),
+        tail=tail.reshape(x.shape),
+        service_local=spread(kernel.service_local),
+        service_edge=term(kernel.service_edge),
+        edge_first_flops=kernel.f1.reshape(x.shape),
+        edge_second_flops=f2.reshape(x.shape),
     )
 
 
@@ -404,7 +527,8 @@ def _grid_refine_minimum_batch(
     the reference.  A degenerate row (``lo == hi``, e.g. the Eq. 8
     feasible set of a saturated uplink collapsing to ``x = 0``) returns
     exactly ``lo``; so does a bracket that round-off collapses
-    mid-refinement.
+    mid-refinement.  Every round writes its grid into one buffer, which
+    ``objective`` must only read.
     """
     lo = lo.astype(np.float64).copy()
     hi = hi.astype(np.float64).copy()
@@ -412,10 +536,12 @@ def _grid_refine_minimum_batch(
     frozen_lo = lo.copy()
     idx = np.arange(grid, dtype=np.float64)
     rows = np.arange(lo.shape[0])
+    xs = np.empty((lo.shape[0], grid))
     best = lo.copy()
     for _ in range(3):
         step = (hi - lo) / (grid - 1)
-        xs = lo[:, None] + idx[None, :] * step[:, None]
+        np.multiply(idx, step[:, None], out=xs)
+        np.add(lo[:, None], xs, out=xs)
         values = objective(xs)
         best = xs[rows, np.argmin(values, axis=1)]
         lo = np.maximum(lo, best - step)
@@ -432,18 +558,22 @@ def dpp_decide(
     grid: int = 33,
 ) -> list[float]:
     """The :class:`~repro.core.offloading.DriftPlusPenaltyPolicy`
-    decision: minimise Eq. 19 for every device over a shared ratio grid."""
+    decision: minimise Eq. 19 for every device over a shared ratio grid.
+
+    One :class:`_SlotKernel` serves the three search rounds, so the
+    per-device columns are read once and every round evaluates the
+    objective into the same buffers."""
     params = FleetParams.from_system(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
     lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
+    kernel = _SlotKernel(params, system, arrivals_arr, q, h, grid=grid)
+    values = np.empty(kernel.x.shape)
 
     def objective(xs: np.ndarray) -> np.ndarray:
-        cost = slot_cost_batch(
-            params, system, xs, arrivals_arr, q, h, include_tail=False
-        )
-        return drift_plus_penalty_batch(cost, q, h, v)
+        kernel.load(xs)
+        return kernel.drift_plus_penalty(v, values)
 
     return _grid_refine_minimum_batch(objective, lo, hi, grid=grid).tolist()
 
@@ -468,18 +598,17 @@ def balance_decide(
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
     lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
+    kernel = _SlotKernel(params, system, arrivals_arr, q, h)
+    gaps = np.empty(kernel.x.shape)
 
     def gap(xs: np.ndarray) -> np.ndarray:
-        cost = slot_cost_batch(
-            params, system, xs, arrivals_arr, q, h, include_tail=False
-        )
-        return cost.t_device - cost.t_edge
+        kernel.load(xs)
+        return kernel.delay_gap(gaps)[:, 0]
 
     result = np.zeros_like(arrivals_arr)
     idle = arrivals_arr <= 0
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    stay_local = ~idle & (gap_lo <= 0)  # even full-local is device-cheap
-    go_remote = ~idle & ~stay_local & (gap_hi >= 0)  # full-offload is edge-cheap
+    stay_local = ~idle & (gap(lo) <= 0)  # even full-local is device-cheap
+    go_remote = ~idle & ~stay_local & (gap(hi) >= 0)  # full-offload is edge-cheap
     result = np.where(stay_local, lo, result)
     result = np.where(go_remote, hi, result)
     active = ~(idle | stay_local | go_remote)

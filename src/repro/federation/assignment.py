@@ -30,6 +30,7 @@ The plan also round-trips through the trace schema as an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -187,11 +188,14 @@ def build_assignment_plan(
         topology: The federation (site/device positions and capacities).
         num_slots: Plan horizon.
         seed: Seed for churn draws (stages 1, 2, 4 are RNG-free).
-        churn_per_100: Expected re-homes per device per 100 slots.
+        churn_per_100: Expected re-homes per device per 100 slots, in
+            ``[0, 100]`` (``churn_per_100 / 100`` is a per-slot
+            probability).
         saturation: Spill threshold — an edge whose load-per-FLOPS
             exceeds ``saturation`` × the federation-wide mean sheds its
             hungriest member to the least-utilised peer until balanced.
-            ``None`` (or a single-edge federation) disables spilling.
+            ``None`` (or a single-edge federation) disables spilling;
+            otherwise it must be finite and positive.
         outages: ``(num_slots, E)`` 0/1 per-edge down mask (e.g.
             :attr:`~repro.federation.faults.FederationFaultPlan.
             edge_down`); drives stage 4.
@@ -199,11 +203,14 @@ def build_assignment_plan(
             site for the outage slots.  ``False`` keeps them pointed at
             the dead edge — the no-failover baseline.
     """
-    if num_slots <= 0:
+    # Chained comparisons are False for NaN, so NaN fails too.
+    if not 0 < num_slots < math.inf:
         raise ValueError("need a positive number of slots")
     n, num_edges = topology.num_devices, topology.num_edges
-    if churn_per_100 < 0:
-        raise ValueError("churn_per_100 must be non-negative")
+    if not 0 <= churn_per_100 <= 100:
+        raise ValueError("churn_per_100 must be in [0, 100]")
+    if saturation is not None and not 0 < saturation < math.inf:
+        raise ValueError("saturation must be finite and positive")
     if outages is not None:
         outages = np.asarray(outages)
         if outages.shape != (num_slots, num_edges):
@@ -270,8 +277,6 @@ def _spill_saturated(
     one member, its member with the highest arrival rate (ties → lower
     index) moves to the least-utilised peer.  Bounded by N·E moves.
     """
-    if saturation <= 0:
-        raise ValueError("saturation must be positive")
     assignment = home.copy()
     rates = np.array([d.mean_arrivals for d in topology.devices])
     caps = np.array([s.edge_flops for s in topology.sites])

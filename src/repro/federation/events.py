@@ -103,6 +103,15 @@ def check_federation(
         raise ValueError("plan and topology disagree on edge count")
     if faults is not None and faults.num_edges != topology.num_edges:
         raise ValueError("fault plan and topology disagree on edge count")
+    if (
+        faults is not None
+        and faults.base is not None
+        and faults.base.num_devices != topology.num_devices
+    ):
+        raise ValueError(
+            f"fault plan covers {faults.base.num_devices} devices but the "
+            f"federation has {topology.num_devices}"
+        )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ computation on both the scalar and vectorized branches.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
 from ..core.vectorized import VectorizedSlotEngine
-from ..resilience.environment import edge_down_system
+from ..resilience.environment import edge_down_system, run_environment
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
 from ..sim.metrics import SimulationResult, SlotRecord
@@ -127,10 +126,14 @@ class FederatedSlotSimulator:
             way.
         overload: Enables the overload layer: one global admission gate
             plus a per-edge degradation ladder.
-        faults: Per-edge outage schedule; a down edge's capacity
-            collapses to
-            :data:`~repro.resilience.environment.EDGE_DOWN_FACTOR` ×
-            nominal for the window.
+        faults: Per-edge outage schedule plus, in its ``base`` plan,
+            the per-device channels.  A down edge's capacity collapses
+            to :data:`~repro.resilience.environment.EDGE_DOWN_FACTOR` ×
+            nominal for the window; drops, corruption and stragglers
+            degrade each device's link and compute wherever it is
+            served, overlaid on the run's copy of ``environment`` as
+            the single-edge simulator overlays its plan.  The base plan
+            must be as wide as the fleet.
     """
 
     topology: FederationTopology
@@ -255,8 +258,11 @@ class _EdgeShards:
         ]
 
     def environment(self, configured: DynamicEnvironment) -> DynamicEnvironment:
-        """The run's own copy of the configured environment."""
-        return copy.deepcopy(configured)
+        """The run's own copy of the configured environment, under the
+        base plan's per-device channels (global device order, so each
+        channel follows its device to whichever edge serves it)."""
+        faults = self.sim.faults
+        return run_environment(configured, None if faults is None else faults.base)
 
     def at(self, slot: int, environment) -> tuple[list[int], list[FluidShard]]:
         sim = self.sim

@@ -2,9 +2,9 @@
 
 A fluid run given ``faults=`` (:class:`~repro.sim.simulator.SlotSimulator`)
 overlays the plan's per-device channels on its own copy of the
-configured environment, and its shard provider collapses the edge on
-outage slots (the federation's provider collapses each down edge the
-same way):
+configured environment (:func:`run_environment`), and its shard provider
+collapses the edge on outage slots.  The federated fluid run does the
+same with its plan's ``base`` channels and collapses each down edge:
 
 * ``uplink_drop`` cuts the device's goodput to :data:`DROP_FACTOR` (2% —
   a retransmit-until-success MAC on a failing link): the Eq. 8 budget
@@ -32,6 +32,7 @@ RNG — so the scalar and array planes stay byte-identical.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -55,6 +56,16 @@ def edge_down_system(system: EdgeSystem) -> EdgeSystem:
     """``system`` with its edge out: :data:`EDGE_DOWN_FACTOR` of its
     capacity, shares and partitions as deployed."""
     return replace(system, edge_flops=system.edge_flops * EDGE_DOWN_FACTOR)
+
+
+def run_environment(
+    configured: "DynamicEnvironment", plan: "FaultPlan | None"
+) -> "DynamicEnvironment":
+    """A run's own copy of the configured environment, under ``plan``'s
+    device channels when there is a plan (``plan`` is as wide as the
+    environment's fleet, in its device order)."""
+    environment = copy.deepcopy(configured)
+    return environment if plan is None else _FaultyEnvironment(plan, environment)
 
 
 @dataclass

@@ -23,7 +23,6 @@ one shard per edge.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -37,7 +36,7 @@ from ..core.offloading import (
     slot_cost,
 )
 from ..core.vectorized import FleetState, VectorizedSlotEngine
-from ..resilience.environment import _FaultyEnvironment, edge_down_system
+from ..resilience.environment import edge_down_system, run_environment
 from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess
 from .environment import DynamicEnvironment, StaticEnvironment
@@ -136,10 +135,7 @@ class _WholeFleet:
     def environment(self, configured: DynamicEnvironment) -> DynamicEnvironment:
         """The run's own environment: a copy of the configured one, under
         the fault plan's device channels."""
-        environment = copy.deepcopy(configured)
-        if self.faults is None:
-            return environment
-        return _FaultyEnvironment(self.faults, environment)
+        return run_environment(configured, self.faults)
 
     def at(self, slot: int, environment) -> tuple[list[int], tuple[FluidShard]]:
         system_at = getattr(environment, "system_at", None)

@@ -22,6 +22,7 @@ series drawn from the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,15 +80,21 @@ class WildTraceSpec:
     max_bandwidth: float = mbps(30.0)
 
     def __post_init__(self) -> None:
-        if self.num_slots <= 0 or self.num_devices <= 0:
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not (0 < self.num_slots < math.inf and 0 < self.num_devices < math.inf):
             raise ValueError("num_slots and num_devices must be positive")
-        if self.slot_length <= 0:
-            raise ValueError("slot_length must be positive")
-        for name in ("bandwidth", "edge_flops"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.latency < 0 or self.arrival_rate < 0:
-            raise ValueError("latency and arrival_rate must be non-negative")
+        for name in ("slot_length", "bandwidth", "edge_flops", "flash_duration"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in (
+            "latency",
+            "arrival_rate",
+            "diurnal_period",
+            "noise_sigma",
+            "flash_rate",
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
         for name in ("ge_p_bad", "ge_p_good", "churn_down", "churn_up"):
@@ -95,14 +102,10 @@ class WildTraceSpec:
                 raise ValueError(f"{name} must be a probability")
         if not 0.0 < self.ge_bad_factor <= 1.0:
             raise ValueError("ge_bad_factor must be in (0, 1]")
-        if self.flash_rate < 0 or self.flash_magnitude < 1.0:
-            raise ValueError(
-                "flash_rate must be >= 0 and flash_magnitude >= 1"
-            )
-        if self.flash_duration <= 0:
-            raise ValueError("flash_duration must be positive")
-        if not 0 < self.min_bandwidth <= self.max_bandwidth:
-            raise ValueError("need 0 < min_bandwidth <= max_bandwidth")
+        if not 1.0 <= self.flash_magnitude < math.inf:
+            raise ValueError("flash_magnitude must be finite and >= 1")
+        if not 0 < self.min_bandwidth <= self.max_bandwidth < math.inf:
+            raise ValueError("need 0 < min_bandwidth <= max_bandwidth < inf")
 
 
 def diurnal_series(

@@ -29,7 +29,12 @@ from repro.federation import (
     lift_fault_plan,
     single_edge_topology,
 )
-from repro.resilience.faults import FaultPlan, canonical_outage_plan
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultPlanSpec,
+    canonical_outage_plan,
+    generate_fault_plan,
+)
 from repro.resilience.overload import OverloadControl
 from repro.resilience.qos import QoSConfig
 from repro.resilience.recovery import RecoveryPolicy
@@ -45,6 +50,10 @@ SEEDS = tuple(range(26))
 #: Fluid-only extra fleets with QoS on and an outage-only fault plan: the
 #: warm pool must flush on the outage slots on both sides.
 QOS_OUTAGE_SEEDS = tuple(range(6))
+#: Fluid-only extra fleets whose fault plan drops, corrupts and slows
+#: devices: the federation must overlay the lifted plan's device
+#: channels exactly as the single-edge run overlays its own.
+DEVICE_FAULT_SEEDS = tuple(range(6))
 
 NUM_DEVICES = 3
 NUM_SLOTS = 8
@@ -131,16 +140,55 @@ def _qos_outage_fixture(seed: int):
     )
 
 
+def _device_fault_fixture(seed: int):
+    """An E=1 configuration whose fault plan has every per-device channel
+    (drops, corruption, stragglers) and no edge crash, in the shape of
+    :func:`_qos_outage_fixture`."""
+    n, num_slots = 4, 20
+    system = random_fleet(seed, n, max_arrivals=1.0)
+    topology = single_edge_topology(system)
+    plan = build_assignment_plan(topology, num_slots)
+    faults = generate_fault_plan(
+        FaultPlanSpec(
+            num_slots=num_slots,
+            num_devices=n,
+            drop_prob=0.2,
+            corrupt_prob=0.1,
+            straggler_prob=0.3,
+            crash_rate=0.0,
+        ),
+        seed=seed,
+    )
+    arrivals = [PoissonArrivals(0.5) for _ in range(n)]
+    return (
+        system,
+        topology,
+        plan,
+        arrivals,
+        None,
+        num_slots,
+        dict(faults=faults),
+        dict(faults=lift_fault_plan(faults, 1)),
+    )
+
+
 @pytest.mark.parametrize(
-    "seed,qos_outage",
-    [pytest.param(s, False, id=str(s)) for s in SEEDS]
-    + [pytest.param(s, True, id=f"qos-outage-{s}") for s in QOS_OUTAGE_SEEDS],
+    "seed,case",
+    [pytest.param(s, None, id=str(s)) for s in SEEDS]
+    + [
+        pytest.param(s, _qos_outage_fixture, id=f"qos-outage-{s}")
+        for s in QOS_OUTAGE_SEEDS
+    ]
+    + [
+        pytest.param(s, _device_fault_fixture, id=f"device-faults-{s}")
+        for s in DEVICE_FAULT_SEEDS
+    ],
 )
 @pytest.mark.parametrize("vectorized", (False, True), ids=("scalar", "vectorized"))
-def test_fluid_path_conformance(seed: int, qos_outage: bool, vectorized: bool) -> None:
-    if qos_outage:
+def test_fluid_path_conformance(seed: int, case, vectorized: bool) -> None:
+    if case is not None:
         (system, topology, plan, arrivals, overload, num_slots, single_kw,
-         federated_kw) = _qos_outage_fixture(seed)
+         federated_kw) = case(seed)
     else:
         system, topology, plan, arrivals, overload = _fixture(seed)
         num_slots, single_kw, federated_kw = NUM_SLOTS, {}, {}
@@ -161,10 +209,30 @@ def test_fluid_path_conformance(seed: int, qos_outage: bool, vectorized: bool) -
         overload=overload,
         **federated_kw,
     ).run(_policy(seed), num_slots)
-    tag = f"fluid/{'vec' if vectorized else 'scalar'}/seed={seed}/qos-outage={qos_outage}"
+    kind = "plain" if case is None else case.__name__
+    tag = f"fluid/{'vec' if vectorized else 'scalar'}/seed={seed}/{kind}"
     _assert_fluid_equal(single, federated.global_result, tag)
     # The single shard's per-edge records are the global records verbatim.
     _assert_fluid_equal(single, federated.edge_result(0), tag + "/edge0")
+
+
+@pytest.mark.parametrize("width", (1, 2, 6))
+def test_fault_plan_width_checked_at_construction(width: int) -> None:
+    """A base plan narrower or wider than the fleet is refused by both
+    federated simulators before any slot runs."""
+    n = 4
+    topology = single_edge_topology(random_fleet(0, n))
+    plan = build_assignment_plan(topology, NUM_SLOTS)
+    arrivals = [PoissonArrivals(0.5) for _ in range(n)]
+    faults = lift_fault_plan(
+        generate_fault_plan(
+            FaultPlanSpec(num_slots=NUM_SLOTS, num_devices=width), seed=0
+        ),
+        1,
+    )
+    for simulator in (FederatedSlotSimulator, FederatedEventSimulator):
+        with pytest.raises(ValueError, match="covers"):
+            simulator(topology=topology, arrivals=arrivals, plan=plan, faults=faults)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

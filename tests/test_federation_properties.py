@@ -387,6 +387,28 @@ def test_assignment_plan_trace_round_trip() -> None:
     assert rebuilt.num_edges == plan.num_edges
 
 
+@pytest.mark.parametrize(
+    "num_edges,kwargs",
+    [
+        (3, dict(churn_per_100=math.nan)),
+        (3, dict(churn_per_100=math.inf)),
+        (3, dict(churn_per_100=101.0)),
+        (3, dict(saturation=math.nan)),
+        (3, dict(saturation=math.inf)),
+        (1, dict(saturation=0.0)),
+        (1, dict(saturation=-1.0)),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, dict) else f"E={v}",
+)
+def test_assignment_plan_rejects_bad_knobs(num_edges: int, kwargs) -> None:
+    """Churn outside ``[0, 100]`` per 100 slots and a non-finite or
+    non-positive spill threshold fail when the plan is built, whatever
+    the federation's width."""
+    topology = random_federation_topology(0, num_edges, 6)
+    with pytest.raises(ValueError):
+        build_assignment_plan(topology, NUM_SLOTS, **kwargs)
+
+
 def test_assignment_plan_row_clamps_past_horizon() -> None:
     plan = AssignmentPlan(
         matrix=np.array([[0, 1], [1, 0]], dtype=np.intp), num_edges=2

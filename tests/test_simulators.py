@@ -32,7 +32,7 @@ from repro.sim.fast_events import run_fast
 from repro.sim.metrics import SimulationResult, SlotRecord, summarize
 from repro.sim.simulator import SlotSimulator
 from repro.hardware import INTERNET_EDGE_CLOUD, NetworkProfile
-from repro.traces import TraceEnvironment
+from repro.traces import TraceEnvironment, WildTraceSpec
 from repro.units import mbps, ms
 
 from .helpers import (
@@ -560,6 +560,7 @@ def _run_configurations():
         PoissonArrivals(0.5, maximum=4.0),
         EdgeSite("edge-0", 4e10, INTERNET_EDGE_CLOUD, backhaul_latency=0.01),
         FaultPlanSpec(),
+        WildTraceSpec(),
     )
 
 

@@ -20,12 +20,14 @@ oracle (:func:`_kkt_allocation_array`).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.core.offloading import (
+    _EPS,
     BalanceOffloadingPolicy,
     DriftPlusPenaltyPolicy,
     LyapunovState,
@@ -42,14 +44,17 @@ from repro.core.vectorized import (
     FleetParams,
     FleetState,
     VectorizedSlotEngine,
+    _grid_refine_minimum_batch,
+    _SlotKernel,
     balance_decide,
     dpp_decide,
-    drift_plus_penalty_batch,
-    edge_compute_split_batch,
     feasible_ratio_intervals,
     slot_cost_batch,
 )
 from repro.hardware import NetworkProfile
+from repro.resilience.environment import edge_down_system
+from repro.resilience.overload import MODE_FIRST_EXIT, MODE_FULL
+from repro.resilience.qos import degrade_system_by_modes
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.environment import RandomWalkEnvironment
 from repro.sim.simulator import SlotSimulator
@@ -153,30 +158,26 @@ def _scalar_costs(system, state, ratios, arrivals, include_tail=True):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_slot_cost_batch_matches_scalar_componentwise(seed):
-    """Every Eq. 12-14 component agrees device-by-device."""
+    """Every Eq. 12-14 component is the scalar component's bits,
+    device by device, with and without the tail."""
     system, state, arrivals, ratios = _instance(seed)
     params = FleetParams.from_system(system)
-    batch = slot_cost_batch(
-        params,
-        system,
-        np.array(ratios),
-        np.array(arrivals),
-        np.array(state.queue_local),
-        np.array(state.queue_edge),
-    )
-    scalars = _scalar_costs(system, state, ratios, arrivals)
-    for name in (f.name for f in fields(batch)):
-        got = getattr(batch, name)
-        want = np.array([getattr(c, name) for c in scalars])
-        np.testing.assert_allclose(
-            got, want, rtol=TOL, atol=TOL, err_msg=f"field {name!r}, seed {seed}"
+    for include_tail in (True, False):
+        batch = slot_cost_batch(
+            params,
+            system,
+            np.array(ratios),
+            np.array(arrivals),
+            np.array(state.queue_local),
+            np.array(state.queue_edge),
+            include_tail=include_tail,
         )
-    for prop in ("t_device", "t_edge", "y", "total_time"):
-        got = getattr(batch, prop)
-        want = np.array([getattr(c, prop) for c in scalars])
-        np.testing.assert_allclose(
-            got, want, rtol=TOL, atol=TOL, err_msg=f"property {prop!r}, seed {seed}"
-        )
+        scalars = _scalar_costs(system, state, ratios, arrivals, include_tail)
+        names = [f.name for f in fields(batch)]
+        for name in names + ["t_device", "t_edge", "y", "total_time"]:
+            got = getattr(batch, name).tolist()
+            want = [getattr(c, name) for c in scalars]
+            assert got == want, (name, include_tail, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -196,36 +197,50 @@ def test_feasible_intervals_match_scalar(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_edge_compute_split_matches_scalar(seed):
-    system, _, _, ratios = _instance(seed)
-    params = FleetParams.from_system(system)
-    f1, f2 = edge_compute_split_batch(
-        np.array(ratios), params, system.edge_flops
+    """The kernel's Eq. 9 split is the scalar split's bits."""
+    system, state, arrivals, ratios = _instance(seed)
+    batch = slot_cost_batch(
+        FleetParams.from_system(system),
+        system,
+        np.array(ratios),
+        np.array(arrivals),
+        np.array(state.queue_local),
+        np.array(state.queue_edge),
     )
     for i in range(system.num_devices):
         want = edge_compute_split(
             ratios[i], system.shares[i], system.edge_flops, system.partition_for(i)
         )
-        assert f1[i] == pytest.approx(want[0], rel=TOL, abs=TOL), f"seed {seed}"
-        assert f2[i] == pytest.approx(want[1], rel=TOL, abs=TOL), f"seed {seed}"
+        got = (batch.edge_first_flops[i], batch.edge_second_flops[i])
+        assert got == want, f"seed {seed}"
+
+
+def _kernel_objective(system, state, arrivals, xs, v, devices=None):
+    """The kernel's Eq. 19 at ratios ``xs`` (``(N,)`` or ``(N, G)``)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    kernel = _SlotKernel(
+        FleetParams.from_system(system, devices),
+        system,
+        np.array(arrivals, dtype=np.float64),
+        np.array(state.queue_local, dtype=np.float64),
+        np.array(state.queue_edge, dtype=np.float64),
+        grid=xs.shape[1] if xs.ndim == 2 else 1,
+    )
+    kernel.load(xs)
+    return kernel.drift_plus_penalty(v, np.empty(kernel.x.shape)).reshape(xs.shape)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_drift_plus_penalty_matches_scalar(seed):
+    """The kernel's Eq. 19 is the scalar objective's bits."""
     system, state, arrivals, ratios = _instance(seed)
-    params = FleetParams.from_system(system)
-    q = np.array(state.queue_local)
-    h = np.array(state.queue_edge)
-    batch = slot_cost_batch(
-        params, system, np.array(ratios), np.array(arrivals), q, h,
-        include_tail=False,
-    )
-    got = drift_plus_penalty_batch(batch, q, h, v=50.0)
+    got = _kernel_objective(system, state, arrivals, ratios, v=50.0)
     scalars = _scalar_costs(system, state, ratios, arrivals, include_tail=False)
     want = [
         drift_plus_penalty(c, state.queue_local[i], state.queue_edge[i], 50.0)
         for i, c in enumerate(scalars)
     ]
-    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL, err_msg=f"seed {seed}")
+    assert got.tolist() == want, f"seed {seed}"
 
 
 def _kkt_allocation_array(f: np.ndarray, k: np.ndarray, edge: float) -> np.ndarray:
@@ -290,11 +305,19 @@ def test_dpp_decide_matches_scalar_policy(seed):
 
 
 def _probe_instance(seed: int, max_devices: int = 39):
-    """A harder decision instance: up to ``max_devices`` devices,
-    heterogeneous on odd seeds, some zero queues and zero arrivals, and
-    on every third seed a per-slot link override whose bandwidth spans
-    0.01-2x the device's own and whose latency (1.5 s or 0.9 s of a 1 s
-    slot) leaves no or almost no uplink budget."""
+    """A harder decision instance: up to ``max_devices`` devices (one on
+    seeds 0 and ``max_devices``), heterogeneous on odd seeds, some zero
+    queues and zero arrivals, and on every third seed a per-slot link
+    override whose bandwidth spans 0.01-2x the device's own and whose
+    latency (1.5 s or 0.9 s of a 1 s slot) leaves no or almost no uplink
+    budget (``lo == hi`` rows).
+
+    Degraded rungs (:func:`degrade_system_by_modes`) ride on top: mixed
+    per-device rungs on seeds ``4k + 1``, the first-exit rung fleet-wide
+    on seeds ``4k + 2`` (``σ₁ = 1`` leaves Eq. 9 nothing to split at
+    ``x = 0``).  Seeds ``5k + 3`` take the edge down and give device 0 a
+    slice below the ``F_1`` floor and, with three or more devices,
+    device 1 no slice at all."""
     rng = np.random.default_rng(10_000 + seed)
     n = 1 + seed % max_devices
     system = random_fleet(seed, n, heterogeneous=seed % 2 == 1)
@@ -319,18 +342,144 @@ def _probe_instance(seed: int, max_devices: int = 39):
             )
             for device in system.devices
         )
+    if seed % 4 == 1:
+        modes = rng.integers(MODE_FULL, MODE_FIRST_EXIT + 1, n).tolist()
+        system = degrade_system_by_modes(system, modes)
+    elif seed % 4 == 2:
+        system = degrade_system_by_modes(system, [MODE_FIRST_EXIT] * n)
+    if seed % 5 == 3:
+        system = edge_down_system(system)
+        if n > 1:
+            shares = list(system.shares)
+            starved = [1e-3 * _EPS] + ([0.0] if n > 2 else [])
+            for i, share in enumerate(starved):
+                shares[-1] += shares[i] - share
+                shares[i] = share
+            system = replace(system, shares=tuple(shares))
     return system, state, arrivals, devices
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_dpp_decide_matches_reference_bitwise(seed):
     """The policy returns the reference loop's exact bits on dead and
-    near-dead links, idle devices and every ``V`` regime."""
+    near-dead links, idle devices, degraded rungs, starved slices and
+    every ``V`` regime."""
     system, state, arrivals, devices = _probe_instance(seed)
     for v in (0.0, 1.0, 50.0, 1e4):
         want = _reference_dpp_decide(system, state, arrivals, devices, v=v)
         got = DriftPlusPenaltyPolicy(v=v).decide(system, state, arrivals, devices)
         assert got == want, (seed, v)
+
+
+def test_probe_instances_reach_every_kernel_branch():
+    """The bitwise probes above exercise each special case of the
+    kernel, so a regression in any of them fails a seed."""
+    seen = set()
+    for seed in range(60):
+        system, state, arrivals, devices = _probe_instance(seed)
+        params = FleetParams.from_system(system, devices)
+        m = np.array(arrivals)
+        lo, hi = feasible_ratio_intervals(params, system.slot_length, m)
+        busy = (m > 0) & (hi > lo)
+        slices = params.shares * system.edge_flops
+        if system.num_devices == 1:
+            seen.add("one device")
+        if np.any(m > 0) and np.any((m > 0) & (lo == hi)):
+            seen.add("lo == hi")
+        if np.any(m == 0):
+            seen.add("zero arrivals")
+        if np.any(((1.0 - params.sigma1) * params.mu2 <= 0) & (lo == 0) & busy):
+            seen.add("moot Eq. 9 split")
+        if np.any((slices > 0) & (slices < _EPS * system.edge_flops) & busy):
+            seen.add("F_1 under the floor")
+        if np.any((slices == 0) & busy):
+            seen.add("no slice")
+        if len({(p.sigma1, p.sigma2) for p in system.device_partitions}) > 2 and (
+            np.any(params.sigma1 == 1.0)
+        ):
+            seen.add("degraded heterogeneous rungs")
+    assert seen == {
+        "one device",
+        "lo == hi",
+        "zero arrivals",
+        "moot Eq. 9 split",
+        "F_1 under the floor",
+        "no slice",
+        "degraded heterogeneous rungs",
+    }
+
+
+def test_dpp_search_returns_unclipped_grid_points():
+    """Grid points past 1.0 are clipped in the kernel's own buffer: the
+    search returns the unclipped point, as the scalar reference does."""
+    system, state, arrivals, _ = _instance(11)
+    n = system.num_devices
+    state = LyapunovState([50.0] * n, [0.0] * n)  # offloading pays
+    arrivals = [max(a, 0.5) for a in arrivals]
+    lo = np.linspace(0.2, 0.8, n)
+    hi = np.full(n, np.nextafter(1.0, 2.0))
+    q, h = state.queue_local, state.queue_edge
+
+    def scalar(x: float, i: int) -> float:
+        cost = slot_cost(
+            system.devices[i], system, x, arrivals[i], q[i], h[i],
+            system.shares[i], include_tail=False,
+            partition=system.partition_for(i),
+        )
+        return drift_plus_penalty(cost, q[i], h[i], 0.0)
+
+    want = [
+        _grid_refine_minimum(lambda x, _i=i: scalar(x, _i), lo[i], hi[i])
+        for i in range(n)
+    ]
+    kernel = _SlotKernel(
+        FleetParams.from_system(system),
+        system,
+        np.array(arrivals),
+        np.array(state.queue_local),
+        np.array(state.queue_edge),
+        grid=33,
+    )
+    values = np.empty(kernel.x.shape)
+
+    def objective(xs):
+        kernel.load(xs)
+        return kernel.drift_plus_penalty(0.0, values)
+
+    got = _grid_refine_minimum_batch(objective, lo, hi).tolist()
+    assert max(got) > 1.0
+    assert got == want
+
+
+def test_decisions_leave_caller_arrays_untouched():
+    """``np.asarray`` hands the kernel the caller's own float64 queues
+    and arrivals; the solvers only read them."""
+    system, state, arrivals, devices = _probe_instance(7)
+    q = np.array(state.queue_local)
+    h = np.array(state.queue_edge)
+    m = np.array(arrivals)
+    owned = LyapunovState(q, h)
+    before = [a.tobytes() for a in (q, h, m)]
+    dpp_decide(system, owned, m, devices)
+    balance_decide(system, owned, m, devices)
+    slot_cost_batch(
+        FleetParams.from_system(system, devices), system, np.full((q.size, 5), 0.5),
+        m, q, h,
+    )
+    assert [a.tobytes() for a in (q, h, m)] == before
+
+
+def test_back_to_back_decisions_share_no_state():
+    """Buffers live for one decision: a decision in between changes
+    nothing, and the policy object carries no kernel state."""
+    first_instance, other = _probe_instance(5), _probe_instance(22)
+    policy = DriftPlusPenaltyPolicy(v=50.0)
+    pickled = pickle.dumps(policy)
+    first = policy.decide(*first_instance)
+    policy.decide(*other)
+    assert policy.decide(*first_instance) == first
+    assert first == _reference_dpp_decide(*first_instance, v=50.0)
+    assert pickle.dumps(policy) == pickled
 
 
 @pytest.mark.parametrize("seed", SEEDS)
