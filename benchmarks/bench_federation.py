@@ -14,6 +14,12 @@ core promise on a small fleet (federated records == single-edge records,
 byte-for-byte) and a federated run re-checks the per-edge SLO identity;
 a violation refuses to write results.
 
+Each row is timed over enough back-to-back fresh runs that its
+single-edge total clears the 0.2 s timing floor, and the sharded side
+over as many; rows report seconds per run and how many runs they
+averaged.  The JSON records the host (Python, NumPy, CPU count) and the
+git commit it measured.
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_federation.py
@@ -33,9 +39,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # for `tests.helpers` when run as a script
@@ -60,6 +71,9 @@ DEFAULT_SWEEP = ((1000, 4), (10000, 8))
 ARRIVAL_RATE = 0.5
 #: Allowed relative growth in a row's sharding overhead before --check fails.
 REGRESSION_TOLERANCE = 0.30
+#: Single-edge seconds a row must be timed over before --check gates it;
+#: rows repeat fresh runs until their single-edge total clears it.
+TIMING_FLOOR_S = 0.2
 
 
 def _conformance_gate(seed: int = 0) -> bool:
@@ -113,6 +127,39 @@ def _single_run(n: int, slots: int, seed: int):
     return time.perf_counter() - start, result
 
 
+def _row_timing(n: int, edges: int, slots: int, seed: int):
+    """Seconds per run of the single-edge and sharded configurations, each
+    timed over the same number of back-to-back fresh runs: as many as the
+    single-edge total needs to clear :data:`TIMING_FLOOR_S`."""
+    runs, single_total = 0, 0.0
+    while single_total < TIMING_FLOOR_S:
+        elapsed, _ = _single_run(n, slots, seed)
+        single_total += elapsed
+        runs += 1
+    sharded_total = 0.0
+    for _ in range(runs):
+        elapsed, result = _sharded_run(n, edges, slots, seed)
+        sharded_total += elapsed
+    return runs, sharded_total / runs, single_total / runs, result
+
+
+def _git_sha() -> str:
+    """HEAD's commit, suffixed ``-dirty`` when tracked files differ from
+    it; ``unknown`` outside a git checkout."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return f"{sha}-dirty" if dirty else sha
+
+
 def sweep(configs, slots: int, seed: int = 0) -> list[dict]:
     if not _conformance_gate(seed):
         raise SystemExit(
@@ -122,8 +169,7 @@ def sweep(configs, slots: int, seed: int = 0) -> list[dict]:
     print("E=1 conformance gate: byte-identical")
     rows = []
     for n, edges in configs:
-        sharded_s, result = _sharded_run(n, edges, slots, seed)
-        single_s, _ = _single_run(n, slots, seed)
+        runs, sharded_s, single_s, result = _row_timing(n, edges, slots, seed)
         summary = federated_fluid_summary(result)
         conserved = summary["identity_gap"] < 1e-6 * max(
             result.global_result.total_generated, 1.0
@@ -133,16 +179,18 @@ def sweep(configs, slots: int, seed: int = 0) -> list[dict]:
             "devices": n,
             "edges": edges,
             "slots": slots,
-            "sharded_s": round(sharded_s, 3),
-            "single_s": round(single_s, 3),
+            "runs": runs,
+            "sharded_s": round(sharded_s, 4),
+            "single_s": round(single_s, 4),
             "overhead": round(sharded_s / single_s, 3),
             "device_slots_per_s": round(n * slots / sharded_s, 1),
             "conserved": conserved,
         }
         rows.append(row)
         print(
-            f"fluid {n:>6} devices x {edges} edges: sharded {sharded_s:7.3f}s,"
-            f" single {single_s:7.3f}s, overhead {row['overhead']:5.3f}x, "
+            f"fluid {n:>6} devices x {edges} edges: sharded {sharded_s:7.4f}s,"
+            f" single {single_s:7.4f}s ({runs} runs), "
+            f"overhead {row['overhead']:5.3f}x, "
             f"{row['device_slots_per_s']:>10.1f} device-slots/s, "
             f"conserved={conserved}"
         )
@@ -166,8 +214,8 @@ def check(baseline_path: Path, rows: list[dict]) -> int:
         base = by_key.get((row["devices"], row["edges"]))
         if base is None or base.get("overhead") is None:
             continue
-        # Sub-second rows are timing noise, not signal.
-        if row["single_s"] < 0.2:
+        # A row timed over less than the floor is noise, not signal.
+        if row["single_s"] * row["runs"] < TIMING_FLOOR_S:
             continue
         ceiling = base["overhead"] * (1.0 + REGRESSION_TOLERANCE)
         if row["overhead"] > ceiling:
@@ -233,6 +281,12 @@ def main(argv: list[str] | None = None) -> int:
         "arrivals": f"ConstantArrivals({ARRIVAL_RATE})",
         "slots": args.slots,
         "seed": args.seed,
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count(),
+        },
+        "git_sha": _git_sha(),
         "results": rows,
     }
     output = args.output or REPO_ROOT / "BENCH_federation.json"

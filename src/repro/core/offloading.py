@@ -198,10 +198,12 @@ class LiveFleet(Sequence[DeviceConfig]):
         return fleet
 
     def take(self, members: Sequence[int]) -> "LiveFleet":
-        """The sub-fleet of ``members``, in their order."""
+        """The sub-fleet of ``members`` (a sequence or an integer array),
+        in their order."""
         idx = np.asarray(members, dtype=np.intp)
+        base = self.base
         return LiveFleet(
-            [self.base[i] for i in members],
+            [base[i] for i in idx.tolist()],
             self.flops[idx],
             self.bandwidth[idx],
             self.latency[idx],
@@ -237,6 +239,8 @@ class LiveFleet(Sequence[DeviceConfig]):
         )
 
     def __iter__(self):
+        if None not in self._built:  # every config built already
+            return iter(self._built)
         return map(self.__getitem__, range(len(self.base)))
 
     def __eq__(self, other) -> bool:

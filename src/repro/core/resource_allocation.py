@@ -24,26 +24,39 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
 
-def _validate(device_flops: Sequence[float], arrival_rates: Sequence[float]) -> None:
+
+def _validate(
+    device_flops: Sequence[float], arrival_rates: Sequence[float]
+) -> np.ndarray:
+    """Check the inputs as arrays; returns the arrival rates as one."""
     if len(device_flops) != len(arrival_rates):
         raise ValueError("device_flops and arrival_rates must have equal length")
-    if not device_flops:
+    if not len(device_flops):
         raise ValueError("need at least one device")
-    if any(f <= 0 for f in device_flops):
+    if (np.asarray(device_flops, dtype=np.float64) <= 0).any():
         raise ValueError("device FLOPS must be positive")
-    if any(k < 0 for k in arrival_rates):
+    rates = np.asarray(arrival_rates, dtype=np.float64)
+    if (rates < 0).any():
         raise ValueError("arrival rates must be non-negative")
+    return rates
 
 
 def _validate_kkt(
     device_flops: Sequence[float],
     arrival_rates: Sequence[float],
     edge_flops: float,
-) -> None:
-    _validate(device_flops, arrival_rates)
+) -> np.ndarray:
+    rates = _validate(device_flops, arrival_rates)
     if edge_flops <= 0:
         raise ValueError("edge FLOPS must be positive")
+    return rates
+
+
+def _listed(values: Sequence[float]) -> Sequence[float]:
+    """A float64 column as a list of Python floats; a sequence as is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def kkt_edge_allocation(
@@ -54,7 +67,8 @@ def kkt_edge_allocation(
     """Optimal edge shares ``p_i`` (Eq. 27 with the active-set extension).
 
     Args:
-        device_flops: ``F_i^d`` per device.
+        device_flops: ``F_i^d`` per device (a sequence or a float64
+            column; a column is solved as a list of Python floats).
         arrival_rates: expected tasks per slot ``k_i`` per device.
         edge_flops: total edge capacity ``F^e``.
 
@@ -65,6 +79,7 @@ def kkt_edge_allocation(
         ValueError: on inconsistent inputs or non-positive edge capacity.
     """
     _validate_kkt(device_flops, arrival_rates, edge_flops)
+    device_flops, arrival_rates = _listed(device_flops), _listed(arrival_rates)
     n = len(device_flops)
     if all(k == 0 for k in arrival_rates):
         # No demand: the objective is flat; fall back to a uniform split.
@@ -119,7 +134,10 @@ def floored_edge_allocation(
 
     When the floors alone fill the budget (``active · min_share ≥ 1``,
     e.g. 100 or more active devices at the default 1 %) every device gets
-    ``1/n`` and the KKT problem is never solved.
+    ``1/n`` and the KKT problem is never solved.  The inputs may be
+    float64 columns (a federation shard's gathered members): they are
+    checked and counted as arrays, and solved as lists of Python floats,
+    so the solve's sums keep their order.
     """
     if not 0.0 <= min_share < 1.0:
         raise ValueError("min_share must be in [0, 1)")
@@ -127,12 +145,13 @@ def floored_edge_allocation(
         return kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
     # Check the inputs here too: the uniform split below skips the solve
     # that would otherwise reject them.
-    _validate_kkt(device_flops, arrival_rates, edge_flops)
-    num_active = sum(1 for k in arrival_rates if k > 0)
+    rates = _validate_kkt(device_flops, arrival_rates, edge_flops)
+    num_active = int(np.count_nonzero(rates > 0))
     if not num_active or num_active * min_share >= 1.0:
         # Degenerate: floors alone exceed the budget; split evenly.
         n = len(device_flops)
         return [1.0 / n] * n
+    arrival_rates = _listed(arrival_rates)
     shares = kkt_edge_allocation(device_flops, arrival_rates, edge_flops)
     floored = [
         max(s, min_share) if k > 0 else s for s, k in zip(shares, arrival_rates)

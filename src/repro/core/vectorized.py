@@ -73,9 +73,12 @@ __all__ = [
 _PARTITION_COLUMNS = ("mu1", "mu2", "mu3", "d0", "d1", "d2", "sigma1", "sigma2")
 
 
-def _partition_table(system: EdgeSystem, n: int) -> np.ndarray:
-    """The ``(8, n)`` partition columns of the first ``n`` devices; a
-    homogeneous deployment repeats its one partition's values."""
+def partition_table(system, n: int) -> np.ndarray:
+    """The ``(8, n)`` partition columns (``μ₁..μ₃``, ``d₀..d₂``, ``σ₁``,
+    ``σ₂``) of the first ``n`` devices of ``system`` — anything with a
+    ``partition`` and ``device_partitions``, such as an
+    :class:`~repro.core.offloading.EdgeSystem` or a federation topology;
+    a homogeneous deployment repeats its one partition's values."""
     parts = system.device_partitions[:n] or (system.partition,)
     table = np.array(
         [[getattr(p, name) for p in parts] for name in _PARTITION_COLUMNS],
@@ -118,20 +121,45 @@ class FleetParams:
         cls,
         system: EdgeSystem,
         devices: Sequence[DeviceConfig] | None = None,
+        partitions: np.ndarray | None = None,
     ) -> "FleetParams":
         """Extract arrays from ``system`` (and this slot's live ``devices``,
         which a dynamic environment may have substituted).  A
         :class:`~repro.core.offloading.LiveFleet` hands over its columns
-        without building a config."""
+        without building a config.  ``partitions`` is the devices'
+        ``(8, N)`` :func:`partition_table` when the caller has gathered
+        it already (a federation shard); otherwise it is read off
+        ``system``."""
         fleet = LiveFleet.of(system.devices if devices is None else devices)
         n = len(fleet)
+        if partitions is None:
+            partitions = partition_table(system, n)
         return cls(
             flops=fleet.flops,
             bandwidth=fleet.bandwidth,
             latency=fleet.latency,
             overhead=fleet.overhead,
             shares=np.array(system.shares[:n], dtype=np.float64),
-            **dict(zip(_PARTITION_COLUMNS, _partition_table(system, n))),
+            **dict(zip(_PARTITION_COLUMNS, partitions)),
+        )
+
+    def with_devices(self, fleet: LiveFleet) -> "FleetParams":
+        """These params with a live fleet's device columns (the shares
+        and partition columns kept); themselves when the fleet's columns
+        are theirs."""
+        if (
+            fleet.flops is self.flops
+            and fleet.bandwidth is self.bandwidth
+            and fleet.latency is self.latency
+            and fleet.overhead is self.overhead
+        ):
+            return self
+        return replace(
+            self,
+            flops=fleet.flops,
+            bandwidth=fleet.bandwidth,
+            latency=fleet.latency,
+            overhead=fleet.overhead,
         )
 
 
@@ -704,27 +732,27 @@ class FleetState:
 class VectorizedSlotEngine:
     """One-call-per-slot evaluation of a whole fleet.
 
-    Precomputes the static :class:`FleetParams` once; a dynamic
-    environment's per-slot :class:`~repro.core.offloading.LiveFleet`
-    hands over its columns instead, so no slot reads a config object.
+    Holds the static :class:`FleetParams` — read off the system's
+    configs, or handed over already gathered (a federation shard's
+    members' rows).  A slot's :class:`~repro.core.offloading.LiveFleet`
+    swaps in its device columns; a fleet whose columns are the static
+    ones (a slot that changed no device) reuses the params as they are.
+    So no slot reads a config object.
     """
 
-    def __init__(self, system: EdgeSystem):
+    def __init__(self, system: EdgeSystem, params: FleetParams | None = None):
         self.system = system
-        self._fleet = LiveFleet.of(system.devices)
-        self._static_params = FleetParams.from_system(system, self._fleet)
+        self._static_params = (
+            FleetParams.from_system(system) if params is None else params
+        )
 
     def params_for(
         self, devices: Sequence[DeviceConfig] | None
     ) -> FleetParams:
         if devices is None or devices is self.system.devices:
             return self._static_params
-        if not isinstance(devices, LiveFleet) and tuple(devices) == (
-            self.system.devices
-        ):
-            # A static environment's configs gathered for a federated
-            # shard: element identity makes the test cheap.
-            return self._static_params
+        if isinstance(devices, LiveFleet):
+            return self._static_params.with_devices(devices)
         return FleetParams.from_system(self.system, devices)
 
     def slot_costs(
@@ -757,15 +785,17 @@ class VectorizedSlotEngine:
         the byte-identity contract holds with cold starts active.
         """
         live = self.system if system is None else system
+        params = self.params_for(devices)
         if live is not self.system and (
             live.partition is not self.system.partition
             or live.device_partitions != self.system.device_partitions
         ):
-            if devices is None or devices is self.system.devices:
-                devices = self._fleet
-            params = FleetParams.from_system(live, devices)
-        else:
-            params = self.params_for(devices)
+            n = params.num_devices
+            params = replace(
+                params,
+                shares=np.array(live.shares[:n], dtype=np.float64),
+                **dict(zip(_PARTITION_COLUMNS, partition_table(live, n))),
+            )
         if share_scale is not None:
             params = replace(
                 params,

@@ -33,6 +33,7 @@ independent runs would construct.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -315,6 +316,8 @@ class FederatedEventSimulator:
 
     def __post_init__(self) -> None:
         check_federation(self.topology, self.plan, self.arrivals, self.faults)
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be non-negative")
         if self.recovery is not None and self.faults is None:
             raise ValueError("recovery requires a fault plan to recover from")
 

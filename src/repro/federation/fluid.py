@@ -11,9 +11,13 @@ one warm pool per shard.  This module supplies what is federation-only:
 
 * **Shards**: each populated edge builds an
   :class:`~repro.core.offloading.EdgeSystem` over its members with
-  per-edge KKT shares, kept while its member set holds.  One plane serves
-  every shard, picked from the devices per edge.  The array plane
-  gathers each shard's sub-state with
+  per-edge KKT shares, kept while its member set holds.  A shard is an
+  index gather: its shares are solved on the members' rows of the
+  topology's FLOPS and mean-arrival columns, and its device columns
+  (and, on the array plane, its engine's parameters) are the members'
+  rows of columns read once per run — a new member set reads no device
+  config.  One plane serves every shard, picked from the devices per
+  edge.  The array plane gathers each shard's sub-state with
   :meth:`~repro.core.vectorized.FleetState.shard`, steps it through the
   shard's own :class:`~repro.core.vectorized.VectorizedSlotEngine`, and
   scatters it back with :meth:`~repro.core.vectorized.FleetState.absorb`.
@@ -35,13 +39,14 @@ computation on both the scalar and vectorized branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.offloading import EdgeSystem, LyapunovState, OffloadingPolicy
-from ..core.vectorized import VectorizedSlotEngine
+from ..core.offloading import LyapunovState, OffloadingPolicy
+from ..core.vectorized import FleetParams, VectorizedSlotEngine, partition_table
 from ..resilience.environment import edge_down_system, run_environment
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
@@ -154,6 +159,8 @@ class FederatedSlotSimulator:
 
     def __post_init__(self) -> None:
         check_federation(self.topology, self.plan, self.arrivals, self.faults)
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be non-negative")
 
     def run(
         self,
@@ -202,14 +209,21 @@ class _EdgeShards:
     """The federation's shard provider: one shard per edge over the
     plan's members for the slot.
 
-    Each edge keeps the shard system (and vectorized engine) of its
+    Each edge keeps the :class:`~repro.sim.simulator.FluidShard` of its
     latest member set: members only change at assignment-epoch
     boundaries, and a shard is derived (immutable) data — rebuilt, not
     checkpointed.  An older member set is rebuilt if it comes back, so
-    the cache holds at most one entry per edge.  A down edge's capacity
-    collapses (:func:`~repro.resilience.environment.edge_down_system`)
-    while its peers run untouched.  The plane is decided once, for every
-    shard: the loop keeps one global fleet state on the array plane.
+    the cache holds at most one entry per edge.  Building one is an
+    index gather over columns read once per run: the shard system's
+    shares come from the topology's columns
+    (:meth:`~repro.federation.topology.FederationTopology.build_shard`),
+    its fleet is the members' rows of the topology's
+    :class:`~repro.core.offloading.LiveFleet`, and its engine's
+    parameters add the members' rows of the partition table.  A down
+    edge's capacity collapses
+    (:func:`~repro.resilience.environment.edge_down_system`) while its
+    peers run untouched.  The plane is decided once, for every shard:
+    the loop keeps one global fleet state on the array plane.
     """
 
     def __init__(self, sim: FederatedSlotSimulator):
@@ -222,9 +236,11 @@ class _EdgeShards:
         self.vectorized = resolve_plane(
             sim.vectorized, self.num_devices / self.num_shards
         )
-        self._cache: dict[
-            int, tuple[list[int], EdgeSystem, VectorizedSlotEngine | None]
-        ] = {}
+        self.fleet = topology.fleet
+        self.partitions = (
+            partition_table(topology, self.num_devices) if self.vectorized else None
+        )
+        self._cache: dict[int, FluidShard] = {}
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
         """One warm pool + shed budget per edge over the *global* device
@@ -269,18 +285,30 @@ class _EdgeShards:
         row = sim.plan.row(slot)
         shards = []
         for e in range(self.num_shards):
-            members = np.flatnonzero(row == e).tolist()
+            index = np.flatnonzero(row == e)
+            members = index.tolist()
             down = sim.faults is not None and sim.faults.edge_down_at(slot, e)
             if not members:
                 shards.append(FluidShard(members, None, None, down))
                 continue
-            cached = self._cache.get(e)
-            if cached is None or cached[0] != members:
-                system = sim.topology.build_shard(e, members)
-                engine = VectorizedSlotEngine(system) if self.vectorized else None
-                cached = self._cache[e] = (members, system, engine)
-            _, system, engine = cached
+            shard = self._cache.get(e)
+            if shard is None or shard.members != members:
+                shard = self._cache[e] = self._build(e, index)
             if down:
-                system = edge_down_system(system)
-            shards.append(FluidShard(members, system, engine, down))
+                shard = shard._replace(
+                    system=edge_down_system(shard.system), edge_down=True
+                )
+            shards.append(shard)
         return row.tolist(), shards
+
+    def _build(self, edge: int, index: np.ndarray) -> FluidShard:
+        """Edge ``edge``'s shard over the members in ``index``."""
+        system = self.sim.topology.build_shard(edge, index)
+        fleet = self.fleet.take(index)
+        engine = None
+        if self.vectorized:
+            params = FleetParams.from_system(
+                system, fleet, self.partitions[:, index]
+            )
+            engine = VectorizedSlotEngine(system, params)
+        return FluidShard(index.tolist(), system, engine, False, fleet)

@@ -19,6 +19,7 @@ equal.
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.offloading import OffloadingPolicy
@@ -60,6 +61,11 @@ class FederatedRuntime:
         seed: int = 0,
     ):
         check_federation(topology, plan)
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not 0 < speedup < math.inf:
+            raise ValueError("speedup must be finite and positive")
+        if not 0 <= seed < math.inf:
+            raise ValueError("seed must be non-negative")
         self.topology = topology
         self.policy = policy
         self.plan = plan

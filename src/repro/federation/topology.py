@@ -13,7 +13,9 @@ build_shard` materialises each edge's member devices as an ordinary
 :class:`~repro.core.offloading.EdgeSystem` whose shares are the per-edge
 KKT water-filling of Appendix B (``EdgeSystem``'s default
 :func:`~repro.core.resource_allocation.floored_edge_allocation` over the
-members against *that edge's* capacity).  Every existing execution path —
+members against *that edge's* capacity, solved on the members' rows of
+the topology's FLOPS and mean-arrival columns, which are read once).
+Every existing execution path —
 fluid scalar/vectorized, both event engines, the live runtime — then runs
 each shard unchanged, which is what makes the E=1 conformance contract
 (`tests/test_federation_conformance.py`) hold byte-identically: a
@@ -24,12 +26,14 @@ exactly the original RNG streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ..core.offloading import DeviceConfig, EdgeSystem
+from ..core.offloading import DeviceConfig, EdgeSystem, LiveFleet
+from ..core.resource_allocation import floored_edge_allocation
 from ..hardware import (
     EDGE_I7_3770,
     INTERNET_EDGE_CLOUD,
@@ -181,6 +185,17 @@ class FederationTopology:
                 best, best_distance = e, distance
         return best
 
+    @cached_property
+    def fleet(self) -> LiveFleet:
+        """The devices' FLOPS, link and overhead columns, read once: the
+        rows each shard gathers."""
+        return LiveFleet.of(self.devices)
+
+    @cached_property
+    def mean_arrivals(self) -> np.ndarray:
+        """Each device's ``k_i``, read once, for the shards' shares."""
+        return np.array([d.mean_arrivals for d in self.devices], dtype=np.float64)
+
     def shard_seed(self, seed: int, edge: int) -> int:
         """The RNG seed edge ``edge``'s shard derives from a base run
         seed (stride :data:`SHARD_SEED_STRIDE`; edge 0 keeps ``seed``)."""
@@ -191,11 +206,13 @@ class FederationTopology:
     ) -> EdgeSystem:
         """The :class:`EdgeSystem` edge ``edge`` runs for ``members``.
 
-        Shares are left to ``EdgeSystem``'s default — the floored KKT
-        allocation of Appendix B over the member devices against this
-        site's capacity, i.e. per-edge resource allocation.  ``members``
-        must be ascending global device indices; the shard preserves
-        that order.
+        Shares are ``EdgeSystem``'s default — the floored KKT allocation
+        of Appendix B over the member devices against this site's
+        capacity, i.e. per-edge resource allocation — solved on the
+        members' rows of :attr:`fleet` and :attr:`mean_arrivals`, so a
+        new member set reads no config attribute.  ``members`` must be
+        ascending global device indices (a sequence or an integer
+        array); the shard preserves that order.
 
         ``homes`` (per global device, usually :meth:`home_assignment`)
         enables the site's ``backhaul_latency`` term: members homed
@@ -205,38 +222,43 @@ class FederationTopology:
         """
         if not 0 <= edge < self.num_edges:
             raise ValueError(f"edge must be in [0, {self.num_edges})")
-        members = list(members)
-        if not members:
+        index = np.asarray(members, dtype=np.intp)
+        if not index.size:
             raise ValueError("a shard needs at least one member device")
-        if members != sorted(set(members)):
+        if (index[1:] <= index[:-1]).any():
             raise ValueError("members must be ascending unique indices")
-        if members[0] < 0 or members[-1] >= self.num_devices:
+        if index[0] < 0 or index[-1] >= self.num_devices:
             raise ValueError("member index out of range")
+        members = index.tolist()
         site = self.sites[edge]
-
-        def member_device(i: int) -> DeviceConfig:
-            device = self.devices[i]
-            if (
-                homes is None
-                or site.backhaul_latency == 0.0
-                or homes[i] == edge
-            ):
-                return device
-            return replace(
-                device,
-                link=NetworkProfile(
-                    bandwidth=device.link.bandwidth,
-                    latency=device.link.latency + site.backhaul_latency,
-                ),
-            )
-
+        devices = [self.devices[i] for i in members]
+        if homes is not None and site.backhaul_latency != 0.0:
+            devices = [
+                device
+                if homes[i] == edge
+                else replace(
+                    device,
+                    link=NetworkProfile(
+                        bandwidth=device.link.bandwidth,
+                        latency=device.link.latency + site.backhaul_latency,
+                    ),
+                )
+                for i, device in zip(members, devices)
+            ]
         return EdgeSystem(
-            devices=tuple(member_device(i) for i in members),
+            devices=tuple(devices),
             edge_flops=site.edge_flops,
             cloud_flops=self.cloud_flops,
             edge_cloud=site.edge_cloud,
             partition=self.partition,
             slot_length=self.slot_length,
+            shares=tuple(
+                floored_edge_allocation(
+                    self.fleet.flops[index],
+                    self.mean_arrivals[index],
+                    site.edge_flops,
+                )
+            ),
             edge_overhead=site.edge_overhead,
             cloud_overhead=self.cloud_overhead,
             device_partitions=tuple(

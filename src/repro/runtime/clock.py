@@ -7,6 +7,7 @@ still experience real concurrency (queueing, interleaving, contention).
 
 from __future__ import annotations
 
+import math
 import time
 
 
@@ -19,8 +20,9 @@ class VirtualClock:
     """
 
     def __init__(self, speedup: float = 100.0):
-        if speedup <= 0:
-            raise ValueError("speedup must be positive")
+        # A chained comparison is False for NaN, so NaN fails too.
+        if not 0 < speedup < math.inf:
+            raise ValueError("speedup must be finite and positive")
         self.speedup = speedup
         self._start = time.monotonic()
 

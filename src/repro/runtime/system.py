@@ -18,6 +18,7 @@ returns the event simulator's :class:`~repro.sim.events.EventSimResult`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
@@ -78,6 +79,8 @@ class LeimeRuntime:
         speedup: float = 200.0,
         seed: int = 0,
     ):
+        if not 0 <= seed < math.inf:
+            raise ValueError("seed must be non-negative")
         self.system = system
         # The deployment the ladder's rungs degrade: ``system`` is what
         # the current slot serves, re-derived from this every slot.

@@ -5,15 +5,34 @@ with expectation ``k_i``; the evaluation additionally sweeps and *varies*
 arrival rates over time (Fig. 3(a), Fig. 9, Fig. 10(b)).  Every process
 exposes the current expectation so policies can plan against ``k_i(t)``
 while the simulator draws the realised counts.
+
+A process may also declare its ``count_law``: :data:`POISSON_COUNT` (the
+slot's count is a Poisson draw around its mean) or :data:`MEAN_COUNT`
+(the count is the mean itself).  :class:`SlotDraw` realises a fleet's
+slot from the means — a long contiguous run of Poisson processes in one
+``rng.poisson`` call — instead of one ``sample`` call per device.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
+
+#: ``count_law`` of a process whose slot count is a Poisson draw around
+#: its slot mean (capped at its ``maximum``, if it has one).
+POISSON_COUNT = "poisson"
+#: ``count_law`` of a deterministic process: its slot count is its mean.
+MEAN_COUNT = "mean"
+
+#: Poisson runs at least this long draw in one array call; shorter ones
+#: draw one scalar per process, which is cheaper below it: NumPy's array
+#: path costs ~13 µs whatever the length on a 2-core host, a scalar draw
+#: ~0.7 µs (best of 7: 14.1 vs 9.0 µs at 12 processes, 13.2 vs 14.3 at
+#: 20, 14.9 vs 22.9 at 32).  Both consume the stream identically.
+BATCH_DRAW_MIN = 20
 
 
 @runtime_checkable
@@ -36,6 +55,70 @@ class ArrivalProcess(Protocol):
         ...
 
 
+class SlotDraw:
+    """One slot's realised arrivals for a fixed list of processes, in as
+    few RNG calls as the stream allows.
+
+    Each contiguous run of processes whose ``count_law`` is
+    :data:`POISSON_COUNT` is one ``rng.poisson`` call over their slot
+    means (a run shorter than :data:`BATCH_DRAW_MIN` draws one scalar per
+    mean instead): NumPy draws an array's elements in order from the
+    same stream, so the counts and the generator's final state equal the
+    per-process ``sample`` calls (a zero mean draws nothing either way).  A
+    :data:`MEAN_COUNT` process returns its mean without drawing.  Any
+    other process (no ``count_law``) calls its own ``sample`` in place,
+    so the order of draws on the stream never changes.
+
+    The law is read once, from what each process declares — not from its
+    ``sample`` method, which an instrumented run may wrap.  A subclass
+    that overrides ``sample`` must override ``count_law`` too.
+    """
+
+    def __init__(self, processes: Sequence[ArrivalProcess]):
+        self.processes = list(processes)
+        #: ``(start, stop)`` for a Poisson run, ``(i, None)`` for a
+        #: process that samples itself, in device order.
+        self.steps: list[tuple[int, int | None]] = []
+        #: ``(device, maximum)`` of the capped Poisson processes.
+        self.caps: list[tuple[int, float]] = []
+        start = None
+        for i, proc in enumerate(self.processes):
+            law = getattr(proc, "count_law", None)
+            if law == POISSON_COUNT:
+                if start is None:
+                    start = i
+                maximum = getattr(proc, "maximum", None)
+                if maximum is not None:
+                    self.caps.append((i, maximum))
+                continue
+            if start is not None:
+                self.steps.append((start, i))
+                start = None
+            if law != MEAN_COUNT:
+                self.steps.append((i, None))
+        if start is not None:
+            self.steps.append((start, len(self.processes)))
+
+    def __call__(
+        self, slot: int, means: list[float], rng: np.random.Generator
+    ) -> list[float]:
+        """The counts of slot ``slot``; ``means`` is every process's
+        ``mean(slot)``, in order."""
+        counts = list(means)
+        for start, stop in self.steps:
+            if stop is None:
+                counts[start] = self.processes[start].sample(slot, rng)
+            elif stop - start >= BATCH_DRAW_MIN:
+                drawn = rng.poisson(means[start:stop])
+                counts[start:stop] = drawn.astype(np.float64).tolist()
+            else:
+                for i in range(start, stop):
+                    counts[i] = float(rng.poisson(means[i]))
+        for i, maximum in self.caps:
+            counts[i] = min(counts[i], maximum)
+        return counts
+
+
 def mean_series(process: ArrivalProcess, num_slots: int) -> np.ndarray:
     """The process's slot-indexed means over ``[0, num_slots)`` — what a
     policy would plan against, as one array."""
@@ -50,6 +133,8 @@ class ConstantArrivals:
     sweep other variables and want zero arrival noise."""
 
     rate: float
+
+    count_law = MEAN_COUNT
 
     def __post_init__(self) -> None:
         if not 0 <= self.rate < math.inf:
@@ -69,6 +154,8 @@ class PoissonArrivals:
 
     rate: float
     maximum: float | None = None
+
+    count_law = POISSON_COUNT
 
     def __post_init__(self) -> None:
         if not 0 <= self.rate < math.inf:
@@ -151,6 +238,10 @@ class TraceArrivals:
             return self.trace[slot % len(self.trace)]
         return self.trace[min(slot, len(self.trace) - 1)]
 
+    @property
+    def count_law(self) -> str:
+        return POISSON_COUNT if self.poisson else MEAN_COUNT
+
     def mean(self, slot: int) -> float:
         return self._rate_at(slot)
 
@@ -171,6 +262,8 @@ class PiecewiseRateArrivals:
     """
 
     phases: tuple[tuple[int, float], ...]
+
+    count_law = POISSON_COUNT
 
     def __post_init__(self) -> None:
         if not self.phases:
@@ -211,6 +304,8 @@ class SinusoidalRateArrivals:
     base: float
     amplitude: float
     period: int
+
+    count_law = POISSON_COUNT
 
     def __post_init__(self) -> None:
         if not (0 <= self.base < math.inf and 0 <= self.amplitude < math.inf):

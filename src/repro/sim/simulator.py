@@ -35,10 +35,10 @@ from ..core.offloading import (
     OffloadingPolicy,
     slot_cost,
 )
-from ..core.vectorized import FleetState, VectorizedSlotEngine
+from ..core.vectorized import FleetParams, FleetState, VectorizedSlotEngine
 from ..resilience.environment import edge_down_system, run_environment
 from ..resilience.recovery import resolve_recovery
-from .arrivals import ArrivalProcess
+from .arrivals import ArrivalProcess, SlotDraw
 from .environment import DynamicEnvironment, StaticEnvironment
 from .metrics import SimulationResult, SlotRecord
 from .streaming import FluidStreamStats
@@ -55,19 +55,26 @@ class FluidShard(NamedTuple):
     """One shard of a fluid slot: the devices one edge serves.
 
     Attributes:
-        members: Ascending global device indices, or ``None`` for the
-            whole fleet in device order (no gather/scatter needed).
+        members: Ascending global device indices as a list, or ``None``
+            for the whole fleet in device order (no gather/scatter
+            needed).
         system: The shard's live system before ladder degradation;
             ``None`` when the shard has no members this slot.
-        engine: The shard's vectorized engine (vectorized path only).
+        engine: The shard's vectorized engine (vectorized path only),
+            built on the columns of ``fleet``.
         edge_down: Whether the shard's edge is out this slot: its warm
             pool is flushed and every slice serves cold.
+        fleet: The members' configured devices as a
+            :class:`~repro.core.offloading.LiveFleet`, gathered once per
+            member set: what a slot that changes no device hands the
+            policy and the engine.  ``None`` when unpopulated.
     """
 
     members: list[int] | None
     system: EdgeSystem | None
     engine: VectorizedSlotEngine | None = None
     edge_down: bool = False
+    fleet: LiveFleet | None = None
 
     @property
     def populated(self) -> bool:
@@ -77,9 +84,9 @@ class FluidShard(NamedTuple):
 #: Devices per edge at or above which a fluid run that leaves
 #: ``vectorized`` unset steps the array plane; below it the per-device
 #: scalar loop is cheaper.  Per-slot cost on a 2-core host, scalar vs
-#: array (``provisioned_system``, Poisson 0.5, best of 9): 295 vs 341 µs
-#: at 14 devices and 370 vs 347 at 16 under ``FixedRatioPolicy(0.5)``;
-#: 1,361 vs 1,416 and 1,429 vs 1,160 under DPP.
+#: array (``provisioned_system``, Poisson 0.5, best of 25): 175 vs 201 µs
+#: at 14 devices and 203 vs 204 at 16 under ``FixedRatioPolicy(0.5)``;
+#: 552 vs 565 and 581 vs 565 under DPP.
 ARRAY_PLANE_MIN_DEVICES = 16
 
 
@@ -105,6 +112,23 @@ def _take(values, members):
     return [values[i] for i in members]
 
 
+def _idle_service(live: EdgeSystem, scales) -> list[float]:
+    """Each device's idle-slice first-block rate ``τ / (μ₁ / (p·F^e) +
+    o^e)`` (0 for a zero share), ``p`` its share discounted by ``scales``
+    — elementwise, the scalar expression's operations in its order."""
+    shares = np.array(live.shares, dtype=np.float64)
+    if scales is not None:
+        shares *= np.asarray(scales, dtype=np.float64)
+    if live.device_partitions:
+        mu1 = np.array([p.mu1 for p in live.device_partitions], dtype=np.float64)
+    else:
+        mu1 = live.partition.mu1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = mu1 / (shares * live.edge_flops) + live.edge_overhead
+        rate = live.slot_length / unit
+    return np.where(shares > 0, rate, 0.0).tolist()
+
+
 class _WholeFleet:
     """:class:`SlotSimulator`'s shard provider: one shard over the whole
     fleet.  Its live system comes from the environment's optional
@@ -124,7 +148,12 @@ class _WholeFleet:
         self.slot_length = system.slot_length
         self.owner = [0] * system.num_devices
         self.vectorized = resolve_plane(vectorized, system.num_devices)
-        self.engine = VectorizedSlotEngine(system) if self.vectorized else None
+        self.fleet = LiveFleet.of(system.devices)
+        self.engine = (
+            VectorizedSlotEngine(system, FleetParams.from_system(system, self.fleet))
+            if self.vectorized
+            else None
+        )
         self.faults = faults
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
@@ -143,7 +172,7 @@ class _WholeFleet:
         down = self.faults is not None and self.faults.edge_down_at(slot)
         if down:
             live = edge_down_system(live)
-        return self.owner, (FluidShard(None, live, self.engine, down),)
+        return self.owner, (FluidShard(None, live, self.engine, down, self.fleet),)
 
 
 def run_fluid(
@@ -168,7 +197,9 @@ def run_fluid(
     ``seed``, ``include_tail``, ``vectorized``, ``overload``, ``qos``,
     ``faults``); the run's checkpoint fingerprint digests all of it.
     ``shards`` is the shard provider: ``num_devices``, ``num_shards``,
-    the base ``devices`` and ``slot_length``, the resolved plane
+    the base ``devices`` (a slot whose environment hands them back
+    unchanged serves each shard its gathered ``fleet``) and
+    ``slot_length``, the resolved plane
     ``vectorized`` (one for every shard: the array plane keeps one
     global :class:`~repro.core.vectorized.FleetState`),
     ``environment(configured)`` (the run's own copy of the environment,
@@ -179,7 +210,8 @@ def run_fluid(
     device's shard index and one :class:`FluidShard` per shard.
 
     The loop owns the global things: one RNG drawn in global device
-    order, the Lyapunov queues (a migrating device's backlog rides along
+    order (a slot's arrivals in one :class:`~repro.sim.arrivals.SlotDraw`
+    call), the Lyapunov queues (a migrating device's backlog rides along
     to its new shard), one admission gate (token buckets are
     device-scoped), the per-class flow, and the fleet-wide record or
     stream.  Per shard it keeps one
@@ -266,6 +298,7 @@ def run_fluid(
     class_of = None if qstate0 is None else qstate0.class_of
     half_slot = num_slots // 2
     tau = shards.slot_length
+    draw = SlotDraw(arrivals)
     # A FencedController needs the true slot index: a federation consults
     # the policy once per shard, not once per slot.
     begin_slot = getattr(policy, "begin_slot", None)
@@ -321,7 +354,10 @@ def run_fluid(
                     for i in members:
                         scales[i] = shard_scales[i]
         live_devices = environment.devices_at(slot, shards.devices, rng)
-        generated = [proc.sample(slot, rng) for proc in arrivals]
+        # A static environment hands the configured devices back: each
+        # shard then serves its gathered fleet.
+        unchanged = live_devices is shards.devices
+        generated = draw(slot, expected, rng)
         realised = generated
         shard_shed = [0.0] * num_shards
         if gate is not None:
@@ -352,11 +388,11 @@ def run_fluid(
             sub_state = LyapunovState(
                 _take(state.queue_local, members), _take(state.queue_edge, members)
             )
+            member_devices = (
+                shard.fleet if unchanged else _take(live_devices, members)
+            )
             ratios = policy.decide(
-                live,
-                sub_state,
-                _take(expected, members),
-                _take(live_devices, members),
+                live, sub_state, _take(expected, members), member_devices
             )
             ratios = controllers[e].backpressure(
                 ratios, sub_state.queue_edge, members
@@ -365,7 +401,7 @@ def run_fluid(
             if fleet is not None:
                 shard_state = fleet if members is None else fleet.shard(members)
                 cost = shard.engine.slot_costs(
-                    _take(live_devices, members),
+                    member_devices,
                     ratios,
                     _take(realised, members),
                     shard_state,
@@ -414,19 +450,7 @@ def run_fluid(
                 # Backlog stranded by a forced x_i = 0 drains at the idle
                 # slice's full first-block rate (Eq. 9 gives no edge
                 # service at x = 0; see drain_stranded_edge_by_mode).
-                shares = live.shares
-                if member_scales is not None:
-                    shares = [p * k for p, k in zip(shares, member_scales)]
-                idle_service = [
-                    live.slot_length
-                    / (
-                        live.partition_for(j).mu1 / (p * live.edge_flops)
-                        + live.edge_overhead
-                    )
-                    if p > 0
-                    else 0.0
-                    for j, p in enumerate(shares)
-                ]
+                idle_service = _idle_service(live, member_scales)
                 queue_local = _take(state.queue_local, members)
                 queue_edge = _take(state.queue_edge, members)
                 drain_stranded_edge_by_mode(

@@ -21,6 +21,7 @@ For any seeded overload fleet and control configuration:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -227,6 +228,48 @@ def test_drain_stranded_edge_only_stranded_devices():
         [MODE_FIRST_EXIT] * 3,
     )
     assert edge == [0.0, 0.0, 8.0]
+
+
+def _reference_idle_service(live, scales):
+    """The per-device idle-slice rate the fluid loop used to compute:
+    ``τ / (μ₁ / (p·F^e) + o^e)``, 0 for a zero share."""
+    shares = live.shares
+    if scales is not None:
+        shares = [p * k for p, k in zip(shares, scales)]
+    return [
+        live.slot_length
+        / (live.partition_for(j).mu1 / (p * live.edge_flops) + live.edge_overhead)
+        if p > 0
+        else 0.0
+        for j, p in enumerate(shares)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_idle_service_matches_the_per_device_expression(seed):
+    """The array expression the fluid loop drains stranded backlog at
+    returns the per-device expression's floats, bit for bit: mixed rungs
+    over per-device partitions, zero shares, and cold-start share scales
+    (zero included)."""
+    from repro.resilience.qos import degrade_system_by_modes
+    from repro.sim.simulator import _idle_service
+
+    rng = np.random.default_rng(seed)
+    n = 9
+    system = random_fleet(seed, n, heterogeneous=seed % 2 == 1)
+    shares = rng.uniform(0.0, 1.0, n)
+    shares[seed % n] = 0.0
+    system = dataclasses.replace(
+        system,
+        shares=tuple((shares / shares.sum()).tolist()),
+        edge_overhead=float(rng.uniform(0.0, 0.05)),
+    )
+    modes = rng.integers(MODE_FULL, MODE_SHED + 1, n).tolist()
+    for live in (system, degrade_system_by_modes(system, modes)):
+        for scales in (None, [0.0, 1.0, 0.25] * 3, rng.uniform(0.0, 1.0, n).tolist()):
+            got = _idle_service(live, scales)
+            assert got == _reference_idle_service(live, scales)
+            assert {type(v) for v in got} == {float}
 
 
 @settings(max_examples=50, deadline=None)

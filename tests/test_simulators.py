@@ -26,7 +26,14 @@ from repro.sim.arrivals import (
     UniformArrivals,
 )
 from repro.sim.environment import RandomWalkEnvironment, StaticEnvironment
-from repro.federation import EdgeSite, FederatedEventSimulator
+from repro.federation import (
+    EdgeSite,
+    FederatedEventSimulator,
+    FederatedRuntime,
+    FederatedSlotSimulator,
+    single_edge_topology,
+)
+from repro.runtime import LeimeRuntime
 from repro.sim.events import EventSimulator
 from repro.sim.fast_events import run_fast
 from repro.sim.metrics import SimulationResult, SlotRecord, summarize
@@ -518,6 +525,36 @@ def test_shared_uplink_single_device_equivalent(small_system):
         lambda system: SlotSimulator(
             system=system, arrivals=[ConstantArrivals(1.0)] * 2, seed=-1
         ),
+        lambda system: FederatedSlotSimulator(
+            topology=single_edge_topology(system),
+            arrivals=[ConstantArrivals(1.0)] * 2,
+            plan=static_home_plan(single_edge_topology(system), 4),
+            seed=-1,
+        ),
+        lambda system: FederatedEventSimulator(
+            topology=single_edge_topology(system),
+            arrivals=[ConstantArrivals(1.0)] * 2,
+            plan=static_home_plan(single_edge_topology(system), 4),
+            seed=-1,
+        ),
+        lambda system: LeimeRuntime(system, FixedRatioPolicy(0.5), seed=-1),
+        lambda system: LeimeRuntime(system, FixedRatioPolicy(0.5), speedup=math.nan),
+        lambda system: LeimeRuntime(system, FixedRatioPolicy(0.5), speedup=math.inf),
+        lambda system: FederatedRuntime(
+            single_edge_topology(system),
+            FixedRatioPolicy(0.5),
+            static_home_plan(single_edge_topology(system), 4),
+            seed=-1,
+        ),
+        *(
+            lambda system, speedup=speedup: FederatedRuntime(
+                single_edge_topology(system),
+                FixedRatioPolicy(0.5),
+                static_home_plan(single_edge_topology(system), 4),
+                speedup=speedup,
+            )
+            for speedup in (0.0, -5.0, math.nan, math.inf)
+        ),
     ],
     ids=[
         "poisson-nan",
@@ -535,6 +572,16 @@ def test_shared_uplink_single_device_equivalent(small_system):
         "cloud-flops-inf",
         "event-seed",
         "slot-seed",
+        "federated-slot-seed",
+        "federated-event-seed",
+        "runtime-seed",
+        "runtime-speedup-nan",
+        "runtime-speedup-inf",
+        "federated-runtime-seed",
+        "federated-runtime-speedup-zero",
+        "federated-runtime-speedup-negative",
+        "federated-runtime-speedup-nan",
+        "federated-runtime-speedup-inf",
     ],
 )
 def test_bad_inputs_fail_at_construction(small_system, build):
