@@ -51,6 +51,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # for `tests.helpers` when run as a script
     sys.path.insert(0, str(REPO_ROOT))
 
+from hostinfo import host_record
+
 from repro.core.offloading import FixedRatioPolicy
 from repro.hardware import NetworkProfile
 from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
@@ -486,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         "arrivals": f"Poisson({ARRIVAL_RATE})/device/slot",
         "slots": args.slots,
         "seed": args.seed,
+        "host": host_record(),
         "results": rows,
         "memory": memory,
     }

@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # for `tests.helpers` when run as a script
     sys.path.insert(0, str(REPO_ROOT))
+
+from hostinfo import host_record
 
 from repro.core.offloading import DriftPlusPenaltyPolicy
 from repro.sim.arrivals import PoissonArrivals
@@ -123,11 +121,7 @@ def main(argv: list[str] | None = None) -> None:
         "policy": "DriftPlusPenaltyPolicy(v=50)",
         "slots": args.slots,
         "seed": args.seed,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-        },
+        "host": host_record(),
         "results": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

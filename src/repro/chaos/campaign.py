@@ -27,6 +27,7 @@ investigator the smallest reproducer, not the fuzzer's original draw.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -74,12 +75,14 @@ class ChaosSpec:
     levels: tuple[str, ...] = LEVELS
 
     def __post_init__(self) -> None:
-        if self.num_samples <= 0:
-            raise ValueError("num_samples must be positive")
-        if not 1 <= self.max_devices:
-            raise ValueError("max_devices must be >= 1")
-        if not 2 <= self.min_slots <= self.max_slots:
-            raise ValueError("need 2 <= min_slots <= max_slots")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be finite and non-negative")
+        if not 0 < self.num_samples < math.inf:
+            raise ValueError("num_samples must be finite and positive")
+        if not 1 <= self.max_devices < math.inf:
+            raise ValueError("max_devices must be finite and >= 1")
+        if not 2 <= self.min_slots <= self.max_slots < math.inf:
+            raise ValueError("need 2 <= min_slots <= max_slots, finite")
         unknown = set(self.levels) - set(LEVELS)
         if unknown:
             raise ValueError(f"unknown levels: {sorted(unknown)}")

@@ -48,6 +48,7 @@ and live-runtime paths):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -102,22 +103,16 @@ class ControlFaultSpec:
     slot_length: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_slots <= 0:
-            raise ControlFaultError("num_slots must be positive")
         for name in ("delay_prob", "drop_prob", "dup_prob", "skew_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ControlFaultError(f"{name} must be in [0, 1], got {p}")
-        if self.max_delay < 0:
-            raise ControlFaultError("max_delay must be non-negative")
-        if self.max_skew < 0:
-            raise ControlFaultError("max_skew must be non-negative")
-        if self.down_rate < 0:
-            raise ControlFaultError("down_rate must be non-negative")
-        if self.down_recovery_mean <= 0:
-            raise ControlFaultError("down_recovery_mean must be positive")
-        if self.slot_length <= 0:
-            raise ControlFaultError("slot_length must be positive")
+        for name in ("max_delay", "max_skew", "down_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ControlFaultError(f"{name} must be finite and non-negative")
+        for name in ("num_slots", "down_recovery_mean", "slot_length"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ControlFaultError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,8 @@ class ControlFaultPlan:
             raise ControlFaultError(
                 f"channels disagree on the slot axis: {sorted(lengths)}"
             )
-        if self.slot_length <= 0:
-            raise ControlFaultError("slot_length must be positive")
+        if not 0 < self.slot_length < math.inf:
+            raise ControlFaultError("slot_length must be finite and positive")
         if np.any(self.delay < 0):
             raise ControlFaultError("delay must be non-negative")
 
@@ -424,8 +419,8 @@ class FencedController:
     max_staleness: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.max_staleness < 0:
-            raise ControlFaultError("max_staleness must be non-negative")
+        if not 0 <= self.max_staleness < math.inf:
+            raise ControlFaultError("max_staleness must be finite and non-negative")
         self.reset()
 
     def reset(self) -> None:

@@ -103,10 +103,12 @@ class TournamentSpec:
         for engine in self.engines:
             if engine not in ENGINES:
                 raise ValueError(f"unknown engine {engine!r}; use {ENGINES}")
-        if self.num_slots < 1 or self.num_devices < 1:
-            raise ValueError("num_slots and num_devices must be >= 1")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        if not (1 <= self.num_slots < math.inf and 1 <= self.num_devices < math.inf):
+            raise ValueError("num_slots and num_devices must be finite and >= 1")
+        if not (0 <= self.seed < math.inf and 0 <= self.v < math.inf):
+            raise ValueError("seed and v must be finite and non-negative")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError("deadline must be finite and positive")
 
     def fingerprint(self) -> str:
         """Stable hash of the spec — the resume compatibility key."""

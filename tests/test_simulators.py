@@ -8,6 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.chaos.campaign import ChaosSpec
+from repro.chaos.control_faults import (
+    ControlFaultSpec,
+    FencedController,
+    canonical_coordinator_outage,
+)
 from repro.core.offloading import (
     BalanceOffloadingPolicy,
     DriftPlusPenaltyPolicy,
@@ -40,6 +46,7 @@ from repro.sim.metrics import SimulationResult, SlotRecord, summarize
 from repro.sim.simulator import SlotSimulator
 from repro.hardware import INTERNET_EDGE_CLOUD, NetworkProfile
 from repro.traces import TraceEnvironment, WildTraceSpec
+from repro.tournament import TournamentSpec
 from repro.units import mbps, ms
 
 from .helpers import (
@@ -593,6 +600,7 @@ def _run_configurations():
     """One valid instance of each run configuration class, every
     optional number set (``None`` means unbounded)."""
     system = random_fleet(0, 2)
+    control_plan = canonical_coordinator_outage(20, seed=0)
     return (
         system.devices[0],
         system.devices[0].link,
@@ -608,6 +616,11 @@ def _run_configurations():
         EdgeSite("edge-0", 4e10, INTERNET_EDGE_CLOUD, backhaul_latency=0.01),
         FaultPlanSpec(),
         WildTraceSpec(),
+        ControlFaultSpec(),
+        control_plan,
+        FencedController(FixedRatioPolicy(0.5), control_plan),
+        ChaosSpec(),
+        TournamentSpec(),
     )
 
 
