@@ -51,7 +51,11 @@ import numpy as np
 
 #: v2: the fast event engine's payload holds the shared slot step
 #: (:class:`~repro.sim.pipeline.TaskSlots`) instead of its loose parts.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the admission gate, slot controllers and QoS state hold arrays
+#: (token buckets, shedding flags, rungs) where they held lists; the run
+#: fingerprint digests only the configuration, so the version refuses a
+#: v2 checkpoint that would otherwise resume and fail mid-run.
+CHECKPOINT_SCHEMA_VERSION = 3
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_KINDS = ("state", "replay")
 

@@ -78,13 +78,20 @@ def partition_table(system, n: int) -> np.ndarray:
     ``σ₂``) of the first ``n`` devices of ``system`` — anything with a
     ``partition`` and ``device_partitions``, such as an
     :class:`~repro.core.offloading.EdgeSystem` or a federation topology;
-    a homogeneous deployment repeats its one partition's values."""
+    a homogeneous deployment repeats its one partition's values.  Each
+    distinct partition object is read once (a rung-degraded deployment
+    shares one object per partition and rung)."""
     parts = system.device_partitions[:n] or (system.partition,)
+    codes: dict[int, int] = {}
+    column = [codes.setdefault(id(p), len(codes)) for p in parts]
+    distinct = list({id(p): p for p in parts}.values())
     table = np.array(
-        [[getattr(p, name) for p in parts] for name in _PARTITION_COLUMNS],
+        [[getattr(p, name) for p in distinct] for name in _PARTITION_COLUMNS],
         dtype=np.float64,
     )
-    return table if len(parts) == n else np.repeat(table, n, axis=1)
+    if len(parts) < n:
+        return np.repeat(table, n, axis=1)
+    return table if len(distinct) == n else table[:, column]
 
 
 @dataclass(frozen=True)

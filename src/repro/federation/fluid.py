@@ -280,26 +280,25 @@ class _EdgeShards:
         faults = self.sim.faults
         return run_environment(configured, None if faults is None else faults.base)
 
-    def at(self, slot: int, environment) -> tuple[list[int], list[FluidShard]]:
+    def at(self, slot: int, environment) -> tuple[np.ndarray, list[FluidShard]]:
         sim = self.sim
         row = sim.plan.row(slot)
         shards = []
         for e in range(self.num_shards):
             index = np.flatnonzero(row == e)
-            members = index.tolist()
             down = sim.faults is not None and sim.faults.edge_down_at(slot, e)
-            if not members:
-                shards.append(FluidShard(members, None, None, down))
+            if not len(index):
+                shards.append(FluidShard(index, None, None, down))
                 continue
             shard = self._cache.get(e)
-            if shard is None or shard.members != members:
+            if shard is None or not np.array_equal(shard.members, index):
                 shard = self._cache[e] = self._build(e, index)
             if down:
                 shard = shard._replace(
                     system=edge_down_system(shard.system), edge_down=True
                 )
             shards.append(shard)
-        return row.tolist(), shards
+        return row, shards
 
     def _build(self, edge: int, index: np.ndarray) -> FluidShard:
         """Edge ``edge``'s shard over the members in ``index``."""
@@ -311,4 +310,4 @@ class _EdgeShards:
                 system, fleet, self.partitions[:, index]
             )
             engine = VectorizedSlotEngine(system, params)
-        return FluidShard(index.tolist(), system, engine, False, fleet)
+        return FluidShard(index, system, engine, False, fleet)

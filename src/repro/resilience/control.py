@@ -4,7 +4,8 @@ LEIME's online controller (§III-D) is one decision per slot; the overload
 and QoS layers add the ladder's rung, each device's class-biased rung,
 the warm pool's loads and holds, backpressure on the policy's ratios,
 and integral admission.  :class:`SlotController` makes all of them in
-one order, from plain picklable state.  Each path only realises the plan
+one order, from plain picklable state, each step one array expression
+over the whole slot.  Each path only realises the plan
 on its own data plane: exit thresholds and slice holds (both event
 engines), the served system and warm-up jobs (live runtime), degraded
 shard systems and share scales (fluid, one controller per shard).
@@ -16,6 +17,8 @@ instrumentation that patches them by name sees every call.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from . import qos as _qos
 from .overload import MODE_FULL, AdmissionGate, OverloadControl, OverloadGovernor
@@ -36,11 +39,12 @@ class SlotController:
         qos: A :class:`~repro.resilience.qos.QoSState` for class-biased
             rungs and the warm pool; ``None`` plans no holds.
         gate: Build the admission gate (the fluid loop keeps one global
-            float gate instead).
+            gate instead).
 
     Attributes:
         log: The ladder's rung after each observed slot.
-        rungs: Per-device rungs of the latest :meth:`plan`.
+        rungs: Per-device rungs of the latest :meth:`plan` (an int
+            array).
     """
 
     def __init__(
@@ -60,7 +64,7 @@ class SlotController:
                 self.gate = AdmissionGate(overload, num_devices)
         self.qos = qos
         self.log: list[int] = []
-        self.rungs = [MODE_FULL] * num_devices
+        self.rungs = np.full(num_devices, MODE_FULL)
         self._backlogs: Sequence[float] = ()
 
     @classmethod
@@ -87,24 +91,27 @@ class SlotController:
         backlogs: Sequence[float] | None,
         expected: Sequence[float],
         edge_down: bool = False,
-    ) -> tuple[list[int], list[float] | None]:
-        """The slot's per-device rungs and warm-pool holds.
+    ) -> tuple[np.ndarray, list[float] | None]:
+        """The slot's per-device rungs (an int array) and warm-pool holds.
 
         The ladder folds in ``backlogs`` (``Q_i + H_i`` of the devices it
-        serves; an empty vector holds the rung, as for an unpopulated
-        shard).  An edge outage flushes the warm pool and holds nothing;
-        otherwise ``holds[i]`` is the absolute time device ``i``'s slice
-        turns warm (``<= w0``: no hold).  ``holds`` is ``None`` without
-        QoS.
+        serves, a list or an array; an empty vector holds the rung, as
+        for an unpopulated shard).  An edge outage flushes the warm pool
+        and holds nothing; otherwise ``holds[i]`` is the absolute time
+        device ``i``'s slice turns warm (``<= w0``: no hold).  ``holds``
+        is ``None`` without QoS.
         """
         ladder = self.ladder
-        if ladder is not None and backlogs:
+        if ladder is not None and backlogs is not None and len(backlogs):
             ladder.observe(slot, backlogs)
             self.log.append(ladder.mode)
             self._backlogs = backlogs
         qstate = self.qos
         if qstate is None:
-            self.rungs = [self.mode] * self.num_devices
+            # Uniform rungs: rebuilt only when the ladder moves (no
+            # caller writes into them).
+            if self.rungs[0] != self.mode:
+                self.rungs = np.full(self.num_devices, self.mode)
             return self.rungs, None
         self.rungs = rungs = qstate.plan_modes(self.mode, expected)
         if edge_down:
@@ -119,22 +126,20 @@ class SlotController:
         queue_edge: Sequence[float],
         members: Sequence[int] | None = None,
     ) -> Sequence[float]:
-        """Clamp the policy's ratios by rung and edge watermark (as given
-        when ungoverned); ``members`` selects a shard's rungs."""
+        """Clamp the policy's ratios by rung and edge watermark, as a
+        float64 array (as given when ungoverned); ``members`` (an index
+        array) selects a shard's rungs."""
         if self.ladder is None:
             return ratios
-        rungs = self.rungs
-        if members is not None:
-            rungs = [rungs[i] for i in members]
+        rungs = self.rungs if members is None else self.rungs[members]
         return _qos.apply_backpressure_by_mode(
             ratios, queue_edge, self.ladder.control, rungs
         )
 
-    def admit(self, i: int, count: int) -> int:
-        """How many of device ``i``'s ``count`` tasks are admitted.  Call
-        once per device per slot, even for none: tokens refill per call."""
+    def admit(self, counts: Sequence[int]) -> Sequence[int]:
+        """How many of each device's ``counts`` tasks are admitted (as
+        given when ungoverned).  Call once per slot with every device's
+        count, zeros included: every bucket refills per call."""
         if self.gate is None:
-            return count
-        return self.gate.admit_count(
-            i, count, self._backlogs[i], self.rungs[i]
-        )
+            return counts
+        return self.gate.admit_count(counts, self._backlogs, self.rungs)

@@ -177,17 +177,17 @@ class TaskSlots:
         spread = self.spread_arrivals
         fractional = self.fractional
         counts: list[int] = []
-        admitted: list[int] = []
         draws: list[np.ndarray] = []
         for i, proc in enumerate(self.arrivals):
             fractional[i] += float(proc.sample(slot, rng))
             count = int(fractional[i])
             fractional[i] -= count
-            # The gate refills once per device per slot, even for none.
-            admitted.append(self.controller.admit(i, count))
             counts.append(count)
             if count:
                 draws.append(rng.random(2 * count if spread else count))
+        # One admission call per slot (no RNG draw): every bucket
+        # refills, even for devices that drew nothing.
+        admitted = self.controller.admit(counts)
         total = sum(counts)
         first = self.generated
         self.generated += total
@@ -200,7 +200,7 @@ class TaskSlots:
             created = np.full(total, time)
         offloaded = coins < np.asarray(self.ratios, dtype=np.float64)[device]
         shed = np.zeros(total, dtype=bool)
-        if admitted != counts:
+        if admitted is not counts:
             rank = np.arange(total) - (np.cumsum(counts) - counts)[device]
             shed = rank >= np.take(admitted, device)
         exits = self.exit_rng.random((total, 2))

@@ -14,6 +14,7 @@ errors, and the hook-validation seams.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -406,6 +407,35 @@ def test_checkpoint_schema_mismatch_is_loud(tmp_path):
     (tmp_path / "noheader.ckpt").write_bytes(b"garbage-without-newline")
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(tmp_path / "noheader.ckpt")
+
+
+def test_resume_refuses_a_checkpoint_with_a_list_gate():
+    """A governed fluid checkpoint written before the admission gate held
+    arrays pickles its token buckets and flags as lists.  The fingerprint
+    digests the configuration only, so it would match and the run would
+    fail mid-slot; the schema version refuses it instead, as an object
+    and from bytes."""
+    system = random_fleet(0, N, max_arrivals=1.0)
+    sim = SlotSimulator(
+        system, _arrivals(system), seed=0, vectorized=True, overload=OverloadControl()
+    )
+    with pytest.raises(Killed) as killed:
+        sim.run(
+            DriftPlusPenaltyPolicy(v=50.0),
+            SLOTS,
+            checkpoint_every=1,
+            checkpoint_sink=KillSwitch(3),
+        )
+    payload = killed.value.checkpoint.payload()
+    gate = payload["gate"]
+    gate.tokens, gate.shedding = gate.tokens.tolist(), gate.shedding.tolist()
+    old = dataclasses.replace(
+        killed.value.checkpoint, blob=pickle.dumps(payload), schema_version=2
+    )
+    with pytest.raises(CheckpointError, match="schema"):
+        sim.run(DriftPlusPenaltyPolicy(v=50.0), SLOTS, resume_from=old)
+    with pytest.raises(CheckpointError, match="schema"):
+        checkpoint_from_bytes(checkpoint_to_bytes(old))
 
 
 def test_resume_refuses_mismatched_checkpoint():

@@ -80,7 +80,7 @@ def _crowd_arrivals(n: int, slots: int, magnitude: float) -> list[TraceArrivals]
 def test_admission_gate_bounds(demand, backlog, mode, steps):
     gate = AdmissionGate(OverloadControl(), 1)
     for _ in range(steps):
-        admitted = gate.admit(0, demand, backlog, mode)
+        (admitted,) = gate.admit([demand], [backlog], [mode]).tolist()
         assert 0.0 <= admitted <= demand
         if mode >= MODE_SHED:
             assert admitted == 0.0
@@ -94,7 +94,9 @@ def test_admission_gate_bounds(demand, backlog, mode, steps):
 )
 def test_admit_count_bounds(count, backlog, mode):
     gate = AdmissionGate(OverloadControl(), 2)
-    admitted = gate.admit_count(1, count, backlog, mode)
+    admitted = gate.admit_count(
+        [0, count], [0.0, backlog], [MODE_FULL, mode]
+    ).tolist()[1]
     assert isinstance(admitted, int)
     assert 0 <= admitted <= count
     if mode >= MODE_SHED:
@@ -105,7 +107,7 @@ def test_gate_admits_everything_below_low_watermark():
     control = OverloadControl()
     gate = AdmissionGate(control, 1)
     for _ in range(10):
-        assert gate.admit(0, 7.0, control.queue_low / 2.0, MODE_FULL) == 7.0
+        assert gate.admit([7.0], [control.queue_low / 2.0], [MODE_FULL]) == 7.0
 
 
 # -- degradation ladder --------------------------------------------------------
@@ -205,7 +207,7 @@ def test_apply_backpressure_modes():
     for mode in range(MODE_FULL, MODE_SHED + 1):
         assert apply_backpressure_by_mode(
             ratios, edge, control, [mode] * 3
-        ) == apply_backpressure(ratios, edge, control, mode)
+        ).tolist() == apply_backpressure(ratios, edge, control, mode)
 
 
 def test_drain_stranded_edge_only_stranded_devices():
@@ -213,21 +215,25 @@ def test_drain_stranded_edge_only_stranded_devices():
     # Device 0: clamped (above high watermark) — drains.  Device 1: below
     # the watermark with x = 0 — untouched (the paper's own recursion
     # applies).  Device 2: offloading — untouched.
-    edge = [control.queue_high + 3.0, 2.0, 8.0]
-    drain_stranded_edge_by_mode(
-        edge, [0.0, 0.0, 0.5], [4.0, 4.0, 4.0], control.queue_high, [MODE_FULL] * 3
-    )
-    assert edge == [control.queue_high - 1.0, 2.0, 8.0]
-    # Deep rungs drain every zero-ratio device, and never below zero.
-    edge = [1.5, 2.0, 8.0]
-    drain_stranded_edge_by_mode(
+    edge = np.array([control.queue_high + 3.0, 2.0, 8.0])
+    edge = drain_stranded_edge_by_mode(
         edge,
         [0.0, 0.0, 0.5],
-        [4.0, 4.0, 4.0],
+        lambda: [4.0, 4.0, 4.0],
+        control.queue_high,
+        [MODE_FULL] * 3,
+    )
+    assert edge.tolist() == [control.queue_high - 1.0, 2.0, 8.0]
+    # Deep rungs drain every zero-ratio device, and never below zero.
+    edge = np.array([1.5, 2.0, 8.0])
+    edge = drain_stranded_edge_by_mode(
+        edge,
+        [0.0, 0.0, 0.5],
+        lambda: [4.0, 4.0, 4.0],
         control.queue_high,
         [MODE_FIRST_EXIT] * 3,
     )
-    assert edge == [0.0, 0.0, 8.0]
+    assert edge.tolist() == [0.0, 0.0, 8.0]
 
 
 def _reference_idle_service(live, scales):
@@ -289,7 +295,10 @@ def test_clamp_queues_bounds_and_accounts(local, capacity, data):
         )
     )
     before = sum(local) + sum(edge)
-    shed = clamp_queues(local, edge, capacity)
+    queue_local, queue_edge = np.array(local), np.array(edge)
+    overflow = clamp_queues(queue_local, queue_edge, capacity)
+    shed = 0.0 if overflow is None else sum(overflow.ravel().tolist())
+    local, edge = queue_local.tolist(), queue_edge.tolist()
     assert shed >= 0.0
     assert all(q <= capacity for q in local + edge)
     assert sum(local) + sum(edge) + shed == pytest.approx(before)

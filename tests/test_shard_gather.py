@@ -32,6 +32,7 @@ from repro.federation import (
 )
 from repro.federation import fluid
 from repro.resilience.overload import OverloadControl
+from repro.resilience.qos import QoSConfig
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.simulator import FluidShard, SlotSimulator
 
@@ -173,7 +174,7 @@ def _churn_plan(seed: int) -> AssignmentPlan:
     return AssignmentPlan(np.array(matrix), EDGES)
 
 
-def _churn_sim(seed: int, vectorized: bool) -> FederatedSlotSimulator:
+def _churn_sim(seed: int, vectorized: bool, qos=None) -> FederatedSlotSimulator:
     topology = _topology(seed, EDGES, DEVICES, heterogeneous=False, idle_every=11)
     edge_down = np.zeros((SLOTS, EDGES))
     edge_down[7:9, 2] = 1.0
@@ -192,6 +193,7 @@ def _churn_sim(seed: int, vectorized: bool) -> FederatedSlotSimulator:
             queue_high=2.0, queue_low=1.0, patience=1, cooldown=2, queue_capacity=5.0
         ),
         faults=FederationFaultPlan(edge_down=edge_down),
+        qos=qos,
     )
 
 
@@ -211,10 +213,12 @@ class _FromConfigs(fluid._EdgeShards):
 
 
 def _outputs(result):
+    flow = result.global_result.class_flow
     return (
         result.global_result.records,
         result.edge_records,
         pickle.dumps((result.global_result.stream, result.edge_streams)),
+        None if flow is None else [getattr(flow, row) for row in flow.ROWS],
     )
 
 
@@ -244,6 +248,38 @@ def test_fleet_scale_churn_is_identical_across_planes_and_rebuilds(
     assert run(False) == array
     assert run(True, _FromConfigs) == array
     assert run(False, _FromConfigs) == array
+
+
+#: Per-edge warm pools under a real memory budget (evictions and reloads
+#: through the churn) and a shed budget that runs out mid-outage.
+CHURN_QOS = QoSConfig(memory_fraction=0.5, cold_start_seconds=0.25, shed_budget=30.0)
+
+
+@pytest.mark.parametrize("metrics", ["records", "streaming"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fleet_scale_churn_with_qos_is_identical_across_planes_and_rebuilds(
+    seed, metrics, monkeypatch
+):
+    """The churned federation with QoS on: per-edge warm pools, share
+    scales and class rungs gathered by member index every slot give the
+    same records, streams and per-class flow on both planes and under
+    config-rebuilt shards."""
+
+    def run(vectorized, provider=fluid._EdgeShards):
+        monkeypatch.setattr(fluid, "_EdgeShards", provider)
+        policy = FixedRatioPolicy(0.5) if seed else DriftPlusPenaltyPolicy(v=20.0)
+        sim = _churn_sim(seed, vectorized, qos=CHURN_QOS)
+        return sim.run(policy, SLOTS, metrics=metrics)
+
+    array = run(True)
+    result = array.global_result
+    assert result.class_flow is not None and sum(result.class_flow.shed) > 0.0
+    gaps = result.class_flow.identity_gaps(result.class_names)
+    assert max(abs(g) for g in gaps.values()) < 1e-6
+    array = _outputs(array)
+    assert _outputs(run(False)) == array
+    assert _outputs(run(True, _FromConfigs)) == array
+    assert _outputs(run(False, _FromConfigs)) == array
 
 
 def test_fleet_scale_single_edge_equals_the_single_edge_run():

@@ -26,8 +26,11 @@ class _Gate:
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
 
-    def admit(self, i: int, count: int) -> int:
-        return int(self.rng.integers(0, count + 1)) if count else 0
+    def admit(self, counts: list[int]) -> list[int]:
+        return [
+            int(self.rng.integers(0, count + 1)) if count else 0
+            for count in counts
+        ]
 
 
 def _reference_draw(slots, gate, rng, exit_rng, fractional, slot, time):
@@ -35,24 +38,29 @@ def _reference_draw(slots, gate, rng, exit_rng, fractional, slot, time):
     draws: per device one ``sample``, then per task ``uniform(0, τ)``
     when arrivals are spread, the offload coin and its two exit coins."""
     tau = slots.tau
-    tasks = []
+    counts = []
+    drawn = []
     for i, proc in enumerate(slots.arrivals):
         fractional[i] += float(proc.sample(slot, rng))
         count = int(fractional[i])
         fractional[i] -= count
-        admitted = gate.admit(i, count)
+        counts.append(count)
         for k in range(count):
             offset = float(rng.uniform(0.0, tau)) if slots.spread_arrivals else 0.0
-            task = TaskRecord(
-                task_id=slots.generated + len(tasks),
-                device=i,
-                created=time + offset,
-                offloaded=bool(rng.random() < slots.ratios[i]),
-                shed=k >= admitted,
-                qos=slots.ledger.tag(i),
-            )
-            coins = (float(exit_rng.random()), float(exit_rng.random()))
-            tasks.append((task, coins))
+            drawn.append((i, k, offset, bool(rng.random() < slots.ratios[i])))
+    admitted = gate.admit(counts)
+    tasks = []
+    for i, k, offset, offloaded in drawn:
+        task = TaskRecord(
+            task_id=slots.generated + len(tasks),
+            device=i,
+            created=time + offset,
+            offloaded=offloaded,
+            shed=k >= admitted[i],
+            qos=slots.ledger.tag(i),
+        )
+        coins = (float(exit_rng.random()), float(exit_rng.random()))
+        tasks.append((task, coins))
     return tasks
 
 
