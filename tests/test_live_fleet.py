@@ -31,6 +31,7 @@ from repro.federation import FederatedSlotSimulator, build_assignment_plan
 from repro.federation import fluid
 from repro.hardware import NetworkProfile
 from repro.resilience.faults import FaultPlanSpec, generate_fault_plan
+from repro.resilience.overload import OverloadControl
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.environment import RandomWalkEnvironment, StaticEnvironment
 from repro.sim.events import EventSimulator
@@ -304,3 +305,37 @@ def test_shard_cache_keeps_one_entry_per_edge(monkeypatch):
         rebuilt = run(Forgetful, vectorized)
         assert kept.global_result.records == rebuilt.global_result.records
         assert kept.edge_records == rebuilt.edge_records
+
+
+def test_federation_gathers_a_plain_sequence_like_its_live_fleet():
+    """An environment may hand back any sequence of configs: every shard
+    then gathers its members from one live fleet read off it, and the
+    records equal those of the run whose environment returns that fleet
+    itself, governed, on both planes."""
+    edges, n, slots = 3, 48, 8
+    topology = random_federation_topology(2, edges, n, max_arrivals=0.5)
+    plan = build_assignment_plan(topology, slots, seed=1, churn_per_100=20.0)
+
+    class PlainTuple:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def devices_at(self, slot, devices, rng):
+            return tuple(self.inner.devices_at(slot, devices, rng))
+
+    def run(environment, vectorized):
+        return FederatedSlotSimulator(
+            topology=topology,
+            arrivals=[PoissonArrivals(0.5)] * n,
+            plan=plan,
+            environment=environment,
+            seed=3,
+            vectorized=vectorized,
+            overload=OverloadControl(),
+        ).run(FixedRatioPolicy(0.5), slots)
+
+    for vectorized in (False, True):
+        live = run(RandomWalkEnvironment(sigma=0.3), vectorized)
+        plain = run(PlainTuple(RandomWalkEnvironment(sigma=0.3)), vectorized)
+        assert plain.global_result.records == live.global_result.records
+        assert plain.edge_records == live.edge_records
