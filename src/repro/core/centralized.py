@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .offloading import (
     DeviceConfig,
@@ -62,6 +61,10 @@ class CentralizedDriftPlusPenaltyPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
+        # Imported here: SciPy is this ablation reference's alone, and
+        # loading it with the package would slow every start-up.
+        from scipy import optimize
+
         devs = tuple(devices) if devices is not None else system.devices
         n = len(devs)
         bounds = [

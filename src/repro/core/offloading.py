@@ -851,8 +851,10 @@ class FixedRatioPolicy:
         :func:`~repro.core.vectorized.feasible_ratio_intervals_arrays`,
         so the returned ratios are bitwise equal to the scalar loop's —
         both event engines consume the same offload coins either way.
-        A :class:`LiveFleet` hands over its link columns."""
-        from .vectorized import feasible_ratio_intervals_arrays
+        A :class:`LiveFleet` hands over its link columns, and per-device
+        partitions are read once per distinct partition object (a
+        rung-degraded deployment shares one per partition and rung)."""
+        from .vectorized import feasible_ratio_intervals_arrays, partition_table
 
         if isinstance(devs, LiveFleet):
             bandwidth, latency = devs.bandwidth, devs.latency
@@ -860,10 +862,7 @@ class FixedRatioPolicy:
             bandwidth = np.array([d.link.bandwidth for d in devs])
             latency = np.array([d.link.latency for d in devs])
         if system.device_partitions:
-            parts = system.device_partitions
-            d0 = np.array([p.d0 for p in parts])
-            d1 = np.array([p.d1 for p in parts])
-            sigma1 = np.array([p.sigma1 for p in parts])
+            _, _, _, d0, d1, _, sigma1, _ = partition_table(system, len(devs))
         else:
             part = system.partition
             d0, d1, sigma1 = part.d0, part.d1, part.sigma1

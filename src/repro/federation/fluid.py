@@ -13,17 +13,18 @@ one warm pool per shard.  This module supplies what is federation-only:
   :class:`~repro.core.offloading.EdgeSystem` over its members with
   per-edge KKT shares, kept while its member set holds.  A shard is an
   index gather: its shares are solved on the members' rows of the
-  topology's FLOPS and mean-arrival columns, and its device columns
-  (and, on the array plane, its engine's parameters) are the members'
-  rows of columns read once per run — a new member set reads no device
-  config.  One plane serves every shard, picked from the devices per
-  edge.  The array plane gathers each shard's sub-state with
-  :meth:`~repro.core.vectorized.FleetState.shard`, steps it through the
-  shard's own :class:`~repro.core.vectorized.VectorizedSlotEngine`, and
-  scatters it back with :meth:`~repro.core.vectorized.FleetState.absorb`.
-  Migration conserves backlog by construction: a re-assigned device's
-  queues ride along to its new shard (tasks are queued *at the device*
-  in the fluid model; only the serving edge changes).
+  topology's FLOPS and mean-arrival columns, and its device columns are
+  the members' rows of columns read once per run — a new member set
+  reads no device config.  One plane serves every shard, picked from
+  the devices per edge.  Each shard decides on its own; the array plane
+  then prices the whole slot in one call on one engine over the
+  topology's columns (:meth:`~repro.core.vectorized.FleetParams.
+  from_topology`), each device at its shard's share, partition and site
+  (:class:`~repro.core.vectorized.ShardedSlot`), and advances the one
+  global fleet state.  Migration conserves backlog by construction: a
+  re-assigned device's queues ride along to its new shard (tasks are
+  queued *at the device* in the fluid model; only the serving edge
+  changes).
 * **Partial outages**: a :class:`~repro.federation.faults.
   FederationFaultPlan` collapses a down edge's fluid capacity with
   :func:`~repro.resilience.environment.edge_down_system` (the collapse
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..core.offloading import LyapunovState, OffloadingPolicy
-from ..core.vectorized import FleetParams, VectorizedSlotEngine, partition_table
+from ..core.vectorized import FleetParams, VectorizedSlotEngine
 from ..resilience.environment import edge_down_system, run_environment
 from ..sim.arrivals import ArrivalProcess
 from ..sim.environment import DynamicEnvironment, StaticEnvironment
@@ -125,10 +126,10 @@ class FederatedSlotSimulator:
         vectorized: The fluid data plane, one for every shard.  ``None``
             (default) picks it from the devices per edge
             (:func:`~repro.sim.simulator.resolve_plane`, the same rule
-            as the single-edge simulator); ``True`` steps each shard
-            through its own :class:`VectorizedSlotEngine`, ``False``
-            through the per-device scalar loop.  Byte-identical either
-            way.
+            as the single-edge simulator); ``True`` prices each slot's
+            shards in one :class:`VectorizedSlotEngine` call, ``False``
+            steps them through the per-device scalar loop.
+            Byte-identical either way.
         overload: Enables the overload layer: one global admission gate
             plus a per-edge degradation ladder.
         faults: Per-edge outage schedule plus, in its ``base`` plan,
@@ -217,13 +218,12 @@ class _EdgeShards:
     index gather over columns read once per run: the shard system's
     shares come from the topology's columns
     (:meth:`~repro.federation.topology.FederationTopology.build_shard`),
-    its fleet is the members' rows of the topology's
-    :class:`~repro.core.offloading.LiveFleet`, and its engine's
-    parameters add the members' rows of the partition table.  A down
-    edge's capacity collapses
-    (:func:`~repro.resilience.environment.edge_down_system`) while its
-    peers run untouched.  The plane is decided once, for every shard:
-    the loop keeps one global fleet state on the array plane.
+    and its fleet is the members' rows of the topology's
+    :class:`~repro.core.offloading.LiveFleet`.  A down edge's capacity
+    collapses (:func:`~repro.resilience.environment.edge_down_system`)
+    while its peers run untouched.  The plane is decided once, for every
+    shard: the array plane keeps one global fleet state and one engine
+    over the whole topology, built once per run.
     """
 
     def __init__(self, sim: FederatedSlotSimulator):
@@ -237,8 +237,10 @@ class _EdgeShards:
             sim.vectorized, self.num_devices / self.num_shards
         )
         self.fleet = topology.fleet
-        self.partitions = (
-            partition_table(topology, self.num_devices) if self.vectorized else None
+        self.engine = (
+            VectorizedSlotEngine(topology, FleetParams.from_topology(topology))
+            if self.vectorized
+            else None
         )
         self._cache: dict[int, FluidShard] = {}
 
@@ -288,7 +290,7 @@ class _EdgeShards:
             index = np.flatnonzero(row == e)
             down = sim.faults is not None and sim.faults.edge_down_at(slot, e)
             if not len(index):
-                shards.append(FluidShard(index, None, None, down))
+                shards.append(FluidShard(index, None, down))
                 continue
             shard = self._cache.get(e)
             if shard is None or not np.array_equal(shard.members, index):
@@ -303,11 +305,4 @@ class _EdgeShards:
     def _build(self, edge: int, index: np.ndarray) -> FluidShard:
         """Edge ``edge``'s shard over the members in ``index``."""
         system = self.sim.topology.build_shard(edge, index)
-        fleet = self.fleet.take(index)
-        engine = None
-        if self.vectorized:
-            params = FleetParams.from_system(
-                system, fleet, self.partitions[:, index]
-            )
-            engine = VectorizedSlotEngine(system, params)
-        return FluidShard(index, system, engine, False, fleet)
+        return FluidShard(index, system, False, self.fleet.take(index))

@@ -35,7 +35,12 @@ from ..core.offloading import (
     OffloadingPolicy,
     slot_cost,
 )
-from ..core.vectorized import FleetParams, FleetState, VectorizedSlotEngine
+from ..core.vectorized import (
+    FleetParams,
+    FleetState,
+    ShardedSlot,
+    VectorizedSlotEngine,
+)
 from ..resilience.environment import edge_down_system, run_environment
 from ..resilience.recovery import resolve_recovery
 from .arrivals import ArrivalProcess, SlotDraw
@@ -54,25 +59,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FluidShard(NamedTuple):
     """One shard of a fluid slot: the devices one edge serves.
 
+    A shard holds what its policy call needs; the array plane prices
+    every shard of a slot in one call on the provider's engine.
+
     Attributes:
         members: Ascending global device indices (an int array or a
             list), or ``None`` for the whole fleet in device order (no
             gather/scatter needed).
         system: The shard's live system before ladder degradation;
             ``None`` when the shard has no members this slot.
-        engine: The shard's vectorized engine (vectorized path only),
-            built on the columns of ``fleet``.
         edge_down: Whether the shard's edge is out this slot: its warm
             pool is flushed and every slice serves cold.
         fleet: The members' configured devices as a
             :class:`~repro.core.offloading.LiveFleet`, gathered once per
             member set: what a slot that changes no device hands the
-            policy and the engine.  ``None`` when unpopulated.
+            policy.  ``None`` when unpopulated.
     """
 
     members: "np.ndarray | list[int] | None"
     system: EdgeSystem | None
-    engine: VectorizedSlotEngine | None = None
     edge_down: bool = False
     fleet: LiveFleet | None = None
 
@@ -217,7 +222,7 @@ class _WholeFleet:
         down = self.faults is not None and self.faults.edge_down_at(slot)
         if down:
             live = edge_down_system(live)
-        return self.owner, (FluidShard(None, live, self.engine, down, self.fleet),)
+        return self.owner, (FluidShard(None, live, down, self.fleet),)
 
 
 def run_fluid(
@@ -242,11 +247,12 @@ def run_fluid(
     ``seed``, ``include_tail``, ``vectorized``, ``overload``, ``qos``,
     ``faults``); the run's checkpoint fingerprint digests all of it.
     ``shards`` is the shard provider: ``num_devices``, ``num_shards``,
-    the base ``devices`` (a slot whose environment hands them back
-    unchanged serves each shard its gathered ``fleet``) and
-    ``slot_length``, the resolved plane
-    ``vectorized`` (one for every shard: the array plane keeps one
-    global :class:`~repro.core.vectorized.FleetState`),
+    the base ``devices`` and their columns as a ``fleet`` (a slot whose
+    environment hands the devices back unchanged serves each shard its
+    gathered ``fleet``, and prices on the provider's), ``slot_length``,
+    the resolved plane ``vectorized`` (one for every shard: the array
+    plane keeps one global :class:`~repro.core.vectorized.FleetState`)
+    and its ``engine`` (``None`` on the scalar plane),
     ``environment(configured)`` (the run's own copy of the environment,
     so every run starts from the configured one),
     ``qos_states(config, seed)`` (one
@@ -266,6 +272,16 @@ def run_fluid(
     (uniform within a shard unless QoS biases it) whenever overload
     control or QoS is on; a run with neither builds no control-plane
     array.
+
+    The data plane decides per shard and, on the array plane, prices
+    per slot: each shard makes one ``policy.decide`` and one
+    backpressure call, then one
+    :meth:`~repro.core.vectorized.VectorizedSlotEngine.slot_costs` call
+    prices every device — a sharded slot as a
+    :class:`~repro.core.vectorized.ShardedSlot`, each device at its
+    shard's share, partition and site — and one ``update`` advances the
+    fleet state.  Each shard's totals are left-to-right sums over its
+    members in device order, as the scalar plane adds them.
 
     The control plane is one implementation for both planes: the gate,
     backpressure, the stranded-edge drain, the capacity clamp, the
@@ -374,9 +390,8 @@ def run_fluid(
         expected = [proc.mean(slot) for proc in arrivals]
         expected_col = np.array(expected) if sharded else None
         # The slot-start queues as arrays.  On the array plane they are
-        # the fleet state's own arrays, which absorbing a shard updates
-        # in place: each shard reads only its own members' rows, before
-        # its own absorb.
+        # the fleet state's own arrays, which only the slot's one update
+        # replaces, after every shard has decided.
         queue_local = queue_edge = None
         if fleet is not None:
             queue_local, queue_edge = fleet.queue_local, fleet.queue_edge
@@ -477,27 +492,8 @@ def run_fluid(
             )
             ratios = policy.decide(live, sub_state, member_expected, member_devices)
             ratios = controllers[e].backpressure(ratios, member_edge, idx)
-            if fleet is not None:
-                shard_state = fleet if idx is None else fleet.shard(idx)
-                cost = shard.engine.slot_costs(
-                    member_devices,
-                    ratios,
-                    _take(admitted, idx),
-                    shard_state,
-                    include_tail=sim.include_tail,
-                    system=live,
-                    share_scale=member_scales,
-                )
-                # Left-to-right accumulation mirrors the scalar loop
-                # (np.sum is pairwise), keeping the two paths
-                # byte-identical.
-                times = cost.total_time
-                shard_time[e] = float(sum(times.tolist(), 0.0))
-                shard_arrivals[e] = float(sum(cost.arrivals.tolist(), 0.0))
-                shard_state.update(cost)
-                if idx is not None:
-                    fleet.absorb(idx, shard_state)
-            else:
+            times = None
+            if fleet is None:
                 step_ratios = ratios.tolist() if gate is not None else ratios
                 step_scales = (
                     None if member_scales is None else member_scales.tolist()
@@ -527,6 +523,37 @@ def run_fluid(
             else:
                 ratios_global[idx] = ratios
             steps.append((e, idx, live, member_scales, times))
+        if fleet is not None:
+            # One pricing call over the whole slot.  A sharded slot hands
+            # the engine each shard's live system; the rest is one array.
+            if sharded:
+                priced = [None] * num_shards
+                for e, idx, live, _, _ in steps:
+                    priced[e] = (idx, live, live is slot_shards[e].system)
+                slot_system = ShardedSlot(owner, priced)
+            else:
+                slot_system = steps[0][2]
+            cost = shards.engine.slot_costs(
+                shards.fleet if unchanged else live_devices,
+                ratios_global,
+                admitted,
+                fleet,
+                include_tail=sim.include_tail,
+                system=slot_system,
+                share_scale=scales,
+            )
+            fleet.update(cost)
+            # Left-to-right sums over each shard's members mirror the
+            # scalar loop (np.sum is pairwise), keeping the two planes
+            # byte-identical.
+            total_time = cost.total_time
+            for j, (e, idx, live, member_scales, _) in enumerate(steps):
+                times = _take(total_time, idx)
+                shard_time[e] = float(sum(times.tolist(), 0.0))
+                shard_arrivals[e] = float(
+                    sum(_take(cost.arrivals, idx).tolist(), 0.0)
+                )
+                steps[j] = (e, idx, live, member_scales, times)
 
         overflow = None
         if gate is not None:

@@ -299,6 +299,37 @@ def test_unconstrained_fixed_policy_ignores_feasibility(partition):
     assert policy.decide(system, state, [100.0, 100.0]) == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("heterogeneous", [False, True])
+def test_fixed_policy_batch_clamps_mixed_rungs_like_the_loop(heterogeneous):
+    """At serving scale the fixed policy clamps a whole fleet at once.
+    On a mixed-rung deployment (per-device partitions, several devices
+    sharing each degraded one) its ratios are the per-device Eq. 8
+    clamp's, for configs and for a live fleet's columns alike."""
+    from repro.core.offloading import LiveFleet
+    from repro.resilience.qos import degrade_system_by_modes
+
+    from tests.helpers import random_fleet
+
+    n = 200
+    rng = np.random.default_rng(7)
+    system = degrade_system_by_modes(
+        random_fleet(3, n, heterogeneous=heterogeneous), rng.integers(0, 4, n)
+    )
+    assert len(system.device_partitions) == n
+    arrivals = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 40.0, n)).tolist()
+    policy = FixedRatioPolicy(0.5)
+    want = []
+    for i, device in enumerate(system.devices):
+        lo, hi = feasible_ratio_interval(
+            device, system.partition_for(i), system.slot_length, arrivals[i]
+        )
+        want.append(min(max(0.5, lo), hi))
+    assert len(set(want)) > 2  # the clamp binds both ways somewhere
+    state = LyapunovState.zeros(n)
+    for devices in (None, LiveFleet.of(system.devices)):
+        assert policy.decide(system, state, arrivals, devices) == want
+
+
 def test_fixed_policy_validation():
     with pytest.raises(ValueError):
         FixedRatioPolicy(1.5)

@@ -1,11 +1,12 @@
 """Federated fluid shards as index gathers.
 
-A shard's system, fleet and engine parameters are the members' rows of
-columns read once per run.  These tests pin them to a rebuild from the
-device configs: the shard oracle compares every ``EdgeSystem`` field and
-every ``FleetParams`` column, and the fleet-scale churn run compares
-whole runs against a provider that rebuilds every shard from configs in
-every slot.
+A shard's system and fleet, and the engine parameters its slot is
+priced with, are the members' rows of columns read once per run.  These
+tests pin them to a rebuild from the device configs: the shard oracle
+compares every ``EdgeSystem`` field and every ``FleetParams`` column,
+the sharded-slot oracle prices each shard on its own, and the
+fleet-scale churn runs compare whole runs against a provider that
+rebuilds every shard from configs in every slot.
 """
 
 from __future__ import annotations
@@ -17,13 +18,20 @@ import numpy as np
 import pytest
 
 from repro.core.offloading import (
+    BalanceOffloadingPolicy,
     DeviceConfig,
     DriftPlusPenaltyPolicy,
     EdgeSystem,
     FixedRatioPolicy,
     LiveFleet,
 )
-from repro.core.vectorized import FleetParams, VectorizedSlotEngine
+from repro.core.vectorized import (
+    BatchSlotCost,
+    FleetParams,
+    FleetState,
+    ShardedSlot,
+    VectorizedSlotEngine,
+)
 from repro.federation import (
     AssignmentPlan,
     FederatedSlotSimulator,
@@ -31,8 +39,9 @@ from repro.federation import (
     single_edge_topology,
 )
 from repro.federation import fluid
+from repro.resilience.environment import edge_down_system
 from repro.resilience.overload import OverloadControl
-from repro.resilience.qos import QoSConfig
+from repro.resilience.qos import QoSConfig, degrade_system_by_modes
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.simulator import FluidShard, SlotSimulator
 
@@ -93,8 +102,9 @@ def _from_configs(topology, edge: int, members, homes=None) -> EdgeSystem:
 def test_gathered_shard_equals_a_rebuild_from_configs(size, heterogeneous):
     """Both share branches (fewer and more than 100 active members), idle
     members, per-device partitions and non-home backhaul: every
-    ``EdgeSystem`` field and every ``FleetParams`` column of the gathered
-    shard equals the rebuild's, bit for bit."""
+    ``EdgeSystem`` field of the gathered shard, and every ``FleetParams``
+    column a sharded slot prices its members with, equals the rebuild's,
+    bit for bit."""
     topology = _topology(size, 3, 2 * size, heterogeneous, idle_every=7)
     sites = tuple(
         dataclasses.replace(site, backhaul_latency=0.004 * (e + 1))
@@ -123,10 +133,16 @@ def test_gathered_shard_equals_a_rebuild_from_configs(size, heterogeneous):
         assert (active >= 100) == (size == 230)  # the uniform-share branch
         shard = provider._build(edge, index)
         reference = FleetParams.from_system(_from_configs(topology, edge, members))
-        params = shard.engine.params_for(shard.fleet)
+        slot = ShardedSlot(np.full(topology.num_devices, edge), [None] * 3)
+        slot.shards[edge] = (index, shard.system, True)
+        engine = provider.engine
+        params, _ = engine._shard_params(engine.params_for(provider.fleet), slot)
         for name in (f.name for f in dataclasses.fields(FleetParams)):
-            a, b = getattr(params, name), getattr(reference, name)
+            a, b = getattr(params, name)[index], getattr(reference, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name in ("flops", "bandwidth", "latency", "overhead"):
+            a, b = getattr(shard.fleet, name), getattr(reference, name)
+            assert a.tobytes() == b.tobytes(), name
         assert shard.fleet == shard.system.devices
 
 
@@ -144,6 +160,69 @@ def test_build_shard_validates_members_as_an_array():
     with pytest.raises(ValueError, match="edge must be"):
         topology.build_shard(2, [0])
     assert topology.build_shard(1, np.array([0])) == topology.build_shard(1, [0])
+
+
+def _distinct_sites(topology):
+    """``topology`` with a distinct non-zero overhead at every site (the
+    random sites already differ in capacity and edge→cloud hop)."""
+    sites = tuple(
+        dataclasses.replace(site, edge_overhead=0.004 + 0.007 * e)
+        for e, site in enumerate(topology.sites)
+    )
+    return dataclasses.replace(topology, sites=sites)
+
+
+@pytest.mark.parametrize("include_tail", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sharded_slot_prices_each_shard_as_its_own_system(seed, include_tail):
+    """One sharded pricing call over the slot equals pricing each shard
+    alone on its own system, bit for bit in every field: distinct sites,
+    per-device partitions, an edge outage, mixed and uniform rungs, cold
+    start share scales and an unpopulated shard."""
+    edges, n = 4, 90
+    topology = _distinct_sites(_topology(seed, edges, n, True, idle_every=5))
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(0, 3, n)  # edge 3 serves nobody
+    ratios = rng.uniform(0.0, 1.0, n)
+    arrivals = rng.poisson(1.0, n).astype(float)
+    queues = FleetState(rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n))
+    scales = np.where(rng.random(n) < 0.3, rng.uniform(0.2, 1.0, n), 1.0)
+    modes = [None, rng.integers(0, 3, n), np.full(n, 2)]
+    shards = [None] * edges
+    for e in range(3):
+        members = np.flatnonzero(owner == e)
+        system = topology.build_shard(e, members)
+        if e == 1:
+            system = edge_down_system(system)
+        live = system
+        if modes[e] is not None:
+            live = degrade_system_by_modes(system, modes[e][members])
+        shards[e] = (members, live, live is system)
+    assert [shard[2] for shard in shards[:3]] == [True, False, False]
+    engine = VectorizedSlotEngine(topology, FleetParams.from_topology(topology))
+    whole = engine.slot_costs(
+        topology.fleet,
+        ratios,
+        arrivals,
+        queues,
+        include_tail=include_tail,
+        system=ShardedSlot(owner, shards),
+        share_scale=scales,
+    )
+    for members, live, _ in shards[:3]:
+        alone = VectorizedSlotEngine(
+            live, FleetParams.from_system(live, topology.fleet.take(members))
+        ).slot_costs(
+            None,
+            ratios[members],
+            arrivals[members],
+            FleetState(queues.queue_local[members], queues.queue_edge[members]),
+            include_tail=include_tail,
+            share_scale=scales[members],
+        )
+        for name in (f.name for f in dataclasses.fields(BatchSlotCost)):
+            a, b = getattr(whole, name)[members], getattr(alone, name)
+            assert a.tobytes() == b.tobytes(), name
 
 
 # -- churn at fleet scale ------------------------------------------------------
@@ -174,8 +253,17 @@ def _churn_plan(seed: int) -> AssignmentPlan:
     return AssignmentPlan(np.array(matrix), EDGES)
 
 
-def _churn_sim(seed: int, vectorized: bool, qos=None) -> FederatedSlotSimulator:
-    topology = _topology(seed, EDGES, DEVICES, heterogeneous=False, idle_every=11)
+def _churn_sim(
+    seed: int,
+    vectorized: bool,
+    qos=None,
+    heterogeneous: bool = False,
+    include_tail: bool = True,
+    queue_high: float = 2.0,
+) -> FederatedSlotSimulator:
+    topology = _topology(seed, EDGES, DEVICES, heterogeneous, idle_every=11)
+    if heterogeneous:
+        topology = _distinct_sites(topology)
     edge_down = np.zeros((SLOTS, EDGES))
     edge_down[7:9, 2] = 1.0
     edge_down[9, 3] = 1.0  # a partial outage its members ride out in place
@@ -187,10 +275,15 @@ def _churn_sim(seed: int, vectorized: bool, qos=None) -> FederatedSlotSimulator:
         topology=topology,
         arrivals=arrivals,
         plan=_churn_plan(seed),
+        include_tail=include_tail,
         seed=seed,
         vectorized=vectorized,
         overload=OverloadControl(
-            queue_high=2.0, queue_low=1.0, patience=1, cooldown=2, queue_capacity=5.0
+            queue_high=queue_high,
+            queue_low=queue_high / 2,
+            patience=1,
+            cooldown=2,
+            queue_capacity=5.0,
         ),
         faults=FederationFaultPlan(edge_down=edge_down),
         qos=qos,
@@ -208,8 +301,7 @@ class _FromConfigs(fluid._EdgeShards):
     def _build(self, edge, index):
         members = index.tolist()
         system = _from_configs(self.sim.topology, edge, members)
-        engine = VectorizedSlotEngine(system) if self.vectorized else None
-        return FluidShard(members, system, engine, False, LiveFleet.of(system.devices))
+        return FluidShard(members, system, False, LiveFleet.of(system.devices))
 
 
 def _outputs(result):
@@ -276,6 +368,47 @@ def test_fleet_scale_churn_with_qos_is_identical_across_planes_and_rebuilds(
     assert result.class_flow is not None and sum(result.class_flow.shed) > 0.0
     gaps = result.class_flow.identity_gaps(result.class_names)
     assert max(abs(g) for g in gaps.values()) < 1e-6
+    array = _outputs(array)
+    assert _outputs(run(False)) == array
+    assert _outputs(run(True, _FromConfigs)) == array
+    assert _outputs(run(False, _FromConfigs)) == array
+
+
+@pytest.mark.parametrize("include_tail", [True, False])
+@pytest.mark.parametrize("metrics", ["records", "streaming"])
+@pytest.mark.parametrize("policy", ["fixed", "dpp", "balance"])
+def test_churn_over_distinct_sites_is_identical_across_planes_and_rebuilds(
+    policy, metrics, include_tail, monkeypatch
+):
+    """The churned federation over sites that differ in overhead,
+    capacity and edge→cloud hop, with per-device partitions, overload,
+    QoS and a partial outage, every policy's ladder degrading some
+    shards: each device is priced at its own serving site on both planes
+    and under config-rebuilt shards."""
+    policies = {
+        "fixed": lambda: FixedRatioPolicy(0.5),
+        "dpp": lambda: DriftPlusPenaltyPolicy(v=20.0),
+        "balance": BalanceOffloadingPolicy,
+    }
+
+    def run(vectorized, provider=fluid._EdgeShards):
+        monkeypatch.setattr(fluid, "_EdgeShards", provider)
+        sim = _churn_sim(
+            2,
+            vectorized,
+            qos=CHURN_QOS,
+            heterogeneous=True,
+            include_tail=include_tail,
+            queue_high=1.0,  # every policy climbs the ladder
+        )
+        return sim.run(policies[policy](), SLOTS, metrics=metrics)
+
+    sites = _churn_sim(2, True, heterogeneous=True).topology.sites
+    overheads = {site.edge_overhead for site in sites}
+    assert len(overheads) == EDGES and min(overheads) > 0.0
+    array = run(True)
+    if metrics == "records":
+        assert max(record.mode for record in array.global_result.records) > 0
     array = _outputs(array)
     assert _outputs(run(False)) == array
     assert _outputs(run(True, _FromConfigs)) == array
