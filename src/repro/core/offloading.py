@@ -308,7 +308,7 @@ class EdgeSystem:
             object.__setattr__(self, "shares", tuple(shares))
         if len(self.shares) != len(self.devices):
             raise ValueError("shares must match devices")
-        if any(p < -1e-9 for p in self.shares):
+        if min(self.shares) < -1e-9:
             raise ValueError("shares must be non-negative")
         # Negated, so that a NaN or infinite share fails too.
         if not abs(sum(self.shares) - 1.0) <= 1e-6:
@@ -617,6 +617,22 @@ class OffloadingPolicy(Protocol):
     policy *may* additionally expose ``reset()`` to rewind internal
     state (slot cursors, learned tables, RNG streams) to its
     just-constructed value; stateless policies simply omit it.
+
+    A policy may also declare ``row_separable = True`` at class level:
+    each device's ratio is a function of its own row of the slot's
+    columns alone (its device, share, partition, site, queues and
+    expected arrivals), with no state carried between calls, so one
+    call over a whole federation equals one call per shard.  The fluid
+    array plane then consults it once per slot, passing the slot's
+    :class:`~repro.core.vectorized.SlotColumns` as ``system`` (the
+    columns the slot is priced with, shares not discounted by cold
+    starts), the array-backed :class:`~repro.core.vectorized.FleetState`
+    as ``state``, the expected arrivals as a float64 column and no
+    ``devices``.  Anything else — stateful, learning, fenced, resilient
+    or centralized policies, and every call on the scalar plane, the
+    event engines and the live runtime — receives an
+    :class:`EdgeSystem` per shard.  The declaration is read from the
+    object, so a subclass that changes ``decide`` must redeclare it.
     """
 
     def decide(
@@ -631,6 +647,8 @@ class OffloadingPolicy(Protocol):
         ``devices`` overrides the system's device configs for this slot
         (the dynamic environment substitutes per-slot links this way);
         ``arrivals`` are the *expected* arrivals the policy plans against.
+        A row-separable policy may receive a slot's
+        :class:`~repro.core.vectorized.SlotColumns` as ``system``.
         """
         ...
 
@@ -647,8 +665,9 @@ class DriftPlusPenaltyPolicy:
     Every decision is one call to :func:`repro.core.vectorized.dpp_decide`,
     which runs the grid-and-refine search (33 ratios, two refinement
     rounds) for all devices at once — at any fleet size, one device
-    included.  The test suite keeps the per-device scalar loop it replaced
-    as a bitwise reference.
+    included, from a system or a slot's columns (row-separable).  The
+    test suite keeps the per-device scalar loop it replaced as a bitwise
+    reference.
 
     Attributes:
         v: The Lyapunov trade-off parameter ``V`` (larger → lower delay,
@@ -659,6 +678,8 @@ class DriftPlusPenaltyPolicy:
 
     v: float = 50.0
     vectorized: bool = False
+
+    row_separable = True
 
     def __post_init__(self) -> None:
         # A chained comparison is False for NaN, so NaN fails too.
@@ -688,14 +709,17 @@ class BalanceOffloadingPolicy:
     the balance point; the Cauchy-Schwarz argument in §III-D4 shows this
     minimises the large-``V`` limit of the Eq. 19 objective.
 
-    Fleets of ``_BALANCE_BATCH_MIN`` devices or more bisect every device
-    at once through :func:`repro.core.vectorized.balance_decide`; smaller
-    ones run the per-device loop.  Both return the same bits, so the
-    fleet size only picks the faster one.
+    Fleets of ``_BALANCE_BATCH_MIN`` devices or more, and a slot's
+    columns (row-separable), bisect every device at once through
+    :func:`repro.core.vectorized.balance_decide`; smaller fleets run the
+    per-device loop.  Both return the same bits, so the fleet size only
+    picks the faster one.
     """
 
     tolerance: float = 1e-6
     max_iterations: int = 60
+
+    row_separable = True
 
     def __post_init__(self) -> None:
         # Chained comparisons are False for NaN, so NaN fails too.
@@ -752,10 +776,13 @@ class BalanceOffloadingPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        devs = system.devices if devices is None else devices
-        if len(devs) >= _BALANCE_BATCH_MIN:
-            from .vectorized import balance_decide
+        from .vectorized import SlotColumns, balance_decide
 
+        if (
+            isinstance(system, SlotColumns)
+            or len(system.devices if devices is None else devices)
+            >= _BALANCE_BATCH_MIN
+        ):
             return balance_decide(
                 system,
                 state,
@@ -764,6 +791,7 @@ class BalanceOffloadingPolicy:
                 tolerance=self.tolerance,
                 max_iterations=self.max_iterations,
             )
+        devs = system.devices if devices is None else devices
         return self._decide_loop(system, state, arrivals, devs)
 
     def _decide_loop(
@@ -815,6 +843,8 @@ class FixedRatioPolicy:
     ratio: float
     respect_constraint: bool = True
 
+    row_separable = True
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("ratio must be in [0, 1]")
@@ -826,6 +856,12 @@ class FixedRatioPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
+        from .vectorized import SlotColumns
+
+        if isinstance(system, SlotColumns):
+            if not self.respect_constraint:
+                return [self.ratio] * system.params.num_devices
+            return self._decide_batch(system, None, arrivals)
         devs = system.devices if devices is None else devices
         if not self.respect_constraint:
             return [self.ratio] * len(devs)
@@ -841,31 +877,44 @@ class FixedRatioPolicy:
 
     def _decide_batch(
         self,
-        system: EdgeSystem,
-        devs: Sequence[DeviceConfig],
+        system: "EdgeSystem | SlotColumns",
+        devs: Sequence[DeviceConfig] | None,
         arrivals: Sequence[float],
     ) -> list[float]:
-        """Array twin of the per-device loop for serving-scale fleets.
+        """Array twin of the per-device loop for serving-scale fleets and
+        for a slot's columns.
 
         Evaluates the identical elementwise IEEE expressions via
         :func:`~repro.core.vectorized.feasible_ratio_intervals_arrays`,
         so the returned ratios are bitwise equal to the scalar loop's —
         both event engines consume the same offload coins either way.
-        A :class:`LiveFleet` hands over its link columns, and per-device
+        A slot's columns hand over every column; otherwise a
+        :class:`LiveFleet` hands over its link columns, and per-device
         partitions are read once per distinct partition object (a
         rung-degraded deployment shares one per partition and rung)."""
-        from .vectorized import feasible_ratio_intervals_arrays, partition_table
+        from .vectorized import (
+            SlotColumns,
+            feasible_ratio_intervals_arrays,
+            partition_table,
+        )
 
-        if isinstance(devs, LiveFleet):
-            bandwidth, latency = devs.bandwidth, devs.latency
+        if isinstance(system, SlotColumns):
+            p = system.params
+            bandwidth, latency, d0, d1, sigma1 = (
+                p.bandwidth, p.latency, p.d0, p.d1, p.sigma1
+            )
+            system = system.system
         else:
-            bandwidth = np.array([d.link.bandwidth for d in devs])
-            latency = np.array([d.link.latency for d in devs])
-        if system.device_partitions:
-            _, _, _, d0, d1, _, sigma1, _ = partition_table(system, len(devs))
-        else:
-            part = system.partition
-            d0, d1, sigma1 = part.d0, part.d1, part.sigma1
+            if isinstance(devs, LiveFleet):
+                bandwidth, latency = devs.bandwidth, devs.latency
+            else:
+                bandwidth = np.array([d.link.bandwidth for d in devs])
+                latency = np.array([d.link.latency for d in devs])
+            if system.device_partitions:
+                _, _, _, d0, d1, _, sigma1, _ = partition_table(system, len(devs))
+            else:
+                part = system.partition
+                d0, d1, sigma1 = part.d0, part.d1, part.sigma1
         lo, hi = feasible_ratio_intervals_arrays(
             bandwidth,
             latency,

@@ -38,7 +38,11 @@ Entry points:
   ``Q_i``/``H_i`` queues and one-call whole-fleet slot costs: the
   fluid simulators' array plane (see
   :func:`~repro.sim.simulator.resolve_plane`); a federation's slot is
-  one call too, its shards' values arriving as a :class:`ShardedSlot`.
+  one call too, its shards' values arriving as a :class:`ShardedSlot`;
+* :class:`SlotColumns` — one slot's per-device columns, derived once by
+  the engine: a row-separable policy decides the whole slot from them
+  (both solvers above take them in place of a system), and the engine
+  prices the slot from the same columns.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "BatchSlotCost",
     "ShardedSlot",
     "SiteColumns",
+    "SlotColumns",
     "VectorizedSlotEngine",
     "feasible_ratio_intervals",
     "slot_cost_batch",
@@ -299,6 +304,32 @@ class SiteColumns(NamedTuple):
     edge_overhead: np.ndarray
     cloud_bandwidth: np.ndarray  # the edge→cloud hop
     cloud_latency: np.ndarray
+
+
+class SlotColumns(NamedTuple):
+    """One slot's per-device columns: what a row-separable policy decides
+    from, and what :meth:`VectorizedSlotEngine.slot_costs` prices the
+    slot with (see :meth:`VectorizedSlotEngine.columns`).
+
+    ``params`` holds each device's live columns, its deployed share (no
+    cold-start scale) and its partition row under its rung; ``sites``
+    its serving site's values, or ``None`` where ``system``'s scalars
+    apply (a single edge); ``system`` supplies the slot length and the
+    cloud either way."""
+
+    params: FleetParams
+    sites: SiteColumns | None
+    system: EdgeSystem
+
+    @classmethod
+    def of(
+        cls, system: "EdgeSystem | SlotColumns", devices=None
+    ) -> "SlotColumns":
+        """``system`` itself when it is already a slot's columns, else
+        the columns read off it and this slot's live ``devices``."""
+        if isinstance(system, SlotColumns):
+            return system
+        return cls(FleetParams.from_system(system, devices), None, system)
 
 
 def _transfer_times(
@@ -628,8 +659,8 @@ def _grid_refine_minimum_batch(
 
 
 def dpp_decide(
-    system: EdgeSystem,
-    state: LyapunovState,
+    system: "EdgeSystem | SlotColumns",
+    state: "LyapunovState | FleetState",
     arrivals: Sequence[float],
     devices: Sequence[DeviceConfig] | None = None,
     v: float = 50.0,
@@ -638,15 +669,28 @@ def dpp_decide(
     """The :class:`~repro.core.offloading.DriftPlusPenaltyPolicy`
     decision: minimise Eq. 19 for every device over a shared ratio grid.
 
-    One :class:`_SlotKernel` serves the three search rounds, so the
+    ``system`` is a system (with this slot's ``devices``) or a slot's
+    :class:`SlotColumns`; every row is solved from its own columns, so
+    deciding a sharded slot at once returns each shard's own bits.  One
+    :class:`_SlotKernel` serves the three search rounds, so the
     per-device columns are read once and every round evaluates the
     objective into the same buffers."""
-    params = FleetParams.from_system(system, devices)
+    columns = SlotColumns.of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
-    lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
-    kernel = _SlotKernel(params, system, arrivals_arr, q, h, grid=grid)
+    lo, hi = feasible_ratio_intervals(
+        columns.params, columns.system.slot_length, arrivals_arr
+    )
+    kernel = _SlotKernel(
+        columns.params,
+        columns.system,
+        arrivals_arr,
+        q,
+        h,
+        grid=grid,
+        sites=columns.sites,
+    )
     values = np.empty(kernel.x.shape)
 
     def objective(xs: np.ndarray) -> np.ndarray:
@@ -657,26 +701,31 @@ def dpp_decide(
 
 
 def balance_decide(
-    system: EdgeSystem,
-    state: LyapunovState,
+    system: "EdgeSystem | SlotColumns",
+    state: "LyapunovState | FleetState",
     arrivals: Sequence[float],
     devices: Sequence[DeviceConfig] | None = None,
     tolerance: float = 1e-6,
     max_iterations: int = 60,
 ) -> list[float]:
     """Vectorized :class:`~repro.core.offloading.BalanceOffloadingPolicy`
-    decision: a batched bisection on ``T_i^d(x) − T_i^e(x)``.
+    decision: a batched bisection on ``T_i^d(x) − T_i^e(x)``, from a
+    system or a slot's :class:`SlotColumns` (as :func:`dpp_decide`).
 
     Rows converge independently — a converged or endpoint-clamped device is
     frozen while the rest keep bisecting, reproducing the scalar per-device
     loop exactly.
     """
-    params = FleetParams.from_system(system, devices)
+    columns = SlotColumns.of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
-    lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
-    kernel = _SlotKernel(params, system, arrivals_arr, q, h)
+    lo, hi = feasible_ratio_intervals(
+        columns.params, columns.system.slot_length, arrivals_arr
+    )
+    kernel = _SlotKernel(
+        columns.params, columns.system, arrivals_arr, q, h, sites=columns.sites
+    )
     gaps = np.empty(kernel.x.shape)
 
     def gap(xs: np.ndarray) -> np.ndarray:
@@ -805,9 +854,11 @@ class VectorizedSlotEngine:
 
     ``system`` is an :class:`~repro.core.offloading.EdgeSystem`, or a
     federation's topology (:meth:`FleetParams.from_topology`), whose
-    slots arrive as :class:`ShardedSlot`: a federation's slot is priced
-    in one call, each device under its shard's share, partition and
-    site.
+    slots arrive as :class:`ShardedSlot`: a federation's slot is one
+    set of columns, each device under its shard's share, partition and
+    site.  :meth:`columns` derives a slot's :class:`SlotColumns` once;
+    a row-separable policy decides the slot from them and
+    :meth:`slot_costs` prices it from them.
     """
 
     def __init__(self, system: EdgeSystem, params: FleetParams | None = None):
@@ -827,6 +878,48 @@ class VectorizedSlotEngine:
             return self._static_params.with_devices(devices)
         return FleetParams.from_system(self.system, devices)
 
+    def columns(
+        self,
+        devices: Sequence[DeviceConfig] | None,
+        system: "EdgeSystem | ShardedSlot | None" = None,
+    ) -> SlotColumns:
+        """The slot's per-device columns over this slot's live
+        ``devices``.
+
+        ``system`` overrides the deployed system for this slot — a trace
+        environment varies shared parameters (edge capacity) per slot,
+        and the overload ladder swaps in degraded partitions.  Shared
+        overrides (edge capacity) leave the precomputed per-device
+        :class:`FleetParams` valid; partition (or share) overrides change
+        rows, so those re-read the shares and partition columns from the
+        live system — exactly what the scalar loop reads via
+        ``live_system.partition_for(i)`` — next to the device columns.
+
+        A :class:`ShardedSlot` is a federation's slot: each device takes
+        its shard's share, its partition row from its shard's live system
+        where a rung replaced the deployed one (read once per distinct
+        partition and rung, as :func:`partition_table` does), and its
+        serving site's edge FLOPS, overhead and edge→cloud hop as
+        :class:`SiteColumns` gathered through ``owner``.  Every row is
+        its shard's own system's row.
+        """
+        live = self.system if system is None else system
+        params = self.params_for(devices)
+        if isinstance(live, ShardedSlot):
+            return SlotColumns(*self._shard_params(params, live), self.system)
+        if live is not self.system and (
+            live.partition is not self.system.partition
+            or live.shares is not self.system.shares
+            or live.device_partitions != self.system.device_partitions
+        ):
+            n = params.num_devices
+            params = replace(
+                params,
+                shares=np.array(live.shares[:n], dtype=np.float64),
+                **dict(zip(_PARTITION_COLUMNS, partition_table(live, n))),
+            )
+        return SlotColumns(params, None, live)
+
     def slot_costs(
         self,
         devices: Sequence[DeviceConfig] | None,
@@ -834,27 +927,15 @@ class VectorizedSlotEngine:
         arrivals: Sequence[float],
         state: FleetState,
         include_tail: bool = True,
-        system: "EdgeSystem | ShardedSlot | None" = None,
+        system: "EdgeSystem | ShardedSlot | SlotColumns | None" = None,
         share_scale: "Sequence[float] | np.ndarray | None" = None,
     ) -> BatchSlotCost:
         """Eqs. 12-14 for the whole fleet at the chosen ratios.
 
-        ``system`` overrides the deployed system for this slot — a trace
-        environment varies shared parameters (edge capacity) per slot,
-        and the overload ladder swaps in degraded partitions.  Shared
-        overrides (edge capacity) leave the precomputed per-device
-        :class:`FleetParams` valid; partition overrides change the
-        ``μ``/``d``/``σ`` rows, so those re-read the partition columns
-        from the live system — exactly what the scalar loop reads via
-        ``live_system.partition_for(i)`` — next to the device columns.
-
-        A :class:`ShardedSlot` prices a federation's slot: each device
-        takes its shard's share, its partition row from its shard's live
-        system where a rung replaced the deployed one (read once per
-        distinct partition and rung, as :func:`partition_table` does),
-        and its serving site's edge FLOPS, overhead and edge→cloud hop
-        as :class:`SiteColumns` gathered through ``owner``.  Every row is
-        the bits of pricing its shard on its own.
+        The slot's columns are ``columns(devices, system)``, or
+        ``system`` itself when it is the slot's :class:`SlotColumns`
+        already (``devices`` is then not read).  A sharded slot's every
+        row is the bits of pricing its shard on its own.
 
         ``share_scale`` discounts each device's container-slice share for
         this slot (a cold model load occupying part of the slot; see
@@ -864,22 +945,12 @@ class VectorizedSlotEngine:
         ``shares[i] * scale[i]`` as ``slot_cost``'s explicit share — so
         the byte-identity contract holds with cold starts active.
         """
-        live = self.system if system is None else system
-        params = self.params_for(devices)
-        sites = None
-        if isinstance(live, ShardedSlot):
-            params, sites = self._shard_params(params, live)
-            live = self.system
-        elif live is not self.system and (
-            live.partition is not self.system.partition
-            or live.device_partitions != self.system.device_partitions
-        ):
-            n = params.num_devices
-            params = replace(
-                params,
-                shares=np.array(live.shares[:n], dtype=np.float64),
-                **dict(zip(_PARTITION_COLUMNS, partition_table(live, n))),
-            )
+        columns = (
+            system
+            if isinstance(system, SlotColumns)
+            else self.columns(devices, system)
+        )
+        params = columns.params
         if share_scale is not None:
             params = replace(
                 params,
@@ -888,13 +959,13 @@ class VectorizedSlotEngine:
             )
         return slot_cost_batch(
             params,
-            live,
+            columns.system,
             np.asarray(ratios, dtype=np.float64),
             np.asarray(arrivals, dtype=np.float64),
             state.queue_local,
             state.queue_edge,
             include_tail=include_tail,
-            sites=sites,
+            sites=columns.sites,
         )
 
     def _shard_params(

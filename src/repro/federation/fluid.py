@@ -13,15 +13,17 @@ one warm pool per shard.  This module supplies what is federation-only:
   :class:`~repro.core.offloading.EdgeSystem` over its members with
   per-edge KKT shares, kept while its member set holds.  A shard is an
   index gather: its shares are solved on the members' rows of the
-  topology's FLOPS and mean-arrival columns, and its device columns are
-  the members' rows of columns read once per run — a new member set
-  reads no device config.  One plane serves every shard, picked from
-  the devices per edge.  Each shard decides on its own; the array plane
-  then prices the whole slot in one call on one engine over the
-  topology's columns (:meth:`~repro.core.vectorized.FleetParams.
-  from_topology`), each device at its shard's share, partition and site
-  (:class:`~repro.core.vectorized.ShardedSlot`), and advances the one
-  global fleet state.  Migration conserves backlog by construction: a
+  topology's FLOPS and mean-arrival columns, which are read once per
+  run — a new member set reads no device config.  One plane serves
+  every shard, picked from the devices per edge.  The array plane
+  derives each slot's columns once, on one engine over the topology's
+  columns (:meth:`~repro.core.vectorized.FleetParams.from_topology`),
+  each device at its shard's share, partition and site
+  (:class:`~repro.core.vectorized.ShardedSlot`); a row-separable policy
+  decides the whole slot from them in one call, the slot is priced
+  from them in one call, and the one global fleet state advances.  Any
+  other policy decides shard by shard.  Migration conserves backlog by
+  construction: a
   re-assigned device's queues ride along to its new shard (tasks are
   queued *at the device* in the fluid model; only the serving edge
   changes).
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.offloading import LyapunovState, OffloadingPolicy
+from ..core.offloading import LiveFleet, LyapunovState, OffloadingPolicy
 from ..core.vectorized import FleetParams, VectorizedSlotEngine
 from ..resilience.environment import edge_down_system, run_environment
 from ..sim.arrivals import ArrivalProcess
@@ -217,13 +219,15 @@ class _EdgeShards:
     the cache holds at most one entry per edge.  Building one is an
     index gather over columns read once per run: the shard system's
     shares come from the topology's columns
-    (:meth:`~repro.federation.topology.FederationTopology.build_shard`),
-    and its fleet is the members' rows of the topology's
-    :class:`~repro.core.offloading.LiveFleet`.  A down edge's capacity
-    collapses (:func:`~repro.resilience.environment.edge_down_system`)
-    while its peers run untouched.  The plane is decided once, for every
-    shard: the array plane keeps one global fleet state and one engine
-    over the whole topology, built once per run.
+    (:meth:`~repro.federation.topology.FederationTopology.build_shard`).
+    Its fleet, the members' rows of the topology's
+    :class:`~repro.core.offloading.LiveFleet`, is gathered only when a
+    per-shard policy call asks for it (:meth:`member_fleet`).  A down
+    edge's capacity collapses
+    (:func:`~repro.resilience.environment.edge_down_system`) while its
+    peers run untouched.  The plane is decided once, for every shard:
+    the array plane keeps one global fleet state and one engine over the
+    whole topology, built once per run.
     """
 
     def __init__(self, sim: FederatedSlotSimulator):
@@ -302,7 +306,16 @@ class _EdgeShards:
             shards.append(shard)
         return row, shards
 
+    def member_fleet(self, edge: int) -> LiveFleet:
+        """The configured devices of edge ``edge``'s current members,
+        gathered once per member set."""
+        shard = self._cache[edge]
+        if shard.fleet is None:
+            shard = self._cache[edge] = shard._replace(
+                fleet=self.fleet.take(shard.members)
+            )
+        return shard.fleet
+
     def _build(self, edge: int, index: np.ndarray) -> FluidShard:
         """Edge ``edge``'s shard over the members in ``index``."""
-        system = self.sim.topology.build_shard(edge, index)
-        return FluidShard(index, system, False, self.fleet.take(index))
+        return FluidShard(index, self.sim.topology.build_shard(edge, index))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,13 @@ from ..hardware import (
 )
 from ..models.multi_exit import PartitionedModel
 from ..units import mbps, ms
+
+def _gather(values: tuple, members: list[int]) -> tuple:
+    """The entries of ``values`` at the (non-empty) ``members``, as a
+    tuple, in one C-level pass."""
+    picked = itemgetter(*members)(values)
+    return picked if len(members) > 1 else (picked,)
+
 
 #: Seed stride between edge shards: shard ``e`` of a seed-``s`` federated
 #: run uses ``s + SHARD_SEED_STRIDE·e``.  Edge 0 keeps the base seed, so a
@@ -231,7 +239,7 @@ class FederationTopology:
             raise ValueError("member index out of range")
         members = index.tolist()
         site = self.sites[edge]
-        devices = [self.devices[i] for i in members]
+        devices = _gather(self.devices, members)
         if homes is not None and site.backhaul_latency != 0.0:
             devices = [
                 device
@@ -261,9 +269,7 @@ class FederationTopology:
             ),
             edge_overhead=site.edge_overhead,
             cloud_overhead=self.cloud_overhead,
-            device_partitions=tuple(
-                self.device_partitions[i] for i in members
-            )
+            device_partitions=_gather(self.device_partitions, members)
             if self.device_partitions
             else (),
         )

@@ -8,7 +8,9 @@ one order, from plain picklable state, each step one array expression
 over the whole slot.  Each path only realises the plan
 on its own data plane: exit thresholds and slice holds (both event
 engines), the served system and warm-up jobs (live runtime), degraded
-shard systems and share scales (fluid, one controller per shard).
+shard systems and share scales (fluid, one controller per shard; the
+fluid loop clamps a whole slot in one backpressure call over every
+shard's rungs).
 
 The QoS helpers are looked up through their module at call time, so
 instrumentation that patches them by name sees every call.
@@ -121,19 +123,14 @@ class SlotController:
         return rungs, qstate.on_slot(slot, w0, requested)
 
     def backpressure(
-        self,
-        ratios: Sequence[float],
-        queue_edge: Sequence[float],
-        members: Sequence[int] | None = None,
+        self, ratios: Sequence[float], queue_edge: Sequence[float]
     ) -> Sequence[float]:
         """Clamp the policy's ratios by rung and edge watermark, as a
-        float64 array (as given when ungoverned); ``members`` (an index
-        array) selects a shard's rungs."""
+        float64 array (as given when ungoverned)."""
         if self.ladder is None:
             return ratios
-        rungs = self.rungs if members is None else self.rungs[members]
         return _qos.apply_backpressure_by_mode(
-            ratios, queue_edge, self.ladder.control, rungs
+            ratios, queue_edge, self.ladder.control, self.rungs
         )
 
     def admit(self, counts: Sequence[int]) -> Sequence[int]:

@@ -11,12 +11,19 @@ slot's count is a Poisson draw around its mean) or :data:`MEAN_COUNT`
 (the count is the mean itself).  :class:`SlotDraw` realises a fleet's
 slot from the means — a long contiguous run of Poisson processes in one
 ``rng.poisson`` call — instead of one ``sample`` call per device.
+
+Likewise a process may declare its ``mean_schedule``: the means it
+repeats (or holds the last of) slot after slot.  :class:`SlotMeans`
+hands over a fleet's slot means as one column — constant means fixed
+once, trace tables indexed by slot — instead of one ``mean`` call per
+device.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -100,11 +107,15 @@ class SlotDraw:
             self.steps.append((start, len(self.processes)))
 
     def __call__(
-        self, slot: int, means: list[float], rng: np.random.Generator
+        self,
+        slot: int,
+        means: "Sequence[float] | np.ndarray",
+        rng: np.random.Generator,
     ) -> list[float]:
         """The counts of slot ``slot``; ``means`` is every process's
-        ``mean(slot)``, in order."""
-        counts = list(means)
+        ``mean(slot)``, in order — a list, or the float64 column of
+        :class:`SlotMeans` (a mean-law count is then a Python float)."""
+        counts = means.tolist() if isinstance(means, np.ndarray) else list(means)
         for start, stop in self.steps:
             if stop is None:
                 counts[start] = self.processes[start].sample(slot, rng)
@@ -113,10 +124,65 @@ class SlotDraw:
                 counts[start:stop] = drawn.astype(np.float64).tolist()
             else:
                 for i in range(start, stop):
-                    counts[i] = float(rng.poisson(means[i]))
+                    counts[i] = float(rng.poisson(counts[i]))
         for i, maximum in self.caps:
             counts[i] = min(counts[i], maximum)
         return counts
+
+
+class SlotMeans:
+    """A fixed list of processes' slot means, as one float64 column.
+
+    A process declaring its ``mean_schedule`` — a tuple of means and
+    whether they repeat past its end (else the last one holds) — is
+    read once: a one-entry schedule (a constant mean) goes into a fixed
+    column, and longer ones are grouped by length and ending, each
+    group indexed by slot in one C-level pass over its schedules (no
+    slots × devices table is kept).  Any other process calls its own
+    ``mean`` in place.  ``column.tolist()`` gives each mean as a Python
+    float, ``==`` to ``mean(slot)``.
+
+    As with ``count_law``, the schedule is read from what each process
+    declares: a subclass that overrides ``mean`` must override
+    ``mean_schedule`` too.
+    """
+
+    def __init__(self, processes: Sequence[ArrivalProcess]):
+        self.processes = list(processes)
+        self.fixed = np.zeros(len(self.processes))
+        #: Devices that call their own ``mean``.
+        self.calls: list[int] = []
+        grouped: dict[tuple[int, bool], list[tuple[int, tuple]]] = {}
+        for i, proc in enumerate(self.processes):
+            schedule = getattr(proc, "mean_schedule", None)
+            if schedule is None:
+                self.calls.append(i)
+                continue
+            values, cycle = schedule
+            if len(values) == 1:
+                self.fixed[i] = values[0]
+            else:
+                grouped.setdefault((len(values), cycle), []).append((i, values))
+        #: ``(length, cycle, devices, schedules)`` per group.
+        self.groups = [
+            (
+                length,
+                cycle,
+                np.array([i for i, _ in rows], dtype=np.intp),
+                [values for _, values in rows],
+            )
+            for (length, cycle), rows in grouped.items()
+        ]
+
+    def __call__(self, slot: int) -> np.ndarray:
+        """Every process's ``mean(slot)``, in order, as a new column."""
+        column = self.fixed.copy()
+        for length, cycle, devices, schedules in self.groups:
+            entry = itemgetter(slot % length if cycle else min(slot, length - 1))
+            column[devices] = list(map(entry, schedules))
+        for i in self.calls:
+            column[i] = self.processes[i].mean(slot)
+        return column
 
 
 def mean_series(process: ArrivalProcess, num_slots: int) -> np.ndarray:
@@ -139,6 +205,10 @@ class ConstantArrivals:
     def __post_init__(self) -> None:
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and non-negative")
+
+    @property
+    def mean_schedule(self) -> tuple[tuple[float, ...], bool]:
+        return (self.rate,), True
 
     def mean(self, slot: int) -> float:
         return self.rate
@@ -163,6 +233,10 @@ class PoissonArrivals:
         if self.maximum is not None and not self.rate <= self.maximum < math.inf:
             raise ValueError("maximum must be finite and at least the mean rate")
 
+    @property
+    def mean_schedule(self) -> tuple[tuple[float, ...], bool]:
+        return (self.rate,), True
+
     def mean(self, slot: int) -> float:
         return self.rate
 
@@ -184,6 +258,10 @@ class UniformArrivals:
     def __post_init__(self) -> None:
         if not 0 <= self.low <= self.high < math.inf:
             raise ValueError("need 0 <= low <= high < inf")
+
+    @property
+    def mean_schedule(self) -> tuple[tuple[float, ...], bool]:
+        return (self.mean(0),), True
 
     def mean(self, slot: int) -> float:
         return 0.5 * (self.low + self.high)
@@ -241,6 +319,10 @@ class TraceArrivals:
     @property
     def count_law(self) -> str:
         return POISSON_COUNT if self.poisson else MEAN_COUNT
+
+    @property
+    def mean_schedule(self) -> tuple[tuple[float, ...], bool]:
+        return self.trace, self.cycle
 
     def mean(self, slot: int) -> float:
         return self._rate_at(slot)

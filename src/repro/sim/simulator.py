@@ -43,7 +43,7 @@ from ..core.vectorized import (
 )
 from ..resilience.environment import edge_down_system, run_environment
 from ..resilience.recovery import resolve_recovery
-from .arrivals import ArrivalProcess, SlotDraw
+from .arrivals import ArrivalProcess, SlotDraw, SlotMeans
 from .environment import DynamicEnvironment, StaticEnvironment
 from .metrics import SimulationResult, SlotRecord
 from .streaming import FluidStreamStats
@@ -59,8 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FluidShard(NamedTuple):
     """One shard of a fluid slot: the devices one edge serves.
 
-    A shard holds what its policy call needs; the array plane prices
-    every shard of a slot in one call on the provider's engine.
+    The array plane decides a row-separable policy's slot and prices
+    every shard of it from one set of columns on the provider's engine;
+    a shard's own policy call is only made for other policies and on the
+    scalar plane.
 
     Attributes:
         members: Ascending global device indices (an int array or a
@@ -71,9 +73,11 @@ class FluidShard(NamedTuple):
         edge_down: Whether the shard's edge is out this slot: its warm
             pool is flushed and every slice serves cold.
         fleet: The members' configured devices as a
-            :class:`~repro.core.offloading.LiveFleet`, gathered once per
-            member set: what a slot that changes no device hands the
-            policy.  ``None`` when unpopulated.
+            :class:`~repro.core.offloading.LiveFleet`: what a slot that
+            changes no device hands a per-shard policy call.  A
+            federation gathers it on the first such call per member set
+            (see ``member_fleet`` of its provider), so ``None`` until
+            then.
     """
 
     members: "np.ndarray | list[int] | None"
@@ -222,7 +226,7 @@ class _WholeFleet:
         down = self.faults is not None and self.faults.edge_down_at(slot)
         if down:
             live = edge_down_system(live)
-        return self.owner, (FluidShard(None, live, down, self.fleet),)
+        return self.owner, (FluidShard(None, live, down),)
 
 
 def run_fluid(
@@ -248,8 +252,9 @@ def run_fluid(
     ``faults``); the run's checkpoint fingerprint digests all of it.
     ``shards`` is the shard provider: ``num_devices``, ``num_shards``,
     the base ``devices`` and their columns as a ``fleet`` (a slot whose
-    environment hands the devices back unchanged serves each shard its
-    gathered ``fleet``, and prices on the provider's), ``slot_length``,
+    environment hands the devices back unchanged is decided and priced
+    on it; a sharded provider's ``member_fleet(e)`` gathers a shard's
+    rows for a per-shard policy call), ``slot_length``,
     the resolved plane ``vectorized`` (one for every shard: the array
     plane keeps one global :class:`~repro.core.vectorized.FleetState`)
     and its ``engine`` (``None`` on the scalar plane),
@@ -262,8 +267,10 @@ def run_fluid(
     shard.
 
     The loop owns the global things: one RNG drawn in global device
-    order (a slot's arrivals in one :class:`~repro.sim.arrivals.SlotDraw`
-    call), the Lyapunov queues (a migrating device's backlog rides along
+    order (a slot's expected arrivals one
+    :class:`~repro.sim.arrivals.SlotMeans` column, its arrivals one
+    :class:`~repro.sim.arrivals.SlotDraw` call), the Lyapunov queues (a
+    migrating device's backlog rides along
     to its new shard), one admission gate (token buckets are
     device-scoped), the per-class flow, and the fleet-wide record or
     stream.  Per shard it keeps one
@@ -273,15 +280,20 @@ def run_fluid(
     control or QoS is on; a run with neither builds no control-plane
     array.
 
-    The data plane decides per shard and, on the array plane, prices
-    per slot: each shard makes one ``policy.decide`` and one
-    backpressure call, then one
+    On the array plane the engine derives the slot's columns once
+    (:meth:`~repro.core.vectorized.VectorizedSlotEngine.columns`; a
+    sharded slot as a :class:`~repro.core.vectorized.ShardedSlot`, each
+    device at its shard's share, partition and site).  A policy that
+    declares ``row_separable`` decides the whole slot from them in one
+    ``policy.decide`` call; any other policy, and every policy on the
+    scalar plane, is consulted once per populated shard with the
+    shard's live system.  One backpressure call then clamps every
+    device at its shard's rung, one
     :meth:`~repro.core.vectorized.VectorizedSlotEngine.slot_costs` call
-    prices every device — a sharded slot as a
-    :class:`~repro.core.vectorized.ShardedSlot`, each device at its
-    shard's share, partition and site — and one ``update`` advances the
-    fleet state.  Each shard's totals are left-to-right sums over its
-    members in device order, as the scalar plane adds them.
+    prices every device from the same columns (the cold-start share
+    scales applied), and one ``update`` advances the fleet state.  Each
+    shard's totals are left-to-right sums over its members in device
+    order, as the scalar plane adds them.
 
     The control plane is one implementation for both planes: the gate,
     backpressure, the stranded-edge drain, the capacity clamp, the
@@ -307,13 +319,9 @@ def run_fluid(
             f'metrics must be "records" or "streaming", got {metrics!r}'
         )
     from ..chaos.checkpoint import checkpoint_hook
+    from ..resilience import qos as _qos
     from ..resilience.control import SlotController
     from ..resilience.overload import MODE_FULL, AdmissionGate, clamp_queues
-    from ..resilience.qos import (
-        QoSFlow,
-        degrade_system_by_modes,
-        drain_stranded_edge_by_mode,
-    )
 
     emit = checkpoint_hook(
         sim, path, "state", checkpoint_every, checkpoint_sink, resume_from,
@@ -341,7 +349,7 @@ def run_fluid(
                     else shards.qos_states(sim.qos, sim.seed)
                 )
             ],
-            flow=None if sim.qos is None else QoSFlow(len(sim.qos.classes)),
+            flow=None if sim.qos is None else _qos.QoSFlow(len(sim.qos.classes)),
             records=[],
             shard_records=[[] for _ in range(num_shards)] if per_shard else None,
             stream=FluidStreamStats() if streaming else None,
@@ -370,7 +378,10 @@ def run_fluid(
     classes = None if qstate0 is None else np.asarray(qstate0.class_of, np.intp)
     half_slot = num_slots // 2
     tau = shards.slot_length
+    means = SlotMeans(arrivals)
     draw = SlotDraw(arrivals)
+    # The array plane consults a row-separable policy once per slot.
+    one_call = fleet is not None and getattr(policy, "row_separable", False)
     # A FencedController needs the true slot index: a federation consults
     # the policy once per shard, not once per slot.
     begin_slot = getattr(policy, "begin_slot", None)
@@ -387,8 +398,7 @@ def run_fluid(
         # Expected arrivals are deterministic (no RNG draw), so the QoS
         # plans can read them before sampling without perturbing the
         # arrival/environment stream.
-        expected = [proc.mean(slot) for proc in arrivals]
-        expected_col = np.array(expected) if sharded else None
+        expected = means(slot)
         # The slot-start queues as arrays.  On the array plane they are
         # the fleet state's own arrays, which only the slot's one update
         # replaces, after every shard has decided.
@@ -415,7 +425,7 @@ def run_fluid(
                     # Non-members carry zero expected demand in this
                     # shard's plan — they neither request its warm pool
                     # nor charge its shed budget.
-                    shard_expected = np.where(owner == e, expected_col, 0.0)
+                    shard_expected = np.where(owner == e, expected, 0.0)
                 rungs, holds = controller.plan(
                     slot, w0, _take(backlogs, idx), shard_expected, shard.edge_down
                 )
@@ -434,8 +444,8 @@ def run_fluid(
                 if scales is not None:
                     scales[idx] = shard_scales[idx]
         live_devices = environment.devices_at(slot, shards.devices, rng)
-        # A static environment hands the configured devices back: each
-        # shard then serves its gathered fleet.
+        # A static environment hands the configured devices back: the
+        # slot is then decided and priced on the provider's fleet.
         unchanged = live_devices is shards.devices
         if sharded and not unchanged:
             # Every shard gathers its members from one live fleet.
@@ -459,73 +469,24 @@ def run_fluid(
         elif sharded:
             admitted = np.asarray(realised)
 
-        shard_time = [0.0] * num_shards
-        shard_arrivals = [0.0] * num_shards
-        ratios_global = np.zeros(n) if sharded else None
+        # Each populated shard's live system: degraded rungs replace the
+        # live partitions, so the fluid cost model serves at the
+        # degraded exit depth.
         steps = []
         for e, shard in enumerate(slot_shards):
-            if not shard.populated:
-                continue
-            idx = index[e]
-            member_modes = _take(device_modes, idx)
-            member_scales = _take(scales, idx)
-            member_edge = _take(queue_edge, idx)
-            member_devices = shard.fleet
-            if idx is None:
-                sub_state = LyapunovState(state.queue_local, state.queue_edge)
-                member_expected = expected
-                if not unchanged:
-                    member_devices = live_devices
-            else:
-                sub_state = LyapunovState(
-                    queue_local[idx].tolist(), member_edge.tolist()
+            if shard.populated:
+                idx = index[e]
+                member_modes = _take(device_modes, idx)
+                live = (
+                    shard.system
+                    if member_modes is None
+                    else _qos.degrade_system_by_modes(shard.system, member_modes)
                 )
-                member_expected = expected_col[idx].tolist()
-                if not unchanged:
-                    member_devices = live_devices.take(idx)
-            # Degraded rungs replace the live partitions, so the fluid
-            # cost model serves at the degraded exit depth.
-            live = (
-                shard.system
-                if member_modes is None
-                else degrade_system_by_modes(shard.system, member_modes)
-            )
-            ratios = policy.decide(live, sub_state, member_expected, member_devices)
-            ratios = controllers[e].backpressure(ratios, member_edge, idx)
-            times = None
-            if fleet is None:
-                step_ratios = ratios.tolist() if gate is not None else ratios
-                step_scales = (
-                    None if member_scales is None else member_scales.tolist()
-                )
-                times = []
-                for j, i in enumerate(range(n) if idx is None else idx.tolist()):
-                    share = live.shares[j]
-                    if step_scales is not None:
-                        share = share * step_scales[j]
-                    cost = slot_cost(
-                        live_devices[i],
-                        live,
-                        step_ratios[j],
-                        admitted[i],
-                        state.queue_local[i],
-                        state.queue_edge[i],
-                        share,
-                        include_tail=sim.include_tail,
-                        partition=live.partition_for(j),
-                    )
-                    times.append(cost.total_time)
-                    shard_time[e] += cost.total_time
-                    shard_arrivals[e] += admitted[i]
-                    state.update(i, cost)
-            if idx is None:
-                ratios_global = ratios
-            else:
-                ratios_global[idx] = ratios
-            steps.append((e, idx, live, member_scales, times))
+                steps.append((e, idx, live, _take(scales, idx), None))
+        columns = None
         if fleet is not None:
-            # One pricing call over the whole slot.  A sharded slot hands
-            # the engine each shard's live system; the rest is one array.
+            # The slot's columns, derived once: the policy may decide
+            # from them, and the slot is priced from them.
             if sharded:
                 priced = [None] * num_shards
                 for e, idx, live, _, _ in steps:
@@ -533,27 +494,101 @@ def run_fluid(
                 slot_system = ShardedSlot(owner, priced)
             else:
                 slot_system = steps[0][2]
+            columns = shards.engine.columns(
+                shards.fleet if unchanged else live_devices, slot_system
+            )
+        if one_call:
+            ratios_global = policy.decide(columns, fleet, expected, None)
+            if sharded:
+                ratios_global = np.asarray(ratios_global, dtype=np.float64)
+        else:
+            ratios_global = np.zeros(n) if sharded else None
+            for e, idx, live, _, _ in steps:
+                if idx is None:
+                    sub_state = LyapunovState(state.queue_local, state.queue_edge)
+                    member_expected = expected.tolist()
+                    member_devices = shards.fleet if unchanged else live_devices
+                else:
+                    sub_state = LyapunovState(
+                        queue_local[idx].tolist(), queue_edge[idx].tolist()
+                    )
+                    member_expected = expected[idx].tolist()
+                    member_devices = (
+                        shards.member_fleet(e)
+                        if unchanged
+                        else live_devices.take(idx)
+                    )
+                ratios = policy.decide(
+                    live, sub_state, member_expected, member_devices
+                )
+                if idx is None:
+                    ratios_global = ratios
+                else:
+                    ratios_global[idx] = ratios
+        if overload is not None:
+            # One clamp over the slot, each device at its shard's rung.
+            ratios_global = _qos.apply_backpressure_by_mode(
+                ratios_global, queue_edge, overload, device_modes
+            )
+
+        if fleet is None:
+            shard_time = [0.0] * num_shards
+            shard_arrivals = [0.0] * num_shards
+            slot_ratios = ratios_global
+            if isinstance(slot_ratios, np.ndarray):
+                slot_ratios = slot_ratios.tolist()
+            for j, (e, idx, live, member_scales, _) in enumerate(steps):
+                step_scales = (
+                    None if member_scales is None else member_scales.tolist()
+                )
+                times = []
+                for k, i in enumerate(range(n) if idx is None else idx.tolist()):
+                    share = live.shares[k]
+                    if step_scales is not None:
+                        share = share * step_scales[k]
+                    cost = slot_cost(
+                        live_devices[i],
+                        live,
+                        slot_ratios[i],
+                        admitted[i],
+                        state.queue_local[i],
+                        state.queue_edge[i],
+                        share,
+                        include_tail=sim.include_tail,
+                        partition=live.partition_for(k),
+                    )
+                    times.append(cost.total_time)
+                    shard_time[e] += cost.total_time
+                    shard_arrivals[e] += admitted[i]
+                    state.update(i, cost)
+                steps[j] = (e, idx, live, member_scales, times)
+        else:
+            # One pricing call over the whole slot, from its columns.
             cost = shards.engine.slot_costs(
-                shards.fleet if unchanged else live_devices,
+                None,
                 ratios_global,
                 admitted,
                 fleet,
                 include_tail=sim.include_tail,
-                system=slot_system,
+                system=columns,
                 share_scale=scales,
             )
             fleet.update(cost)
-            # Left-to-right sums over each shard's members mirror the
-            # scalar loop (np.sum is pairwise), keeping the two planes
-            # byte-identical.
+            # Left-to-right sums over each shard's members in device
+            # order mirror the scalar loop (np.sum is pairwise;
+            # np.bincount adds its weights one by one), keeping the two
+            # planes byte-identical.
             total_time = cost.total_time
-            for j, (e, idx, live, member_scales, _) in enumerate(steps):
-                times = _take(total_time, idx)
-                shard_time[e] = float(sum(times.tolist(), 0.0))
-                shard_arrivals[e] = float(
-                    sum(_take(cost.arrivals, idx).tolist(), 0.0)
-                )
-                steps[j] = (e, idx, live, member_scales, times)
+            shard_time = np.bincount(
+                owner, weights=total_time, minlength=num_shards
+            ).tolist()
+            shard_arrivals = np.bincount(
+                owner, weights=cost.arrivals, minlength=num_shards
+            ).tolist()
+            steps = [
+                (e, idx, live, member_scales, _take(total_time, idx))
+                for e, idx, live, member_scales, _ in steps
+            ]
 
         overflow = None
         if gate is not None:
@@ -574,7 +609,7 @@ def run_fluid(
                     service[idx] = _idle_service(live, member_scales)
                 return service
 
-            queue_edge = drain_stranded_edge_by_mode(
+            queue_edge = _qos.drain_stranded_edge_by_mode(
                 queue_edge,
                 ratios_global,
                 idle_service,
@@ -625,7 +660,7 @@ def run_fluid(
                 (
                     None if shard_streams is None else shard_streams[e],
                     shard_records[e],
-                    index[e],
+                    e,
                     shard_arrivals[e],
                     shard_time[e],
                     shard_shed[e],
@@ -635,39 +670,50 @@ def run_fluid(
             ]
             if fleet is not None:
                 final_local, final_edge = fleet.queue_local, fleet.queue_edge
-            elif sharded:
+            else:
                 final_local = np.array(state.queue_local)
                 final_edge = np.array(state.queue_edge)
-        for row_stream, row_records, idx, *totals, mode in rows:
-            arrived, spent, shed = totals
+            if shard_streams is not None:
+                # Each shard's backlog: its members' queues summed in
+                # device order, as the record's tuples would add up.
+                shard_backlog = (
+                    np.bincount(owner, weights=final_local, minlength=num_shards)
+                    + np.bincount(owner, weights=final_edge, minlength=num_shards)
+                ).tolist()
+        for row_stream, row_records, e, arrived, spent, shed, mode in rows:
+            if row_stream is not None:
+                # Same numbers a SlotRecord would carry, folded into the
+                # constant-size aggregate instead of retained per slot.
+                backlog = (
+                    float(sum(state.queue_local) + sum(state.queue_edge))
+                    if e is None
+                    else shard_backlog[e]
+                )
+                row_stream.observe_slot(
+                    slot, arrived, spent, shed, backlog, mode, half_slot
+                )
+                continue
+            idx = None if e is None else index[e]
             row_ratios = _take(ratios_global, idx)
             if idx is None:
                 row_local, row_edge = state.queue_local, state.queue_edge
             else:
                 row_local = final_local[idx].tolist()
                 row_edge = final_edge[idx].tolist()
-            if row_stream is not None:
-                # Same numbers a SlotRecord would carry, folded into the
-                # constant-size aggregate instead of retained per slot.
-                backlog = float(sum(row_local) + sum(row_edge))
-                row_stream.observe_slot(
-                    slot, arrived, spent, shed, backlog, mode, half_slot
+            if isinstance(row_ratios, np.ndarray):
+                row_ratios = row_ratios.tolist()
+            row_records.append(
+                SlotRecord(
+                    slot=slot,
+                    arrivals=arrived,
+                    total_time=spent,
+                    ratios=tuple(row_ratios),
+                    queue_local=tuple(row_local),
+                    queue_edge=tuple(row_edge),
+                    shed=shed,
+                    mode=mode,
                 )
-            else:
-                if isinstance(row_ratios, np.ndarray):
-                    row_ratios = row_ratios.tolist()
-                row_records.append(
-                    SlotRecord(
-                        slot=slot,
-                        arrivals=arrived,
-                        total_time=spent,
-                        ratios=tuple(row_ratios),
-                        queue_local=tuple(row_local),
-                        queue_edge=tuple(row_edge),
-                        shed=shed,
-                        mode=mode,
-                    )
-                )
+            )
     result = SimulationResult(
         records=tuple(records),
         stream=stream,

@@ -7,12 +7,14 @@ import pytest
 
 from repro.sim.arrivals import (
     BATCH_DRAW_MIN,
+    MEAN_COUNT,
     ArrivalProcess,
     ConstantArrivals,
     PiecewiseRateArrivals,
     PoissonArrivals,
     SinusoidalRateArrivals,
     SlotDraw,
+    SlotMeans,
     TraceArrivals,
     UniformArrivals,
     mean_series,
@@ -244,3 +246,84 @@ def test_slot_draw_batches_by_declared_law(monkeypatch):
         assert counts[3:5] == [processes[3].mean(slot), 3.0]
         assert counts[5] <= 2.5
     assert calls == [] and own.calls == 3
+
+
+# -- one mean column per slot --------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slot_means_equal_the_per_process_means(seed):
+    """The bulk column holds every process's ``mean(slot)`` — as a
+    Python float after ``tolist`` — for every process type, traces read
+    past their end with ``cycle`` on and off, slot after slot."""
+    processes = _mixed_processes(seed, 60 + 40 * seed)
+    processes += [
+        TraceArrivals((0.5, 1.5, 2.5), cycle=False),
+        TraceArrivals((0.25,)),
+        TraceArrivals((1.0, 0.0, 3.0, 2.0, 0.5, 1.0, 4.0), poisson=True),
+        UniformArrivals(1, 2),
+    ]
+    means = SlotMeans(processes)
+    lengths = {length for length, _, _, _ in means.groups}
+    assert lengths == {3, 4, 5, 7} and means.calls
+    for slot in range(3 * max(lengths)):
+        got = means(slot).tolist()
+        assert got == [p.mean(slot) for p in processes]
+        assert {type(v) for v in got} == {float}
+
+
+def test_slot_means_keep_no_table_for_constant_means():
+    """A constant-mean fleet is one fixed column: no schedule groups, no
+    ``mean`` calls, and each slot gets a fresh copy."""
+    processes = [PoissonArrivals(0.7)] * 50 + [ConstantArrivals(2), UniformArrivals(1, 2)]
+    means = SlotMeans(processes)
+    assert means.groups == [] and means.calls == []
+    first = means(0)
+    first[:] = -1.0
+    assert means(9).tolist() == [0.7] * 50 + [2.0, 1.5]
+
+
+def test_slot_means_call_only_undeclared_processes(monkeypatch):
+    """Declared schedules are read once; ``mean`` — even one an
+    instrumented run has replaced on the class — is only called on a
+    process that declares none."""
+    calls = []
+
+    def recorded(self, slot):
+        calls.append(type(self).__name__)
+        return 0.0
+
+    for cls in (PoissonArrivals, TraceArrivals, ConstantArrivals):
+        monkeypatch.setattr(cls, "mean", recorded)
+    processes = [
+        PoissonArrivals(1.0),
+        TraceArrivals((1.0, 2.0)),
+        PiecewiseRateArrivals(((2, 0.5), (1, 1.5))),
+        ConstantArrivals(3.0),
+    ]
+    means = SlotMeans(processes)
+    assert [means(slot).tolist() for slot in range(3)] == [
+        [1.0, 1.0, 0.5, 3.0],
+        [1.0, 2.0, 0.5, 3.0],
+        [1.0, 1.0, 1.5, 3.0],
+    ]
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slot_draw_takes_the_mean_column(seed):
+    """Drawing from the bulk column gives the counts of drawing from the
+    per-process list, with the generator in the same state; a mean-law
+    count is then the column's Python float."""
+    processes = _mixed_processes(seed, 60 + 40 * seed)
+    draw, means = SlotDraw(processes), SlotMeans(processes)
+    mean_law = [getattr(p, "count_law", None) == MEAN_COUNT for p in processes]
+    from_column, from_list = np.random.default_rng(seed), np.random.default_rng(seed)
+    for slot in range(12):
+        got = draw(slot, means(slot), from_column)
+        want = draw(slot, [p.mean(slot) for p in processes], from_list)
+        assert got == want
+        assert [type(v) for v in got] == [
+            float if law else type(v) for law, v in zip(mean_law, want)
+        ]
+        assert from_column.bit_generator.state == from_list.bit_generator.state

@@ -97,6 +97,40 @@ def test_edge_system_validation(partition):
         )
 
 
+@pytest.mark.parametrize(
+    "shares",
+    [
+        (float("nan"), 0.5, 0.5),
+        (0.5, float("nan"), 0.5),
+        (0.6, 0.5, -0.1),
+        (-0.1, 0.6, 0.5),
+        (1.1, -0.05, -0.05),
+        (0.5, 0.25, 0.2),
+        (float("inf"), 0.0, 0.0),
+        (float("nan"), -1.0, 2.0),
+    ],
+)
+def test_edge_system_rejects_nan_negative_and_off_sum_shares(partition, shares):
+    with pytest.raises(ValueError, match="shares"):
+        EdgeSystem(
+            devices=(_device(),) * 3,
+            edge_flops=1e9,
+            cloud_flops=1e9,
+            edge_cloud=INTERNET_EDGE_CLOUD,
+            partition=partition,
+            shares=shares,
+        )
+    # A share within round-off of zero is accepted.
+    EdgeSystem(
+        devices=(_device(),) * 3,
+        edge_flops=1e9,
+        cloud_flops=1e9,
+        edge_cloud=INTERNET_EDGE_CLOUD,
+        partition=partition,
+        shares=(0.5, 0.5 + 5e-10, -5e-10),
+    )
+
+
 # -- Eq. 9 split --------------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 """Federated fluid shards as index gathers.
 
 A shard's system and fleet, and the engine parameters its slot is
-priced with, are the members' rows of columns read once per run.  These
-tests pin them to a rebuild from the device configs: the shard oracle
-compares every ``EdgeSystem`` field and every ``FleetParams`` column,
-the sharded-slot oracle prices each shard on its own, and the
-fleet-scale churn runs compare whole runs against a provider that
-rebuilds every shard from configs in every slot.
+decided and priced with, are the members' rows of columns read once per
+run.  These tests pin them to a rebuild from the device configs: the
+shard oracle compares every ``EdgeSystem`` field and every
+``FleetParams`` column, the sharded-slot oracles price and decide each
+shard on its own, and the fleet-scale churn runs compare whole runs
+against a provider that rebuilds every shard from configs in every slot
+and against the same policy consulted shard by shard.
 """
 
 from __future__ import annotations
@@ -17,19 +18,24 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.chaos.control_faults import FencedController, canonical_coordinator_outage
 from repro.core.offloading import (
+    _BALANCE_BATCH_MIN,
+    _BATCH_DECIDE_MIN,
     BalanceOffloadingPolicy,
     DeviceConfig,
     DriftPlusPenaltyPolicy,
     EdgeSystem,
     FixedRatioPolicy,
     LiveFleet,
+    LyapunovState,
 )
 from repro.core.vectorized import (
     BatchSlotCost,
     FleetParams,
     FleetState,
     ShardedSlot,
+    SlotColumns,
     VectorizedSlotEngine,
 )
 from repro.federation import (
@@ -41,6 +47,7 @@ from repro.federation import (
 from repro.federation import fluid
 from repro.resilience.environment import edge_down_system
 from repro.resilience.overload import OverloadControl
+from repro.policies.bandit import ExitBanditPolicy
 from repro.resilience.qos import QoSConfig, degrade_system_by_modes
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.simulator import FluidShard, SlotSimulator
@@ -131,7 +138,7 @@ def test_gathered_shard_equals_a_rebuild_from_configs(size, heterogeneous):
             assert [type(p) for p in got.shares] == [float] * size
         active = int(np.count_nonzero(topology.mean_arrivals[index] > 0))
         assert (active >= 100) == (size == 230)  # the uniform-share branch
-        shard = provider._build(edge, index)
+        shard = provider._cache[edge] = provider._build(edge, index)
         reference = FleetParams.from_system(_from_configs(topology, edge, members))
         slot = ShardedSlot(np.full(topology.num_devices, edge), [None] * 3)
         slot.shards[edge] = (index, shard.system, True)
@@ -140,10 +147,12 @@ def test_gathered_shard_equals_a_rebuild_from_configs(size, heterogeneous):
         for name in (f.name for f in dataclasses.fields(FleetParams)):
             a, b = getattr(params, name)[index], getattr(reference, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        # What a per-shard policy call is handed on a static slot.
+        fleet = provider.member_fleet(edge)
         for name in ("flops", "bandwidth", "latency", "overhead"):
-            a, b = getattr(shard.fleet, name), getattr(reference, name)
+            a, b = getattr(fleet, name), getattr(reference, name)
             assert a.tobytes() == b.tobytes(), name
-        assert shard.fleet == shard.system.devices
+        assert fleet == shard.system.devices
 
 
 def test_build_shard_validates_members_as_an_array():
@@ -462,3 +471,145 @@ def test_churned_array_plane_reads_no_device_config(monkeypatch):
     sim.run(DriftPlusPenaltyPolicy(v=20.0), SLOTS)
     monkeypatch.undo()
     assert reads == []
+
+
+# -- one decision per slot -------------------------------------------------
+
+#: The row-separable policies, fresh per call.
+DECIDERS = {
+    "fixed": lambda: FixedRatioPolicy(0.5),
+    "fixed-unclamped": lambda: FixedRatioPolicy(0.5, respect_constraint=False),
+    "dpp": lambda: DriftPlusPenaltyPolicy(v=20.0),
+    "balance": BalanceOffloadingPolicy,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("policy", sorted(DECIDERS))
+def test_one_call_decision_equals_the_per_shard_decisions(policy, seed):
+    """A row-separable policy deciding a sharded slot in one call from
+    the slot's columns returns, row for row, what each shard's own
+    ``decide`` returns on its live system (Python floats, compared with
+    ``==``): shards on both sides of the batch thresholds, sites with
+    distinct non-zero overheads, per-device partitions, an outage
+    collapse, QoS mixed rungs, a uniform overload rung and an empty
+    shard."""
+    edges, n = 4, 300
+    topology = _distinct_sites(_topology(seed, edges, n, True, idle_every=7))
+    rng = np.random.default_rng(seed)
+    owner = rng.choice(3, n, p=[0.6, 0.06, 0.34])  # edge 3 serves nobody
+    expected = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 2.5, n))
+    queues = FleetState(rng.uniform(0.0, 4.0, n), rng.uniform(0.0, 4.0, n))
+    modes = [rng.integers(0, 3, n), None, np.full(n, 1)]
+    shards = [None] * edges
+    for e in range(3):
+        members = np.flatnonzero(owner == e)
+        system = topology.build_shard(e, members)
+        if e == 1:
+            system = edge_down_system(system)
+        live = system
+        if modes[e] is not None:
+            live = degrade_system_by_modes(system, modes[e][members])
+        shards[e] = (members, live, live is system)
+    sizes = sorted(len(shard[0]) for shard in shards[:3])
+    assert sizes[0] < _BALANCE_BATCH_MIN <= sizes[1] < _BATCH_DECIDE_MIN <= sizes[2]
+    engine = VectorizedSlotEngine(topology, FleetParams.from_topology(topology))
+    columns = engine.columns(topology.fleet, ShardedSlot(owner, shards))
+    got = DECIDERS[policy]().decide(columns, queues, expected, None)
+    want = [None] * n
+    for members, live, _ in shards[:3]:
+        ratios = DECIDERS[policy]().decide(
+            live,
+            LyapunovState(
+                queues.queue_local[members].tolist(),
+                queues.queue_edge[members].tolist(),
+            ),
+            expected[members].tolist(),
+            topology.fleet.take(members),
+        )
+        for i, ratio in zip(members.tolist(), ratios):
+            want[i] = ratio
+    assert got == want
+    assert {type(ratio) for ratio in got} == {float}
+
+
+class _ShardByShard:
+    """A policy without its row-separable declaration: the array plane
+    consults it once per populated shard."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decide(self, system, state, arrivals, devices=None):
+        return self.inner.decide(system, state, arrivals, devices)
+
+
+@pytest.mark.parametrize("metrics", ["records", "streaming"])
+@pytest.mark.parametrize("policy", sorted(DECIDERS))
+def test_churned_one_call_runs_equal_shard_by_shard_runs(policy, metrics):
+    """On the array plane, the churned federation over distinct sites
+    with per-device partitions, overload, QoS and a partial outage
+    writes the same records, per-edge records, streams and class flow
+    whether the policy decides each slot in one call or shard by
+    shard."""
+
+    def run(policy):
+        sim = _churn_sim(
+            2, True, qos=CHURN_QOS, heterogeneous=True, queue_high=1.0
+        )
+        return _outputs(sim.run(policy, SLOTS, metrics=metrics))
+
+    assert run(DECIDERS[policy]()) == run(_ShardByShard(DECIDERS[policy]()))
+
+
+def _counted(monkeypatch, cls) -> list:
+    """Record the ``system`` of every ``cls.decide`` call."""
+    systems = []
+    original = cls.decide
+
+    def decide(self, system, *args, **kwargs):
+        systems.append(system)
+        return original(self, system, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "decide", decide)
+    return systems
+
+
+def _populated_shard_slots(sim) -> int:
+    return sum(len(np.unique(sim.plan.row(t))) for t in range(SLOTS))
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_a_row_separable_policy_is_consulted_once_per_slot(vectorized, monkeypatch):
+    """The array plane hands a row-separable policy each slot's columns
+    once; the scalar plane consults it once per populated shard with the
+    shard's live system."""
+    systems = _counted(monkeypatch, DriftPlusPenaltyPolicy)
+    sim = _churn_sim(0, vectorized, qos=CHURN_QOS)
+    sim.run(DriftPlusPenaltyPolicy(v=20.0), SLOTS)
+    if vectorized:
+        assert len(systems) == SLOTS
+        assert all(isinstance(system, SlotColumns) for system in systems)
+    else:
+        assert len(systems) == _populated_shard_slots(sim) > SLOTS
+        assert all(isinstance(system, EdgeSystem) for system in systems)
+
+
+@pytest.mark.parametrize("policy", ["fenced", "bandit"])
+def test_other_policies_are_consulted_once_per_populated_shard(policy, monkeypatch):
+    """A policy that declares no row-separability — a fenced controller
+    over DPP, a learning bandit — keeps one ``decide`` per populated
+    shard per slot on the array plane, each with the shard's system."""
+    if policy == "fenced":
+        cls = FencedController
+        instance = FencedController(
+            DriftPlusPenaltyPolicy(v=20.0), canonical_coordinator_outage(SLOTS, seed=0)
+        )
+    else:
+        cls, instance = ExitBanditPolicy, ExitBanditPolicy()
+    assert not getattr(instance, "row_separable", False)
+    systems = _counted(monkeypatch, cls)
+    sim = _churn_sim(1, True, qos=CHURN_QOS)
+    sim.run(instance, SLOTS)
+    assert len(systems) == _populated_shard_slots(sim) > SLOTS
+    assert all(isinstance(system, EdgeSystem) for system in systems)
