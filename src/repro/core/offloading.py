@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..hardware import NetworkProfile, Platform
 from ..models.multi_exit import PartitionedModel
 from .resource_allocation import floored_edge_allocation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .vectorized import FleetParams, SiteColumns
 
 #: Numerical floor used when a denominator is a compute share that the
 #: corresponding numerator guarantees is only reached with zero work.
@@ -607,6 +610,23 @@ def drift_plus_penalty(
     )
 
 
+class SlotColumns(NamedTuple):
+    """One slot's per-device columns: what a row-separable policy decides
+    from, and what :meth:`~repro.core.vectorized.VectorizedSlotEngine.
+    slot_costs` prices the slot with (see :meth:`~repro.core.vectorized.
+    VectorizedSlotEngine.columns`).
+
+    ``params`` holds each device's live columns, its deployed share (no
+    cold-start scale) and its partition row under its rung; ``sites``
+    its serving site's values, or ``None`` where ``system``'s scalars
+    apply (a single edge); ``system`` supplies the slot length and the
+    cloud either way."""
+
+    params: "FleetParams"
+    sites: "SiteColumns | None"
+    system: EdgeSystem
+
+
 @runtime_checkable
 class OffloadingPolicy(Protocol):
     """Chooses per-device offloading ratios for the coming slot.
@@ -624,7 +644,7 @@ class OffloadingPolicy(Protocol):
     expected arrivals), with no state carried between calls, so one
     call over a whole federation equals one call per shard.  The fluid
     array plane then consults it once per slot, passing the slot's
-    :class:`~repro.core.vectorized.SlotColumns` as ``system`` (the
+    :class:`SlotColumns` as ``system`` (the
     columns the slot is priced with, shares not discounted by cold
     starts), the array-backed :class:`~repro.core.vectorized.FleetState`
     as ``state``, the expected arrivals as a float64 column and no
@@ -647,8 +667,8 @@ class OffloadingPolicy(Protocol):
         ``devices`` overrides the system's device configs for this slot
         (the dynamic environment substitutes per-slot links this way);
         ``arrivals`` are the *expected* arrivals the policy plans against.
-        A row-separable policy may receive a slot's
-        :class:`~repro.core.vectorized.SlotColumns` as ``system``.
+        A row-separable policy may receive a slot's :class:`SlotColumns`
+        as ``system``.
         """
         ...
 
@@ -776,13 +796,13 @@ class BalanceOffloadingPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        from .vectorized import SlotColumns, balance_decide
-
         if (
             isinstance(system, SlotColumns)
             or len(system.devices if devices is None else devices)
             >= _BALANCE_BATCH_MIN
         ):
+            from .vectorized import balance_decide
+
             return balance_decide(
                 system,
                 state,
@@ -856,8 +876,6 @@ class FixedRatioPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        from .vectorized import SlotColumns
-
         if isinstance(system, SlotColumns):
             if not self.respect_constraint:
                 return [self.ratio] * system.params.num_devices
@@ -892,11 +910,7 @@ class FixedRatioPolicy:
         :class:`LiveFleet` hands over its link columns, and per-device
         partitions are read once per distinct partition object (a
         rung-degraded deployment shares one per partition and rung)."""
-        from .vectorized import (
-            SlotColumns,
-            feasible_ratio_intervals_arrays,
-            partition_table,
-        )
+        from .vectorized import feasible_ratio_intervals_arrays, partition_table
 
         if isinstance(system, SlotColumns):
             p = system.params

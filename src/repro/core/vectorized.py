@@ -39,10 +39,11 @@ Entry points:
   fluid simulators' array plane (see
   :func:`~repro.sim.simulator.resolve_plane`); a federation's slot is
   one call too, its shards' values arriving as a :class:`ShardedSlot`;
-* :class:`SlotColumns` — one slot's per-device columns, derived once by
-  the engine: a row-separable policy decides the whole slot from them
-  (both solvers above take them in place of a system), and the engine
-  prices the slot from the same columns.
+* :meth:`VectorizedSlotEngine.columns` — one slot's per-device
+  columns (a :class:`~repro.core.offloading.SlotColumns`), derived once:
+  a row-separable policy decides the whole slot from them (both solvers
+  above take them in place of a system), and the engine prices the slot
+  from the same columns.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .offloading import (
     EdgeSystem,
     LiveFleet,
     LyapunovState,
+    SlotColumns,
 )
 
 __all__ = [
@@ -306,30 +308,14 @@ class SiteColumns(NamedTuple):
     cloud_latency: np.ndarray
 
 
-class SlotColumns(NamedTuple):
-    """One slot's per-device columns: what a row-separable policy decides
-    from, and what :meth:`VectorizedSlotEngine.slot_costs` prices the
-    slot with (see :meth:`VectorizedSlotEngine.columns`).
-
-    ``params`` holds each device's live columns, its deployed share (no
-    cold-start scale) and its partition row under its rung; ``sites``
-    its serving site's values, or ``None`` where ``system``'s scalars
-    apply (a single edge); ``system`` supplies the slot length and the
-    cloud either way."""
-
-    params: FleetParams
-    sites: SiteColumns | None
-    system: EdgeSystem
-
-    @classmethod
-    def of(
-        cls, system: "EdgeSystem | SlotColumns", devices=None
-    ) -> "SlotColumns":
-        """``system`` itself when it is already a slot's columns, else
-        the columns read off it and this slot's live ``devices``."""
-        if isinstance(system, SlotColumns):
-            return system
-        return cls(FleetParams.from_system(system, devices), None, system)
+def _columns_of(
+    system: "EdgeSystem | SlotColumns", devices: Sequence[DeviceConfig] | None
+) -> SlotColumns:
+    """``system`` itself when it is already a slot's columns, else the
+    columns read off it and this slot's live ``devices``."""
+    if isinstance(system, SlotColumns):
+        return system
+    return SlotColumns(FleetParams.from_system(system, devices), None, system)
 
 
 def _transfer_times(
@@ -675,7 +661,7 @@ def dpp_decide(
     :class:`_SlotKernel` serves the three search rounds, so the
     per-device columns are read once and every round evaluates the
     objective into the same buffers."""
-    columns = SlotColumns.of(system, devices)
+    columns = _columns_of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
@@ -716,7 +702,7 @@ def balance_decide(
     frozen while the rest keep bisecting, reproducing the scalar per-device
     loop exactly.
     """
-    columns = SlotColumns.of(system, devices)
+    columns = _columns_of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
