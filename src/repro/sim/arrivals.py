@@ -15,8 +15,8 @@ slot from the means — a long contiguous run of Poisson processes in one
 Likewise a process may declare its ``mean_schedule``: the means it
 repeats (or holds the last of) slot after slot.  :class:`SlotMeans`
 hands over a fleet's slot means as one column — constant means fixed
-once, trace tables indexed by slot — instead of one ``mean`` call per
-device.
+once, trace schedules indexed by slot — instead of one ``mean`` call
+per device.
 """
 
 from __future__ import annotations
