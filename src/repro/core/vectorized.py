@@ -310,12 +310,12 @@ class SiteColumns(NamedTuple):
 
 def _columns_of(
     system: "EdgeSystem | SlotColumns", devices: Sequence[DeviceConfig] | None
-) -> SlotColumns:
-    """``system`` itself when it is already a slot's columns, else the
-    columns read off it and this slot's live ``devices``."""
+) -> "tuple[FleetParams, SiteColumns | None, EdgeSystem]":
+    """``(params, sites, system)``: a slot's columns as they are, or the
+    columns read off ``system`` and this slot's live ``devices``."""
     if isinstance(system, SlotColumns):
         return system
-    return SlotColumns(FleetParams.from_system(system, devices), None, system)
+    return FleetParams.from_system(system, devices), None, system
 
 
 def _transfer_times(
@@ -661,21 +661,13 @@ def dpp_decide(
     :class:`_SlotKernel` serves the three search rounds, so the
     per-device columns are read once and every round evaluates the
     objective into the same buffers."""
-    columns = _columns_of(system, devices)
+    params, sites, system = _columns_of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
-    lo, hi = feasible_ratio_intervals(
-        columns.params, columns.system.slot_length, arrivals_arr
-    )
+    lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
     kernel = _SlotKernel(
-        columns.params,
-        columns.system,
-        arrivals_arr,
-        q,
-        h,
-        grid=grid,
-        sites=columns.sites,
+        params, system, arrivals_arr, q, h, grid=grid, sites=sites
     )
     values = np.empty(kernel.x.shape)
 
@@ -702,16 +694,12 @@ def balance_decide(
     frozen while the rest keep bisecting, reproducing the scalar per-device
     loop exactly.
     """
-    columns = _columns_of(system, devices)
+    params, sites, system = _columns_of(system, devices)
     arrivals_arr = np.asarray(arrivals, dtype=np.float64)
     q = np.asarray(state.queue_local, dtype=np.float64)
     h = np.asarray(state.queue_edge, dtype=np.float64)
-    lo, hi = feasible_ratio_intervals(
-        columns.params, columns.system.slot_length, arrivals_arr
-    )
-    kernel = _SlotKernel(
-        columns.params, columns.system, arrivals_arr, q, h, sites=columns.sites
-    )
+    lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals_arr)
+    kernel = _SlotKernel(params, system, arrivals_arr, q, h, sites=sites)
     gaps = np.empty(kernel.x.shape)
 
     def gap(xs: np.ndarray) -> np.ndarray:
