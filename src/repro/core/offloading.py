@@ -15,8 +15,8 @@ The module implements, in the paper's notation:
 * the per-slot delay cost ``Y_i = T_i^d + T_i^e`` (Eqs. 12-14) —
   :func:`slot_cost`;
 * the drift-plus-penalty objective of P1' (Eq. 18) and its per-device
-  decentralized solvers — :class:`DriftPlusPenaltyPolicy` (grid-and-refine
-  minimisation, batched over the fleet) and
+  decentralized solvers, each batched over the fleet —
+  :class:`DriftPlusPenaltyPolicy` (grid-and-refine minimisation) and
   :class:`BalanceOffloadingPolicy` (the paper's Cauchy-Schwarz balance rule
   ``T_i^d ≈ T_i^e``, Eq. 20);
 * the fixed-ratio and capability-based baselines of Test Case 4.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -43,18 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Numerical floor used when a denominator is a compute share that the
 #: corresponding numerator guarantees is only reached with zero work.
 _EPS = 1e-12
-
-#: Fleets at or above this size take the batched (array) branch of
-#: constraint-aware constant policies; below it the per-device scalar
-#: loop is cheaper.  Both branches are bitwise-identical.
-_BATCH_DECIDE_MIN = 128
-
-#: Fleets at or above this size decide :class:`BalanceOffloadingPolicy`
-#: through the batched bisection; below it the per-device loop is
-#: cheaper.  The batched solver costs ~4.5 ms whatever the fleet size on
-#: a 2-core host, and the loop crosses it between 20 and 24 devices.
-#: Both solvers return the same bits.
-_BALANCE_BATCH_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -329,6 +318,14 @@ class EdgeSystem:
     @property
     def num_devices(self) -> int:
         return len(self.devices)
+
+    @cached_property
+    def fleet(self) -> LiveFleet:
+        """The devices' FLOPS, link and overhead columns, read once per
+        deployment: a decision handed this system with its own devices
+        reads these.  Not a field, so ``dataclasses.replace`` gives a new
+        system a fresh one and checkpoint fingerprints ignore it."""
+        return LiveFleet.of(self.devices)
 
     def partition_for(self, index: int) -> PartitionedModel:
         """The partition device ``index`` runs (per-device override or the
@@ -653,6 +650,12 @@ class OffloadingPolicy(Protocol):
     event engines and the live runtime — receives an
     :class:`EdgeSystem` per shard.  The declaration is read from the
     object, so a subclass that changes ``decide`` must redeclare it.
+
+    The row-separable policies here (:class:`DriftPlusPenaltyPolicy`,
+    :class:`BalanceOffloadingPolicy`, :class:`FixedRatioPolicy`) decide
+    through one array path either way: a system is turned into its
+    slot's columns first, read from :attr:`EdgeSystem.fleet` when the
+    slot's devices are the deployed ones.
     """
 
     def decide(
@@ -729,11 +732,11 @@ class BalanceOffloadingPolicy:
     the balance point; the Cauchy-Schwarz argument in §III-D4 shows this
     minimises the large-``V`` limit of the Eq. 19 objective.
 
-    Fleets of ``_BALANCE_BATCH_MIN`` devices or more, and a slot's
-    columns (row-separable), bisect every device at once through
-    :func:`repro.core.vectorized.balance_decide`; smaller fleets run the
-    per-device loop.  Both return the same bits, so the fleet size only
-    picks the faster one.
+    Every decision is one call to
+    :func:`repro.core.vectorized.balance_decide`, which bisects every
+    device at once — at any fleet size, from a system or a slot's columns
+    (row-separable).  The test suite keeps the per-device loop it
+    replaced as an exact (``==``) reference.
     """
 
     tolerance: float = 1e-6
@@ -748,47 +751,6 @@ class BalanceOffloadingPolicy:
         if not 1 <= self.max_iterations < math.inf:
             raise ValueError("max_iterations must be finite and at least 1")
 
-    def _balance(
-        self,
-        device: DeviceConfig,
-        system: EdgeSystem,
-        arrivals: float,
-        q: float,
-        h: float,
-        share: float,
-        lo: float,
-        hi: float,
-        partition: PartitionedModel,
-    ) -> float:
-        def gap(x: float) -> float:
-            cost = slot_cost(
-                device,
-                system,
-                x,
-                arrivals,
-                q,
-                h,
-                share,
-                include_tail=False,
-                partition=partition,
-            )
-            return cost.t_device - cost.t_edge
-
-        gap_lo, gap_hi = gap(lo), gap(hi)
-        if gap_lo <= 0:  # even full-local is device-cheap → stay local
-            return lo
-        if gap_hi >= 0:  # even full-offload is edge-cheap → go remote
-            return hi
-        for _ in range(self.max_iterations):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < self.tolerance:
-                return mid
-            if gap(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     def decide(
         self,
         system: EdgeSystem,
@@ -796,61 +758,28 @@ class BalanceOffloadingPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        if (
-            isinstance(system, SlotColumns)
-            or len(system.devices if devices is None else devices)
-            >= _BALANCE_BATCH_MIN
-        ):
-            from .vectorized import balance_decide
+        from .vectorized import balance_decide
 
-            return balance_decide(
-                system,
-                state,
-                arrivals,
-                devices,
-                tolerance=self.tolerance,
-                max_iterations=self.max_iterations,
-            )
-        devs = system.devices if devices is None else devices
-        return self._decide_loop(system, state, arrivals, devs)
-
-    def _decide_loop(
-        self,
-        system: EdgeSystem,
-        state: LyapunovState,
-        arrivals: Sequence[float],
-        devs: Sequence[DeviceConfig],
-    ) -> list[float]:
-        """The per-device bisection, one device at a time."""
-        ratios: list[float] = []
-        for i, device in enumerate(devs):
-            if arrivals[i] <= 0:
-                ratios.append(0.0)
-                continue
-            partition = system.partition_for(i)
-            lo, hi = feasible_ratio_interval(
-                device, partition, system.slot_length, arrivals[i]
-            )
-            ratios.append(
-                self._balance(
-                    device,
-                    system,
-                    arrivals[i],
-                    state.queue_local[i],
-                    state.queue_edge[i],
-                    system.shares[i],
-                    lo,
-                    hi,
-                    partition,
-                )
-            )
-        return ratios
+        return balance_decide(
+            system,
+            state,
+            arrivals,
+            devices,
+            tolerance=self.tolerance,
+            max_iterations=self.max_iterations,
+        )
 
 
 @dataclass(frozen=True)
 class FixedRatioPolicy:
     """A constant offloading ratio — D-only (0), E-only (1), and the fixed
     ratios of the benchmark systems (the paper fixes its benchmarks at 0).
+
+    A constraint-aware decision is one Eq. 8 clamp over the slot's
+    columns (:func:`repro.core.vectorized.feasible_ratio_intervals`), at
+    any fleet size, from a system or a slot's columns (row-separable);
+    the test suite keeps the per-device loop as an exact (``==``)
+    reference.
 
     Attributes:
         ratio: The constant ``x``.
@@ -876,68 +805,14 @@ class FixedRatioPolicy:
         arrivals: Sequence[float],
         devices: Sequence[DeviceConfig] | None = None,
     ) -> list[float]:
-        if isinstance(system, SlotColumns):
-            if not self.respect_constraint:
-                return [self.ratio] * system.params.num_devices
-            return self._decide_batch(system, None, arrivals)
-        devs = system.devices if devices is None else devices
         if not self.respect_constraint:
-            return [self.ratio] * len(devs)
-        if len(devs) >= _BATCH_DECIDE_MIN:
-            return self._decide_batch(system, devs, arrivals)
-        ratios: list[float] = []
-        for i, device in enumerate(devs):
-            lo, hi = feasible_ratio_interval(
-                device, system.partition_for(i), system.slot_length, arrivals[i]
-            )
-            ratios.append(min(max(self.ratio, lo), hi))
-        return ratios
+            if isinstance(system, SlotColumns):
+                return [self.ratio] * system.params.num_devices
+            return [self.ratio] * len(system.devices if devices is None else devices)
+        from .vectorized import _columns_of, feasible_ratio_intervals
 
-    def _decide_batch(
-        self,
-        system: "EdgeSystem | SlotColumns",
-        devs: Sequence[DeviceConfig] | None,
-        arrivals: Sequence[float],
-    ) -> list[float]:
-        """Array twin of the per-device loop for serving-scale fleets and
-        for a slot's columns.
-
-        Evaluates the identical elementwise IEEE expressions via
-        :func:`~repro.core.vectorized.feasible_ratio_intervals_arrays`,
-        so the returned ratios are bitwise equal to the scalar loop's —
-        both event engines consume the same offload coins either way.
-        A slot's columns hand over every column; otherwise a
-        :class:`LiveFleet` hands over its link columns, and per-device
-        partitions are read once per distinct partition object (a
-        rung-degraded deployment shares one per partition and rung)."""
-        from .vectorized import feasible_ratio_intervals_arrays, partition_table
-
-        if isinstance(system, SlotColumns):
-            p = system.params
-            bandwidth, latency, d0, d1, sigma1 = (
-                p.bandwidth, p.latency, p.d0, p.d1, p.sigma1
-            )
-            system = system.system
-        else:
-            if isinstance(devs, LiveFleet):
-                bandwidth, latency = devs.bandwidth, devs.latency
-            else:
-                bandwidth = np.array([d.link.bandwidth for d in devs])
-                latency = np.array([d.link.latency for d in devs])
-            if system.device_partitions:
-                _, _, _, d0, d1, _, sigma1, _ = partition_table(system, len(devs))
-            else:
-                part = system.partition
-                d0, d1, sigma1 = part.d0, part.d1, part.sigma1
-        lo, hi = feasible_ratio_intervals_arrays(
-            bandwidth,
-            latency,
-            d0,
-            d1,
-            sigma1,
-            system.slot_length,
-            np.asarray(arrivals, dtype=np.float64),
-        )
+        params, _, system = _columns_of(system, devices)
+        lo, hi = feasible_ratio_intervals(params, system.slot_length, arrivals)
         return np.minimum(np.maximum(self.ratio, lo), hi).tolist()
 
 

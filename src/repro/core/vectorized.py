@@ -28,12 +28,13 @@ Entry points:
   12-13 per-element formulas, evaluated in place into preallocated
   buffers; :func:`slot_cost_batch`, the Eq. 19 objective and Balance's
   gap all read it;
-* :func:`dpp_decide` — the only solver of
-  :class:`~repro.core.offloading.DriftPlusPenaltyPolicy` (its per-device
-  scalar loop survives only as the test suite's reference);
-* :func:`balance_decide` — the solver
-  :class:`~repro.core.offloading.BalanceOffloadingPolicy` takes on
-  fleets of ``_BALANCE_BATCH_MIN`` devices or more;
+* :func:`dpp_decide`, :func:`balance_decide` and the Eq. 8 clamp of
+  :func:`feasible_ratio_intervals` — the only decision paths of
+  :class:`~repro.core.offloading.DriftPlusPenaltyPolicy`,
+  :class:`~repro.core.offloading.BalanceOffloadingPolicy` and
+  :class:`~repro.core.offloading.FixedRatioPolicy` at every fleet size
+  (their per-device scalar loops survive only as the test suite's
+  references);
 * :class:`FleetState` + :class:`VectorizedSlotEngine` — array-backed
   ``Q_i``/``H_i`` queues and one-call whole-fleet slot costs: the
   fluid simulators' array plane (see
@@ -140,10 +141,16 @@ class FleetParams:
         devices: Sequence[DeviceConfig] | None = None,
     ) -> "FleetParams":
         """Extract arrays from ``system`` (and this slot's live ``devices``,
-        which a dynamic environment may have substituted).  A
-        :class:`~repro.core.offloading.LiveFleet` hands over its columns
-        without building a config."""
-        fleet = LiveFleet.of(system.devices if devices is None else devices)
+        which a dynamic environment may have substituted).  The deployed
+        devices (or ``None``) hand over the system's cached
+        :attr:`~repro.core.offloading.EdgeSystem.fleet`, and a
+        :class:`~repro.core.offloading.LiveFleet` its own columns, so
+        neither reads a config."""
+        fleet = (
+            system.fleet
+            if devices is None or devices is system.devices
+            else LiveFleet.of(devices)
+        )
         n = len(fleet)
         return cls(
             flops=fleet.flops,
@@ -192,64 +199,33 @@ class FleetParams:
 
 
 def feasible_ratio_intervals(
-    params: FleetParams, slot_length: float, arrivals: np.ndarray
+    params: FleetParams, slot_length: float, arrivals: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Eq. 8 feasibility: per-device ``(lo, hi)`` arrays, mirroring
-    :func:`~repro.core.offloading.feasible_ratio_interval` case-for-case."""
-    return feasible_ratio_intervals_arrays(
-        params.bandwidth,
-        params.latency,
-        params.d0,
-        params.d1,
-        params.sigma1,
-        slot_length,
-        arrivals,
-    )
-
-
-def feasible_ratio_intervals_arrays(
-    bandwidth: np.ndarray,
-    latency: np.ndarray,
-    d0: np.ndarray | float,
-    d1: np.ndarray | float,
-    sigma1: np.ndarray | float,
-    slot_length: float,
-    arrivals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array core of :func:`feasible_ratio_intervals` over plain columns
-    (partition parameters may be scalars for the homogeneous-deployment
-    common case — broadcasting evaluates the identical elementwise IEEE
-    expressions, so results match the scalar loop bitwise)."""
+    """Batched Eq. 8 feasibility: per-device ``(lo, hi)`` arrays equal
+    (``==``) to :func:`~repro.core.offloading.feasible_ratio_interval`
+    case for case; a boundary of exactly zero may come out as ``-0.0``."""
     arrivals = np.asarray(arrivals, dtype=np.float64)
-    if np.any(arrivals < 0):
+    if (arrivals < 0).any():
         raise ValueError("arrivals must be non-negative")
-    budget = bandwidth * (slot_length - latency)
-    base = arrivals * (1.0 - sigma1) * d1
-    slope = arrivals * d0 - base
-    # Interior boundary of the affine constraint; guarded against the flat
-    # case (the mask below never selects the guarded value).
-    safe_slope = np.where(np.abs(slope) < _EPS, 1.0, slope)
-    boundary = (budget - base) / safe_slope
-
-    lo = np.zeros_like(arrivals)
-    hi = np.ones_like(arrivals)
+    budget = params.bandwidth * (slot_length - params.latency)
+    base = arrivals * (1.0 - params.sigma1) * params.d1  # the x = 0 load
+    slope = arrivals * params.d0 - base  # load(x) = base + slope·x
     flat = np.abs(slope) < _EPS
-    # slope ~ 0: feasible everywhere if the x-independent load fits.
-    hi = np.where(flat & (base > budget), 0.0, hi)
-    # slope > 0: offloading raw inputs is the heavier direction.
-    up = ~flat & (slope > 0)
-    hi = np.where(up, np.where(boundary < 0, 0.0, np.minimum(1.0, boundary)), hi)
-    # slope < 0: keeping tasks local is heavier.
-    down = ~flat & (slope < 0)
-    lo = np.where(down, np.where(boundary > 1, 1.0, np.maximum(0.0, boundary)), lo)
-    hi = np.where(down & (boundary > 1), 1.0, hi)
-    # Zero arrivals: unconstrained.
-    lo = np.where(arrivals == 0, 0.0, lo)
-    hi = np.where(arrivals == 0, 1.0, hi)
-    # Latency eats the whole slot: only full-local is defensible.
+    # The affine constraint's interior boundary, clipped into [0, 1] once
+    # (a flat row divides by 1, and neither bound reads it).
+    boundary = budget - base
+    boundary /= np.where(flat, 1.0, slope)
+    np.minimum(1.0, boundary, out=boundary)
+    np.maximum(0.0, boundary, out=boundary)
+    # A rising load caps the ratio (raw inputs are the heavier upload), a
+    # falling one floors it (intermediate uploads are).
+    lo = np.where(slope <= -_EPS, boundary, 0.0)
+    hi = np.where(slope >= _EPS, boundary, 1.0)
+    # A flat load fits everywhere or nowhere (an idle device's always
+    # fits); a link whose latency eats the slot sends nothing.
     dead = budget <= 0
-    lo = np.where(dead, 0.0, lo)
-    hi = np.where(dead, 0.0, hi)
+    np.copyto(hi, 0.0, where=dead | flat & (base > budget))
+    np.copyto(lo, 0.0, where=dead)
     return lo, hi
 
 
@@ -310,12 +286,13 @@ class SiteColumns(NamedTuple):
 
 def _columns_of(
     system: "EdgeSystem | SlotColumns", devices: Sequence[DeviceConfig] | None
-) -> "tuple[FleetParams, SiteColumns | None, EdgeSystem]":
-    """``(params, sites, system)``: a slot's columns as they are, or the
-    columns read off ``system`` and this slot's live ``devices``."""
+) -> SlotColumns:
+    """The slot's columns: ``system`` itself when it is a slot's
+    :class:`SlotColumns`, else the columns read off ``system`` and this
+    slot's live ``devices``."""
     if isinstance(system, SlotColumns):
         return system
-    return FleetParams.from_system(system, devices), None, system
+    return SlotColumns(FleetParams.from_system(system, devices), None, system)
 
 
 def _transfer_times(
@@ -846,11 +823,12 @@ class VectorizedSlotEngine:
     def params_for(
         self, devices: Sequence[DeviceConfig] | None
     ) -> FleetParams:
-        if devices is None or devices is self.system.devices:
-            return self._static_params
-        if isinstance(devices, LiveFleet):
-            return self._static_params.with_devices(devices)
-        return FleetParams.from_system(self.system, devices)
+        """The static params with this slot's device columns (the
+        deployed ones for ``None``)."""
+        fleet = self.system.fleet
+        return self._static_params.with_devices(
+            fleet if devices is None else LiveFleet.of(devices, fleet)
+        )
 
     def columns(
         self,
@@ -896,34 +874,25 @@ class VectorizedSlotEngine:
 
     def slot_costs(
         self,
-        devices: Sequence[DeviceConfig] | None,
+        columns: SlotColumns,
         ratios: Sequence[float],
         arrivals: Sequence[float],
         state: FleetState,
         include_tail: bool = True,
-        system: "EdgeSystem | ShardedSlot | SlotColumns | None" = None,
         share_scale: "Sequence[float] | np.ndarray | None" = None,
     ) -> BatchSlotCost:
-        """Eqs. 12-14 for the whole fleet at the chosen ratios.
-
-        The slot's columns are ``columns(devices, system)``, or
-        ``system`` itself when it is the slot's :class:`SlotColumns`
-        already (``devices`` is then not read).  A sharded slot's every
-        row is the bits of pricing its shard on its own.
+        """Eqs. 12-14 for the whole fleet at the chosen ratios, priced
+        from the slot's :meth:`columns`.  A sharded slot's every row is
+        the bits of pricing its shard on its own.
 
         ``share_scale`` discounts each device's container-slice share for
         this slot (a cold model load occupying part of the slot; see
         :meth:`repro.resilience.qos.QoSState.share_scales`).  Applied as
-        ``shares * scale`` after params resolution — elementwise, the
-        same two multiplications the scalar loop performs when it passes
-        ``shares[i] * scale[i]`` as ``slot_cost``'s explicit share — so
-        the byte-identity contract holds with cold starts active.
+        ``shares * scale`` — elementwise, the same two multiplications
+        the scalar loop performs when it passes ``shares[i] * scale[i]``
+        as ``slot_cost``'s explicit share — so the byte-identity contract
+        holds with cold starts active.
         """
-        columns = (
-            system
-            if isinstance(system, SlotColumns)
-            else self.columns(devices, system)
-        )
         params = columns.params
         if share_scale is not None:
             params = replace(

@@ -32,9 +32,10 @@ class DynamicEnvironment(Protocol):
       and ``latency`` as float64 columns, checked as the slot is derived
       (``LiveFleet.with_columns``) with the :class:`DeviceConfig` and
       :class:`~repro.hardware.NetworkProfile` conditions.  Array
-      consumers (``FleetParams.from_system``, ``FixedRatioPolicy``'s
-      batched branch, the fast event engine) read the columns; a
-      per-device consumer indexes it and gets a memoised config.
+      consumers (``FleetParams.from_system``, through which every
+      row-separable policy decides, and the fast event engine) read the
+      columns; a per-device consumer indexes it and gets a memoised
+      config.
 
     An environment that overrides devices keeps the columns of the last
     base tuple it saw (``LiveFleet.of(base, last)``), so a slot reads no

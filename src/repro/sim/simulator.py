@@ -36,7 +36,6 @@ from ..core.offloading import (
     slot_cost,
 )
 from ..core.vectorized import (
-    FleetParams,
     FleetState,
     ShardedSlot,
     VectorizedSlotEngine,
@@ -202,12 +201,8 @@ class _WholeFleet:
         self.slot_length = system.slot_length
         self.owner = np.zeros(system.num_devices, dtype=np.intp)
         self.vectorized = resolve_plane(vectorized, system.num_devices)
-        self.fleet = LiveFleet.of(system.devices)
-        self.engine = (
-            VectorizedSlotEngine(system, FleetParams.from_system(system, self.fleet))
-            if self.vectorized
-            else None
-        )
+        self.fleet = system.fleet
+        self.engine = VectorizedSlotEngine(system) if self.vectorized else None
         self.faults = faults
 
     def qos_states(self, config: "QoSConfig", seed: int) -> list:
@@ -565,12 +560,11 @@ def run_fluid(
         else:
             # One pricing call over the whole slot, from its columns.
             cost = shards.engine.slot_costs(
-                None,
+                columns,
                 ratios_global,
                 admitted,
                 fleet,
                 include_tail=sim.include_tail,
-                system=columns,
                 share_scale=scales,
             )
             fleet.update(cost)

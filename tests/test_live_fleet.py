@@ -6,8 +6,9 @@ columns and per-device consumers index it.  These tests pin the
 sequence contract (equality, memoised configs, the base config where a
 slot changes nothing, today's errors), that both fluid planes and both
 event engines stay twins in every environment (a fault plan's overlay
-included), and that the array plane replays a trace without building a
-single config.
+included), that the array plane replays a trace without building a
+single config, and that the event engines read a static deployment's
+columns once.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def _policy(name: str):
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
 def test_fluid_planes_are_twins_in_every_environment(environment, policy):
     """Scalar and array plane records are ``==`` (and ``repr``-equal, so
-    no NumPy scalar leaks into a record).  130 devices take the batched
-    branch of every policy on the array plane's columns."""
+    no NumPy scalar leaks into a record): each policy decides from the
+    slot's columns on one plane and from the live system on the other."""
     n = 130
     system = random_fleet(4, n, max_arrivals=0.5)
 
@@ -228,6 +229,34 @@ def test_event_engines_are_twins_in_every_environment(environment, shared_uplink
         ).run(FixedRatioPolicy(0.5), SLOTS, drain_limit_factor=100.0, engine=engine)
 
     assert event_results_close(run("scalar"), run("fast"))
+
+
+@pytest.mark.parametrize("engine", ["scalar", "fast"])
+@pytest.mark.parametrize("policy", ["dpp", "fixed"])
+def test_event_decisions_read_the_deployed_columns_once(monkeypatch, policy, engine):
+    """On a static environment every slot's decision is handed the
+    deployed system and its own devices, so it reads the system's
+    cached columns: a 20-slot run builds as many live fleets as a
+    5-slot one."""
+    n = 4
+    built = []
+    original = LiveFleet.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(LiveFleet, "__init__", counted)
+    counts = []
+    for slots in (5, 20):
+        built.clear()
+        EventSimulator(
+            system=random_fleet(6, n, max_arrivals=0.5),
+            arrivals=[PoissonArrivals(0.6)] * n,
+            seed=7,
+        ).run(_policy(policy), slots, engine=engine)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("policy", ["dpp", "balance"])

@@ -118,7 +118,7 @@ def _advance(engine, fleet, arrivals):
     the current queues, price the slot, apply Eqs. 10-11."""
     state = LyapunovState(fleet.queue_local.tolist(), fleet.queue_edge.tolist())
     ratios = dpp_decide(engine.system, state, arrivals, v=50.0)
-    fleet.update(engine.slot_costs(None, ratios, arrivals, fleet))
+    fleet.update(engine.slot_costs(engine.columns(None), ratios, arrivals, fleet))
 
 
 @pytest.mark.parametrize("seed", range(20))

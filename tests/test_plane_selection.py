@@ -1,11 +1,11 @@
-"""The fleet size picks the fluid data plane and Balance's solver.
+"""The fleet size picks the fluid data plane.
 
-Both choices move wall-clock only: the two fluid planes write
-byte-identical records, and Balance's two solvers return the same bits.
-These tests pin which implementation an unset choice takes one device
-either side of each crossover, and that the run equals both forced
-choices.  The plane is read off ``VectorizedSlotEngine.slot_costs``
-calls: only the array plane makes them.
+The choice moves wall-clock only: the two fluid planes write
+byte-identical records.  These tests pin which plane an unset choice
+takes one device either side of the crossover, and that the run equals
+both forced choices.  The plane is read off
+``VectorizedSlotEngine.slot_costs`` calls: only the array plane makes
+them.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos.checkpoint import Checkpoint
-from repro.core import offloading, vectorized
-from repro.core.offloading import BalanceOffloadingPolicy, FixedRatioPolicy
+from repro.core import vectorized
+from repro.core.offloading import FixedRatioPolicy
 from repro.federation import FederatedSlotSimulator
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.simulator import ARRAY_PLANE_MIN_DEVICES, SlotSimulator
 
 from tests.helpers import (
-    random_arrivals,
     random_federation_topology,
     random_fleet,
-    random_queue_state,
     single_edge_fixture,
     static_home_plan,
 )
@@ -132,29 +130,3 @@ def test_checkpoint_path_follows_the_resolved_plane(n, array):
     )
     want = "fluid-vectorized" if array else "fluid-scalar"
     assert checkpoints and {c.path for c in checkpoints} == {want}
-
-
-@pytest.mark.parametrize(
-    "n, batched",
-    [
-        (offloading._BALANCE_BATCH_MIN - 1, False),
-        (offloading._BALANCE_BATCH_MIN, True),
-    ],
-)
-def test_balance_picks_solver_by_fleet_size(n, batched, monkeypatch):
-    calls = []
-    original = vectorized.balance_decide
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(vectorized, "balance_decide", counted)
-    system = random_fleet(n, n)
-    state = random_queue_state(n + 1, n)
-    arrivals = random_arrivals(n + 2, n)
-    policy = BalanceOffloadingPolicy()
-    ratios = policy.decide(system, state, arrivals)
-    assert bool(calls) == batched
-    assert ratios == policy._decide_loop(system, state, arrivals, system.devices)
-    assert ratios == original(system, state, arrivals)

@@ -20,8 +20,6 @@ import pytest
 
 from repro.chaos.control_faults import FencedController, canonical_coordinator_outage
 from repro.core.offloading import (
-    _BALANCE_BATCH_MIN,
-    _BATCH_DECIDE_MIN,
     BalanceOffloadingPolicy,
     DeviceConfig,
     DriftPlusPenaltyPolicy,
@@ -210,19 +208,19 @@ def test_sharded_slot_prices_each_shard_as_its_own_system(seed, include_tail):
     assert [shard[2] for shard in shards[:3]] == [True, False, False]
     engine = VectorizedSlotEngine(topology, FleetParams.from_topology(topology))
     whole = engine.slot_costs(
-        topology.fleet,
+        engine.columns(topology.fleet, ShardedSlot(owner, shards)),
         ratios,
         arrivals,
         queues,
         include_tail=include_tail,
-        system=ShardedSlot(owner, shards),
         share_scale=scales,
     )
     for members, live, _ in shards[:3]:
         alone = VectorizedSlotEngine(
             live, FleetParams.from_system(live, topology.fleet.take(members))
-        ).slot_costs(
-            None,
+        )
+        alone = alone.slot_costs(
+            alone.columns(None),
             ratios[members],
             arrivals[members],
             FleetState(queues.queue_local[members], queues.queue_edge[members]),
@@ -490,10 +488,9 @@ def test_one_call_decision_equals_the_per_shard_decisions(policy, seed):
     """A row-separable policy deciding a sharded slot in one call from
     the slot's columns returns, row for row, what each shard's own
     ``decide`` returns on its live system (Python floats, compared with
-    ``==``): shards on both sides of the batch thresholds, sites with
-    distinct non-zero overheads, per-device partitions, an outage
-    collapse, QoS mixed rungs, a uniform overload rung and an empty
-    shard."""
+    ``==``): shards of 15-184 devices, sites with distinct non-zero
+    overheads, per-device partitions, an outage collapse, QoS mixed
+    rungs, a uniform overload rung and an empty shard."""
     edges, n = 4, 300
     topology = _distinct_sites(_topology(seed, edges, n, True, idle_every=7))
     rng = np.random.default_rng(seed)
@@ -511,8 +508,6 @@ def test_one_call_decision_equals_the_per_shard_decisions(policy, seed):
         if modes[e] is not None:
             live = degrade_system_by_modes(system, modes[e][members])
         shards[e] = (members, live, live is system)
-    sizes = sorted(len(shard[0]) for shard in shards[:3])
-    assert sizes[0] < _BALANCE_BATCH_MIN <= sizes[1] < _BATCH_DECIDE_MIN <= sizes[2]
     engine = VectorizedSlotEngine(topology, FleetParams.from_topology(topology))
     columns = engine.columns(topology.fleet, ShardedSlot(owner, shards))
     got = DECIDERS[policy]().decide(columns, queues, expected, None)

@@ -7,21 +7,22 @@ ID, so a failure names the instance that broke) and asserts that
 in practice the two paths are bit-identical because the batched formulas
 mirror the scalar arithmetic operation-for-operation.
 
-``DriftPlusPenaltyPolicy`` decides through ``dpp_decide`` alone, so its
-oracle is the per-device scalar loop kept here
-(:func:`_reference_dpp_decide`), and those checks demand exact equality:
-both event engines compare each ratio against an offload coin, so a
-last-bit change would move tasks.  ``BalanceOffloadingPolicy`` picks its
-solver by fleet size, so ``balance_decide`` must return its per-device
-loop's exact bits too.  The Eq. 27 allocation has no batched twin in
-``src``; its array formulation lives here as the scalar allocator's
-oracle (:func:`_kkt_allocation_array`).
+``DriftPlusPenaltyPolicy``, ``BalanceOffloadingPolicy`` and
+``FixedRatioPolicy`` decide through the array core alone, so their
+oracles are the per-device scalar loops kept here
+(:func:`_reference_dpp_decide`, :func:`_reference_balance_decide`,
+:func:`_reference_fixed_decide`), and those checks demand exact
+equality: both event engines compare each ratio against an offload
+coin, so a last-bit change would move tasks.  The Eq. 27 allocation has
+no batched twin in ``src``; its array formulation lives here as the
+scalar allocator's oracle (:func:`_kkt_allocation_array`).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from repro.core.offloading import (
     _EPS,
     BalanceOffloadingPolicy,
     DriftPlusPenaltyPolicy,
+    FixedRatioPolicy,
+    LiveFleet,
     LyapunovState,
     drift_plus_penalty,
     edge_compute_split,
@@ -136,6 +139,72 @@ def _reference_dpp_decide(system, state, arrivals, devices=None, v=50.0):
     return ratios
 
 
+def _balance(
+    system, device, partition, share, arrivals, q, h, lo, hi, tolerance, max_iterations
+):
+    """One device's bisection on ``T_i^d − T_i^e`` over ``[lo, hi]``."""
+
+    def gap(x: float) -> float:
+        cost = slot_cost(
+            device, system, x, arrivals, q, h, share,
+            include_tail=False, partition=partition,
+        )
+        return cost.t_device - cost.t_edge
+
+    if gap(lo) <= 0:  # even full-local is device-cheap → stay local
+        return lo
+    if gap(hi) >= 0:  # even full-offload is edge-cheap → go remote
+        return hi
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tolerance:
+            return mid
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_balance_decide(
+    system, state, arrivals, devices=None, tolerance=1e-6, max_iterations=60
+):
+    """The per-device Balance loop, kept as the oracle for
+    ``balance_decide``: each device bisects its own Eq. 8 interval with
+    one ``slot_cost`` call per step."""
+    devs = tuple(devices) if devices is not None else system.devices
+    ratios: list[float] = []
+    for i, device in enumerate(devs):
+        if arrivals[i] <= 0:
+            ratios.append(0.0)
+            continue
+        partition = system.partition_for(i)
+        lo, hi = feasible_ratio_interval(
+            device, partition, system.slot_length, arrivals[i]
+        )
+        ratios.append(
+            _balance(
+                system, device, partition, system.shares[i], arrivals[i],
+                state.queue_local[i], state.queue_edge[i], lo, hi,
+                tolerance, max_iterations,
+            )
+        )
+    return ratios
+
+
+def _reference_fixed_decide(ratio, system, arrivals, devices=None):
+    """The per-device constraint-aware FixedRatio loop: the constant
+    clamped into each device's scalar Eq. 8 interval."""
+    devs = tuple(devices) if devices is not None else system.devices
+    ratios: list[float] = []
+    for i, device in enumerate(devs):
+        lo, hi = feasible_ratio_interval(
+            device, system.partition_for(i), system.slot_length, arrivals[i]
+        )
+        ratios.append(min(max(ratio, lo), hi))
+    return ratios
+
+
 def _scalar_costs(system, state, ratios, arrivals, include_tail=True):
     return [
         slot_cost(
@@ -187,12 +256,104 @@ def test_feasible_intervals_match_scalar(seed):
     lo, hi = feasible_ratio_intervals(
         params, system.slot_length, np.array(arrivals)
     )
-    for i, device in enumerate(system.devices):
-        want_lo, want_hi = feasible_ratio_interval(
+    want = [
+        feasible_ratio_interval(
             device, system.partition_for(i), system.slot_length, arrivals[i]
         )
-        assert lo[i] == pytest.approx(want_lo, abs=TOL), f"lo[{i}], seed {seed}"
-        assert hi[i] == pytest.approx(want_hi, abs=TOL), f"hi[{i}], seed {seed}"
+        for i, device in enumerate(system.devices)
+    ]
+    assert list(zip(lo.tolist(), hi.tolist())) == want, f"seed {seed}"
+
+
+def _eq8_fleet(rng, tau: float):
+    """Random Eq. 8 columns built to reach every branch of the scalar
+    interval: exactly flat slopes (``σ₁ = 0, d₀ = d₁``), slopes within
+    a few ``ε`` of zero either way, dead links (latency at or past τ),
+    idle devices, and budgets that put the boundary below 0, inside
+    ``[0, 1]`` or above 1, or (with τ = 1) exactly at 0: ``budget ==
+    base``, where a falling slope divides into ``-0.0``.  Returns the
+    columns, the arrivals and per-device stand-ins for the scalar
+    function."""
+    n = int(rng.integers(1, 41))
+    arrivals = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(0.0, 5.0, n))
+    arrivals[rng.random(n) < 0.3] = rng.integers(1, 4)
+    sigma1 = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 1.0, n))
+    sigma1[rng.random(n) < 0.1] = 1.0
+    d1 = rng.uniform(1e3, 1e6, n)
+    kind = rng.integers(0, 4, n)
+    d0 = np.where(kind == 0, d1, rng.uniform(1e3, 1e6, n))
+    base = arrivals * (1.0 - sigma1) * d1
+    # Kind 1: a slope of about ±3ε.
+    nudge = rng.uniform(-3.0, 3.0, n) * _EPS / np.maximum(arrivals, 1.0)
+    d0 = np.where(kind == 1, base / np.maximum(arrivals, 1e-300) + nudge, d0)
+    slope = arrivals * d0 - base
+    latency = rng.uniform(0.0, 0.9 * tau, n)
+    latency[rng.random(n) < 0.1] = tau
+    latency[rng.random(n) < 0.1] = 1.5 * tau
+    # Kinds 2 and 3: a budget that puts the boundary near a target.
+    budget = base + rng.choice([-0.5, 0.0, 0.4, 1.0, 1.7], n) * slope
+    tuned = (kind >= 2) & (budget > 0)
+    bandwidth = np.where(tuned, budget / tau, rng.uniform(1e3, 1e7, n))
+    tie = (kind == 3) & (base > 0) & (tau == 1.0)
+    bandwidth = np.where(tie, base, bandwidth)
+    latency = np.where(tie, 0.0, latency)
+    zeros = np.zeros(n)
+    params = FleetParams(
+        flops=zeros, bandwidth=bandwidth, latency=latency, overhead=zeros,
+        shares=zeros, mu1=zeros, mu2=zeros, mu3=zeros, d0=d0, d1=d1,
+        d2=zeros, sigma1=sigma1, sigma2=zeros,
+    )
+    # Stand-ins carrying only what the scalar Eq. 8 reads.
+    devices = [
+        SimpleNamespace(link=NetworkProfile(b, lat))
+        for b, lat in zip(bandwidth.tolist(), latency.tolist())
+    ]
+    partitions = [
+        SimpleNamespace(d0=a, d1=b, sigma1=c)
+        for a, b, c in zip(d0.tolist(), d1.tolist(), sigma1.tolist())
+    ]
+    return params, arrivals, devices, partitions
+
+
+def test_feasible_intervals_equal_scalar_on_every_branch():
+    """The batched Eq. 8 interval equals the scalar one device by device
+    (``==``, so a zero of either sign matches) on 3,000 random fleets
+    reaching every branch; each branch is hit, and negative arrivals
+    raise."""
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for fleet in range(3000):
+        tau = 1.0 if fleet % 2 else float(rng.uniform(0.2, 3.0))
+        params, arrivals, devices, parts = _eq8_fleet(rng, tau)
+        lo, hi = feasible_ratio_intervals(params, tau, arrivals)
+        want = [
+            feasible_ratio_interval(device, part, tau, m)
+            for device, part, m in zip(devices, parts, arrivals.tolist())
+        ]
+        assert list(zip(lo.tolist(), hi.tolist())) == want, fleet
+        budget = params.bandwidth * (tau - params.latency)
+        base = arrivals * (1.0 - params.sigma1) * params.d1
+        slope = arrivals * params.d0 - base
+        live = (budget > 0) & (arrivals > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            boundary = (budget - base) / slope
+        for name, hit in (
+            ("dead", budget <= 0),
+            ("idle", (budget > 0) & (arrivals == 0)),
+            ("flat", live & (slope == 0)),
+            ("near-flat", live & (slope != 0) & (np.abs(slope) < _EPS)),
+            ("rising, boundary < 0", live & (slope >= _EPS) & (boundary < 0)),
+            ("rising, inside", live & (slope >= _EPS) & (boundary > 0) & (boundary < 1)),
+            ("rising, boundary > 1", live & (slope >= _EPS) & (boundary > 1)),
+            ("falling, boundary -0.0", live & (slope <= -_EPS) & (boundary == 0)),
+            ("falling, inside", live & (slope <= -_EPS) & (boundary > 0) & (boundary < 1)),
+            ("falling, boundary > 1", live & (slope <= -_EPS) & (boundary > 1)),
+        ):
+            if hit.any():
+                seen.add(name)
+    assert len(seen) == 10, seen
+    with pytest.raises(ValueError, match="non-negative"):
+        feasible_ratio_intervals(params, 1.0, np.full(params.num_devices, -1.0))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -484,16 +645,32 @@ def test_back_to_back_decisions_share_no_state():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_balance_decide_matches_scalar_policy(seed):
-    """Balance's two solvers return the same bits on 1-64 devices, on
-    dead and near-dead links and idle devices, so the fleet size may pick
-    either; the policy returns them whichever side of the crossover its
-    fleet lands on."""
+    """Balance's batched bisection returns the per-device loop's bits on
+    1-64 devices, heterogeneous partitions, dead and near-dead links,
+    idle devices and ``devices`` overrides, through the solver and
+    through the policy."""
     system, state, arrivals, devices = _probe_instance(seed, max_devices=64)
-    policy = BalanceOffloadingPolicy()
-    devs = system.devices if devices is None else devices
-    want = policy._decide_loop(system, state, arrivals, devs)
+    want = _reference_balance_decide(system, state, arrivals, devices)
     assert balance_decide(system, state, arrivals, devices) == want, seed
+    policy = BalanceOffloadingPolicy()
     assert policy.decide(system, state, arrivals, devices) == want, seed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fixed_ratio_decide_matches_scalar_policy(seed):
+    """A constraint-aware FixedRatio decision is the per-device clamp's
+    bits on the same sweep, handed a system, a live fleet, a config list
+    or the slot's columns."""
+    system, state, arrivals, devices = _probe_instance(seed, max_devices=64)
+    devs = system.devices if devices is None else devices
+    columns = VectorizedSlotEngine(system).columns(devs)
+    for ratio in (0.0, 0.35, 1.0):
+        policy = FixedRatioPolicy(ratio)
+        want = _reference_fixed_decide(ratio, system, arrivals, devices)
+        assert policy.decide(system, state, arrivals, devices) == want, seed
+        assert policy.decide(system, state, arrivals, LiveFleet.of(devs)) == want
+        assert policy.decide(system, state, arrivals, list(devs)) == want
+        assert policy.decide(columns, state, np.array(arrivals), None) == want
 
 
 @pytest.mark.parametrize("seed", range(0, 40))
@@ -543,7 +720,7 @@ def test_fleet_state_update_matches_lyapunov(seed):
         costs = _scalar_costs(system, state, ratios, step_arrivals)
         for i, cost in enumerate(costs):
             state.update(i, cost)
-        batch = engine.slot_costs(None, ratios, step_arrivals, fleet)
+        batch = engine.slot_costs(engine.columns(None), ratios, step_arrivals, fleet)
         fleet.update(batch)
         np.testing.assert_allclose(
             fleet.queue_local, state.queue_local, rtol=TOL, atol=TOL
